@@ -2,9 +2,10 @@
 // violation-graph construction (hash-grouping baseline vs the shared
 // partition-backed engine, serial and parallel), per-question selection for
 // the cell strategies (incremental heaps / incremental SUMS vs the retained
-// full-rescan reference), and end-to-end sessions across strategies and
-// thread counts. Emits BENCH_questioning.json; the engine benches carry the
-// partition-cache hit/miss counters the CI bench-smoke job asserts on.
+// full-rescan reference), detection scoring against E_T, and end-to-end
+// sessions across strategies and thread counts. Emits
+// BENCH_questioning.json; the engine benches carry the partition-cache
+// hit/miss counters the CI bench-smoke job asserts on.
 
 #include <benchmark/benchmark.h>
 
@@ -341,6 +342,27 @@ void BM_CellQSumsTightReference(benchmark::State& state) {
                        /*sums_interval=*/1);
 }
 BENCHMARK(BM_CellQSumsTightReference)->Unit(benchmark::kMillisecond);
+
+// --- Evaluation --------------------------------------------------------------
+
+// Scores the whole Tax@5000 candidate set against E_T (and the injection
+// ledger), the work every session report ends with. The engine's LHS
+// partitions are built before timing starts, as a session's shared engine
+// has them by the time it evaluates, so the figure is the detection-set
+// cost alone: marking the impure classes' cells and counting with word ops.
+void BM_EvaluateDetectionsTax(benchmark::State& state) {
+  const Session& session = TaxSession();
+  ViolationEngine engine(&session.dirty());
+  for (const Fd& fd : session.candidates()) engine.LhsPartition(fd.lhs);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        EvaluateDetections(engine, session.candidates(),
+                           session.true_violations(), &session.truth()));
+  }
+  state.counters["candidate_fds"] =
+      benchmark::Counter(static_cast<double>(session.candidates().Size()));
+}
+BENCHMARK(BM_EvaluateDetectionsTax)->Unit(benchmark::kMillisecond);
 
 // --- End-to-end sessions -----------------------------------------------------
 

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "fd/closure.h"
+#include "relation/cell_bitmap.h"
 #include "violations/violation_engine.h"
 
 namespace uguide {
@@ -67,11 +68,10 @@ std::vector<FdQuestion> BuildQuestions(const QuestionContext& ctx,
   return questions;
 }
 
-size_t CountUncovered(const FdQuestion& q,
-                      const std::unordered_set<Cell, CellHash>& covered) {
+size_t CountUncovered(const FdQuestion& q, const CellBitmap& covered) {
   size_t uncovered = 0;
   for (const Cell& cell : q.cells) {
-    if (!covered.contains(cell)) ++uncovered;
+    if (!covered.Test(cell)) ++uncovered;
   }
   return uncovered;
 }
@@ -83,7 +83,7 @@ StrategyResult RunFdLoop(const QuestionContext& ctx,
                          std::vector<FdQuestion>& questions,
                          EligibleFn eligible, ScoreFn score) {
   StrategyResult result;
-  std::unordered_set<Cell, CellHash> covered;
+  CellBitmap covered(ctx.dirty->NumRows(), ctx.dirty->NumAttributes());
   // Lazy uncovered counts: `covered` only grows when an FD is accepted, so
   // between acceptances every question's uncovered count is unchanged and
   // the greedy scan does not need to re-walk the (large) violation-cell
@@ -123,7 +123,7 @@ StrategyResult RunFdLoop(const QuestionContext& ctx,
     const Answer answer = ctx.expert->IsFdValid(q.fd);
     if (answer == Answer::kYes) {
       result.accepted_fds.Add(q.fd);
-      covered.insert(q.cells.begin(), q.cells.end());
+      for (const Cell& cell : q.cells) covered.Set(cell);
       ++covered_epoch;
     }
     // "no" discards the FD (asked = true suffices); "I don't know" likewise

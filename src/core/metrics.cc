@@ -1,23 +1,26 @@
 #include "core/metrics.h"
 
-#include <algorithm>
-#include <unordered_set>
-
+#include "relation/cell_bitmap.h"
 #include "violations/violation_engine.h"
 
 namespace uguide {
 
+namespace {
+
+// The union of the accepted FDs' violating cells as a dense bitmap over
+// the engine's relation.
+CellBitmap DetectionBitmap(ViolationEngine& engine, const FdSet& accepted) {
+  const Relation& dirty = engine.relation();
+  CellBitmap detections(dirty.NumRows(), dirty.NumAttributes());
+  for (const Fd& fd : accepted) engine.MarkViolatingCells(fd, &detections);
+  return detections;
+}
+
+}  // namespace
+
 std::vector<Cell> AllDetections(ViolationEngine& engine,
                                 const FdSet& accepted) {
-  std::unordered_set<Cell, CellHash> seen;
-  for (const Fd& fd : accepted) {
-    for (const Cell& cell : engine.ViolatingCells(fd)) {
-      seen.insert(cell);
-    }
-  }
-  std::vector<Cell> out(seen.begin(), seen.end());
-  std::sort(out.begin(), out.end());
-  return out;
+  return DetectionBitmap(engine, accepted).ToVector();
 }
 
 std::vector<Cell> AllDetections(const Relation& dirty,
@@ -42,16 +45,13 @@ DetectionMetrics EvaluateDetections(ViolationEngine& engine,
   metrics.total_true_errors = true_violations.Size();
   if (injected != nullptr) metrics.total_injected = injected->NumChanged();
 
-  const std::vector<Cell> detections = AllDetections(engine, accepted);
-  metrics.detections = detections.size();
-  for (const Cell& cell : detections) {
-    if (true_violations.Contains(cell)) {
-      ++metrics.true_positives;
-    } else {
-      ++metrics.false_positives;
-    }
-    if (injected != nullptr && injected->IsChanged(cell)) {
-      ++metrics.injected_detected;
+  const CellBitmap detections = DetectionBitmap(engine, accepted);
+  metrics.detections = detections.Count();
+  metrics.true_positives = detections.AndCount(true_violations.cells());
+  metrics.false_positives = metrics.detections - metrics.true_positives;
+  if (injected != nullptr) {
+    for (const Cell& cell : injected->ChangedCells()) {
+      if (detections.Test(cell)) ++metrics.injected_detected;
     }
   }
   metrics.false_negatives = metrics.total_true_errors - metrics.true_positives;

@@ -1,9 +1,9 @@
 #include "core/repair.h"
 
 #include <unordered_map>
-#include <unordered_set>
 
 #include "common/hash.h"
+#include "relation/cell_bitmap.h"
 #include "violations/violation_engine.h"
 
 namespace uguide {
@@ -24,16 +24,16 @@ RepairResult RepairWithFds(const Relation& dirty, const FdSet& accepted,
                            const RepairOptions& options,
                            ViolationEngine* engine) {
   RepairResult result{dirty, {}};
-  std::unordered_set<Cell, CellHash> repaired_cells;
+  CellBitmap repaired_cells(dirty.NumRows(), dirty.NumAttributes());
 
   // Cells any accepted FD blames (g3 removal sets on the original dirty
   // table); used by the LHS-suspicion guard.
-  std::unordered_set<Cell, CellHash> suspicious;
+  CellBitmap suspicious(dirty.NumRows(), dirty.NumAttributes());
   if (options.guard_suspicious_lhs) {
     EngineRef shared(engine, &dirty);
     for (const Fd& fd : accepted) {
       for (const Cell& cell : shared->G3RemovalCells(fd)) {
-        suspicious.insert(cell);
+        suspicious.Set(cell);
       }
     }
   }
@@ -83,21 +83,21 @@ RepairResult RepairWithFds(const Relation& dirty, const FdSet& accepted,
       for (TupleId r : group) {
         if (result.repaired.Code(r, fd.rhs) == majority) continue;
         const Cell cell{r, fd.rhs};
-        if (repaired_cells.contains(cell)) continue;  // already fixed
+        if (repaired_cells.Test(cell)) continue;  // already fixed
         // LHS-vs-RHS guard: if another accepted FD blames one of this
         // tuple's LHS cells, the tuple was likely relocated into this
         // group by that LHS error; leave the RHS alone.
         if (options.guard_suspicious_lhs) {
           bool lhs_suspect = false;
           for (int b : fd.lhs) {
-            if (suspicious.contains(Cell{r, b})) {
+            if (suspicious.Test(Cell{r, b})) {
               lhs_suspect = true;
               break;
             }
           }
           if (lhs_suspect) continue;
         }
-        repaired_cells.insert(cell);
+        repaired_cells.Set(cell);
         CellRepair repair;
         repair.cell = cell;
         repair.old_value = result.repaired.Value(cell);

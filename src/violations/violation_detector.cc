@@ -140,28 +140,11 @@ TrueViolationSet TrueViolationSet::Compute(const Relation& relation,
 
 TrueViolationSet TrueViolationSet::Compute(ViolationEngine& engine,
                                            const FdSet& fds) {
+  const Relation& relation = engine.relation();
   TrueViolationSet set;
-  set.row_violates_.assign(
-      static_cast<size_t>(engine.relation().NumRows()), false);
-  for (const Fd& fd : fds) {
-    for (const Cell& cell : engine.ViolatingCells(fd)) {
-      set.cells_.insert(cell);
-      set.row_violates_[static_cast<size_t>(cell.row)] = true;
-    }
-  }
+  set.cells_ = CellBitmap(relation.NumRows(), relation.NumAttributes());
+  for (const Fd& fd : fds) engine.MarkViolatingCells(fd, &set.cells_);
   return set;
-}
-
-bool TrueViolationSet::TupleViolates(TupleId row, int /*num_attributes*/)
-    const {
-  return row >= 0 && static_cast<size_t>(row) < row_violates_.size() &&
-         row_violates_[static_cast<size_t>(row)];
-}
-
-std::vector<Cell> TrueViolationSet::ToVector() const {
-  std::vector<Cell> out(cells_.begin(), cells_.end());
-  std::sort(out.begin(), out.end());
-  return out;
 }
 
 }  // namespace uguide

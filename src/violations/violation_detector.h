@@ -1,10 +1,10 @@
 #ifndef UGUIDE_VIOLATIONS_VIOLATION_DETECTOR_H_
 #define UGUIDE_VIOLATIONS_VIOLATION_DETECTOR_H_
 
-#include <unordered_set>
 #include <vector>
 
 #include "fd/fd.h"
+#include "relation/cell_bitmap.h"
 #include "relation/relation.h"
 
 namespace uguide {
@@ -51,6 +51,7 @@ std::vector<int> ViolationCountPerTuple(const Relation& relation,
 /// detection metrics measure against it (§7.1).
 class TrueViolationSet {
  public:
+  /// The empty set over a 0 x 0 grid: contains nothing.
   TrueViolationSet() = default;
 
   /// Builds the set from the union of every FD's violating cells.
@@ -60,25 +61,23 @@ class TrueViolationSet {
   /// cache) instead of re-grouping per FD.
   static TrueViolationSet Compute(ViolationEngine& engine, const FdSet& fds);
 
-  bool Contains(const Cell& cell) const { return cells_.contains(cell); }
+  /// A bit test; false for any cell outside the relation's grid.
+  bool Contains(const Cell& cell) const { return cells_.Test(cell); }
 
-  /// True iff any cell of `row` is a violation. O(1): answered from a
-  /// per-row bitmap built once in Compute instead of probing the cell set
-  /// per attribute (this is the simulated expert's hot path for tuple
-  /// questions). The attribute count is part of the historical signature;
-  /// every violating cell's column is below the relation's attribute
-  /// count, so it no longer participates in the lookup.
-  bool TupleViolates(TupleId row, int num_attributes) const;
+  /// True iff any cell of `row` is a violation; false for an out-of-range
+  /// row.
+  bool TupleViolates(TupleId row) const { return cells_.AnyInRow(row); }
 
-  size_t Size() const { return cells_.size(); }
+  size_t Size() const { return cells_.Count(); }
 
   /// All violating cells in row-major order.
-  std::vector<Cell> ToVector() const;
+  std::vector<Cell> ToVector() const { return cells_.ToVector(); }
+
+  /// The dense rows x attributes bitmap behind the set.
+  const CellBitmap& cells() const { return cells_; }
 
  private:
-  std::unordered_set<Cell, CellHash> cells_;
-  /// row_violates_[r] == true iff some cell of row r is in cells_.
-  std::vector<bool> row_violates_;
+  CellBitmap cells_;
 };
 
 }  // namespace uguide

@@ -109,6 +109,20 @@ std::vector<Cell> ViolationEngine::ViolatingCells(const Fd& fd) {
   return cells;
 }
 
+void ViolationEngine::MarkViolatingCells(const Fd& fd, CellBitmap* cells) {
+  UGUIDE_CHECK(fd.IsValidShape());
+  UGUIDE_CHECK(fd.rhs < relation_->NumAttributes());
+  UGUIDE_CHECK_EQ(cells->cols(), relation_->NumAttributes());
+  UGUIDE_CHECK_GE(cells->rows(), relation_->NumRows());
+  const std::vector<ValueCode>& codes = relation_->ColumnCodes(fd.rhs);
+  std::shared_ptr<const Partition> lhs = LhsPartition(fd.lhs);
+  for (size_t i = 0; i < lhs->NumClasses(); ++i) {
+    const Partition::ClassView cls = lhs->Class(i);
+    if (!ClassIsImpure(codes, cls)) continue;
+    for (TupleId r : cls) cells->Set(Cell{r, fd.rhs});
+  }
+}
+
 template <typename RowFn>
 void ViolationEngine::ForEachG3RemovalRow(const Fd& fd, const RowFn& fn) {
   UGUIDE_CHECK(fd.IsValidShape());

@@ -9,6 +9,7 @@
 #include "common/memory_budget.h"
 #include "discovery/partition.h"
 #include "fd/fd.h"
+#include "relation/cell_bitmap.h"
 #include "relation/relation.h"
 
 namespace uguide {
@@ -51,6 +52,11 @@ class ViolationEngine {
 
   /// The RHS cells of ViolatingTuples, row-ascending.
   std::vector<Cell> ViolatingCells(const Fd& fd);
+
+  /// Sets the bits of ViolatingCells(fd) in `cells`, straight from the
+  /// impure LHS classes (no sort, no intermediate vector). `cells` must
+  /// span the relation: same attribute count, at least as many rows.
+  void MarkViolatingCells(const Fd& fd, CellBitmap* cells);
 
   /// The g3 removal set of `fd`, ascending (minority rows per LHS class;
   /// ties break toward the first-seen RHS code, as in the reference).

@@ -69,8 +69,8 @@ TEST(TrueViolationSetTest, ComputesParticipatingCells) {
   EXPECT_TRUE(fx.violations.Contains(Cell{2, 1}));
   EXPECT_FALSE(fx.violations.Contains(Cell{3, 1}));
   EXPECT_FALSE(fx.violations.Contains(Cell{0, 0}));
-  EXPECT_TRUE(fx.violations.TupleViolates(2, 3));
-  EXPECT_FALSE(fx.violations.TupleViolates(3, 3));
+  EXPECT_TRUE(fx.violations.TupleViolates(2));
+  EXPECT_FALSE(fx.violations.TupleViolates(3));
   std::vector<Cell> cells = fx.violations.ToVector();
   ASSERT_EQ(cells.size(), 3u);
   EXPECT_EQ(cells[0], (Cell{0, 1}));

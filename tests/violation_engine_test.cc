@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <string>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -16,12 +17,14 @@
 #include "core/candidate_gen.h"
 #include "core/cell_strategies.h"
 #include "core/fd_strategies.h"
+#include "core/metrics.h"
 #include "core/session.h"
 #include "core/tuple_strategies.h"
 #include "datagen/generators.h"
 #include "discovery/tane.h"
 #include "errorgen/error_generator.h"
 #include "oracle/simulated_expert.h"
+#include "relation/cell_bitmap.h"
 #include "test_util.h"
 #include "violations/bipartite_graph.h"
 #include "violations/violation_detector.h"
@@ -167,18 +170,170 @@ TEST(ViolationEngineTest, MatchesReferenceUnderTinyMemoryBudget) {
 
 TEST(ViolationEngineTest, TrueViolationSetBitmapMatchesCellProbe) {
   Relation rel = MakeRandomRelation(13, 150);
+  const int m = rel.NumAttributes();
   FdSet fds;
-  for (const Fd& fd : EnumerateFds(rel.NumAttributes())) fds.Add(fd);
+  for (const Fd& fd : EnumerateFds(m)) fds.Add(fd);
   TrueViolationSet set = TrueViolationSet::Compute(rel, fds);
   for (TupleId r = 0; r < rel.NumRows(); ++r) {
     bool expected = false;
-    for (int a = 0; a < rel.NumAttributes(); ++a) {
+    for (int a = 0; a < m; ++a) {
       expected = expected || set.Contains(Cell{r, a});
     }
-    EXPECT_EQ(set.TupleViolates(r, rel.NumAttributes()), expected);
+    EXPECT_EQ(set.TupleViolates(r), expected);
+    // Out-of-range columns never alias onto a neighbouring row's cells.
+    EXPECT_FALSE(set.Contains(Cell{r, m}));
+    EXPECT_FALSE(set.Contains(Cell{r, -1}));
   }
-  EXPECT_FALSE(set.TupleViolates(-1, rel.NumAttributes()));
-  EXPECT_FALSE(set.TupleViolates(rel.NumRows(), rel.NumAttributes()));
+  EXPECT_FALSE(set.TupleViolates(-1));
+  EXPECT_FALSE(set.TupleViolates(rel.NumRows()));
+  EXPECT_FALSE(set.Contains(Cell{-1, 1}));
+  EXPECT_FALSE(set.Contains(Cell{rel.NumRows(), 1}));
+
+  // The naive index (r, m) -> (r + 1, 0) would hit the set bit here.
+  CellBitmap bitmap(3, 5);
+  bitmap.Set(Cell{1, 0});
+  bitmap.Set(Cell{0, 4});
+  EXPECT_TRUE(bitmap.Test(Cell{1, 0}));
+  EXPECT_FALSE(bitmap.Test(Cell{0, 5}));
+  EXPECT_FALSE(bitmap.Test(Cell{1, -1}));
+  EXPECT_FALSE(bitmap.Test(Cell{3, 0}));
+  EXPECT_FALSE(bitmap.Test(Cell{-1, 4}));
+  EXPECT_TRUE(bitmap.AnyInRow(0));
+  EXPECT_TRUE(bitmap.AnyInRow(1));
+  EXPECT_FALSE(bitmap.AnyInRow(2));
+  EXPECT_EQ(bitmap.ToVector(), (std::vector<Cell>{{0, 4}, {1, 0}}));
+
+  // Row-count mismatch is tolerated (a live epoch appends rows): only the
+  // common rows intersect. A column-count mismatch is a shape bug.
+  CellBitmap taller(7, 5);
+  taller.Set(Cell{0, 4});
+  taller.Set(Cell{6, 2});
+  EXPECT_EQ(bitmap.AndCount(taller), 1u);
+  EXPECT_EQ(taller.AndCount(bitmap), 1u);
+  CellBitmap wider(3, 6);
+  EXPECT_DEATH(bitmap.AndCount(wider), "Check failed");
+
+  // A default-constructed set contains nothing.
+  TrueViolationSet empty;
+  EXPECT_EQ(empty.Size(), 0u);
+  EXPECT_TRUE(empty.ToVector().empty());
+  EXPECT_FALSE(empty.Contains(Cell{0, 0}));
+  EXPECT_FALSE(empty.TupleViolates(0));
+}
+
+// --- dense detection sets vs a hash-set reference -------------------------
+
+// The pre-bitmap evaluation, kept here as the behavioural reference: the
+// union of every FD's violating cells (from the hash-grouping detector) in
+// an unordered_set, sorted for AllDetections, probed cell by cell for the
+// metrics.
+std::unordered_set<Cell, CellHash> ReferenceCellUnion(const Relation& rel,
+                                                      const FdSet& fds) {
+  std::unordered_set<Cell, CellHash> cells;
+  for (const Fd& fd : fds) {
+    for (const Cell& cell : ViolatingCells(rel, fd)) cells.insert(cell);
+  }
+  return cells;
+}
+
+std::vector<Cell> SortedCells(const std::unordered_set<Cell, CellHash>& set) {
+  std::vector<Cell> out(set.begin(), set.end());
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+DetectionMetrics ReferenceEvaluate(
+    const Relation& rel, const FdSet& accepted,
+    const std::unordered_set<Cell, CellHash>& true_violations,
+    const GroundTruth* injected) {
+  DetectionMetrics metrics;
+  metrics.total_true_errors = true_violations.size();
+  if (injected != nullptr) metrics.total_injected = injected->NumChanged();
+  const std::vector<Cell> detections =
+      SortedCells(ReferenceCellUnion(rel, accepted));
+  metrics.detections = detections.size();
+  for (const Cell& cell : detections) {
+    if (true_violations.contains(cell)) {
+      ++metrics.true_positives;
+    } else {
+      ++metrics.false_positives;
+    }
+    if (injected != nullptr && injected->IsChanged(cell)) {
+      ++metrics.injected_detected;
+    }
+  }
+  metrics.false_negatives = metrics.total_true_errors - metrics.true_positives;
+  return metrics;
+}
+
+void ExpectMetricsEqual(const DetectionMetrics& a, const DetectionMetrics& b) {
+  EXPECT_EQ(a.detections, b.detections);
+  EXPECT_EQ(a.true_positives, b.true_positives);
+  EXPECT_EQ(a.false_positives, b.false_positives);
+  EXPECT_EQ(a.false_negatives, b.false_negatives);
+  EXPECT_EQ(a.total_true_errors, b.total_true_errors);
+  EXPECT_EQ(a.injected_detected, b.injected_detected);
+  EXPECT_EQ(a.total_injected, b.total_injected);
+}
+
+// Random FD subset of `pool` (each FD kept with probability 1/3), with a
+// few members added twice.
+FdSet RandomFdSubset(Rng& rng, const std::vector<Fd>& pool) {
+  FdSet out;
+  for (const Fd& fd : pool) {
+    if (rng.NextBounded(3) != 0) continue;
+    out.Add(fd);
+    if (rng.NextBounded(4) == 0) out.Add(fd);
+  }
+  return out;
+}
+
+TEST(DenseDetectionSetTest, MatchesHashSetReference) {
+  for (uint64_t seed : {21u, 22u, 23u}) {
+    Relation rel = MakeRandomRelation(seed, 120);
+    const int m = rel.NumAttributes();
+    const std::vector<Fd> pool = EnumerateFds(m);
+    Rng rng(seed * 7 + 1);
+
+    const FdSet true_fds = RandomFdSubset(rng, pool);
+    const TrueViolationSet truth = TrueViolationSet::Compute(rel, true_fds);
+    const std::unordered_set<Cell, CellHash> reference_truth =
+        ReferenceCellUnion(rel, true_fds);
+    EXPECT_EQ(truth.Size(), reference_truth.size());
+    EXPECT_EQ(truth.ToVector(), SortedCells(reference_truth));
+    for (TupleId r = 0; r < rel.NumRows(); ++r) {
+      for (int a = 0; a < m; ++a) {
+        EXPECT_EQ(truth.Contains(Cell{r, a}),
+                  reference_truth.contains(Cell{r, a}));
+      }
+    }
+
+    GroundTruth ledger;
+    for (int i = 0; i < 40; ++i) {
+      ledger.MarkChanged(
+          Cell{static_cast<TupleId>(rng.NextBounded(rel.NumRows())),
+               static_cast<int>(rng.NextBounded(m))});
+    }
+    // Ledger cells outside the grid can never be detected.
+    ledger.MarkChanged(Cell{rel.NumRows(), 0});
+    ledger.MarkChanged(Cell{0, m});
+
+    std::vector<FdSet> accepted_sets = {FdSet(), true_fds};
+    for (int i = 0; i < 6; ++i) {
+      accepted_sets.push_back(RandomFdSubset(rng, pool));
+    }
+    ViolationEngine engine(&rel);
+    for (const FdSet& accepted : accepted_sets) {
+      EXPECT_EQ(AllDetections(engine, accepted),
+                SortedCells(ReferenceCellUnion(rel, accepted)));
+      ExpectMetricsEqual(
+          EvaluateDetections(engine, accepted, truth),
+          ReferenceEvaluate(rel, accepted, reference_truth, nullptr));
+      ExpectMetricsEqual(
+          EvaluateDetections(engine, accepted, truth, &ledger),
+          ReferenceEvaluate(rel, accepted, reference_truth, &ledger));
+    }
+  }
 }
 
 // --- CSR layout equivalence (DESIGN.md §14) -------------------------------
