@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "core/uguide.h"
+#include "reference/hash_detector.h"
 
 namespace uguide {
 namespace {
@@ -114,12 +115,12 @@ const Session& HospitalSession(int threads) {
 // --- Violation-graph construction -------------------------------------------
 
 // Baseline: the original per-FD hash-grouping detector, serial. This is
-// the pre-engine code path, kept as ViolationGraph::BuildReference.
+// the pre-engine code path, kept as the test-only BuildReferenceGraph.
 void BM_GraphBuildHashBaseline(benchmark::State& state) {
   const TaxFixture& tax = TaxAtScale(static_cast<int>(state.range(0)));
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        ViolationGraph::BuildReference(tax.dirty, tax.candidates));
+        BuildReferenceGraph(tax.dirty, tax.candidates));
   }
   state.counters["candidate_fds"] =
       benchmark::Counter(static_cast<double>(tax.candidates.Size()));

@@ -27,8 +27,11 @@ namespace {
 /// cell/tuple prompts are implemented for completeness.
 class ConsoleExpert : public Expert {
  public:
-  ConsoleExpert(const Relation* relation, bool auto_yes)
-      : relation_(relation), auto_yes_(auto_yes) {}
+  /// `engine` runs over `relation`; it supplies the conflict shown as
+  /// context for FD questions.
+  ConsoleExpert(const Relation* relation, ViolationEngine* engine,
+                bool auto_yes)
+      : relation_(relation), engine_(engine), auto_yes_(auto_yes) {}
 
   Answer IsCellErroneous(const Cell& cell) override {
     std::printf("Is this value wrong?  %s = '%s'\n  in row: [%s]\n",
@@ -50,7 +53,7 @@ class ConsoleExpert : public Expert {
                 relation_->schema().Name(fd.rhs).c_str(),
                 fd.ToString(relation_->schema()).c_str());
     // Context: one conflicting pair, as the paper suggests (§2.1).
-    std::vector<Cell> cells = ViolatingCells(*relation_, fd);
+    std::vector<Cell> cells = engine_->ViolatingCells(fd);
     if (!cells.empty()) {
       std::printf("  e.g. conflicting row: [%s]\n",
                   relation_->RowToString(cells.front().row).c_str());
@@ -78,6 +81,7 @@ class ConsoleExpert : public Expert {
   }
 
   const Relation* relation_;
+  ViolationEngine* engine_;
   bool auto_yes_;
 };
 
@@ -131,9 +135,11 @@ int main(int argc, char** argv) {
               "(cost of an FD question = its LHS size)\n",
               candidates.candidates.Size(), budget);
 
-  ConsoleExpert expert(&dirty, auto_yes);
+  ViolationEngine engine(&dirty);
+  ConsoleExpert expert(&dirty, &engine, auto_yes);
   QuestionContext ctx;
   ctx.dirty = &dirty;
+  ctx.engine = &engine;
   ctx.candidates = &candidates.candidates;
   ctx.exact_fds = &candidates.exact;
   ctx.expert = &expert;
@@ -143,7 +149,7 @@ int main(int argc, char** argv) {
   StrategyResult result = strategy->Run(ctx);
 
   std::printf("\nYou validated %zu rule(s).\n", result.accepted_fds.Size());
-  std::vector<Cell> detections = AllDetections(dirty, result.accepted_fds);
+  std::vector<Cell> detections = AllDetections(engine, result.accepted_fds);
   std::printf("They flag %zu suspect cell(s)", detections.size());
   if (!detections.empty()) {
     std::printf("; the first few:\n");

@@ -17,11 +17,12 @@ namespace {
 
 void ShowCandidateContext(const Session& session, size_t max_fds) {
   const Relation& dirty = session.dirty();
+  ViolationEngine engine(&dirty);
   std::printf("candidate FDs (with one flagged cell as context):\n");
   size_t shown = 0;
   for (const Fd& fd : session.candidates()) {
     if (shown >= max_fds) break;
-    std::vector<Cell> cells = ViolatingCells(dirty, fd);
+    std::vector<Cell> cells = engine.ViolatingCells(fd);
     if (cells.empty()) {
       std::printf("  %-28s no violations\n",
                   fd.ToString(dirty.schema()).c_str());

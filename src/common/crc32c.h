@@ -8,7 +8,7 @@
 namespace uguide {
 
 /// \brief CRC-32C (Castagnoli, reflected polynomial 0x82F63B78), the
-/// checksum guarding every v2 journal record against bit-rot.
+/// checksum guarding every journal record against bit-rot.
 ///
 /// Hand-rolled table-driven implementation — the journal must stay
 /// dependency-free, and the polynomial choice matches what storage systems

@@ -8,7 +8,7 @@
 #include "errorgen/error_generator.h"
 #include "fd/fd.h"
 #include "relation/relation.h"
-#include "violations/violation_detector.h"
+#include "violations/true_violation_set.h"
 
 namespace uguide {
 

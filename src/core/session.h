@@ -65,7 +65,7 @@ struct SessionRunOptions {
   bool resilient = false;
   RetryPolicy retry;
   /// Identity of the data the run executes against, pinned into the
-  /// journal header (v2 `dhash=`/`dver=`) and stamped onto the report.
+  /// journal header (`dhash=`/`dver=`) and stamped onto the report.
   /// Resuming a journal written under a different pair fails with a
   /// header mismatch instead of replaying answers onto different data.
   uint64_t content_hash = 0;

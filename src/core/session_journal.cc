@@ -149,7 +149,7 @@ bool ParseHex32(std::string_view token, uint32_t* out) {
   return true;
 }
 
-/// Unwraps one v2 record line `<len>.<crc> <payload>`. False on any
+/// Unwraps one record line `<len>.<crc> <payload>`. False on any
 /// framing defect: bad length, bad checksum, malformed prefix.
 bool UnwrapJournalFrame(std::string_view line, std::string_view* payload) {
   const size_t dot = line.find('.');
@@ -167,7 +167,7 @@ bool UnwrapJournalFrame(std::string_view line, std::string_view* payload) {
   return true;
 }
 
-/// The payload of the v2 end marker: `end <questions> <cost-hexfloat>`.
+/// The payload of the end marker: `end <questions> <cost-hexfloat>`.
 std::string FormatEndPayload(int questions_asked, double cost_spent) {
   std::ostringstream out;
   out << "end " << questions_asked << ' ' << HexDouble(cost_spent);
@@ -192,6 +192,25 @@ std::string ParentDir(const std::string& path) {
   if (slash == std::string::npos) return ".";
   if (slash == 0) return "/";
   return path.substr(0, slash);
+}
+
+/// Checks the raw first line opens with the magic and `v=2`. Damage to the
+/// magic itself means the file cannot be identified as a journal at all;
+/// any other version (including the retired unchecksummed format) is
+/// refused by name.
+Status CheckJournalMagic(std::string_view line, const std::string& origin) {
+  const std::vector<std::string_view> tokens = SplitTokens(line);
+  if (tokens.size() < 2 || tokens[0] != "uguide-journal" ||
+      tokens[1].rfind("v=", 0) != 0) {
+    return Status::InvalidArgument("journal " + origin +
+                                   " has no recognizable header");
+  }
+  if (tokens[1] != "v=2") {
+    return Status::InvalidArgument("journal " + origin +
+                                   " has unsupported version " +
+                                   std::string(tokens[1]));
+  }
+  return Status::OK();
 }
 
 }  // namespace
@@ -293,20 +312,9 @@ Result<JournalRecord> ParseJournalRecord(std::string_view line) {
   return record;
 }
 
-std::string FormatJournalHeader(const JournalHeader& header) {
-  std::ostringstream out;
-  out << "uguide-journal v=1 strategy=" << header.strategy_name
-      << " budget=" << HexDouble(header.budget)
-      << " seed=" << header.expert_seed << " votes=" << header.expert_votes
-      << " idk=" << HexDouble(header.idk_rate)
-      << " wrong=" << HexDouble(header.wrong_rate);
-  return out.str();
-}
-
 namespace {
 
-/// Parses the six identity fields shared by every header version
-/// (tokens[2..7] of the header line).
+/// Parses the identity fields of a header line (tokens[2..] of it).
 Result<JournalHeader> ParseHeaderFields(
     const std::vector<std::string_view>& tokens, const Status& malformed) {
   JournalHeader header;
@@ -336,8 +344,8 @@ Result<JournalHeader> ParseHeaderFields(
       if (!ParseStrictDouble(value, &header.wrong_rate)) return malformed;
       seen[5] = true;
     } else if (key == "dhash") {
-      // Optional (live-data identity, v2 only): absent in pre-live
-      // journals, which parse to the 0 defaults.
+      // Optional (live-data identity): absent in pre-live journals,
+      // which parse to the 0 defaults.
       if (!ParseHexU64(value, &header.content_hash)) return malformed;
     } else if (key == "dver") {
       if (!ParseU64(value, &header.data_version)) return malformed;
@@ -353,18 +361,7 @@ Result<JournalHeader> ParseHeaderFields(
 
 }  // namespace
 
-Result<JournalHeader> ParseJournalHeader(std::string_view line) {
-  const std::vector<std::string_view> tokens = SplitTokens(line);
-  const Status malformed =
-      Status::InvalidArgument("malformed journal header: " + std::string(line));
-  if (tokens.size() != 8 || tokens[0] != "uguide-journal" ||
-      tokens[1] != "v=1") {
-    return malformed;
-  }
-  return ParseHeaderFields(tokens, malformed);
-}
-
-std::string FormatJournalHeaderV2(const JournalHeader& header) {
+std::string FormatJournalHeader(const JournalHeader& header) {
   std::ostringstream out;
   out << "uguide-journal v=2 strategy=" << header.strategy_name
       << " budget=" << HexDouble(header.budget)
@@ -390,16 +387,10 @@ std::string FormatJournalFrame(std::string_view payload) {
   return out.str();
 }
 
-namespace {
-
-/// Parses a v2 header line: verifies the hcrc suffix covers the rest of
-/// the line, then parses the v1-shaped fields. A well-formed-but-
-/// checksum-failing header is kDataLoss (it was once valid); anything
-/// structurally wrong is InvalidArgument.
-Result<JournalHeader> ParseJournalHeaderV2(std::string_view line,
-                                           const std::string& origin) {
+Result<JournalHeader> ParseJournalHeader(std::string_view line,
+                                         const std::string& origin) {
   const Status malformed =
-      Status::InvalidArgument("malformed v2 journal header in " + origin);
+      Status::InvalidArgument("malformed journal header in " + origin);
   constexpr std::string_view kSuffix = " hcrc=";
   const size_t at = line.rfind(kSuffix);
   if (at == std::string_view::npos) return malformed;
@@ -421,8 +412,6 @@ Result<JournalHeader> ParseJournalHeaderV2(std::string_view line,
   }
   return ParseHeaderFields(tokens, malformed);
 }
-
-}  // namespace
 
 Status ValidateJournalHeader(const JournalHeader& expected,
                              const JournalHeader& found) {
@@ -494,40 +483,14 @@ Result<LoadedJournal> ParseJournalText(std::string_view contents,
     return Status::InvalidArgument("journal " + origin + " is empty");
   }
 
-  // Version sniff on the raw first line: both formats open with the magic
-  // and a `v=N` token. Damage to the magic itself means the file cannot be
-  // identified as a journal at all.
-  int version = 0;
-  {
-    const std::vector<std::string_view> tokens = SplitTokens(lines[0]);
-    if (tokens.size() < 2 || tokens[0] != "uguide-journal" ||
-        tokens[1].rfind("v=", 0) != 0) {
-      return Status::InvalidArgument("journal " + origin +
-                                     " has no recognizable header");
-    }
-    if (tokens[1] == "v=1") {
-      version = 1;
-    } else if (tokens[1] == "v=2") {
-      version = 2;
-    } else {
-      return Status::InvalidArgument("journal " + origin +
-                                     " has unsupported version " +
-                                     std::string(tokens[1]));
-    }
-  }
+  UGUIDE_RETURN_NOT_OK(CheckJournalMagic(lines[0], origin));
   if (!terminated && lines.size() == 1) {
     // Header itself is torn; nothing trustworthy in the file.
     return Status::InvalidArgument("journal " + origin + " has a torn header");
   }
 
   LoadedJournal journal;
-  journal.version = version;
-  if (version == 1) {
-    UGUIDE_ASSIGN_OR_RETURN(journal.header, ParseJournalHeader(lines[0]));
-  } else {
-    UGUIDE_ASSIGN_OR_RETURN(journal.header,
-                            ParseJournalHeaderV2(lines[0], origin));
-  }
+  UGUIDE_ASSIGN_OR_RETURN(journal.header, ParseJournalHeader(lines[0], origin));
   journal.resume_offset = line_end[0];
 
   for (size_t i = 1; i < lines.size(); ++i) {
@@ -538,25 +501,7 @@ Result<LoadedJournal> ParseJournalText(std::string_view contents,
       journal.torn_tail = true;
       break;
     }
-    if (version == 1) {
-      Result<JournalRecord> record = ParseJournalRecord(lines[i]);
-      if (!record.ok()) {
-        if (is_tail) {
-          // v1 cannot tell a terminated-but-garbled tail from corruption;
-          // it keeps the lenient pre-framing behaviour and salvages.
-          journal.torn_tail = true;
-          break;
-        }
-        return Status::InvalidArgument("journal " + origin + " line " +
-                                       std::to_string(i + 1) + ": " +
-                                       record.status().ToString());
-      }
-      journal.records.push_back(*std::move(record));
-      journal.resume_offset = line_end[i];
-      continue;
-    }
-
-    // v2: the line is newline-terminated, so the write that produced it
+    // The line is newline-terminated, so the write that produced it
     // completed — any framing/checksum/parse failure from here on is
     // in-place damage, not a torn write, and must quarantine.
     const Status corrupt = Status::DataLoss(
@@ -604,17 +549,8 @@ Result<JournalHeader> PeekJournalHeader(const std::string& path) {
     if (in.bad()) return Status::IoError("read failed for journal " + path);
     return Status::InvalidArgument("journal " + path + " is empty");
   }
-  const std::vector<std::string_view> tokens = SplitTokens(line);
-  if (tokens.size() < 2 || tokens[0] != "uguide-journal" ||
-      tokens[1].rfind("v=", 0) != 0) {
-    return Status::InvalidArgument("journal " + path +
-                                   " has no recognizable header");
-  }
-  if (tokens[1] == "v=1") return ParseJournalHeader(line);
-  if (tokens[1] == "v=2") return ParseJournalHeaderV2(line, path);
-  return Status::InvalidArgument("journal " + path +
-                                 " has unsupported version " +
-                                 std::string(tokens[1]));
+  UGUIDE_RETURN_NOT_OK(CheckJournalMagic(line, path));
+  return ParseJournalHeader(line, path);
 }
 
 Result<JournalFsyncMode> ParseJournalFsyncMode(std::string_view text) {
@@ -680,7 +616,7 @@ Result<JournalWriter> JournalWriter::Open(const std::string& path,
   const int flags = O_WRONLY | O_CREAT | (options.resume ? O_APPEND : O_TRUNC);
   const int fd = ::open(path.c_str(), flags, 0644);
   if (fd < 0) return Errno("cannot open journal", path);
-  JournalWriter writer(fd, path, options.fsync_mode, options.version);
+  JournalWriter writer(fd, path, options.fsync_mode);
   if (options.resume) {
     // Drop the torn tail / stale end marker the load classified away, so
     // new appends can never concatenate onto a partial old line.
@@ -688,10 +624,7 @@ Result<JournalWriter> JournalWriter::Open(const std::string& path,
       return Errno("cannot truncate journal for resume", path);
     }
   } else {
-    const std::string line =
-        (options.version >= 2 ? FormatJournalHeaderV2(header)
-                              : FormatJournalHeader(header)) +
-        "\n";
+    const std::string line = FormatJournalHeader(header) + "\n";
     UGUIDE_RETURN_NOT_OK(writer.WriteAll(line));
     UGUIDE_RETURN_NOT_OK(writer.SyncFd());
     // The file's *name* must survive a crash too, or recovery would never
@@ -701,31 +634,10 @@ Result<JournalWriter> JournalWriter::Open(const std::string& path,
   return writer;
 }
 
-Result<JournalWriter> JournalWriter::Open(const std::string& path,
-                                          const JournalHeader& header,
-                                          bool resume,
-                                          JournalFsyncMode fsync_mode) {
-  if (resume) {
-    // Legacy resume: append at end-of-file, no truncation. Keep appending
-    // in whatever version the file already is.
-    UGUIDE_ASSIGN_OR_RETURN(LoadedJournal loaded, LoadJournal(path));
-    JournalWriterOptions options;
-    options.resume = true;
-    options.fsync_mode = fsync_mode;
-    options.version = loaded.version;
-    options.resume_offset = loaded.resume_offset;
-    return Open(path, header, options);
-  }
-  JournalWriterOptions options;
-  options.fsync_mode = fsync_mode;
-  return Open(path, header, options);
-}
-
 JournalWriter::JournalWriter(JournalWriter&& other) noexcept
     : fd_(other.fd_),
       path_(std::move(other.path_)),
       fsync_mode_(other.fsync_mode_),
-      version_(other.version_),
       unsynced_(other.unsynced_),
       poisoned_(std::move(other.poisoned_)) {
   other.fd_ = -1;
@@ -739,7 +651,6 @@ JournalWriter& JournalWriter::operator=(JournalWriter&& other) noexcept {
     fd_ = other.fd_;
     path_ = std::move(other.path_);
     fsync_mode_ = other.fsync_mode_;
-    version_ = other.version_;
     unsynced_ = other.unsynced_;
     poisoned_ = std::move(other.poisoned_);
     other.fd_ = -1;
@@ -806,9 +717,8 @@ Status JournalWriter::SyncFd() {
 Status JournalWriter::Append(const JournalRecord& record) {
   if (fd_ < 0) return Status::FailedPrecondition("journal writer is closed");
   if (!poisoned_.ok()) return poisoned_;
-  const std::string body = FormatJournalRecord(record);
   const std::string line =
-      (version_ >= 2 ? FormatJournalFrame(body) : body) + "\n";
+      FormatJournalFrame(FormatJournalRecord(record)) + "\n";
   UGUIDE_RETURN_NOT_OK(WriteAll(line));
   if (fsync_mode_ == JournalFsyncMode::kEvery) {
     UGUIDE_RETURN_NOT_OK(SyncFd());
@@ -825,7 +735,6 @@ Status JournalWriter::Append(const JournalRecord& record) {
 Status JournalWriter::AppendEnd(int questions_asked, double cost_spent) {
   if (fd_ < 0) return Status::FailedPrecondition("journal writer is closed");
   if (!poisoned_.ok()) return poisoned_;
-  if (version_ < 2) return Status::OK();
   const std::string line =
       FormatJournalFrame(FormatEndPayload(questions_asked, cost_spent)) + "\n";
   UGUIDE_RETURN_NOT_OK(WriteAll(line));
@@ -860,85 +769,6 @@ Status JournalWriter::Close() {
     return Errno("journal close of", path_);
   }
   return poisoned_;
-}
-
-JournalingExpert::JournalingExpert(Expert* live, JournalWriter* writer,
-                                   std::vector<JournalRecord> replay,
-                                   const CostModel& cost, int num_attributes)
-    : live_(live),
-      writer_(writer),
-      replay_(std::move(replay)),
-      cost_(cost),
-      num_attributes_(num_attributes) {}
-
-Answer JournalingExpert::Record(JournalRecord record, Answer live_answer) {
-  if (writer_ != nullptr && write_status_.ok()) {
-    Status status = writer_->Append(record);
-    if (!status.ok()) write_status_ = std::move(status);
-  }
-  return live_answer;
-}
-
-bool JournalingExpert::Replay(const JournalRecord& expected, Answer* out) {
-  if (replay_abandoned_ || replay_pos_ >= replay_.size()) return false;
-  const JournalRecord& next = replay_[replay_pos_];
-  if (!SameJournalQuestion(next, expected)) {
-    // The strategy diverged from the journal (different build or inputs).
-    // Replay is no longer trustworthy; fall back to live answers.
-    ++mismatches_;
-    replay_abandoned_ = true;
-    return false;
-  }
-  ++replay_pos_;
-  *out = next.answer;
-  return true;
-}
-
-Answer JournalingExpert::IsCellErroneous(const Cell& cell) {
-  JournalRecord record;
-  record.kind = QuestionKind::kCell;
-  record.cell = cell;
-  record.cost = cost_.CellCost();
-  Answer replayed;
-  if (Replay(record, &replayed)) {
-    // Ask the live expert anyway (answer discarded) so its RNG state
-    // advances exactly as in the original run.
-    live_->IsCellErroneous(cell);
-    return replayed;
-  }
-  const Answer answer = live_->IsCellErroneous(cell);
-  record.answer = answer;
-  return Record(record, answer);
-}
-
-Answer JournalingExpert::IsTupleClean(TupleId row) {
-  JournalRecord record;
-  record.kind = QuestionKind::kTuple;
-  record.row = row;
-  record.cost = cost_.TupleCost(num_attributes_);
-  Answer replayed;
-  if (Replay(record, &replayed)) {
-    live_->IsTupleClean(row);
-    return replayed;
-  }
-  const Answer answer = live_->IsTupleClean(row);
-  record.answer = answer;
-  return Record(record, answer);
-}
-
-Answer JournalingExpert::IsFdValid(const Fd& fd) {
-  JournalRecord record;
-  record.kind = QuestionKind::kFd;
-  record.fd = fd;
-  record.cost = cost_.FdCost(fd, 0);
-  Answer replayed;
-  if (Replay(record, &replayed)) {
-    live_->IsFdValid(fd);
-    return replayed;
-  }
-  const Answer answer = live_->IsFdValid(fd);
-  record.answer = answer;
-  return Record(record, answer);
 }
 
 }  // namespace uguide

@@ -7,7 +7,6 @@
 
 #include "common/result.h"
 #include "fd/fd.h"
-#include "oracle/cost_model.h"
 #include "oracle/expert.h"
 #include "relation/relation.h"
 
@@ -42,7 +41,7 @@ struct JournalHeader {
   int expert_votes = 1;
   double idk_rate = 0.0;
   double wrong_rate = 0.0;
-  /// Identity of the data the session ran against (v2 `dhash=`/`dver=`,
+  /// Identity of the data the session ran against (`dhash=`/`dver=`,
   /// emitted only when either is nonzero so pre-live journals stay
   /// byte-identical). A resume whose pinned pair differs from the live
   /// dataset's is refused — answers must not be replayed onto different
@@ -60,13 +59,10 @@ struct LoadedJournal {
   /// True iff the file ended in a torn (incomplete) last line, which was
   /// dropped — the expected shape after a crash mid-write.
   bool torn_tail = false;
-  /// Format version the file was written in (1 = bare lines, 2 = CRC32C
-  /// framed). Resume appends records in the same version it found.
-  int version = 1;
-  /// True iff a v2 end marker was found: the session ran to completion and
+  /// True iff an end marker was found: the session ran to completion and
   /// its report is durable, so the file is eligible for retention GC.
   bool finished = false;
-  /// From the end marker (v2 finished journals only).
+  /// From the end marker (finished journals only).
   int finished_questions = 0;
   double finished_cost = 0.0;
   /// Byte offset just past the last intact *question* record (excludes any
@@ -77,32 +73,30 @@ struct LoadedJournal {
 };
 
 /// True iff `a` and `b` ask the same question (answer/cost ignored) — the
-/// replay-match predicate shared by JournalingExpert and the session state
-/// machine.
+/// session state machine's replay-match predicate.
 bool SameJournalQuestion(const JournalRecord& a, const JournalRecord& b);
 
-/// Serializes one record as a single journal line (no trailing newline).
+/// Serializes one record's payload (no framing, no trailing newline).
 std::string FormatJournalRecord(const JournalRecord& record);
 
-/// Parses one journal line. Fails on any deviation from the format.
+/// Parses one record payload. Fails on any deviation from the format.
 Result<JournalRecord> ParseJournalRecord(std::string_view line);
 
-/// Serializes the v1 header line (no trailing newline).
-std::string FormatJournalHeader(const JournalHeader& header);
-
-/// Parses the v1 header line.
-Result<JournalHeader> ParseJournalHeader(std::string_view line);
-
-/// The journal format version new writers produce.
-inline constexpr int kJournalVersionCurrent = 2;
-
-/// \brief Serializes the v2 header line (no trailing newline): the v1
+/// \brief Serializes the header line (no trailing newline): the identity
 /// fields under `v=2`, closed by `hcrc=XXXXXXXX` — the CRC32C of
 /// everything before the ` hcrc=` suffix. A flipped bit anywhere in the
 /// header is therefore detectable, not just in the records.
-std::string FormatJournalHeaderV2(const JournalHeader& header);
+std::string FormatJournalHeader(const JournalHeader& header);
 
-/// \brief Wraps a payload as one v2 record line (no trailing newline):
+/// \brief Parses a header line: verifies the hcrc suffix covers the rest
+/// of the line, then parses the identity fields. A well-formed header
+/// whose checksum fails is kDataLoss (it was once valid); anything
+/// structurally wrong is InvalidArgument. `origin` is used in error
+/// messages only.
+Result<JournalHeader> ParseJournalHeader(std::string_view line,
+                                         const std::string& origin);
+
+/// \brief Wraps a payload as one record line (no trailing newline):
 /// `<len>.<crc> <payload>` with `len` the decimal payload byte count and
 /// `crc` the 8-hex-digit CRC32C of the payload. Length framing catches
 /// truncation-with-coincidental-parse; the checksum catches bit-rot.
@@ -127,23 +121,20 @@ Status ValidateJournalHeader(const JournalHeader& expected,
 Result<LoadedJournal> ParseJournalText(std::string_view contents,
                                        const std::string& origin);
 
-/// \brief Reads a journal file, sniffing the format version.
+/// \brief Reads a journal file.
 ///
-/// v1: a torn final line (no terminating newline, or unparseable) is
-/// dropped and reported via `torn_tail`; a malformed line anywhere before
-/// the tail fails the load with InvalidArgument (v1 cannot tell corruption
-/// from a foreign file).
-///
-/// v2: the framing makes the call deterministic. An *unterminated* tail —
+/// The framing makes the call deterministic. An *unterminated* tail —
 /// the only shape a torn write can leave — is salvaged (`torn_tail`,
 /// records up to the last intact frame, `resume_offset` set). Any
 /// *terminated* line that fails its length/CRC/parse check is proof of
 /// in-place damage and fails the load with StatusCode::kDataLoss: the
 /// caller must quarantine, never resume. A file that is empty or has no
-/// recognizable header is InvalidArgument ("not a journal").
+/// recognizable header is InvalidArgument ("not a journal"), and so is one
+/// whose header names any version but `v=2` ("unsupported version"; the
+/// unchecksummed version-1 format is no longer read).
 Result<LoadedJournal> LoadJournal(const std::string& path);
 
-/// \brief Reads only the header line of a journal file (either version).
+/// \brief Reads only the header line of a journal file.
 ///
 /// The serving layer peeks the pinned `dhash=`/`dver=` pair before opening
 /// a resume so it can pick the matching live epoch — or refuse with a
@@ -180,17 +171,13 @@ enum class JournalFsyncMode {
 /// Parses "every" / "batch"; anything else is an InvalidArgument.
 Result<JournalFsyncMode> ParseJournalFsyncMode(std::string_view text);
 
-/// How a JournalWriter is opened (the full-fidelity Open overload).
+/// How a JournalWriter is opened.
 struct JournalWriterOptions {
   /// False: truncate/create and write a fresh header. True: the caller has
   /// loaded and validated the journal; the file is truncated to
   /// `resume_offset` (dropping any torn tail or end marker) and extended.
   bool resume = false;
   JournalFsyncMode fsync_mode = JournalFsyncMode::kEvery;
-  /// Format to write. On resume this must be the loaded journal's version
-  /// so the file stays homogeneous; fresh journals should use
-  /// kJournalVersionCurrent.
-  int version = kJournalVersionCurrent;
   /// On resume: LoadedJournal::resume_offset. Ignored on create.
   uint64_t resume_offset = 0;
   /// On create: fsync the parent directory after the file exists, so the
@@ -227,14 +214,6 @@ class JournalWriter {
                                     const JournalHeader& header,
                                     const JournalWriterOptions& options);
 
-  /// Convenience overload kept for pre-v2 callers: create writes a
-  /// current-version header; resume appends at the current end of file
-  /// *without* truncation (callers that know the resume offset should use
-  /// the options overload — it is the one that repairs torn tails).
-  static Result<JournalWriter> Open(
-      const std::string& path, const JournalHeader& header, bool resume,
-      JournalFsyncMode fsync_mode = JournalFsyncMode::kEvery);
-
   JournalWriter(JournalWriter&& other) noexcept;
   JournalWriter& operator=(JournalWriter&& other) noexcept;
   JournalWriter(const JournalWriter&) = delete;
@@ -245,11 +224,10 @@ class JournalWriter {
   /// "session.record" fault site.
   Status Append(const JournalRecord& record);
 
-  /// Appends the v2 end marker recording that the session finished with
+  /// Appends the end marker recording that the session finished with
   /// `questions_asked` questions at `cost_spent`, and fsyncs regardless of
   /// mode — the marker is what makes the journal eligible for retention
-  /// GC, so it must not sit in the page cache. No-op on v1 journals (the
-  /// format has no marker).
+  /// GC, so it must not sit in the page cache.
   Status AppendEnd(int questions_asked, double cost_spent);
 
   /// Forces any unsynced appends to disk (no-op in kEvery mode or when
@@ -267,16 +245,9 @@ class JournalWriter {
   /// surfaced as storage-failed, not silently continued.
   const Status& poisoned() const { return poisoned_; }
 
-  /// Format version this writer emits (1 or 2).
-  int version() const { return version_; }
-
  private:
-  JournalWriter(int fd, std::string path, JournalFsyncMode fsync_mode,
-                int version)
-      : fd_(fd),
-        path_(std::move(path)),
-        fsync_mode_(fsync_mode),
-        version_(version) {}
+  JournalWriter(int fd, std::string path, JournalFsyncMode fsync_mode)
+      : fd_(fd), path_(std::move(path)), fsync_mode_(fsync_mode) {}
 
   /// Write-it-all loop through the "journal.write" fault site; sets
   /// `poisoned_` on failure.
@@ -288,59 +259,10 @@ class JournalWriter {
   int fd_ = -1;
   std::string path_;
   JournalFsyncMode fsync_mode_ = JournalFsyncMode::kEvery;
-  int version_ = kJournalVersionCurrent;
   /// Appends since the last fsync (kBatch bookkeeping).
   int unsynced_ = 0;
   /// First write/fsync failure; sticky (fsyncgate discipline).
   Status poisoned_ = Status::OK();
-};
-
-/// \brief Expert decorator that records answers and replays them on resume.
-///
-/// In recording mode every answered question is appended (durably) to the
-/// writer before the answer reaches the strategy. In replay mode the first
-/// `records` questions are served from the journal instead — and the live
-/// expert underneath is *still asked* (its answer discarded) so its RNG and
-/// counters advance exactly as they did in the original run; questions
-/// after the journal runs out therefore get bit-identical answers to an
-/// uninterrupted session.
-///
-/// If a replayed question does not match its record (the strategy diverged,
-/// e.g. a different binary), replay is abandoned: the mismatch is counted
-/// and the session continues live from that point.
-class JournalingExpert : public Expert {
- public:
-  /// `live` must outlive the wrapper; `writer` may be null (no recording).
-  JournalingExpert(Expert* live, JournalWriter* writer,
-                   std::vector<JournalRecord> replay, const CostModel& cost,
-                   int num_attributes);
-
-  Answer IsCellErroneous(const Cell& cell) override;
-  Answer IsTupleClean(TupleId row) override;
-  Answer IsFdValid(const Fd& fd) override;
-
-  /// Questions still to be served from the journal.
-  size_t replay_remaining() const { return replay_.size() - replay_pos_; }
-  /// Replayed questions that did not match their journal record.
-  int mismatches() const { return mismatches_; }
-  /// First non-OK status from the writer, if any (sticky).
-  const Status& write_status() const { return write_status_; }
-
- private:
-  Answer Record(JournalRecord record, Answer live_answer);
-  /// Serves `expected` from the journal if it matches the next record;
-  /// returns false once replay is exhausted or diverged.
-  bool Replay(const JournalRecord& expected, Answer* out);
-
-  Expert* live_;
-  JournalWriter* writer_;
-  std::vector<JournalRecord> replay_;
-  size_t replay_pos_ = 0;
-  CostModel cost_;
-  int num_attributes_;
-  int mismatches_ = 0;
-  bool replay_abandoned_ = false;
-  Status write_status_ = Status::OK();
 };
 
 }  // namespace uguide

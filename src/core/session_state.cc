@@ -13,14 +13,13 @@ namespace uguide {
 
 /// \brief The Expert the strategy talks to inside the machine.
 ///
-/// Lives on the strategy fiber. Each question becomes a JournalRecord (the
-/// same shape JournalingExpert built), is matched against the replay tail
-/// if one is loaded, published to the driver, and parks the fiber until the
-/// driver submits an answer. Replayed questions are *still published* — the
-/// driver must ask its own expert so any stateful stack (RNG, retry
-/// counters) advances exactly as in the original run — but the submitted
-/// answer is discarded in favor of the journal's, which is the inverted
-/// twin of JournalingExpert's forward-and-discard replay.
+/// Lives on the strategy fiber. Each question becomes a JournalRecord, is
+/// matched against the replay tail if one is loaded, published to the
+/// driver, and parks the fiber until the driver submits an answer.
+/// Replayed questions are *still published* — the driver must ask its own
+/// expert so any stateful stack (RNG, retry counters) advances exactly as
+/// in the original run — but the submitted answer is discarded in favor of
+/// the journal's.
 class SessionStateMachine::ChannelExpert : public Expert {
  public:
   ChannelExpert(SessionStateMachine* machine, std::vector<JournalRecord> replay,
@@ -100,8 +99,7 @@ class SessionStateMachine::ChannelExpert : public Expert {
     m->pending_answered_ = false;
 
     // The resilience surcharge accrues for replayed questions too: the
-    // driver's retry stack really was asked (and really did back off), just
-    // as the live expert underneath JournalingExpert was.
+    // driver's retry stack really was asked (and really did back off).
     m->retry_cost_total_ += submission.retry_cost;
     if (submission.exhausted) ++m->exhausted_total_;
 
@@ -182,7 +180,7 @@ Result<std::unique_ptr<SessionStateMachine>> SessionStateMachine::Start(
     if (options.journal_path.empty()) {
       return Status::InvalidArgument("resume requires a journal path");
     }
-    // A DataLoss here (v2 checksum failure) propagates unchanged: the
+    // A DataLoss here (checksum failure) propagates unchanged: the
     // caller must quarantine the file, not retry the resume.
     UGUIDE_ASSIGN_OR_RETURN(LoadedJournal journal,
                             LoadJournal(options.journal_path));
@@ -193,7 +191,6 @@ Result<std::unique_ptr<SessionStateMachine>> SessionStateMachine::Start(
     }
     replay = std::move(journal.records);
     writer_options.resume = true;
-    writer_options.version = journal.version;
     writer_options.resume_offset = journal.resume_offset;
   }
 

@@ -29,9 +29,8 @@ struct SessionQuestion {
   int index = 0;
   /// The answer to this question is already in the journal being resumed:
   /// the machine discards whatever the driver submits (after using the
-  /// submission to keep the driver's own expert state advancing, exactly
-  /// like JournalingExpert forwarded replayed questions to the live
-  /// expert) and serves the recorded answer to the strategy instead.
+  /// submission to keep the driver's own expert state advancing) and
+  /// serves the recorded answer to the strategy instead.
   bool replayed = false;
   /// The question's nominal cost under the session's cost model.
   double nominal_cost = 0.0;
@@ -77,7 +76,7 @@ struct SessionStepOptions {
   /// was built by the same ViolationGraph::Build). Null = build per run.
   const ViolationGraph* graph = nullptr;
   /// Identity of the data this run executes against, pinned into the
-  /// journal header (v2 `dhash=`/`dver=`) and stamped onto the report so
+  /// journal header (`dhash=`/`dver=`) and stamped onto the report so
   /// every answer is attributable to one live-data epoch. Zero for
   /// immutable-dataset runs (the pre-live behavior, byte-identical).
   uint64_t content_hash = 0;

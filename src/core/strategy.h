@@ -10,7 +10,7 @@
 #include "oracle/cost_model.h"
 #include "oracle/expert.h"
 #include "relation/relation.h"
-#include "violations/violation_detector.h"
+#include "violations/true_violation_set.h"
 
 namespace uguide {
 

@@ -20,9 +20,6 @@
 ///   SessionReport report = session.Run(*strategy);
 ///   std::cout << report.metrics.ToString() << "\n";
 
-#include "cfd/cfd.h"
-#include "cfd/cfd_discovery.h"
-#include "cfd/tableau.h"
 #include "common/attribute_set.h"
 #include "common/csv.h"
 #include "common/fault_injection.h"
@@ -57,7 +54,7 @@
 #include "relation/relation.h"
 #include "relation/schema.h"
 #include "violations/bipartite_graph.h"
-#include "violations/violation_detector.h"
+#include "violations/true_violation_set.h"
 #include "violations/violation_engine.h"
 
 #endif  // UGUIDE_CORE_UGUIDE_H_

@@ -9,7 +9,7 @@
 #include "fd/fd.h"
 #include "oracle/expert.h"
 #include "relation/relation.h"
-#include "violations/violation_detector.h"
+#include "violations/true_violation_set.h"
 
 namespace uguide {
 

@@ -65,10 +65,11 @@ void SessionManager::RecoverJournals() {
     const std::string path = options_.journal_dir + "/" + name;
     Result<LoadedJournal> loaded = LoadJournal(path);
     if (!loaded.ok()) {
-      // Checksum failure, torn header, unreadable: no resume can ever
-      // succeed, so move the evidence aside where it cannot be mistaken
-      // for live state. (kDataLoss and structurally-unreadable files get
-      // the same treatment; they differ only in the error text.)
+      // Checksum failure, torn header, unsupported version (a retired
+      // version-1 journal), unreadable: no resume can ever succeed, so
+      // move the evidence aside where it cannot be mistaken for live
+      // state. (kDataLoss and structurally-unreadable files get the same
+      // treatment; they differ only in the error text.)
       if (QuarantineJournal(path).ok()) ++recovery_.quarantined;
       continue;
     }
@@ -204,7 +205,7 @@ std::vector<std::string> SessionManager::HandleOpen(const ClientFrame& frame) {
       return {FormatErrorFrame(
           frame.id,
           Status::DataLoss("journal for session '" + frame.id +
-                           "' was quarantined (checksum failure); the "
+                           "' was quarantined (damaged or unsupported); the "
                            "session cannot be resumed"),
           error_code::kJournalCorrupt, -1)};
     }

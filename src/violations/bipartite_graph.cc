@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "common/thread_pool.h"
-#include "violations/violation_detector.h"
 #include "violations/violation_engine.h"
 
 namespace uguide {
@@ -182,17 +181,6 @@ ViolationGraph ViolationGraph::Build(ViolationEngine& engine,
   } else {
     per_fd.reserve(fds.size());
     for (const Fd& fd : fds) per_fd.push_back(engine.ViolatingCells(fd));
-  }
-  return Merge(std::move(fds), ViewsOf(per_fd));
-}
-
-ViolationGraph ViolationGraph::BuildReference(const Relation& relation,
-                                              const FdSet& candidates) {
-  std::vector<Fd> fds(candidates.begin(), candidates.end());
-  std::vector<std::vector<Cell>> per_fd;
-  per_fd.reserve(fds.size());
-  for (const Fd& fd : fds) {
-    per_fd.push_back(ViolatingCells(relation, fd));
   }
   return Merge(std::move(fds), ViewsOf(per_fd));
 }

@@ -56,11 +56,6 @@ class ViolationGraph {
   static ViolationGraph Build(ViolationEngine& engine, const FdSet& candidates,
                               ThreadPool* pool = nullptr);
 
-  /// The original hash-grouping build, retained as the behavioral
-  /// reference for the equivalence suite and as the benchmark baseline.
-  static ViolationGraph BuildReference(const Relation& relation,
-                                       const FdSet& candidates);
-
   /// Assembles a graph directly from frozen per-FD violation-cell vectors
   /// (`per_fd[i]` belongs to `fds[i]`). This is the deterministic merge
   /// step every build path funnels through, exposed for the live-mutation

@@ -17,13 +17,13 @@ namespace uguide {
 /// \brief Partition-backed violation detector shared by every questioning
 /// call site.
 ///
-/// The hash-based reference detector (violation_detector.h) re-groups the
-/// whole relation per FD: full-table hashing with a heap-allocated
-/// composite key per row, repeated at each of the six call sites that need
-/// violation sets. This engine computes the same sets from stripped
-/// partitions instead: the violating rows of X -> A are the rows of
-/// non-singleton classes of pi_X that are impure on A's column codes, and
-/// the g3-minority rows fall out of the same class scan. pi_X is obtained
+/// The hash-based reference detector (tests/reference/hash_detector.h)
+/// re-groups the whole relation per FD: full-table hashing with a
+/// heap-allocated composite key per row, repeated at each of the six call
+/// sites that need violation sets. This engine computes the same sets
+/// from stripped partitions instead: the violating rows of X -> A are the
+/// rows of non-singleton classes of pi_X that are impure on A's column
+/// codes, and the g3-minority rows fall out of the same class scan. pi_X is obtained
 /// from an LRU, MemoryBudget-charged PartitionStore keyed by LHS, so the
 /// many candidate AFDs sharing LHS (prefixes) after relaxation pay for each
 /// partition once across *all* call sites in a session (see DESIGN.md §9).

@@ -75,6 +75,9 @@ run(out_of_range_error_rate 2 "invalid value '1.5' for --error-rate" ERR
     session data.csv --error-rate=1.5)
 run(negative_threads 2 "invalid value '-1' for --threads" ERR
     profile data.csv --threads=-1)
+# Removed surface: the CFD subcommand and its flag are gone, not ignored.
+run(removed_cfds 2 "unknown command" ERR cfds data.csv)
+run(removed_min_support 2 "unknown flag" ERR profile data.csv --min-support=8)
 
 # -- Happy paths. ------------------------------------------------------------
 run(profile_ok 0 "minimal" OUT profile data.csv --max-lhs=2)

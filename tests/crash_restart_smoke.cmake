@@ -101,6 +101,13 @@ for cycle in $(seq 1 "$cycles"); do
     exit 1
   fi
   # Every restart must have run the recovery scan over the journal dir.
+  # The scan logs after the dataset build, which a sanitizer build can
+  # take seconds to finish, so wait for the line while the daemon lives.
+  for _ in $(seq 1 100); do
+    grep -q "uguided: recovery." "daemon.$cycle.log" && break
+    kill -0 "$daemon_pid" 2>/dev/null || break
+    sleep 0.1
+  done
   if ! grep -q "uguided: recovery." "daemon.$cycle.log"; then
     echo "crash_restart_smoke: restart $cycle skipped recovery" >&2
     cat "daemon.$cycle.log" >&2

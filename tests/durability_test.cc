@@ -1,5 +1,5 @@
-// The durable-state contract of the v2 journal format: CRC32C framing
-// makes torn-write salvage versus mid-file corruption a *deterministic*
+// The durable-state contract of the journal format: CRC32C framing makes
+// torn-write salvage versus mid-file corruption a *deterministic*
 // classification (never a guess), disk faults surface as poisoned writers
 // instead of silent loss, and a crash at any byte leaves a journal that
 // either resumes exactly or quarantines loudly.
@@ -17,6 +17,9 @@
 #include "common/crc32c.h"
 #include "common/fault_injection.h"
 #include "core/session_journal.h"
+#include "server/protocol.h"
+#include "server/session_manager.h"
+#include "test_util.h"
 
 namespace uguide {
 namespace {
@@ -116,7 +119,6 @@ TEST_F(DurabilityTest, V2RoundTripWithEndMarker) {
   WriteFinishedJournal(path);
   Result<LoadedJournal> loaded = LoadJournal(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded->version, 2);
   EXPECT_TRUE(loaded->header.Matches(TestHeader()));
   ASSERT_EQ(loaded->records.size(), 3u);
   EXPECT_TRUE(loaded->records[0] == CellRecord(1, 2, Answer::kYes, 3.0));
@@ -131,32 +133,58 @@ TEST_F(DurabilityTest, V2RoundTripWithEndMarker) {
   EXPECT_GT(loaded->resume_offset, 0u);
 }
 
-TEST_F(DurabilityTest, V1JournalStillLoadsAndResumesAsV1) {
-  const std::string path = ::testing::TempDir() + "/uguide_v1_compat.journal";
-  WriteFileOrDie(path,
-                 "uguide-journal v=1 strategy=test-strategy budget=0x1.8p+5 "
-                 "seed=7 votes=1 idk=0x0p+0 wrong=0x0p+0\n"
-                 "t 3 yes 0x1.ep+3\n");
-  Result<LoadedJournal> loaded = LoadJournal(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded->version, 1);
-  ASSERT_EQ(loaded->records.size(), 1u);
-  EXPECT_FALSE(loaded->finished);
+// The unchecksummed version-1 format is no longer read: a leftover v1
+// journal is refused by name, quarantined by the boot scan with its bytes
+// intact, and its session ends in the terminal journal_corrupt verdict
+// instead of vanishing.
+TEST_F(DurabilityTest, V1JournalIsRefusedAndQuarantined) {
+  const std::string v1_text =
+      "uguide-journal v=1 strategy=FDQ-BMC budget=0x1p+3 seed=7 votes=1 "
+      "idk=0x0p+0 wrong=0x0p+0\n"
+      "t 3 yes 0x1.ep+3\n";
+  Result<LoadedJournal> parsed = ParseJournalText(v1_text, "test");
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(parsed.status().message().find("v=1"), std::string::npos)
+      << parsed.status().message();
 
-  // A resume keeps writing v1 — the file stays homogeneous.
-  Result<JournalWriter> writer =
-      JournalWriter::Open(path, TestHeader(), /*resume=*/true);
-  ASSERT_TRUE(writer.ok()) << writer.status().ToString();
-  EXPECT_EQ(writer->version(), 1);
-  ASSERT_TRUE(writer->Append(CellRecord(1, 1, Answer::kNo, 2.0)).ok());
-  // AppendEnd is a documented no-op on v1 (the format has no marker).
-  ASSERT_TRUE(writer->AppendEnd(2, 5.0).ok());
-  ASSERT_TRUE(writer->Close().ok());
-  loaded = LoadJournal(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded->version, 1);
-  EXPECT_EQ(loaded->records.size(), 2u);
-  EXPECT_FALSE(loaded->finished);
+  const std::string dir = ::testing::TempDir() + "/uguide_v1_boot";
+  ::mkdir(dir.c_str(), 0755);
+  std::remove((dir + "/old.journal.quarantined").c_str());
+  WriteFileOrDie(dir + "/old.journal", v1_text);
+
+  const Session session = testing::MakeHospitalSession(300);
+  SessionManagerOptions options;
+  options.journal_dir = dir;
+  SessionManager manager(&session, options);
+  EXPECT_EQ(manager.recovery_stats().quarantined, 1);
+  EXPECT_EQ(manager.recovery_stats().resumable, 0);
+  ClientFrame health;
+  health.op = ClientOp::kHealth;
+  const std::vector<std::string> health_reply =
+      manager.HandleLine(FormatClientFrame(health));
+  ASSERT_EQ(health_reply.size(), 1u);
+  EXPECT_EQ(ParseServerFrame(health_reply[0]).ValueOrDie()
+                .health.journals_quarantined,
+            1);
+  struct stat st;
+  EXPECT_NE(::stat((dir + "/old.journal").c_str(), &st), 0);
+  EXPECT_EQ(ReadFileOrDie(dir + "/old.journal.quarantined"), v1_text);
+
+  ClientFrame open;
+  open.op = ClientOp::kOpen;
+  open.id = "old";
+  open.strategy = "FDQ-BMC";
+  open.budget = 8.0;
+  open.has_budget = true;
+  open.resume = true;
+  const std::vector<std::string> reply =
+      manager.HandleLine(FormatClientFrame(open));
+  ASSERT_EQ(reply.size(), 1u);
+  const ServerFrame refusal = ParseServerFrame(reply[0]).ValueOrDie();
+  EXPECT_EQ(refusal.type, ServerFrameType::kError);
+  EXPECT_EQ(refusal.error_code, error_code::kJournalCorrupt);
+  EXPECT_LT(refusal.retry_after_ms, 0);
 }
 
 // --- The torn-write matrix --------------------------------------------------
@@ -270,7 +298,7 @@ TEST_F(DurabilityTest, CorruptionAtEveryByteIsCaughtOrTorn) {
 
 TEST_F(DurabilityTest, RecordAfterEndMarkerIsDataLoss) {
   const std::string path = ::testing::TempDir() + "/uguide_after_end.journal";
-  std::string text = FormatJournalHeaderV2(TestHeader()) + "\n";
+  std::string text = FormatJournalHeader(TestHeader()) + "\n";
   text += FormatJournalFrame("t 3 yes 0x1.ep+3") + "\n";
   text += FormatJournalFrame("end 1 0x1.ep+3") + "\n";
   text += FormatJournalFrame("t 4 yes 0x1.ep+3") + "\n";
@@ -301,7 +329,6 @@ TEST_F(DurabilityTest, SalvageThenResumeTruncatesTornTail) {
   // Resume: the writer truncates to the last good record, then extends.
   JournalWriterOptions options;
   options.resume = true;
-  options.version = loaded->version;
   options.resume_offset = loaded->resume_offset;
   Result<JournalWriter> writer =
       JournalWriter::Open(path, TestHeader(), options);
@@ -455,7 +482,6 @@ TEST_F(DurabilityTest, TornWriteCrashSalvagesAndResumes) {
   // And the journal resumes: truncate the tear, finish the session.
   JournalWriterOptions options;
   options.resume = true;
-  options.version = loaded->version;
   options.resume_offset = loaded->resume_offset;
   Result<JournalWriter> writer =
       JournalWriter::Open(path, TestHeader(), options);

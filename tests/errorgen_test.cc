@@ -7,7 +7,7 @@
 #include "datagen/generators.h"
 #include "discovery/tane.h"
 #include "errorgen/error_generator.h"
-#include "violations/violation_detector.h"
+#include "reference/hash_detector.h"
 
 namespace uguide {
 namespace {

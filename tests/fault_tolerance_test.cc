@@ -182,7 +182,7 @@ TEST(JournalFormatTest, HeaderRoundTripsExactly) {
   header.idk_rate = 0.1;
   header.wrong_rate = 0.05;
   Result<JournalHeader> parsed =
-      ParseJournalHeader(FormatJournalHeader(header));
+      ParseJournalHeader(FormatJournalHeader(header), "test");
   ASSERT_TRUE(parsed.ok());
   EXPECT_TRUE(parsed->Matches(header));
   header.budget += 1.0;
@@ -209,7 +209,7 @@ TEST(JournalFileTest, WriterProducesLoadableJournal) {
   record.cost = 15.0;
   {
     Result<JournalWriter> writer =
-        JournalWriter::Open(path, header, /*resume=*/false);
+        JournalWriter::Open(path, header, JournalWriterOptions{});
     ASSERT_TRUE(writer.ok());
     ASSERT_TRUE(writer->Append(record).ok());
     ASSERT_TRUE(writer->Close().ok());
@@ -222,18 +222,29 @@ TEST(JournalFileTest, WriterProducesLoadableJournal) {
   EXPECT_FALSE(loaded->torn_tail);
 }
 
+// The header every hand-written journal below opens with.
+std::string TestJournalHeaderLine() {
+  JournalHeader header;
+  header.strategy_name = "s";
+  header.budget = 32.0;
+  header.expert_seed = 1;
+  return FormatJournalHeader(header) + "\n";
+}
+
+void WriteJournalText(const std::string& path, const std::string& text) {
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  std::fputs(text.c_str(), f);
+  std::fclose(f);
+}
+
 TEST(JournalFileTest, TornTailIsDroppedNotFatal) {
   const std::string path = ::testing::TempDir() + "/uguide_journal_torn.log";
-  {
-    std::FILE* f = std::fopen(path.c_str(), "wb");
-    ASSERT_NE(f, nullptr);
-    std::fputs("uguide-journal v=1 strategy=s budget=0x1p+5 seed=1 votes=1 "
-               "idk=0x0p+0 wrong=0x0p+0\n",
-               f);
-    std::fputs("t 3 yes 0x1.ep+3\n", f);
-    std::fputs("c 1 2 no 0x1p", f);  // torn mid-write: no newline
-    std::fclose(f);
-  }
+  // Torn mid-write: the last frame stops inside its payload, no newline.
+  const std::string torn = FormatJournalFrame("c 1 2 no 0x1p+0");
+  WriteJournalText(path, TestJournalHeaderLine() +
+                             FormatJournalFrame("t 3 yes 0x1.ep+3") + "\n" +
+                             torn.substr(0, torn.size() - 2));
   Result<LoadedJournal> loaded = LoadJournal(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(loaded->records.size(), 1u);
@@ -242,18 +253,11 @@ TEST(JournalFileTest, TornTailIsDroppedNotFatal) {
 
 TEST(JournalFileTest, MidFileCorruptionIsFatal) {
   const std::string path = ::testing::TempDir() + "/uguide_journal_bad.log";
-  {
-    std::FILE* f = std::fopen(path.c_str(), "wb");
-    ASSERT_NE(f, nullptr);
-    std::fputs("uguide-journal v=1 strategy=s budget=0x1p+5 seed=1 votes=1 "
-               "idk=0x0p+0 wrong=0x0p+0\n",
-               f);
-    std::fputs("garbage line\n", f);
-    std::fputs("t 3 yes 0x1.ep+3\n", f);
-    std::fclose(f);
-  }
+  WriteJournalText(path, TestJournalHeaderLine() + "garbage line\n" +
+                             FormatJournalFrame("t 3 yes 0x1.ep+3") + "\n");
   Result<LoadedJournal> loaded = LoadJournal(path);
-  EXPECT_FALSE(loaded.ok());
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss);
   EXPECT_NE(loaded.status().message().find("line 2"), std::string::npos)
       << loaded.status().message();
 }
@@ -298,30 +302,35 @@ TEST(JournalHeaderTest, ValidateNamesFirstMismatchingField) {
 }
 
 TEST(JournalParseTest, RejectsHostileRecords) {
-  const char* kHeader =
-      "uguide-journal v=1 strategy=s budget=0x1p+5 seed=1 votes=1 "
-      "idk=0x0p+0 wrong=0x0p+0\n";
+  const std::string header = TestJournalHeaderLine();
   // Each of these once crashed (or DCHECK-aborted) the loader instead of
   // failing cleanly; they are also checked in under fuzz/corpus/journal.
+  // Framed with a valid length and checksum, so they reach
+  // ParseJournalRecord itself.
   const char* kHostile[] = {
-      "c -2147483648 0 yes 0x0p+0\n",  // negation overflow in ParseInt
-      "f 0 99 yes 0x0p+0\n",           // rhs out of AttributeSet range
-      "c 1 9999999999 yes 0x0p+0\n",   // col overflows int
-      "t -5 yes 0x0p+0\n",             // negative row
-      "f zz 1 yes 0x0p+0\n",           // non-hex mask
+      "c -2147483648 0 yes 0x0p+0",  // negation overflow in ParseInt
+      "f 0 99 yes 0x0p+0",           // rhs out of AttributeSet range
+      "c 1 9999999999 yes 0x0p+0",   // col overflows int
+      "t -5 yes 0x0p+0",             // negative row
+      "f zz 1 yes 0x0p+0",           // non-hex mask
   };
-  for (const char* line : kHostile) {
-    const std::string text = std::string(kHeader) + line;
-    Result<LoadedJournal> loaded = ParseJournalText(text, "test");
-    // A lone malformed final record is indistinguishable from a torn tail
-    // (dropped, load succeeds); followed by a valid record it must fail.
-    const std::string mid = text + "t 3 yes 0x1p+0\n";
-    Result<LoadedJournal> strict = ParseJournalText(mid, "test");
-    EXPECT_FALSE(strict.ok()) << line;
-    if (loaded.ok()) {
-      EXPECT_TRUE(loaded->torn_tail) << line;
-      EXPECT_TRUE(loaded->records.empty()) << line;
+  for (const char* payload : kHostile) {
+    const std::string frame = FormatJournalFrame(payload);
+    // Terminated, the write completed: a record that fails to parse is
+    // in-place damage, alone or followed by a valid record.
+    for (const std::string& text :
+         {header + frame + "\n",
+          header + frame + "\n" + FormatJournalFrame("t 3 yes 0x1p+0") +
+              "\n"}) {
+      Result<LoadedJournal> strict = ParseJournalText(text, "test");
+      ASSERT_FALSE(strict.ok()) << payload;
+      EXPECT_EQ(strict.status().code(), StatusCode::kDataLoss) << payload;
     }
+    // Unterminated, it is what a torn write leaves: dropped, load succeeds.
+    Result<LoadedJournal> torn = ParseJournalText(header + frame, "test");
+    ASSERT_TRUE(torn.ok()) << payload << ": " << torn.status().ToString();
+    EXPECT_TRUE(torn->torn_tail) << payload;
+    EXPECT_TRUE(torn->records.empty()) << payload;
   }
 }
 

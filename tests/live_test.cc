@@ -21,6 +21,7 @@
 #include "live/live_relation.h"
 #include "live/mutation.h"
 #include "oracle/simulated_expert.h"
+#include "reference/hash_detector.h"
 #include "server/protocol.h"
 #include "server/session_manager.h"
 #include "test_util.h"
@@ -316,7 +317,7 @@ TEST_F(LiveTest, StormEpochsMatchFullRebuildAtAnyThreadCount) {
       ExpectGraphsEqual(cur->graph(), rebuilt, tag + " rebuild");
       ExpectGraphsEqual(
           cur->graph(),
-          ViolationGraph::BuildReference(mutated, session_->candidates()),
+          BuildReferenceGraph(mutated, session_->candidates()),
           tag + " reference");
       ExpectGraphsEqual(pooled.Current()->graph(), rebuilt, tag + " pooled");
 
@@ -403,12 +404,12 @@ TEST_F(LiveTest, JournalHeaderPinsContentHashAndDataVersion) {
 
   // Pre-live journals (both pins zero) must stay byte-identical: no
   // dhash/dver fields appear.
-  EXPECT_EQ(FormatJournalHeaderV2(header).find("dhash="), std::string::npos);
-  EXPECT_EQ(FormatJournalHeaderV2(header).find("dver="), std::string::npos);
+  EXPECT_EQ(FormatJournalHeader(header).find("dhash="), std::string::npos);
+  EXPECT_EQ(FormatJournalHeader(header).find("dver="), std::string::npos);
 
   header.content_hash = 0xdeadbeefcafe1234ull;
   header.data_version = 42;
-  const std::string line = FormatJournalHeaderV2(header);
+  const std::string line = FormatJournalHeader(header);
   EXPECT_NE(line.find("dhash="), std::string::npos);
   EXPECT_NE(line.find("dver=42"), std::string::npos);
 

@@ -13,7 +13,7 @@
 #include "fd/armstrong.h"
 #include "fd/closure.h"
 #include "violations/bipartite_graph.h"
-#include "violations/violation_detector.h"
+#include "reference/hash_detector.h"
 
 namespace uguide {
 namespace {

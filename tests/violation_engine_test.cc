@@ -27,7 +27,7 @@
 #include "relation/cell_bitmap.h"
 #include "test_util.h"
 #include "violations/bipartite_graph.h"
-#include "violations/violation_detector.h"
+#include "reference/hash_detector.h"
 #include "violations/violation_engine.h"
 
 namespace uguide {
@@ -366,7 +366,7 @@ TEST(ViolationGraphTest, CsrAdjacencyMatchesReferenceOnRandomRelations) {
     Relation rel = MakeRandomRelation(seed, 100);
     FdSet fds;
     for (const Fd& fd : EnumerateFds(rel.NumAttributes())) fds.Add(fd);
-    const ViolationGraph reference = ViolationGraph::BuildReference(rel, fds);
+    const ViolationGraph reference = BuildReferenceGraph(rel, fds);
     const ViolationGraph csr = ViolationGraph::Build(rel, fds);
     ExpectGraphsEqual(reference, csr);
     ExpectFindCellMatches(csr, rel);
@@ -380,7 +380,7 @@ TEST(ViolationGraphTest, CsrAdjacencyMatchesReferenceOnRandomRelations) {
 TEST(ViolationGraphTest, ApproxMemoryBytesDeterministicAcrossThreadCounts) {
   Session session = testing::MakeHospitalSession(500);
   const size_t expected =
-      ViolationGraph::BuildReference(session.dirty(), session.candidates())
+      BuildReferenceGraph(session.dirty(), session.candidates())
           .ApproxMemoryBytes();
   EXPECT_GT(expected, 0u);
   for (int threads : {1, 2, 4, 8}) {
@@ -450,7 +450,7 @@ TEST(ViolationGraphTest, ActiveDegreesMatchRescanUnderRandomDeactivation) {
 TEST(ViolationGraphTest, ParallelBuildBitIdenticalAcrossThreadCounts) {
   Session session = testing::MakeHospitalSession(500);
   const ViolationGraph reference =
-      ViolationGraph::BuildReference(session.dirty(), session.candidates());
+      BuildReferenceGraph(session.dirty(), session.candidates());
   // The relation-only overload routes through a private engine.
   ExpectGraphsEqual(reference,
                     ViolationGraph::Build(session.dirty(),

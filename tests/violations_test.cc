@@ -3,7 +3,7 @@
 #include "common/rng.h"
 #include "discovery/partition.h"
 #include "violations/bipartite_graph.h"
-#include "violations/violation_detector.h"
+#include "reference/hash_detector.h"
 
 namespace uguide {
 namespace {

@@ -12,9 +12,6 @@
 //   uguide repair   data.csv --fds=rules.txt --out=repaired.csv
 //       Majority-vote repair of the violations of the given FDs.
 //
-//   uguide cfds     data.csv [--min-support=K]
-//       Mine conditional FDs: conditions under which broken FDs hold.
-//
 //   uguide session  clean.csv [--strategy=fd|cell|tuple] [--budget=B]
 //                   [--error-rate=E] [--journal=J] [--resume] [--seed=S]
 //       Inject errors into a clean table and run one interactive session
@@ -50,7 +47,6 @@ struct Args {
   std::string out_path;
   int max_lhs = 3;
   double max_error = 0.0;
-  int min_support = 8;
   int threads = 1;  // 0 = all hardware threads
   int memory_budget_mb = 0;  // 0 = ungoverned
   // Fault tolerance / session flags.
@@ -69,10 +65,9 @@ struct Args {
 
 void Usage() {
   std::fprintf(stderr,
-               "usage: uguide <profile|detect|repair|cfds|session> data.csv\n"
+               "usage: uguide <profile|detect|repair|session> data.csv\n"
                "              [--fds=rules.txt] [--out=file.csv]\n"
-               "              [--max-lhs=N] [--max-error=E] "
-               "[--min-support=K] [--threads=N]\n"
+               "              [--max-lhs=N] [--max-error=E] [--threads=N]\n"
                "              [--memory-budget-mb=M] [--fault-plan=PLAN] "
                "[--discovery-deadline-ms=D]\n"
                "              [--strategy=fd|cell|tuple] [--budget=B] "
@@ -181,11 +176,6 @@ bool ParseArgs(int argc, char** argv, Args* args) {
     } else if (arg.rfind("--max-error=", 0) == 0) {
       if (!ParseDoubleFlag("--max-error", value_of(12), 0.0, 1.0,
                            &args->max_error)) {
-        return false;
-      }
-    } else if (arg.rfind("--min-support=", 0) == 0) {
-      if (!ParseIntFlag("--min-support", value_of(14), 1,
-                        &args->min_support)) {
         return false;
       }
     } else if (arg.rfind("--threads=", 0) == 0) {
@@ -377,43 +367,6 @@ int RunRepair(const Args& args, const Relation& rel) {
   return 0;
 }
 
-int RunCfds(const Args& args, const Relation& rel) {
-  // Broken FDs worth conditioning: the approximate frontier at 20% g3
-  // whose members fail exactly.
-  TaneOptions opts;
-  opts.max_lhs_size = args.max_lhs;
-  opts.max_error = 0.20;
-  opts.num_threads = args.threads;
-  opts.deadline_ms = args.discovery_deadline_ms;
-  opts.memory_budget = args.memory_budget;
-  DiscoveryOutcome outcome =
-      Unwrap(DiscoverFdsDetailed(rel, opts), "profiling");
-  if (outcome.truncated) {
-    std::printf("warning: discovery hit the %.0fms deadline; AFD set is "
-                "truncated\n",
-                args.discovery_deadline_ms);
-  }
-  if (outcome.memory_truncated) {
-    std::printf("warning: discovery hit the %dMiB memory budget; AFD set is "
-                "truncated\n",
-                args.memory_budget_mb);
-  }
-  const FdSet& afds = outcome.fds;
-  CfdDiscoveryOptions mine;
-  mine.min_support = args.min_support;
-  std::vector<Cfd> variable = DiscoverVariableCfds(rel, afds, mine);
-  std::vector<Cfd> constant = DiscoverConstantCfds(rel, mine);
-  std::printf("# %zu variable CFD(s)\n", variable.size());
-  for (const Cfd& cfd : variable) {
-    std::printf("%s\n", cfd.ToString(rel.schema()).c_str());
-  }
-  std::printf("# %zu constant CFD(s)\n", constant.size());
-  for (const Cfd& cfd : constant) {
-    std::printf("%s\n", cfd.ToString(rel.schema()).c_str());
-  }
-  return 0;
-}
-
 // Runs one interactive session on a clean table: inject errors, generate
 // candidates, question the simulated expert. The fault-tolerance machinery
 // (journal, resume, retries) is exercised end-to-end here.
@@ -529,8 +482,6 @@ int main(int argc, char** argv) {
     ret = RunDetect(args, rel);
   } else if (args.command == "repair") {
     ret = RunRepair(args, rel);
-  } else if (args.command == "cfds") {
-    ret = RunCfds(args, rel);
   } else if (args.command == "session") {
     ret = RunSession(args, rel);
   } else {

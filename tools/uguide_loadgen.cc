@@ -420,15 +420,12 @@ std::string CheckReportAgainstJournal(const Args& args,
     return "report claims questions_replayed=" + std::to_string(replayed) +
            " > questions_asked=" + std::to_string(asked);
   }
-  if (journal->version >= 2) {
-    if (!journal->finished) {
-      return "report delivered but journal lacks a durable end marker";
-    }
-    if (journal->finished_questions != asked) {
-      return "end marker says " +
-             std::to_string(journal->finished_questions) +
-             " questions, report says " + std::to_string(asked);
-    }
+  if (!journal->finished) {
+    return "report delivered but journal lacks a durable end marker";
+  }
+  if (journal->finished_questions != asked) {
+    return "end marker says " + std::to_string(journal->finished_questions) +
+           " questions, report says " + std::to_string(asked);
   }
   return std::string();
 }
