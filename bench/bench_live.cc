@@ -9,10 +9,11 @@
 // only for an epoch a session actually opens, identically on either path.
 // The merge cost is measured separately (materialize_ms_per_batch) and the
 // merged graphs are checked byte-identical every epoch. Emits
-// BENCH_live.json; tools/check_live_regression.py gates the single-row
-// speedup at >= 5x.
+// BENCH_live.fresh.json by default, never the checked-in BENCH_live.json
+// baseline; tools/check_live_regression.py gates the single-row speedup at
+// >= 5x.
 //
-//   bench_live [--rows=N] [--epochs=E] [--out=BENCH_live.json]
+//   bench_live [--rows=N] [--epochs=E] [--out=BENCH_live.fresh.json]
 
 #include <chrono>
 #include <cstdio>
@@ -42,7 +43,7 @@ struct Args {
   // Enough batches that the steady state dominates: the first epoch pays
   // cold partition-product caches that every later epoch reuses.
   int epochs = 32;
-  std::string out = "BENCH_live.json";
+  std::string out = "BENCH_live.fresh.json";
 };
 
 struct SizeResult {

@@ -1,11 +1,12 @@
 // Microbenchmarks (google-benchmark) for the interactive questioning path:
 // violation-graph construction (hash-grouping baseline vs the shared
 // partition-backed engine, serial and parallel), per-question selection for
-// the cell strategies (incremental heaps / incremental SUMS vs the retained
-// full-rescan reference), detection scoring against E_T, and end-to-end
-// sessions across strategies and thread counts. Emits
-// BENCH_questioning.json; the engine benches carry the partition-cache
-// hit/miss counters the CI bench-smoke job asserts on.
+// the cell strategies (incremental heaps / class-indexed SUMS and Oracle vs
+// the retained full-rescan reference), detection scoring against E_T, and
+// end-to-end sessions across strategies and thread counts. Emits
+// BENCH_questioning.fresh.json by default, never the checked-in
+// BENCH_questioning.json baseline; the engine benches carry the
+// partition-cache hit/miss counters the CI bench-smoke job asserts on.
 
 #include <benchmark/benchmark.h>
 
@@ -271,6 +272,8 @@ void RunCellStrategyBench(benchmark::State& state, const Session& session,
     strategy = MakeCellQHittingSet(options);
   } else if (which == "greedy") {
     strategy = MakeCellQGreedy(options);
+  } else if (which == "oracle") {
+    strategy = MakeCellQOracle(options);
   } else {
     strategy = MakeCellQSums(options);
   }
@@ -329,9 +332,10 @@ void BM_CellQSumsReference(benchmark::State& state) {
 }
 BENCHMARK(BM_CellQSumsReference)->Unit(benchmark::kMillisecond);
 
-// Per-answer recomputation (interval 1): the regime the incremental
-// fixpoint targets — most of the graph is clean between calls, so the
-// changed-neighborhood iteration skips nearly all adjacency sums.
+// Per-answer recomputation (interval 1): the most Estimate-Confidence
+// calls a run can make. The class-indexed fixpoint still walks every FD's
+// adjacency per iteration, but its cell side runs once per class of cells
+// sharing a flagging-FD list instead of once per cell.
 void BM_CellQSumsTightIncremental(benchmark::State& state) {
   RunCellStrategyBench(state, HospitalSession(1), "sums", /*incremental=*/true,
                        /*sums_interval=*/1);
@@ -343,6 +347,18 @@ void BM_CellQSumsTightReference(benchmark::State& state) {
                        /*sums_interval=*/1);
 }
 BENCHMARK(BM_CellQSumsTightReference)->Unit(benchmark::kMillisecond);
+
+// Tax@5000: the class-indexed SUMS fixpoint and selection, and the
+// class-indexed CellQ-Oracle payoff scan, on the paper's widest relation.
+void BM_CellQSumsTax(benchmark::State& state) {
+  RunCellStrategyBench(state, TaxSession(), "sums", /*incremental=*/true);
+}
+BENCHMARK(BM_CellQSumsTax)->Unit(benchmark::kMillisecond);
+
+void BM_CellQOracleTax(benchmark::State& state) {
+  RunCellStrategyBench(state, TaxSession(), "oracle", /*incremental=*/true);
+}
+BENCHMARK(BM_CellQOracleTax)->Unit(benchmark::kMillisecond);
 
 // --- Evaluation --------------------------------------------------------------
 
@@ -409,11 +425,14 @@ BENCHMARK(BM_SessionTupleSamplingViolation)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
 
 // Custom main instead of BENCHMARK_MAIN(): default to machine-readable
 // JSON alongside the console table so CI's bench-smoke job and scaling
-// tooling can diff runs without scraping text. Any caller-provided
-// --benchmark_out= wins; console output is unchanged either way.
+// tooling can diff runs without scraping text. The default file is
+// BENCH_questioning.fresh.json, so a run from the repo root (even
+// --benchmark_list_tests) leaves the checked-in baseline alone. Any
+// caller-provided --benchmark_out= wins; console output is unchanged
+// either way.
 int main(int argc, char** argv) {
   std::vector<char*> args(argv, argv + argc);
-  std::string out_flag = "--benchmark_out=BENCH_questioning.json";
+  std::string out_flag = "--benchmark_out=BENCH_questioning.fresh.json";
   std::string fmt_flag = "--benchmark_out_format=json";
   bool has_out = false;
   for (int i = 1; i < argc; ++i) {

@@ -1,11 +1,12 @@
 // Serving throughput/latency: boots the in-process ServingDaemon on a
 // loopback socket and drives it with the simulated expert at 1, 16, and 64
 // concurrent sessions, reporting sessions/sec and per-question round-trip
-// p50/p99. Emits BENCH_serving.json (hand-rolled — this bench measures the
+// p50/p99. Emits BENCH_serving.fresh.json by default, never the checked-in
+// BENCH_serving.json baseline (hand-rolled — this bench measures the
 // daemon, so it owns its main loop instead of google-benchmark).
 //
 //   bench_serving [--rows=N] [--budget=B] [--strategy=NAME]
-//                 [--out=BENCH_serving.json]
+//                 [--out=BENCH_serving.fresh.json]
 
 #include <netinet/in.h>
 #include <netinet/tcp.h>
@@ -37,7 +38,7 @@ struct Args {
   int rows = 600;
   double budget = 24.0;
   std::string strategy = "FDQ-BMC";
-  std::string out = "BENCH_serving.json";
+  std::string out = "BENCH_serving.fresh.json";
 };
 
 /// Blocking line client (same shape as uguide_loadgen's Connection).

@@ -8,6 +8,7 @@
 
 #include "fd/closure.h"
 #include "violations/bipartite_graph.h"
+#include "violations/cell_classes.h"
 #include "violations/violation_engine.h"
 
 namespace uguide {
@@ -324,6 +325,59 @@ class CellQGreedy : public Strategy {
   CellStrategyOptions options_;
 };
 
+// Groups of cells, each listed ascending, with a forward-only cursor to
+// every group's lowest askable member. Askability only ever turns off (a
+// cell is asked, deactivates, or loses its last active FD), so no cursor
+// moves back and each member is passed over at most once per run. A group
+// with no askable member left drops out of the scan for good.
+class AskableFronts {
+ public:
+  explicit AskableFronts(std::vector<ConstSpan<CellId>> groups)
+      : groups_(std::move(groups)),
+        cursor_(groups_.size(), 0),
+        open_(groups_.size()) {
+    for (size_t g = 0; g < open_.size(); ++g) open_[g] = static_cast<int>(g);
+  }
+
+  // Calls `fn(group, lowest askable member)` for every group that still
+  // has an askable member, in ascending group order.
+  template <typename Fn>
+  void ForEach(const CellRun& run, const Fn& fn) {
+    size_t kept = 0;
+    for (int g : open_) {
+      const ConstSpan<CellId> members = groups_[static_cast<size_t>(g)];
+      size_t& at = cursor_[static_cast<size_t>(g)];
+      while (at < members.size() && !run.Askable(members[at])) ++at;
+      if (at == members.size()) continue;
+      open_[kept++] = g;
+      fn(g, members[at]);
+    }
+    open_.resize(kept);
+  }
+
+ private:
+  std::vector<ConstSpan<CellId>> groups_;
+  std::vector<size_t> cursor_;
+  std::vector<int> open_;
+};
+
+// Running arg-max over offered (cell, score) pairs: the highest score
+// above `floor`, ties toward the lowest CellId. Offered in any order, it
+// picks the cell an ascending scan with first-strict-improvement picks.
+struct Argmax {
+  explicit Argmax(double floor) : score(floor) {}
+
+  void Offer(CellId c, double s) {
+    if (s > score || (s == score && cell >= 0 && c < cell)) {
+      cell = c;
+      score = s;
+    }
+  }
+
+  CellId cell = -1;
+  double score;
+};
+
 class CellQOracle : public Strategy {
  public:
   explicit CellQOracle(const CellStrategyOptions& options)
@@ -347,17 +401,39 @@ class CellQOracle : public Strategy {
           true_closure.Implies(run.graph.fd(f));
     }
 
+    // A question's payoff depends only on the cell's FD list and on
+    // whether the cell is a true violation, so it is computed once per
+    // group: group 2k holds class k's clean members, group 2k+1 its true
+    // violations, each ascending.
+    const CellClasses classes(run.graph);
+    std::vector<CellId> split;
+    std::vector<uint32_t> offsets{0};
+    split.reserve(static_cast<size_t>(run.graph.NumCells()));
+    for (int k = 0; k < classes.NumClasses(); ++k) {
+      for (const bool violation : {false, true}) {
+        for (CellId c : classes.Members(k)) {
+          if (ctx.true_violations->Contains(run.graph.cell(c)) == violation) {
+            split.push_back(c);
+          }
+        }
+        offsets.push_back(static_cast<uint32_t>(split.size()));
+      }
+    }
+    std::vector<ConstSpan<CellId>> groups;
+    for (size_t g = 0; g + 1 < offsets.size(); ++g) {
+      groups.emplace_back(split.data() + offsets[g],
+                          offsets[g + 1] - offsets[g]);
+    }
+    AskableFronts fronts(std::move(groups));
+
     while (result.cost_spent + cost <= ctx.budget) {
       // Payoff of a question: a clean cell kills its active false FDs; a
       // true violation pushes its unaccepted true FDs toward acceptance.
-      CellId best = -1;
-      double best_payoff = 0.0;
-      run.graph.ForEachActiveCell([&](CellId c) {
-        if (!run.Askable(c)) return;
+      Argmax best(0.0);
+      fronts.ForEach(run, [&](int g, CellId c) {
+        const bool is_violation = (g & 1) != 0;
         double payoff = 0.0;
-        const bool is_violation =
-            ctx.true_violations->Contains(run.graph.cell(c));
-        for (FdId f : run.graph.FdsOfCell(c)) {
+        for (FdId f : classes.Fds(g / 2)) {
           if (!run.graph.FdActive(f)) continue;
           if (!is_violation) {
             payoff += is_true_fd[static_cast<size_t>(f)] ? 0.0 : 1.0;
@@ -367,16 +443,13 @@ class CellQOracle : public Strategy {
             payoff += 1.0;
           }
         }
-        if (payoff > best_payoff) {
-          best = c;
-          best_payoff = payoff;
-        }
+        best.Offer(c, payoff);
       });
-      if (best < 0) break;
-      Answer answer = ctx.expert->IsCellErroneous(run.graph.cell(best));
+      if (best.cell < 0) break;
+      Answer answer = ctx.expert->IsCellErroneous(run.graph.cell(best.cell));
       result.cost_spent += cost;
       ++result.questions_asked;
-      ApplyAnswer(run, best, answer, options_.delta);
+      ApplyAnswer(run, best.cell, answer, options_.delta);
     }
     result.accepted_fds = run.Accept(options_.accept_threshold);
     return result;
@@ -388,43 +461,6 @@ class CellQOracle : public Strategy {
 
 // --- Cell-Q-SUMS ----------------------------------------------------------
 
-// Persistent fixpoint state for the incremental Estimate-Confidence:
-// un-normalized node scores plus staleness flags. A node's expensive
-// adjacency sum is recomputed only when one of its inputs changed (an
-// expert answer or a bitwise change of a neighbor's normalized value in
-// the previous half-iteration); normalization and convergence checks stay
-// cheap whole-array scalar passes. Because a non-stale node's stored sum
-// is bitwise what the full recomputation would produce, every iteration —
-// and therefore the whole fixpoint, its iteration count, and the selected
-// questions — is byte-identical to the reference implementation.
-struct SumsState {
-  explicit SumsState(const ViolationGraph& graph)
-      : u_fd(static_cast<size_t>(graph.NumFds()), 0.0),
-        raw_cell(static_cast<size_t>(graph.NumCells()), 0.0),
-        norm_fd(static_cast<size_t>(graph.NumFds()), 0.0),
-        fd_stale(static_cast<size_t>(graph.NumFds()), 1),
-        cell_stale(static_cast<size_t>(graph.NumCells()), 1) {}
-
-  std::vector<double> u_fd;      // un-normalized FD scores
-  std::vector<double> raw_cell;  // un-normalized cell sums
-  std::vector<double> norm_fd;   // scratch for normalized FD values
-  std::vector<char> fd_stale;
-  std::vector<char> cell_stale;
-  // Dense-staleness mode bits: a node is stale iff the side's `all` bit is
-  // set or its flag is. Normalization-max shifts cascade bitwise changes
-  // to a whole side at once; flipping one bit then lets the refresh pass
-  // skip flag reads entirely and run at exactly the reference cost.
-  bool fd_all_stale = true;
-  bool cell_all_stale = true;
-
-  void MarkFdsOfCell(const ViolationGraph& graph, CellId c) {
-    for (FdId f : graph.FdsOfCell(c)) fd_stale[static_cast<size_t>(f)] = 1;
-  }
-  void MarkCellsOfFd(const ViolationGraph& graph, FdId f) {
-    for (CellId c : graph.CellsOfFd(f)) cell_stale[static_cast<size_t>(c)] = 1;
-  }
-};
-
 class CellQSums : public Strategy {
  public:
   explicit CellQSums(const CellStrategyOptions& options)
@@ -433,6 +469,154 @@ class CellQSums : public Strategy {
   std::string_view name() const override { return "CellQ-SUMS"; }
 
   StrategyResult Run(const QuestionContext& ctx) override {
+    return options_.incremental ? RunClasses(ctx) : RunReference(ctx);
+  }
+
+ private:
+  // Maximum information: confidence near 1/2 (the fixpoint is unsure),
+  // weighted by the *marginal* evidence the answer can add -- flagging FDs
+  // that are already confirmed contribute nothing, so the strategy moves
+  // on instead of re-confirming the same dependencies.
+  static double Score(const CellRun& run, double conf, ConstSpan<FdId> fds,
+                      const std::vector<double>& evidence) {
+    const double uncertainty = 1.0 - std::abs(2.0 * conf - 1.0);
+    double marginal = 0.0;
+    for (FdId f : fds) {
+      if (run.graph.FdActive(f)) {
+        marginal += 1.0 - evidence[static_cast<size_t>(f)];
+      }
+    }
+    return (0.05 + uncertainty) * marginal;
+  }
+
+  // Records the expert's answer to `c`: a "yes" raises the evidence of its
+  // active flagging FDs, a "no" invalidates them. Pinning the confirmed
+  // cell is left to the caller, which keeps its own confidence layout.
+  void ApplySumsAnswer(CellRun& run, CellId c, Answer answer,
+                       std::vector<double>& evidence) const {
+    run.asked[static_cast<size_t>(c)] = true;
+    switch (answer) {
+      case Answer::kYes:
+        for (FdId f : run.graph.FdsOfCell(c)) {
+          if (run.graph.FdActive(f)) {
+            double& conf = evidence[static_cast<size_t>(f)];
+            conf = std::min(1.0, conf + options_.delta);
+          }
+        }
+        break;
+      case Answer::kNo: {
+        std::vector<FdId> flagging;
+        for (FdId f : run.graph.FdsOfCell(c)) {
+          if (run.graph.FdActive(f)) flagging.push_back(f);
+        }
+        for (FdId f : flagging) run.graph.DeactivateFd(f);
+        run.graph.DeactivateCell(c);
+        break;
+      }
+      case Answer::kIdk:
+        break;
+    }
+  }
+
+  // Accept like Algorithm 2, from the evidence confidences.
+  FdSet AcceptEvidence(const CellRun& run,
+                       const std::vector<double>& evidence) const {
+    FdSet accepted;
+    for (FdId f = 0; f < run.graph.NumFds(); ++f) {
+      if (run.graph.FdActive(f) &&
+          evidence[static_cast<size_t>(f)] >= options_.sums_accept_threshold) {
+        accepted.Add(run.graph.fd(f));
+      }
+    }
+    return accepted;
+  }
+
+  // The Estimate-Confidence state of a class-indexed run. A cell is *live*
+  // while it is active and unpinned; every live member of class k holds
+  // the same confidence conf[k] (the cell-side sum reads only the class's
+  // FD list), and cells only ever leave the live set, so the value a class
+  // carries from one call to the next is exactly what each of its live
+  // members would hold.
+  struct ClassConfidence {
+    ClassConfidence(const ViolationGraph& graph, const CellClasses& classes)
+        : slot(static_cast<size_t>(graph.NumCells())),
+          pinned_slot(classes.NumClasses()),
+          dead_slot(classes.NumClasses() + 1),
+          conf(static_cast<size_t>(classes.NumClasses()) + 2, 1.0) {
+      for (CellId c = 0; c < graph.NumCells(); ++c) {
+        slot[static_cast<size_t>(c)] = classes.ClassOf(c);
+      }
+      conf[static_cast<size_t>(dead_slot)] = 0.0;
+    }
+
+    // Index into conf of each cell's current confidence: its class while
+    // live, pinned_slot (1.0) once confirmed, dead_slot (0.0) once
+    // inactive.
+    std::vector<int> slot;
+    const int pinned_slot;
+    const int dead_slot;
+    std::vector<double> conf;
+    // Live classes, ascending; recomputed at the start of every call.
+    std::vector<int> live;
+  };
+
+  // The class-indexed run: Estimate-Confidence's cell side and the
+  // per-question score are computed once per class of cells sharing a
+  // flagging-FD list, with the reference's operand order, so fixpoint
+  // values, selected questions and the report are bit-identical to
+  // RunReference (DESIGN.md §14.2).
+  StrategyResult RunClasses(const QuestionContext& ctx) const {
+    CellRun run(ctx, options_);
+    StrategyResult result;
+    const double cost = ctx.cost.CellCost();
+    const CellClasses classes(run.graph);
+    ClassConfidence state(run.graph, classes);
+    std::vector<ConstSpan<CellId>> groups;
+    for (int k = 0; k < classes.NumClasses(); ++k) {
+      groups.push_back(classes.Members(k));
+    }
+    AskableFronts fronts(std::move(groups));
+
+    // Evidence confidence, separate from the fixpoint scores in
+    // run.fd_conf (see RunReference).
+    std::vector<double> evidence(static_cast<size_t>(run.graph.NumFds()),
+                                 options_.initial_confidence);
+    EstimateConfidenceClasses(run, classes, state);
+    int answers_since_estimate = 0;
+    while (result.cost_spent + cost <= ctx.budget) {
+      // One pass yields both the best-scoring question and the
+      // least-trusted fallback (RunReference's two scans); the fallback
+      // maximizes the negated confidence, which is the reference's strict
+      // minimum below 2 with the same tie rule.
+      Argmax best(0.0);
+      Argmax least(-2.0);
+      fronts.ForEach(run, [&](int k, CellId c) {
+        const double conf = state.conf[static_cast<size_t>(k)];
+        best.Offer(c, Score(run, conf, classes.Fds(k), evidence));
+        least.Offer(c, -conf);
+      });
+      const CellId pick = best.cell >= 0 ? best.cell : least.cell;
+      if (pick < 0) break;
+      Answer answer = ctx.expert->IsCellErroneous(run.graph.cell(pick));
+      result.cost_spent += cost;
+      ++result.questions_asked;
+      ApplySumsAnswer(run, pick, answer, evidence);
+      if (answer == Answer::kIdk) continue;  // no new evidence; re-select
+      if (answer == Answer::kYes) {
+        state.slot[static_cast<size_t>(pick)] = state.pinned_slot;
+      }
+      if (++answers_since_estimate >= options_.sums_recompute_interval) {
+        EstimateConfidenceClasses(run, classes, state);
+        answers_since_estimate = 0;
+      }
+    }
+    result.accepted_fds = AcceptEvidence(run, evidence);
+    return result;
+  }
+
+  // The original per-cell run, retained as the behavioral reference for
+  // the equivalence suite.
+  StrategyResult RunReference(const QuestionContext& ctx) const {
     CellRun run(ctx, options_);
     StrategyResult result;
     const double cost = ctx.cost.CellCost();
@@ -442,14 +626,6 @@ class CellQSums : public Strategy {
     // and keep feeding evidence into Estimate-Confidence.
     std::vector<bool> pinned(static_cast<size_t>(run.graph.NumCells()),
                              false);
-    SumsState state(run.graph);
-    const auto estimate = [&] {
-      if (options_.incremental) {
-        EstimateConfidenceIncremental(run, cell_conf, pinned, state);
-      } else {
-        EstimateConfidenceReference(run, cell_conf, pinned);
-      }
-    };
 
     // Evidence confidence, separate from the Estimate-Confidence fixpoint
     // scores in run.fd_conf: acceptance follows the same confirmed-
@@ -457,26 +633,15 @@ class CellQSums : public Strategy {
     // question selection.
     std::vector<double> evidence(static_cast<size_t>(run.graph.NumFds()),
                                  options_.initial_confidence);
-    estimate();
+    EstimateConfidenceReference(run, cell_conf, pinned);
     int answers_since_estimate = 0;
     while (result.cost_spent + cost <= ctx.budget) {
-      // Maximum information: confidence near 1/2 (the fixpoint is unsure),
-      // weighted by the *marginal* evidence the answer can add -- flagging
-      // FDs that are already confirmed contribute nothing, so the strategy
-      // moves on instead of re-confirming the same dependencies.
       CellId best = -1;
       double best_score = 0.0;
       run.graph.ForEachActiveCell([&](CellId c) {
         if (!run.Askable(c)) return;
-        const double uncertainty =
-            1.0 - std::abs(2.0 * cell_conf[static_cast<size_t>(c)] - 1.0);
-        double marginal = 0.0;
-        for (FdId f : run.graph.FdsOfCell(c)) {
-          if (run.graph.FdActive(f)) {
-            marginal += 1.0 - evidence[static_cast<size_t>(f)];
-          }
-        }
-        const double score = (0.05 + uncertainty) * marginal;
+        const double score = Score(run, cell_conf[static_cast<size_t>(c)],
+                                   run.graph.FdsOfCell(c), evidence);
         if (score > best_score) {
           best = c;
           best_score = score;
@@ -499,64 +664,28 @@ class CellQSums : public Strategy {
       Answer answer = ctx.expert->IsCellErroneous(run.graph.cell(best));
       result.cost_spent += cost;
       ++result.questions_asked;
-      run.asked[static_cast<size_t>(best)] = true;
-      switch (answer) {
-        case Answer::kYes:
-          pinned[static_cast<size_t>(best)] = true;
-          cell_conf[static_cast<size_t>(best)] = 1.0;
-          // The pinned cell's value feeds its flagging FDs' averages.
-          state.MarkFdsOfCell(run.graph, best);
-          for (FdId f : run.graph.FdsOfCell(best)) {
-            if (run.graph.FdActive(f)) {
-              double& conf = evidence[static_cast<size_t>(f)];
-              conf = std::min(1.0, conf + options_.delta);
-            }
-          }
-          break;
-        case Answer::kNo: {
-          std::vector<FdId> flagging;
-          for (FdId f : run.graph.FdsOfCell(best)) {
-            if (run.graph.FdActive(f)) flagging.push_back(f);
-          }
-          for (FdId f : flagging) run.graph.DeactivateFd(f);
-          run.graph.DeactivateCell(best);
-          // Deactivated FDs drop to score 0 and leave their cells' sums.
-          for (FdId f : flagging) {
-            state.fd_stale[static_cast<size_t>(f)] = 1;
-            state.MarkCellsOfFd(run.graph, f);
-          }
-          break;
-        }
-        case Answer::kIdk:
-          continue;  // no new evidence; re-select
+      ApplySumsAnswer(run, best, answer, evidence);
+      if (answer == Answer::kIdk) continue;  // no new evidence; re-select
+      if (answer == Answer::kYes) {
+        pinned[static_cast<size_t>(best)] = true;
+        cell_conf[static_cast<size_t>(best)] = 1.0;
       }
       // The fixpoint moves little per answer; recompute in batches.
       if (++answers_since_estimate >= options_.sums_recompute_interval) {
-        estimate();
+        EstimateConfidenceReference(run, cell_conf, pinned);
         answers_since_estimate = 0;
       }
     }
-
-    // Accept like Algorithm 2, from the evidence confidences.
-    FdSet accepted;
-    for (FdId f = 0; f < run.graph.NumFds(); ++f) {
-      if (run.graph.FdActive(f) &&
-          evidence[static_cast<size_t>(f)] >=
-              options_.sums_accept_threshold) {
-        accepted.Add(run.graph.fd(f));
-      }
-    }
-    result.accepted_fds = std::move(accepted);
+    result.accepted_fds = AcceptEvidence(run, evidence);
     return result;
   }
 
- private:
   // Algorithm 4: alternate confidence propagation between FDs and
   // violations until convergence. FD confidence = log-boosted average of
   // its violations' confidences; violation confidence = sum of its FDs'
   // confidences; both max-normalized each round. Pinned (expert-labelled)
   // cells keep their value. Retained as the behavioral reference for the
-  // incremental version below.
+  // class-indexed version below.
   void EstimateConfidenceReference(CellRun& run,
                                    std::vector<double>& cell_conf,
                                    const std::vector<bool>& pinned) const {
@@ -618,137 +747,77 @@ class CellQSums : public Strategy {
     }
   }
 
-  // The same fixpoint, recomputing adjacency sums only for nodes whose
-  // inputs changed. Un-normalized scores persist in `state` across calls;
-  // staleness is seeded by expert answers (see Run) and propagated inside
-  // an iteration by *bitwise* comparison of normalized values, so a node
-  // is recomputed exactly when a full recomputation could produce a
-  // different bit pattern. Normalization, the convergence delta, and the
-  // max reductions remain O(nodes) scalar passes over stored values —
-  // identical arithmetic to the reference, hence identical results,
-  // iteration counts, and early exits.
-  void EstimateConfidenceIncremental(CellRun& run,
-                                     std::vector<double>& cell_conf,
-                                     const std::vector<bool>& pinned,
-                                     SumsState& state) const {
+  // The same fixpoint over classes. The FD side walks CellsOfFd in CSR
+  // order exactly as the reference does, adding each cell's value through
+  // its slot: the class value while live, 1 when pinned, and +0.0 when
+  // inactive, which leaves the non-negative sum bitwise unchanged; the
+  // count is the FD's active degree, the number of cells the reference
+  // counts. The cell side computes one sum per live class over the
+  // class's ascending FD list — the operand sequence the reference
+  // repeats for every member — so the max over live classes is the max
+  // over live cells and every normalized value is bitwise the reference's.
+  void EstimateConfidenceClasses(CellRun& run, const CellClasses& classes,
+                                 ClassConfidence& state) const {
     const int num_fds = run.graph.NumFds();
-    const int num_cells = run.graph.NumCells();
-    // Changed nodes collected per iteration; when a large fraction of one
-    // side changed (a "no" answer shifting a normalization max cascades
-    // globally), setting the other side's dense-staleness bit beats
-    // per-node adjacency marking, and the next refresh runs flag-free at
-    // reference cost. Over-marking only triggers recomputation, which is
-    // deterministic, so results are unaffected.
-    std::vector<FdId> changed_fds;
-    std::vector<CellId> changed_cells;
-    const auto fd_score = [&](FdId f) {
-      if (!run.graph.FdActive(f)) return 0.0;
-      double sum = 0.0;
-      int count = 0;
-      for (CellId c : run.graph.CellsOfFd(f)) {
-        if (!run.graph.CellActive(c)) continue;
-        sum += cell_conf[static_cast<size_t>(c)];
-        ++count;
+    // Answers since the last call deactivated cells; retire their slots
+    // and collect the classes that still have a live member.
+    std::vector<bool> has_live(static_cast<size_t>(classes.NumClasses()),
+                               false);
+    for (CellId c = 0; c < run.graph.NumCells(); ++c) {
+      int& slot = state.slot[static_cast<size_t>(c)];
+      if (!run.graph.CellActive(c)) {
+        slot = state.dead_slot;
+      } else if (slot < state.pinned_slot) {
+        has_live[static_cast<size_t>(slot)] = true;
       }
-      return count == 0 ? 0.0 : std::log(1.0 + count) * (sum / count);
-    };
-    const auto cell_sum = [&](CellId c) {
-      double sum = 0.0;
-      for (FdId f : run.graph.FdsOfCell(c)) {
-        if (run.graph.FdActive(f)) {
-          sum += run.fd_conf[static_cast<size_t>(f)];
-        }
-      }
-      return sum;
-    };
+    }
+    state.live.clear();
+    for (int k = 0; k < classes.NumClasses(); ++k) {
+      if (has_live[static_cast<size_t>(k)]) state.live.push_back(k);
+    }
+
+    std::vector<double> next_fd(static_cast<size_t>(num_fds), 0.0);
     for (int iter = 0; iter < options_.sums_max_iterations; ++iter) {
-      // FD side: refresh stale un-normalized scores.
-      if (state.fd_all_stale) {
-        state.fd_all_stale = false;
-        std::fill(state.fd_stale.begin(), state.fd_stale.end(), 0);
-        for (FdId f = 0; f < num_fds; ++f) {
-          state.u_fd[static_cast<size_t>(f)] = fd_score(f);
-        }
-      } else {
-        for (FdId f = 0; f < num_fds; ++f) {
-          if (!state.fd_stale[static_cast<size_t>(f)]) continue;
-          state.fd_stale[static_cast<size_t>(f)] = 0;
-          state.u_fd[static_cast<size_t>(f)] = fd_score(f);
-        }
-      }
+      double max_delta = 0.0;
+      // FD side.
       double max_fd = 0.0;
       for (FdId f = 0; f < num_fds; ++f) {
-        max_fd = std::max(max_fd, state.u_fd[static_cast<size_t>(f)]);
+        next_fd[static_cast<size_t>(f)] = 0.0;
+        if (!run.graph.FdActive(f)) continue;
+        const int count = run.graph.ActiveDegreeOfFd(f);
+        double sum = 0.0;
+        for (CellId c : run.graph.CellsOfFd(f)) {
+          const int slot = state.slot[static_cast<size_t>(c)];
+          sum += state.conf[static_cast<size_t>(slot)];
+        }
+        next_fd[static_cast<size_t>(f)] =
+            count == 0 ? 0.0 : std::log(1.0 + count) * (sum / count);
+        max_fd = std::max(max_fd, next_fd[static_cast<size_t>(f)]);
       }
-      double max_delta = 0.0;
-      changed_fds.clear();
+      if (max_fd > 0.0) {
+        for (double& v : next_fd) v /= max_fd;
+      }
       for (FdId f = 0; f < num_fds; ++f) {
-        const double u = state.u_fd[static_cast<size_t>(f)];
-        const double v = max_fd > 0.0 ? u / max_fd : u;
-        state.norm_fd[static_cast<size_t>(f)] = v;
-        max_delta = std::max(
-            max_delta, std::abs(v - run.fd_conf[static_cast<size_t>(f)]));
-        // A bitwise change of this FD's normalized score invalidates the
-        // stored sums of the cells it flags.
-        if (v != run.fd_conf[static_cast<size_t>(f)]) {
-          changed_fds.push_back(f);
-        }
+        max_delta = std::max(max_delta,
+                             std::abs(next_fd[static_cast<size_t>(f)] -
+                                      run.fd_conf[static_cast<size_t>(f)]));
       }
-      run.fd_conf.swap(state.norm_fd);
-      if (!state.cell_all_stale) {
-        if (changed_fds.size() >= static_cast<size_t>(num_fds) / 4 + 1) {
-          state.cell_all_stale = true;
-        } else {
-          for (FdId f : changed_fds) state.MarkCellsOfFd(run.graph, f);
-        }
-      }
+      run.fd_conf.swap(next_fd);
 
-      // Violation side: refresh stale sums, then normalize in place.
-      if (state.cell_all_stale) {
-        state.cell_all_stale = false;
-        std::fill(state.cell_stale.begin(), state.cell_stale.end(), 0);
-        for (CellId c = 0; c < num_cells; ++c) {
-          if (!run.graph.CellActive(c) || pinned[static_cast<size_t>(c)]) {
-            continue;
-          }
-          state.raw_cell[static_cast<size_t>(c)] = cell_sum(c);
-        }
-      } else {
-        for (CellId c = 0; c < num_cells; ++c) {
-          if (!run.graph.CellActive(c) || pinned[static_cast<size_t>(c)]) {
-            continue;
-          }
-          if (!state.cell_stale[static_cast<size_t>(c)]) continue;
-          state.cell_stale[static_cast<size_t>(c)] = 0;
-          state.raw_cell[static_cast<size_t>(c)] = cell_sum(c);
-        }
-      }
+      // Violation side, once per live class.
       double max_cell = 0.0;
-      for (CellId c = 0; c < num_cells; ++c) {
-        if (!run.graph.CellActive(c) || pinned[static_cast<size_t>(c)]) {
-          continue;
+      for (int k : state.live) {
+        double sum = 0.0;
+        for (FdId f : classes.Fds(k)) {
+          if (run.graph.FdActive(f)) {
+            sum += run.fd_conf[static_cast<size_t>(f)];
+          }
         }
-        max_cell =
-            std::max(max_cell, state.raw_cell[static_cast<size_t>(c)]);
+        state.conf[static_cast<size_t>(k)] = sum;
+        max_cell = std::max(max_cell, sum);
       }
-      changed_cells.clear();
-      for (CellId c = 0; c < num_cells; ++c) {
-        if (!run.graph.CellActive(c) || pinned[static_cast<size_t>(c)]) {
-          continue;
-        }
-        const double raw = state.raw_cell[static_cast<size_t>(c)];
-        const double v = max_cell > 0.0 ? raw / max_cell : raw;
-        if (v != cell_conf[static_cast<size_t>(c)]) {
-          cell_conf[static_cast<size_t>(c)] = v;
-          changed_cells.push_back(c);
-        }
-      }
-      if (!state.fd_all_stale) {
-        if (changed_cells.size() >= static_cast<size_t>(num_cells) / 4 + 1) {
-          state.fd_all_stale = true;
-        } else {
-          for (CellId c : changed_cells) state.MarkFdsOfCell(run.graph, c);
-        }
+      if (max_cell > 0.0) {
+        for (int k : state.live) state.conf[static_cast<size_t>(k)] /= max_cell;
       }
 
       if (max_delta < options_.sums_tolerance) break;

@@ -38,11 +38,13 @@ struct CellStrategyOptions {
   double sums_accept_threshold = 0.9;
 
   /// Incremental question selection: lazy-invalidation score heaps for
-  /// CellQ-HS / CellQ-Greedy and a change-propagating Estimate-Confidence
-  /// fixpoint for CellQ-SUMS, replacing the per-question full rescans.
-  /// Selections and results are byte-identical either way (DESIGN.md §9);
-  /// `false` runs the original rescan code, retained as the behavioral
-  /// reference for the equivalence suite.
+  /// CellQ-HS / CellQ-Greedy, and for CellQ-SUMS an Estimate-Confidence
+  /// fixpoint and selection scan computed once per class of cells sharing
+  /// a flagging-FD list (DESIGN.md §14.2), replacing the per-cell
+  /// rescans. Selections and results are byte-identical either way
+  /// (DESIGN.md §9.4); `false` runs the original rescan code, retained as
+  /// the behavioral reference for the equivalence suite. CellQ-Oracle
+  /// always runs its class-indexed scan and ignores this flag.
   bool incremental = true;
 };
 

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "core/cell_strategies.h"
 #include "core/session.h"
 #include "fd/closure.h"
+#include "server/protocol.h"
 #include "test_util.h"
 
 namespace uguide {
@@ -158,6 +161,46 @@ TEST(CellStrategyTest, IdkAnswersOnlySlowProgress) {
   // accepted-set size cannot be smaller than under the fluent expert.
   EXPECT_GE(hesitant_report.result.accepted_fds.Size(),
             fluent_report.result.accepted_fds.Size());
+}
+
+// 64-bit FNV-1a over the canonical report text.
+uint64_t ReportDigest(const SessionReport& report) {
+  uint64_t hash = 0xcbf29ce484222325ULL;
+  for (unsigned char byte : SerializeSessionReport(report)) {
+    hash ^= byte;
+    hash *= 0x100000001b3ULL;
+  }
+  return hash;
+}
+
+TEST(CellStrategyGoldenTest, OracleAndSumsReportsArePinned) {
+  // CellQ-Oracle has no rescan reference and SUMS's fixpoint is easy to
+  // perturb by one ulp, so both strategies' report bytes are pinned on a
+  // small Hospital session. A mismatch means the selection order (or the
+  // report format) changed; it is a behaviour change, not a test to
+  // re-pin casually.
+  struct Golden {
+    double idk;
+    double budget;
+    uint64_t oracle;
+    uint64_t sums;
+  };
+  const Golden goldens[] = {
+      {0.0, 30.0, 0x7bb6cfbc36d4eac5ULL, 0xe8d4e7c8d158520aULL},
+      {0.0, 120.0, 0xf182accbd657f28cULL, 0x5eece900c9a0747aULL},
+      {0.25, 30.0, 0x5ac9ceb99834bcfbULL, 0x0c16c9f356dd792fULL},
+      {0.25, 120.0, 0x855c7d75f308ac6bULL, 0xea651a70904f9b73ULL},
+  };
+  for (const Golden& golden : goldens) {
+    Session session = MakeHospitalSession(600, ErrorModel::kSystematic, 0.15,
+                                          5, golden.idk);
+    auto oracle = MakeCellQOracle({});
+    auto sums = MakeCellQSums({});
+    EXPECT_EQ(ReportDigest(session.Run(*oracle, golden.budget)), golden.oracle)
+        << "CellQ-Oracle idk=" << golden.idk << " budget=" << golden.budget;
+    EXPECT_EQ(ReportDigest(session.Run(*sums, golden.budget)), golden.sums)
+        << "CellQ-SUMS idk=" << golden.idk << " budget=" << golden.budget;
+  }
 }
 
 }  // namespace

@@ -34,6 +34,31 @@ inline Session MakeHospitalSession(
   return Session::Create(clean, std::move(dataset), config).ValueOrDie();
 }
 
+/// As MakeHospitalSession over the generated Tax table, the paper's
+/// widest relation: many candidate FDs and cells shared by several of them.
+inline Session MakeTaxSession(int rows = 400, double idk_rate = 0.0,
+                              uint64_t seed = 9) {
+  DataGenOptions data;
+  data.rows = rows;
+  data.seed = seed;
+  Relation clean = GenerateTax(data);
+
+  TaneOptions tane;
+  tane.max_lhs_size = 3;
+  FdSet true_fds = DiscoverFds(clean, tane).ValueOrDie();
+
+  ErrorGenOptions errors;
+  errors.model = ErrorModel::kSystematic;
+  errors.error_rate = 0.1;
+  errors.seed = seed + 1;
+  DirtyDataset dataset = InjectErrors(clean, true_fds, errors).ValueOrDie();
+
+  SessionConfig config;
+  config.candidate_options.max_lhs_size = 3;
+  config.idk_rate = idk_rate;
+  return Session::Create(clean, std::move(dataset), config).ValueOrDie();
+}
+
 }  // namespace uguide::testing
 
 #endif  // UGUIDE_TESTS_TEST_UTIL_H_

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <string>
 #include <unordered_set>
 #include <utility>
@@ -27,6 +28,7 @@
 #include "relation/cell_bitmap.h"
 #include "test_util.h"
 #include "violations/bipartite_graph.h"
+#include "violations/cell_classes.h"
 #include "reference/hash_detector.h"
 #include "violations/violation_engine.h"
 
@@ -464,6 +466,78 @@ TEST(ViolationGraphTest, ParallelBuildBitIdenticalAcrossThreadCounts) {
   }
 }
 
+// --- cell classes -----------------------------------------------------------
+
+// The CellClasses contract against the graph it indexes: each class's FD
+// list is every member's FdsOfCell, members are ascending and partition
+// the cells, classes are numbered by their lowest member, equal lists share
+// a class, and a second build is identical.
+void ExpectClassesIndexGraph(const ViolationGraph& g) {
+  const CellClasses classes(g);
+  std::vector<int> seen(static_cast<size_t>(g.NumCells()), 0);
+  CellId previous_lowest = -1;
+  for (int k = 0; k < classes.NumClasses(); ++k) {
+    const ConstSpan<CellId> members = classes.Members(k);
+    ASSERT_FALSE(members.empty()) << "class " << k;
+    EXPECT_GT(members.front(), previous_lowest) << "class " << k;
+    previous_lowest = members.front();
+    for (size_t i = 0; i < members.size(); ++i) {
+      const CellId c = members[i];
+      if (i > 0) {
+        EXPECT_LT(members[i - 1], c) << "class " << k;
+      }
+      EXPECT_EQ(classes.ClassOf(c), k);
+      EXPECT_EQ(classes.Fds(k), g.FdsOfCell(c)) << "cell " << c;
+      ++seen[static_cast<size_t>(c)];
+    }
+  }
+  for (CellId c = 0; c < g.NumCells(); ++c) {
+    EXPECT_EQ(seen[static_cast<size_t>(c)], 1) << "cell " << c;
+  }
+  std::map<std::vector<FdId>, int> class_of_list;
+  for (CellId c = 0; c < g.NumCells(); ++c) {
+    const auto [it, inserted] =
+        class_of_list.emplace(g.FdsOfCell(c).ToVector(), classes.ClassOf(c));
+    EXPECT_EQ(it->second, classes.ClassOf(c)) << "cell " << c;
+  }
+  EXPECT_EQ(class_of_list.size(), static_cast<size_t>(classes.NumClasses()));
+
+  const CellClasses again(g);
+  ASSERT_EQ(again.NumClasses(), classes.NumClasses());
+  for (int k = 0; k < classes.NumClasses(); ++k) {
+    EXPECT_EQ(again.Fds(k), classes.Fds(k));
+    EXPECT_EQ(again.Members(k), classes.Members(k));
+  }
+}
+
+TEST(CellClassesTest, HandBuiltGraph) {
+  // Cells a and e are flagged by FD 0 alone, b by {0, 1}, c by {0, 1, 2}
+  // and d by {1, 2}: four classes, one of them with two members.
+  const Cell a{0, 1}, b{1, 1}, c{2, 1}, d{3, 2}, e{4, 1};
+  const ViolationGraph g = ViolationGraph::FromPerFdCells(
+      {Fd(AttributeSet::Single(0), 1), Fd(AttributeSet::Single(3), 1),
+       Fd(AttributeSet::Single(0), 2)},
+      std::vector<std::vector<Cell>>{{a, b, c, e}, {b, c, d}, {c, d}});
+  ASSERT_EQ(g.NumCells(), 5);
+  ExpectClassesIndexGraph(g);
+  const CellClasses classes(g);
+  EXPECT_EQ(classes.NumClasses(), 4);
+  EXPECT_EQ(classes.Members(classes.ClassOf(g.FindCell(a))),
+            (std::vector<CellId>{g.FindCell(a), g.FindCell(e)}));
+  EXPECT_EQ(classes.Fds(classes.ClassOf(g.FindCell(c))),
+            (std::vector<FdId>{0, 1, 2}));
+}
+
+TEST(CellClassesTest, TaxGraph) {
+  Session session = testing::MakeTaxSession(400);
+  const ViolationGraph g =
+      ViolationGraph::Build(session.dirty(), session.candidates());
+  ASSERT_GT(g.NumCells(), 0);
+  ExpectClassesIndexGraph(g);
+  // Many cells share a flagging-FD list on Tax; the index must compress.
+  EXPECT_LT(CellClasses(g).NumClasses(), g.NumCells());
+}
+
 // --- strategy-level equivalence -------------------------------------------
 
 void ExpectReportsEqual(const SessionReport& a, const SessionReport& b) {
@@ -523,6 +597,30 @@ TEST(IncrementalSelectionTest, SumsMatchesReferenceAtTightRecompute) {
   auto a = MakeCellQSums(incremental);
   auto b = MakeCellQSums(reference);
   ExpectReportsEqual(session.Run(*a, 150.0), session.Run(*b, 150.0));
+}
+
+TEST(IncrementalSelectionTest, SumsClassesMatchReferenceOnTax) {
+  // Tax cells share flagging-FD lists widely, so the class-indexed fixpoint
+  // and selection collapse many cells per class. They must still ask the
+  // reference's questions: per-answer and batched recomputation, with and
+  // without IDK answers. The large budget outlasts every evidence-adding
+  // question, so the least-trusted fallback picks the final questions.
+  for (double idk : {0.0, 0.25}) {
+    Session session = testing::MakeTaxSession(300, idk);
+    for (int interval : {1, CellStrategyOptions{}.sums_recompute_interval}) {
+      for (double budget : {40.0, 400.0}) {
+        CellStrategyOptions classes;
+        classes.sums_recompute_interval = interval;
+        CellStrategyOptions reference = classes;
+        reference.incremental = false;
+        auto a = MakeCellQSums(classes);
+        auto b = MakeCellQSums(reference);
+        SCOPED_TRACE(::testing::Message() << "idk=" << idk << " interval="
+                                          << interval << " budget=" << budget);
+        ExpectReportsEqual(session.Run(*a, budget), session.Run(*b, budget));
+      }
+    }
+  }
 }
 
 TEST(SessionDeterminismTest, ThreadCountDoesNotChangeAnyStrategy) {
