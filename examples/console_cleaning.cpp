@@ -135,11 +135,15 @@ int main(int argc, char** argv) {
               "(cost of an FD question = its LHS size)\n",
               candidates.candidates.Size(), budget);
 
-  ViolationEngine engine(&dirty);
+  // One artifact (engine, violation graph, removal counts) serves both
+  // the strategy and the expert's evidence display.
+  const ViolationArtifact artifact(std::make_shared<ViolationEngine>(&dirty),
+                                   candidates.candidates);
+  ViolationEngine& engine = artifact.engine();
   ConsoleExpert expert(&dirty, &engine, auto_yes);
   QuestionContext ctx;
   ctx.dirty = &dirty;
-  ctx.engine = &engine;
+  ctx.artifact = &artifact;
   ctx.candidates = &candidates.candidates;
   ctx.exact_fds = &candidates.exact;
   ctx.expert = &expert;

@@ -9,31 +9,28 @@
 #include "fd/closure.h"
 #include "violations/bipartite_graph.h"
 #include "violations/cell_classes.h"
-#include "violations/violation_engine.h"
+#include "violations/violation_artifact.h"
 
 namespace uguide {
 
 namespace {
 
-// Shared working state for one cell-strategy run. The graph is built
-// through the session's shared violation engine (or a private fallback)
-// and, when the context carries a pool, in parallel — bit-identical to
-// the serial build either way. When the context carries a prebuilt shared
-// graph (a DatasetRegistry artifact over the same candidate set), the run
-// copies it instead: the copy is the run's private mutable state (answers
-// deactivate nodes), while the expensive build is paid once per dataset.
+// Shared working state for one cell-strategy run. The graph, its cell
+// classes and the engine come from the dataset's shared artifact (or a
+// private build when the context carries none — bit-identical, the build
+// being deterministic at any thread count). The run's own mutable state is
+// a GraphView over the frozen graph — answers deactivate nodes there — plus
+// the confidences below.
 struct CellRun {
   CellRun(const QuestionContext& ctx, const CellStrategyOptions& options)
-      : engine(ctx.engine, ctx.dirty),
-        graph(ctx.graph != nullptr
-                  ? *ctx.graph
-                  : ViolationGraph::Build(*engine, *ctx.candidates, ctx.pool)),
+      : artifact(ctx.artifact, ctx.dirty, *ctx.candidates, ctx.pool),
+        graph(artifact->graph()),
         fd_conf(static_cast<size_t>(graph.NumFds()),
                 options.initial_confidence),
         asked(static_cast<size_t>(graph.NumCells()), false) {}
 
-  EngineRef engine;
-  ViolationGraph graph;
+  ArtifactRef artifact;
+  GraphView graph;
   std::vector<double> fd_conf;
   std::vector<bool> asked;
 
@@ -405,7 +402,7 @@ class CellQOracle : public Strategy {
     // whether the cell is a true violation, so it is computed once per
     // group: group 2k holds class k's clean members, group 2k+1 its true
     // violations, each ascending.
-    const CellClasses classes(run.graph);
+    const CellClasses& classes = run.artifact->classes();
     std::vector<CellId> split;
     std::vector<uint32_t> offsets{0};
     split.reserve(static_cast<size_t>(run.graph.NumCells()));
@@ -538,7 +535,7 @@ class CellQSums : public Strategy {
   // carries from one call to the next is exactly what each of its live
   // members would hold.
   struct ClassConfidence {
-    ClassConfidence(const ViolationGraph& graph, const CellClasses& classes)
+    ClassConfidence(const GraphView& graph, const CellClasses& classes)
         : slot(static_cast<size_t>(graph.NumCells())),
           pinned_slot(classes.NumClasses()),
           dead_slot(classes.NumClasses() + 1),
@@ -569,7 +566,7 @@ class CellQSums : public Strategy {
     CellRun run(ctx, options_);
     StrategyResult result;
     const double cost = ctx.cost.CellCost();
-    const CellClasses classes(run.graph);
+    const CellClasses& classes = run.artifact->classes();
     ClassConfidence state(run.graph, classes);
     std::vector<ConstSpan<CellId>> groups;
     for (int k = 0; k < classes.NumClasses(); ++k) {

@@ -4,45 +4,57 @@
 #include <unordered_set>
 #include <vector>
 
+#include "common/id_bitmap.h"
 #include "fd/closure.h"
-#include "relation/cell_bitmap.h"
-#include "violations/violation_engine.h"
+#include "violations/violation_artifact.h"
 
 namespace uguide {
 
 namespace {
 
-// One askable FD question together with its precomputed violation set.
+// One askable FD question. A candidate's violation cells are its graph
+// node's CellsOfFd; a merged question keeps its own list of graph CellIds.
 struct FdQuestion {
   Fd fd;
-  std::vector<Cell> cells;       // participating violation cells
+  FdId node = -1;                // candidate: its graph FD; merged: -1
+  std::vector<CellId> merged;    // merged: its violation cells
   size_t removal_count = 0;      // |g3 removal set| (for the accuracy prior)
   double cost = 1.0;
   bool asked = false;
 };
 
+ConstSpan<CellId> CellsOf(const FdQuestion& q, const ViolationGraph& graph) {
+  return q.node >= 0 ? graph.CellsOfFd(q.node) : ConstSpan<CellId>(q.merged);
+}
+
 // Builds the question pool: every candidate FD, plus (optionally) merged
 // same-RHS pairs as non-minimal questions (§5's AB -> C example).
+// Candidates read their cells and removal counts from the shared
+// artifact; only merged questions, which have no graph node, query the
+// engine.
 std::vector<FdQuestion> BuildQuestions(const QuestionContext& ctx,
+                                       const ViolationArtifact& artifact,
                                        const FdStrategyOptions& options) {
-  // Candidate FDs overwhelmingly share LHS attribute sets (relaxation
-  // explores a lattice neighborhood), so the partition-backed engine pays
-  // for each LHS grouping once across the whole pool.
-  EngineRef engine(ctx.engine, ctx.dirty);
+  const ViolationGraph& graph = artifact.graph();
+  const std::vector<Fd>& base = ctx.candidates->fds();
+  UGUIDE_CHECK_EQ(static_cast<size_t>(graph.NumFds()), base.size())
+      << "artifact built over a different candidate set";
   std::vector<FdQuestion> questions;
   std::unordered_set<Fd, FdHash> known;
-  for (const Fd& fd : *ctx.candidates) {
+  for (FdId f = 0; f < graph.NumFds(); ++f) {
     FdQuestion q;
-    q.fd = fd;
-    q.cells = engine->ViolatingCells(fd);
-    q.removal_count = engine->G3RemovalCount(fd);
-    q.cost = ctx.cost.FdCost(fd, CostModel::ExtraAttributes(fd,
-                                                            *ctx.candidates));
+    q.fd = base[static_cast<size_t>(f)];
+    UGUIDE_CHECK(graph.fd(f) == q.fd)
+        << "artifact built over a different candidate set";
+    q.node = f;
+    q.removal_count = artifact.RemovalCount(f);
+    q.cost = ctx.cost.FdCost(q.fd,
+                             CostModel::ExtraAttributes(q.fd, *ctx.candidates));
+    known.insert(q.fd);
     questions.push_back(std::move(q));
-    known.insert(fd);
   }
   if (options.allow_non_minimal) {
-    const std::vector<Fd>& base = ctx.candidates->fds();
+    ViolationEngine& engine = artifact.engine();
     int merged_count = 0;
     for (size_t i = 0;
          i < base.size() && merged_count < options.max_merged_candidates;
@@ -56,8 +68,14 @@ std::vector<FdQuestion> BuildQuestions(const QuestionContext& ctx,
         known.insert(merged);
         FdQuestion q;
         q.fd = merged;
-        q.cells = engine->ViolatingCells(merged);
-        q.removal_count = engine->G3RemovalCount(merged);
+        // A pair violating XY -> C agrees on X and differs on C, so it
+        // violates the candidate X -> C too: every cell is a graph node.
+        for (TupleId row : engine.ViolatingTuplesUnordered(merged)) {
+          const CellId c = graph.FindCell(Cell{row, merged.rhs});
+          UGUIDE_CHECK(c >= 0) << "merged question flags a non-graph cell";
+          q.merged.push_back(c);
+        }
+        q.removal_count = engine.G3RemovalCount(merged);
         q.cost = ctx.cost.FdCost(
             merged, CostModel::ExtraAttributes(merged, *ctx.candidates));
         questions.push_back(std::move(q));
@@ -68,10 +86,10 @@ std::vector<FdQuestion> BuildQuestions(const QuestionContext& ctx,
   return questions;
 }
 
-size_t CountUncovered(const FdQuestion& q, const CellBitmap& covered) {
+size_t CountUncovered(ConstSpan<CellId> cells, const IdBitmap& covered) {
   size_t uncovered = 0;
-  for (const Cell& cell : q.cells) {
-    if (!covered.Test(cell)) ++uncovered;
+  for (CellId c : cells) {
+    if (!covered.Test(c)) ++uncovered;
   }
   return uncovered;
 }
@@ -80,19 +98,22 @@ size_t CountUncovered(const FdQuestion& q, const CellBitmap& covered) {
 // scoring.
 template <typename EligibleFn, typename ScoreFn>
 StrategyResult RunFdLoop(const QuestionContext& ctx,
+                         const ViolationGraph& graph,
                          std::vector<FdQuestion>& questions,
                          EligibleFn eligible, ScoreFn score) {
   StrategyResult result;
-  CellBitmap covered(ctx.dirty->NumRows(), ctx.dirty->NumAttributes());
+  // Coverage is keyed by graph CellId: every question's cells are graph
+  // nodes, and distinct cells have distinct ids.
+  IdBitmap covered(graph.NumCells());
   // Lazy uncovered counts: `covered` only grows when an FD is accepted, so
   // between acceptances every question's uncovered count is unchanged and
   // the greedy scan does not need to re-walk the (large) violation-cell
-  // vectors. Counts are recomputed per question at most once per accepted
+  // lists. Counts are recomputed per question at most once per accepted
   // answer; selection is value-identical to the eager scan. With covered
   // initially empty the count is just the cell total.
   std::vector<size_t> uncovered_cache(questions.size());
   for (size_t i = 0; i < questions.size(); ++i) {
-    uncovered_cache[i] = questions[i].cells.size();
+    uncovered_cache[i] = CellsOf(questions[i], graph).size();
   }
   std::vector<uint32_t> cache_epoch(questions.size(), 0);
   uint32_t covered_epoch = 0;
@@ -104,7 +125,7 @@ StrategyResult RunFdLoop(const QuestionContext& ctx,
       FdQuestion& q = questions[i];
       if (q.asked || q.cost > remaining || !eligible(q)) continue;
       if (cache_epoch[i] != covered_epoch) {
-        uncovered_cache[i] = CountUncovered(q, covered);
+        uncovered_cache[i] = CountUncovered(CellsOf(q, graph), covered);
         cache_epoch[i] = covered_epoch;
       }
       const size_t uncovered = uncovered_cache[i];
@@ -123,7 +144,7 @@ StrategyResult RunFdLoop(const QuestionContext& ctx,
     const Answer answer = ctx.expert->IsFdValid(q.fd);
     if (answer == Answer::kYes) {
       result.accepted_fds.Add(q.fd);
-      for (const Cell& cell : q.cells) covered.Set(cell);
+      for (CellId c : CellsOf(q, graph)) covered.Set(c);
       ++covered_epoch;
     }
     // "no" discards the FD (asked = true suffices); "I don't know" likewise
@@ -142,14 +163,17 @@ class FdQBudgetedMaxCoverage : public Strategy {
   std::string_view name() const override { return "FDQ-BMC"; }
 
   StrategyResult Run(const QuestionContext& ctx) override {
-    std::vector<FdQuestion> questions = BuildQuestions(ctx, options_);
+    ArtifactRef artifact(ctx.artifact, ctx.dirty, *ctx.candidates, ctx.pool);
+    std::vector<FdQuestion> questions =
+        BuildQuestions(ctx, *artifact, options_);
     const double n = std::max<double>(1.0, ctx.dirty->NumRows());
     // Budgeted max coverage: weight of uncovered violations, discounted by
     // an accuracy prior (AFDs whose g3 removal share approaches the
     // relaxation threshold are likelier to be false positives), normalized
     // by question cost.
     return RunFdLoop(
-        ctx, questions, [](const FdQuestion&) { return true; },
+        ctx, artifact->graph(), questions,
+        [](const FdQuestion&) { return true; },
         [&](const FdQuestion& q, size_t uncovered) {
           const double prior =
               1.0 - static_cast<double>(q.removal_count) / n;
@@ -170,9 +194,12 @@ class FdQGreedy : public Strategy {
   StrategyResult Run(const QuestionContext& ctx) override {
     FdStrategyOptions minimal_only = options_;
     minimal_only.allow_non_minimal = false;
-    std::vector<FdQuestion> questions = BuildQuestions(ctx, minimal_only);
+    ArtifactRef artifact(ctx.artifact, ctx.dirty, *ctx.candidates, ctx.pool);
+    std::vector<FdQuestion> questions =
+        BuildQuestions(ctx, *artifact, minimal_only);
     return RunFdLoop(
-        ctx, questions, [](const FdQuestion&) { return true; },
+        ctx, artifact->graph(), questions,
+        [](const FdQuestion&) { return true; },
         [](const FdQuestion&, size_t uncovered) {
           return static_cast<double>(uncovered);
         });
@@ -191,7 +218,9 @@ class FdQOracle : public Strategy {
   StrategyResult Run(const QuestionContext& ctx) override {
     UGUIDE_CHECK(ctx.true_fds != nullptr)
         << "FDQ-Oracle requires the true FD set";
-    std::vector<FdQuestion> questions = BuildQuestions(ctx, options_);
+    ArtifactRef artifact(ctx.artifact, ctx.dirty, *ctx.candidates, ctx.pool);
+    std::vector<FdQuestion> questions =
+        BuildQuestions(ctx, *artifact, options_);
     // The oracle pre-screens validity against the true FD set and never
     // spends budget on an invalid FD.
     ClosureEngine true_closure(*ctx.true_fds);
@@ -203,7 +232,7 @@ class FdQOracle : public Strategy {
       // Identify the question by address to avoid threading indices.
       return valid[static_cast<size_t>(&q - questions.data())];
     };
-    return RunFdLoop(ctx, questions, eligible,
+    return RunFdLoop(ctx, artifact->graph(), questions, eligible,
                      [](const FdQuestion& q, size_t uncovered) {
                        return static_cast<double>(uncovered) / q.cost;
                      });

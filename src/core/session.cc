@@ -48,6 +48,22 @@ Session Session::Rebase(const Session& base, Relation mutated) {
                  base.candidates_, base.config_);
 }
 
+const ViolationArtifact& Session::artifact(ThreadPool* pool,
+                                           MemoryBudget* budget) const {
+  return artifact_.Get([&] {
+    MemoryBudget* charged =
+        budget != nullptr ? budget : config_.candidate_options.memory_budget;
+    auto engine = std::make_shared<ViolationEngine>(&dirty_, charged);
+    if (pool != nullptr) {
+      return std::make_unique<const ViolationArtifact>(
+          std::move(engine), candidates(), pool);
+    }
+    ThreadPool local(std::max(1, config_.candidate_options.num_threads));
+    return std::make_unique<const ViolationArtifact>(std::move(engine),
+                                                     candidates(), &local);
+  });
+}
+
 SessionReport Session::Run(Strategy& strategy) const {
   return Run(strategy, config_.budget);
 }

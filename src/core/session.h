@@ -1,6 +1,8 @@
 #ifndef UGUIDE_CORE_SESSION_H_
 #define UGUIDE_CORE_SESSION_H_
 
+#include <memory>
+#include <mutex>
 #include <string>
 
 #include "core/candidate_gen.h"
@@ -11,8 +13,12 @@
 #include "oracle/cost_model.h"
 #include "oracle/resilient_expert.h"
 #include "relation/relation.h"
+#include "violations/violation_artifact.h"
 
 namespace uguide {
+
+class MemoryBudget;
+class ThreadPool;
 
 /// Configuration of one experimental session.
 struct SessionConfig {
@@ -80,7 +86,9 @@ struct SessionRunOptions {
 /// run candidate generation (§3.1) on the dirty table. Run() then executes
 /// one strategy with a fresh simulated expert and evaluates its detections
 /// against E_T; it can be called repeatedly (e.g., across a budget sweep)
-/// because strategies and the session are stateless across runs.
+/// because strategies are stateless across runs. What the runs share — the
+/// violation engine, graph, cell classes and removal counts over the
+/// candidates — is the session's ViolationArtifact, built on first use.
 class Session {
  public:
   /// Builds a session. `clean` is only used to derive Sigma_TC; the
@@ -127,7 +135,45 @@ class Session {
   }
   const SessionConfig& config() const { return config_; }
 
+  /// The session's ViolationArtifact over dirty() and candidates(), built
+  /// by the first call and shared by every later run (thread-safe: racing
+  /// first calls build it once). The first call builds through `pool`
+  /// (null = serial, or a temporary pool of candidate_options.num_threads
+  /// workers) and binds the engine to `budget` (null =
+  /// candidate_options.memory_budget), which must then outlive the
+  /// session; later calls ignore both. Neither changes a byte of the
+  /// artifact. A copied or moved Session builds its own on first use: the
+  /// artifact reads this session's relation.
+  const ViolationArtifact& artifact(ThreadPool* pool = nullptr,
+                                    MemoryBudget* budget = nullptr) const;
+
  private:
+  /// The lazily built artifact. Copying or assigning a Session never
+  /// carries it over — the engine points at the source's relation — so the
+  /// copy starts with an empty slot of its own.
+  class LazyArtifact {
+   public:
+    LazyArtifact() = default;
+    LazyArtifact(const LazyArtifact&) {}
+    LazyArtifact& operator=(const LazyArtifact&) {
+      slot_ = std::make_unique<Slot>();
+      return *this;
+    }
+
+    template <typename BuildFn>
+    const ViolationArtifact& Get(const BuildFn& build) const {
+      std::call_once(slot_->once, [&] { slot_->artifact = build(); });
+      return *slot_->artifact;
+    }
+
+   private:
+    struct Slot {
+      std::once_flag once;
+      std::unique_ptr<const ViolationArtifact> artifact;
+    };
+    std::unique_ptr<Slot> slot_ = std::make_unique<Slot>();
+  };
+
   Session(Relation dirty, GroundTruth truth, FdSet true_fds,
           CandidateSet candidates, SessionConfig config);
 
@@ -137,6 +183,7 @@ class Session {
   TrueViolationSet true_violations_;
   CandidateSet candidates_;
   SessionConfig config_;
+  LazyArtifact artifact_;
 };
 
 }  // namespace uguide

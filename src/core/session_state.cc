@@ -3,11 +3,9 @@
 #include <algorithm>
 #include <utility>
 
-#include "common/thread_pool.h"
 #include "core/cell_strategies.h"
 #include "core/fd_strategies.h"
 #include "core/tuple_strategies.h"
-#include "violations/violation_engine.h"
 
 namespace uguide {
 
@@ -136,26 +134,10 @@ SessionStateMachine::SessionStateMachine(const Session& session,
     : session_(session),
       strategy_(strategy),
       budget_(budget),
-      options_(std::move(options)) {
-  if (options_.engine != nullptr) {
-    engine_ = options_.engine;
-  } else {
-    MemoryBudget* memory =
-        options_.memory_budget != nullptr
-            ? options_.memory_budget
-            : session_.config().candidate_options.memory_budget;
-    owned_engine_ =
-        std::make_unique<ViolationEngine>(&session_.dirty(), memory);
-    engine_ = owned_engine_.get();
-  }
-  if (options_.pool != nullptr) {
-    pool_ = options_.pool;
-  } else {
-    owned_pool_ = std::make_unique<ThreadPool>(
-        std::max(1, session_.config().candidate_options.num_threads));
-    pool_ = owned_pool_.get();
-  }
-}
+      options_(std::move(options)),
+      artifact_(options_.artifact != nullptr
+                    ? options_.artifact
+                    : &session_.artifact(options_.pool)) {}
 
 Result<std::unique_ptr<SessionStateMachine>> SessionStateMachine::Start(
     const Session& session, Strategy& strategy, double budget,
@@ -228,9 +210,8 @@ void SessionStateMachine::PumpMain() {
   ctx.true_fds = &session_.true_fds();
   ctx.true_violations = &session_.true_violations();
   ctx.injected = &session_.truth();
-  ctx.engine = engine_;
-  ctx.graph = options_.graph;
-  ctx.pool = pool_;
+  ctx.artifact = artifact_;
+  ctx.pool = options_.pool;
 
   result_ = strategy_.Run(ctx);
   done_ = true;
@@ -310,7 +291,7 @@ Result<SessionReport> SessionStateMachine::Finish() {
     writer_.reset();
   }
   report.metrics =
-      EvaluateDetections(*engine_, report.result.accepted_fds,
+      EvaluateDetections(artifact_->engine(), report.result.accepted_fds,
                          session_.true_violations(), &session_.truth());
   return report;
 }

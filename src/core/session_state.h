@@ -14,8 +14,6 @@
 
 namespace uguide {
 
-class ViolationGraph;
-
 /// \brief One question surfaced by a stepped session.
 ///
 /// The payload mirrors JournalRecord's question half; `index` is the
@@ -57,24 +55,17 @@ struct SessionStepOptions {
   bool resume = false;
   /// Durability policy of the journal writer (`--journal-fsync`).
   JournalFsyncMode journal_fsync = JournalFsyncMode::kEvery;
-  /// Worker pool for the parallel violation-graph build. Null = a private
-  /// single-thread pool sized from the session's candidate options. A
-  /// serving daemon passes its process pool so N concurrent sessions share
-  /// one set of workers.
+  /// Worker pool for the first build of the session's artifact (see
+  /// Session::artifact). Null = the session's own fallback. A serving
+  /// daemon passes its process pool so N concurrent sessions share one set
+  /// of workers.
   ThreadPool* pool = nullptr;
-  /// Memory budget charged by the machine's violation engine. Null = the
-  /// session's candidate_options.memory_budget (the daemon passes its
-  /// process budget explicitly).
-  MemoryBudget* memory_budget = nullptr;
-  /// Shared read-only violation engine (a DatasetRegistry artifact with
-  /// warmed partitions). Null = the machine owns a private engine, as the
-  /// CLI and standalone tests do. The engine is internally locked, so any
-  /// number of machines may share one.
-  ViolationEngine* engine = nullptr;
-  /// Shared prebuilt violation graph for the same candidate set. Cell
-  /// strategies copy it instead of rebuilding (bit-identical: the artifact
-  /// was built by the same ViolationGraph::Build). Null = build per run.
-  const ViolationGraph* graph = nullptr;
+  /// The violation artifact the run reads (a live epoch's, or any artifact
+  /// built over the session's relation and candidates). Null = the
+  /// session's own, Session::artifact(). Either way the run builds
+  /// nothing the artifact already holds: its only violation state is a
+  /// GraphView for cell strategies.
+  const ViolationArtifact* artifact = nullptr;
   /// Identity of the data this run executes against, pinned into the
   /// journal header (`dhash=`/`dver=`) and stamped onto the report so
   /// every answer is attributable to one live-data epoch. Zero for
@@ -117,8 +108,8 @@ struct SessionStepOptions {
 /// driver thread at a time (the serving daemon serializes per session) but
 /// successive calls may come from different threads — the machine's mutex
 /// hands the fiber over with the necessary happens-before edge. Distinct
-/// machines are fully independent and may share a ThreadPool, MemoryBudget,
-/// ViolationEngine and prebuilt graph.
+/// machines are fully independent and may share a ThreadPool and one
+/// ViolationArtifact.
 class SessionStateMachine {
  public:
   /// Validates options (loading and checking the journal on resume) and
@@ -188,13 +179,8 @@ class SessionStateMachine {
   const double budget_;
   const SessionStepOptions options_;
 
-  // Machine-owned resources mirroring the monolithic Session::Run, unless
-  // the caller shared them (a serving daemon passes its process pool and
-  // the registry's warmed engine).
-  std::unique_ptr<ViolationEngine> owned_engine_;
-  ViolationEngine* engine_ = nullptr;
-  std::unique_ptr<ThreadPool> owned_pool_;
-  ThreadPool* pool_ = nullptr;
+  /// The artifact the run reads: options_.artifact or the session's own.
+  const ViolationArtifact* artifact_ = nullptr;
 
   std::unique_ptr<ChannelExpert> channel_;
   std::optional<JournalWriter> writer_;

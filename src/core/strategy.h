@@ -15,8 +15,7 @@
 namespace uguide {
 
 class ThreadPool;
-class ViolationEngine;
-class ViolationGraph;
+class ViolationArtifact;
 
 /// \brief Everything an interactive strategy needs for one run.
 ///
@@ -30,24 +29,19 @@ struct QuestionContext {
   CostModel cost;
   double budget = 0.0;
 
-  /// Shared partition-backed violation engine over `dirty`. Optional: a
-  /// strategy that needs violation sets wraps it in an EngineRef, which
-  /// falls back to a private engine when this is null. Sessions pass their
-  /// per-run engine so graph construction, question building, and
-  /// evaluation share one LHS-partition cache.
-  ViolationEngine* engine = nullptr;
+  /// The dataset's violation artifact over `dirty` and `candidates`:
+  /// engine, frozen graph, cell classes and removal counts, shared
+  /// read-only by every run (a session passes its own, Session::artifact).
+  /// Optional: strategies wrap it in an ArtifactRef (or take its engine
+  /// through an EngineRef), which falls back to a private build when this
+  /// is null — bit-identical, since the artifact is a deterministic
+  /// function of `dirty` and `candidates`.
+  const ViolationArtifact* artifact = nullptr;
 
-  /// Worker pool for the parallel violation-graph build. Optional; null
-  /// (or a single-thread pool) means serial. Results are bit-identical at
-  /// any thread count.
+  /// Worker pool for a private fallback build. Optional; null (or a
+  /// single-thread pool) means serial. Results are bit-identical at any
+  /// thread count.
   ThreadPool* pool = nullptr;
-
-  /// Prebuilt, immutable violation graph over `candidates` (a shared
-  /// DatasetRegistry artifact). Optional: cell strategies copy it instead
-  /// of rebuilding — bit-identical because the artifact was produced by
-  /// the same ViolationGraph::Build over the same candidate set. Null
-  /// means build per run, as standalone callers do.
-  const ViolationGraph* graph = nullptr;
 
   /// Sigma_T, the exact FDs discovered on the dirty table. Optional; the
   /// saturation-set tuple strategy needs it (Alg. 8) and rediscovers it if

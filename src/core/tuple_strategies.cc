@@ -7,7 +7,7 @@
 #include "common/rng.h"
 #include "discovery/tane.h"
 #include "fd/closure.h"
-#include "violations/violation_engine.h"
+#include "violations/violation_artifact.h"
 
 namespace uguide {
 
@@ -33,7 +33,8 @@ FdSet DiscoverSampleFds(const Relation& dirty,
 // of candidate FDs whose removal set contains the tuple, normalized so
 // every tuple keeps a non-negative chance.
 std::vector<double> ViolationWeights(const QuestionContext& ctx) {
-  EngineRef engine(ctx.engine, ctx.dirty);
+  EngineRef engine(
+      ctx.artifact != nullptr ? &ctx.artifact->engine() : nullptr, ctx.dirty);
   const std::vector<int> counts =
       engine->ViolationCountPerTuple(*ctx.candidates);
   const double total = static_cast<double>(ctx.candidates->Size());
@@ -281,19 +282,26 @@ class TupleQOracle : public Strategy {
     std::vector<TupleId> sample;
 
     // A false FD X -> A is invalidated by the pair (t, t') when the tuples
-    // agree on X but not on A.
+    // agree on X but not on A. The agree sets of `t` with the sample are
+    // computed once per candidate tuple, not once per alive false FD.
+    std::vector<AttributeSet> agree_sets;
+    auto load_agree_sets = [&](TupleId t) {
+      agree_sets.clear();
+      for (TupleId other : sample) {
+        agree_sets.push_back(ctx.dirty->AgreeSet(t, other));
+      }
+    };
+    auto killed = [&](const Fd& fd) {
+      for (const AttributeSet& agree : agree_sets) {
+        if (fd.lhs.IsSubsetOf(agree) && !agree.Contains(fd.rhs)) return true;
+      }
+      return false;
+    };
     auto kills = [&](TupleId t) {
+      load_agree_sets(t);
       int count = 0;
       for (size_t i = 0; i < false_fds.size(); ++i) {
-        if (!false_alive[i]) continue;
-        for (TupleId other : sample) {
-          AttributeSet agree = ctx.dirty->AgreeSet(t, other);
-          if (false_fds[i].lhs.IsSubsetOf(agree) &&
-              !agree.Contains(false_fds[i].rhs)) {
-            ++count;
-            break;
-          }
-        }
+        if (false_alive[i] && killed(false_fds[i])) ++count;
       }
       return count;
     };
@@ -326,16 +334,9 @@ class TupleQOracle : public Strategy {
       ++result.questions_asked;
       if (answer != Answer::kYes) continue;  // IDK wastes the question
       // Retire the false FDs this tuple kills before adding it.
+      load_agree_sets(t);
       for (size_t i = 0; i < false_fds.size(); ++i) {
-        if (!false_alive[i]) continue;
-        for (TupleId other : sample) {
-          AttributeSet agree = ctx.dirty->AgreeSet(t, other);
-          if (false_fds[i].lhs.IsSubsetOf(agree) &&
-              !agree.Contains(false_fds[i].rhs)) {
-            false_alive[i] = false;
-            break;
-          }
-        }
+        if (false_alive[i] && killed(false_fds[i])) false_alive[i] = false;
       }
       sample.push_back(t);
     }

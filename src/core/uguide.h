@@ -54,7 +54,9 @@
 #include "relation/relation.h"
 #include "relation/schema.h"
 #include "violations/bipartite_graph.h"
+#include "violations/cell_classes.h"
 #include "violations/true_violation_set.h"
+#include "violations/violation_artifact.h"
 #include "violations/violation_engine.h"
 
 #endif  // UGUIDE_CORE_UGUIDE_H_

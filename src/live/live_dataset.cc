@@ -18,28 +18,32 @@ std::shared_ptr<T> Unowned(T* ptr) {
 }  // namespace
 
 const ViolationGraph& LiveEpoch::graph() const {
+  if (base != nullptr) return base->graph();
   std::call_once(graph_once_, [this] {
-    graph_ = prebuilt != nullptr
-                 ? prebuilt
-                 : std::make_shared<const ViolationGraph>(
-                       ViolationGraph::FromPerFdCells(fds, per_fd));
+    graph_ = std::make_shared<const ViolationGraph>(
+        ViolationGraph::FromPerFdCells(fds, per_fd));
   });
   return *graph_;
 }
 
-LiveDataset::LiveDataset(const Session* base, ViolationEngine* base_engine,
-                         const ViolationGraph* base_graph,
-                         uint64_t content_hash, ThreadPool* pool,
-                         LiveDatasetOptions options)
+const ViolationArtifact& LiveEpoch::artifact() const {
+  if (base != nullptr) return *base;
+  std::call_once(artifact_once_, [this] {
+    graph();
+    artifact_ = std::make_unique<const ViolationArtifact>(engine, graph_);
+  });
+  return *artifact_;
+}
+
+LiveDataset::LiveDataset(const Session* base, uint64_t content_hash,
+                         ThreadPool* pool, LiveDatasetOptions options)
     : base_(base),
       content_hash_(content_hash),
       pool_(pool),
       options_(options),
       relation_(base->dirty()),
       store_(&relation_.relation(), /*budget=*/nullptr),
-      index_(*base_graph) {
-  UGUIDE_CHECK(base != nullptr && base_engine != nullptr &&
-               base_graph != nullptr);
+      index_(base->artifact(pool).graph()) {
   UGUIDE_CHECK(options_.epoch_ring >= 1);
   // Seed the cross-epoch store with the canonical column partitions; they
   // are pinned and patched in place by AdvanceTo, never recomputed from
@@ -55,9 +59,19 @@ LiveDataset::LiveDataset(const Session* base, ViolationEngine* base_engine,
   epoch->version = 0;
   epoch->content_hash = content_hash_;
   epoch->session = Unowned(base);
-  epoch->engine = Unowned(base_engine);
-  epoch->prebuilt = Unowned(base_graph);
+  epoch->base = &base->artifact();
+  epoch->engine = Unowned(&epoch->base->engine());
   ring_.push_back(std::move(epoch));
+}
+
+LiveDataset::LiveDataset(const Session* base, ViolationEngine* base_engine,
+                         const ViolationGraph* base_graph,
+                         uint64_t content_hash, ThreadPool* pool,
+                         LiveDatasetOptions options)
+    : LiveDataset(base, content_hash, pool, options) {
+  UGUIDE_CHECK(base_engine == &base->artifact().engine() &&
+               base_graph == &base->artifact().graph())
+      << "epoch 0 must serve the base session's own artifact";
 }
 
 std::shared_ptr<const LiveEpoch> LiveDataset::Current() const {

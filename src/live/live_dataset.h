@@ -12,6 +12,7 @@
 #include "live/live_violation_index.h"
 #include "live/mutation.h"
 #include "violations/bipartite_graph.h"
+#include "violations/violation_artifact.h"
 #include "violations/violation_engine.h"
 
 namespace uguide {
@@ -22,16 +23,18 @@ class ThreadPool;
 ///
 /// Everything a served session touches — the rebased Session (with E_T
 /// recomputed against the mutated table), a warmed violation engine, and
-/// the violation graph — frozen at one data version. Sessions pin the
-/// epoch's shared_ptr, so a long-running session keeps its epoch alive
-/// after the ring has moved on.
+/// the violation artifact over them — frozen at one data version.
+/// Sessions pin the epoch's shared_ptr, so a long-running session keeps
+/// its epoch alive after the ring has moved on.
 ///
-/// The graph is materialized lazily: an epoch publishes only the frozen
-/// per-FD cell-vector handles (an O(#FDs) snapshot of the live index) and
-/// graph() runs the deterministic merge on first access. A mutation burst
-/// of k batches therefore pays k incremental cell recomputes but at most
-/// one merge — only for the epoch a session actually opens against —
-/// while the result remains byte-identical to a full rebuild.
+/// The graph and the artifact are materialized lazily: an epoch publishes
+/// only the frozen per-FD cell-vector handles (an O(#FDs) snapshot of the
+/// live index); graph() runs the deterministic merge on first access and
+/// artifact() completes it with the cell classes and removal counts. A
+/// mutation burst of k batches therefore pays k incremental cell
+/// recomputes but at most one merge — only for the epoch a session
+/// actually opens against — while the result remains byte-identical to a
+/// full rebuild.
 struct LiveEpoch {
   DataVersion version = 0;
   /// Content hash of the *base* relation: the identity pair pinned into
@@ -41,12 +44,16 @@ struct LiveEpoch {
   std::shared_ptr<ViolationEngine> engine;
 
   /// The epoch's violation graph, materialized on first access
-  /// (thread-safe; epoch 0 returns the prebuilt base graph directly).
+  /// (thread-safe; epoch 0 returns the base artifact's graph directly).
   const ViolationGraph& graph() const;
 
-  /// Epoch 0's registry-owned graph; null for mutated epochs, which merge
-  /// from the handles below instead.
-  std::shared_ptr<const ViolationGraph> prebuilt;
+  /// The epoch's violation artifact over `engine` and graph(), built on
+  /// first access (thread-safe; epoch 0 returns `base`).
+  const ViolationArtifact& artifact() const;
+
+  /// Epoch 0's: the base session's artifact. Null for mutated epochs,
+  /// which merge from the handles below instead.
+  const ViolationArtifact* base = nullptr;
   /// Frozen merge inputs: the candidate FDs and their cell vectors at this
   /// version (untouched FDs share handles with neighboring epochs).
   std::vector<Fd> fds;
@@ -55,6 +62,8 @@ struct LiveEpoch {
  private:
   mutable std::once_flag graph_once_;
   mutable std::shared_ptr<const ViolationGraph> graph_;
+  mutable std::once_flag artifact_once_;
+  mutable std::unique_ptr<const ViolationArtifact> artifact_;
 };
 
 struct LiveDatasetOptions {
@@ -66,12 +75,12 @@ struct LiveDatasetOptions {
 /// \brief The mutation subsystem: a versioned dataset that serves sessions
 /// while its data never stops changing.
 ///
-/// Epoch 0 wraps the immutable base artifacts (the DatasetRegistry's
-/// session/engine/graph) without owning them. Each applied batch advances
-/// the LiveRelation, patches the long-lived partition store for exactly
-/// the dirty attribute scope (PartitionStore::AdvanceTo), recomputes
-/// violation-cell vectors only for FDs the scope touches, and publishes a
-/// new epoch whose engine is pre-seeded with every surviving partition —
+/// Epoch 0 serves the base session and its ViolationArtifact without
+/// owning them. Each applied batch advances the LiveRelation, patches the
+/// long-lived partition store for exactly the dirty attribute scope
+/// (PartitionStore::AdvanceTo), recomputes violation-cell vectors only for
+/// FDs the scope touches, and publishes a new epoch whose engine is
+/// pre-seeded with every surviving partition —
 /// byte-identical to rebuilding everything from scratch, at a fraction of
 /// the work (DESIGN.md §15; BENCH_live.json quantifies it).
 ///
@@ -80,10 +89,16 @@ struct LiveDatasetOptions {
 /// so any number of served sessions run against them without the lock.
 class LiveDataset {
  public:
-  /// `base`, `base_engine`, `base_graph` and `pool` must outlive the
-  /// dataset; they are served as epoch 0 without being copied.
-  /// `content_hash` is the base relation's content hash (the registry
-  /// key's, for served datasets).
+  /// `base` and `pool` must outlive the dataset; epoch 0 serves `base` and
+  /// base->artifact(pool) without copying either. `content_hash` is the
+  /// base relation's content hash (the registry key's, for served
+  /// datasets).
+  LiveDataset(const Session* base, uint64_t content_hash, ThreadPool* pool,
+              LiveDatasetOptions options = {});
+
+  /// As above, for callers that hold the base artifact's pieces apart (as
+  /// DatasetArtifacts exposes them): `base_engine` and `base_graph` must be
+  /// base->artifact()'s engine and graph.
   LiveDataset(const Session* base, ViolationEngine* base_engine,
               const ViolationGraph* base_graph, uint64_t content_hash,
               ThreadPool* pool, LiveDatasetOptions options = {});

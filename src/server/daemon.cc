@@ -11,12 +11,8 @@ Result<std::unique_ptr<ServingDaemon>> ServingDaemon::Start(
 
 Result<std::unique_ptr<ServingDaemon>> ServingDaemon::Start(
     std::shared_ptr<const DatasetArtifacts> artifacts, DaemonOptions options) {
-  // Wire the shared bundle into every session the manager opens: the
-  // warmed engine and the prebuilt graph. The manager options may already
-  // carry a pool/budget from the caller; the artifacts do not override
-  // those.
-  options.manager.engine = artifacts->engine.get();
-  options.manager.graph = &artifacts->graph;
+  // Every session the manager opens reads the bundle's session artifact,
+  // built by the registry. The bundle pins it for the daemon's life.
   const Session* session = &artifacts->session;
   return StartImpl(session, std::move(artifacts), std::move(options));
 }

@@ -64,12 +64,13 @@ struct DaemonOptions {
 class ServingDaemon {
  public:
   /// Binds, listens, and starts the reactor. `session` must outlive the
-  /// daemon. Sessions build private engines/graphs (no shared artifacts).
+  /// daemon. Every run reads the session's own violation artifact, built
+  /// by the first open.
   static Result<std::unique_ptr<ServingDaemon>> Start(const Session* session,
                                                       DaemonOptions options);
 
   /// As above, serving a DatasetRegistry artifact bundle: every session
-  /// shares the bundle's warmed engine and prebuilt graph, and the daemon
+  /// shares the bundle's prebuilt violation artifact, and the daemon
   /// pins the bundle against eviction for its lifetime.
   static Result<std::unique_ptr<ServingDaemon>> Start(
       std::shared_ptr<const DatasetArtifacts> artifacts, DaemonOptions options);

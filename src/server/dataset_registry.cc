@@ -33,9 +33,10 @@ DatasetArtifacts::DatasetArtifacts(ServedDatasetOptions opts, DatasetKey k,
     : options(opts),
       key(k),
       session(std::move(s)),
-      engine(std::make_unique<ViolationEngine>(&session.dirty(), budget)),
-      graph(ViolationGraph::Build(*engine, session.candidates(), pool)),
-      charged_bytes(graph.ApproxMemoryBytes() +
+      artifact(session.artifact(pool, budget)),
+      engine(std::shared_ptr<ViolationEngine>(), &artifact.engine()),
+      graph(artifact.graph()),
+      charged_bytes(artifact.ApproxMemoryBytes() +
                     ApproxRelationBytes(session.dirty())),
       budget_(budget) {
   // ForceCharge: shared artifacts must materialize; the soft limit answers

@@ -12,6 +12,7 @@
 
 #include "server/dataset.h"
 #include "violations/bipartite_graph.h"
+#include "violations/violation_artifact.h"
 #include "violations/violation_engine.h"
 
 namespace uguide {
@@ -53,25 +54,29 @@ struct DatasetKey {
 
 /// \brief The immutable artifact bundle every session over one dataset
 /// shares: the built Session (dirty table, candidate AFDs, discovery
-/// outcome, expert configuration), a violation engine whose PartitionStore
-/// was warmed by the graph build, and the violation graph itself.
+/// outcome, expert configuration) and its ViolationArtifact — the engine
+/// whose PartitionStore the graph build warmed, the frozen violation
+/// graph, its cell classes and the candidates' removal counts.
+///
+/// The violation artifact is the session's own (Session::artifact): the
+/// bundle builds it eagerly through the registry's pool and binds its
+/// engine to the registry's budget, and every run over `session` — served
+/// or local — reads that one artifact, so nothing here is built twice.
 ///
 /// Immutability contract: nothing here changes after construction.
 /// The engine is internally locked and its cached partitions are
-/// recomputable, so concurrent readers are safe; the graph's mutable
-/// active-flags are never touched on the shared copy — cell strategies
-/// copy the graph per run (QuestionContext::graph) and mutate the copy.
+/// recomputable, so concurrent readers are safe; runs keep their mutable
+/// state in a per-run GraphView over the frozen graph.
 /// Consumers hold `shared_ptr<const DatasetArtifacts>`, keeping the bundle
 /// alive for as long as any session uses it; the registry drops its own
 /// reference under memory pressure (EvictIdle) and rebuilds on the next
 /// Open — byte-identically, because the whole build is deterministic.
 struct DatasetArtifacts {
-  /// Moves the built session in, then constructs the engine and the graph
+  /// Moves the built session in, then builds the session's artifact
   /// against the *member* session (members initialize in declaration
   /// order), so the engine's relation pointer is valid for the bundle's
-  /// whole life. Building the graph warms the engine's partition store
-  /// with every candidate LHS. Charges the graph + relation payload bytes
-  /// against `budget`.
+  /// whole life. Charges the artifact + relation payload bytes against
+  /// `budget`.
   DatasetArtifacts(ServedDatasetOptions opts, DatasetKey k, Session s,
                    ThreadPool* pool, MemoryBudget* budget);
   /// Releases `charged_bytes` back to the budget (the engine's partitions
@@ -84,12 +89,13 @@ struct DatasetArtifacts {
   const ServedDatasetOptions options;  ///< The recipe that built the entry.
   const DatasetKey key;
   const Session session;
-  /// Shared across sessions; thread-safe, partitions pre-warmed for every
-  /// candidate LHS by the graph build below.
-  const std::unique_ptr<ViolationEngine> engine;
-  /// Prebuilt over `session.candidates()`. Read-only here; copy to mutate.
-  const ViolationGraph graph;
-  /// Bytes ForceCharged at build (graph + relation payloads).
+  /// session.artifact(), built by the constructor.
+  const ViolationArtifact& artifact;
+  /// The artifact's engine and graph (not copies), for callers that take
+  /// them apart: LiveDataset's and SessionManagerOptions' engine/graph.
+  const std::shared_ptr<ViolationEngine> engine;
+  const ViolationGraph& graph;
+  /// Bytes ForceCharged at build (artifact + relation payloads).
   const size_t charged_bytes;
 
  private:
@@ -135,7 +141,7 @@ struct DatasetRegistryStats {
 /// dataset recipe, not on the session, so the registry computes it once
 /// and hands every session the same immutable DatasetArtifacts. Sessions
 /// keep only per-strategy mutable state (their fiber, journal, and — for
-/// cell strategies — a private copy of the graph).
+/// cell strategies — a GraphView over the shared graph).
 ///
 /// Singleflight: N concurrent Opens of the same recipe perform exactly one
 /// build; the rest block until it completes and share the result. Distinct

@@ -39,6 +39,12 @@ SessionManager::SessionManager(const Session* session,
     : session_(session),
       options_(std::move(options)),
       admission_(options_.admission, options_.memory_budget) {
+  UGUIDE_CHECK(options_.engine == nullptr ||
+               options_.engine == &session_->artifact().engine())
+      << "the manager serves the session's own violation engine";
+  UGUIDE_CHECK(options_.graph == nullptr ||
+               options_.graph == &session_->artifact().graph())
+      << "the manager serves the session's own violation graph";
   RecoverJournals();
 }
 
@@ -291,9 +297,7 @@ std::vector<std::string> SessionManager::HandleOpen(const ClientFrame& frame) {
   step.resume = frame.resume;
   step.journal_fsync = options_.journal_fsync;
   step.pool = options_.pool;
-  step.memory_budget = options_.memory_budget;
-  step.engine = epoch != nullptr ? epoch->engine.get() : options_.engine;
-  step.graph = epoch != nullptr ? &epoch->graph() : options_.graph;
+  step.artifact = epoch != nullptr ? &epoch->artifact() : nullptr;
   step.content_hash = pin_hash;
   step.data_version = pin_version;
   const Session* target =

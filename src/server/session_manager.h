@@ -44,27 +44,26 @@ struct SessionManagerOptions {
   /// other is evidence.
   double journal_retain_s = 0.0;
 
-  /// Shared process pool for the violation-graph builds of all sessions;
-  /// null gives every session a private single-thread pool.
+  /// Shared process pool for the first build of the served session's
+  /// violation artifact (Session::artifact); null = the session's own
+  /// fallback. Registry datasets arrive with the artifact already built.
   ThreadPool* pool = nullptr;
 
-  /// Shared process memory budget; null falls back to the session config.
+  /// Shared process memory budget; drives admission's brownout ladder.
   MemoryBudget* memory_budget = nullptr;
 
-  /// Shared warmed violation engine over the served dataset (a
-  /// DatasetRegistry artifact). Null = each machine builds a private one.
+  /// The served session's artifact engine and graph, as DatasetArtifacts
+  /// exposes them. Optional and never needed: every run reads the served
+  /// session's own artifact (or its live epoch's). When set, they must be
+  /// that artifact's pieces (checked at construction).
   ViolationEngine* engine = nullptr;
-
-  /// Shared prebuilt violation graph over the served candidate set; cell
-  /// strategies copy it per run instead of rebuilding. Null = build per
-  /// run.
   const ViolationGraph* graph = nullptr;
 
   /// Live mutation subsystem. When set, `op=mutate` applies batches here,
   /// and every open resolves its epoch (rebased session, patched engine,
-  /// delta-maintained graph, version pins) from the live dataset instead
-  /// of the static `engine`/`graph` above. Null = static data; op=mutate
-  /// is refused. Must outlive the manager.
+  /// delta-maintained artifact, version pins) from the live dataset
+  /// instead of the served session. Null = static data; op=mutate is
+  /// refused. Must outlive the manager.
   LiveDataset* live = nullptr;
 
   /// Overload-protection knobs, all off by default. The brownout ladder
@@ -162,8 +161,8 @@ class SessionManager {
     /// The storage_failed counter ticked once for this session.
     bool storage_failed_counted = false;
     /// Pins the live epoch this session was opened against, so the ring
-    /// moving on cannot invalidate the engine/graph/session the machine
-    /// holds pointers into. Null when serving static data.
+    /// moving on cannot invalidate the artifact/session the machine holds
+    /// pointers into. Null when serving static data.
     std::shared_ptr<const LiveEpoch> epoch;
   };
 

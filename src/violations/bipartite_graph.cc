@@ -1,5 +1,6 @@
 #include "violations/bipartite_graph.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/thread_pool.h"
@@ -14,15 +15,6 @@ size_t NextPow2(size_t n) {
   size_t p = 16;
   while (p < n) p <<= 1;
   return p;
-}
-
-std::vector<uint64_t> AllOnesBitmap(size_t n) {
-  std::vector<uint64_t> words((n + 63) / 64, ~uint64_t{0});
-  // Keep bits past n zero: word scans must never yield phantom ids.
-  if (n % 64 != 0 && !words.empty()) {
-    words.back() = (uint64_t{1} << (n % 64)) - 1;
-  }
-  return words;
 }
 
 }  // namespace
@@ -56,17 +48,30 @@ ViolationGraph ViolationGraph::Merge(
   ViolationGraph g;
   g.fds_ = std::move(fds);
 
+  // Distinct cells are bounded both by the edge count and by the grid the
+  // cells lie on: each FD flags cells of one column, so with many FDs per
+  // column the grid is the far tighter bound (Tax@10k: 160k grid cells
+  // against 593k edges).
   size_t total_edges = 0;
-  for (const auto* cells : per_fd) total_edges += cells->size();
+  size_t rows = 0;
+  size_t cols = 0;
+  for (const auto* cells : per_fd) {
+    total_edges += cells->size();
+    for (const Cell& cell : *cells) {
+      rows = std::max(rows, static_cast<size_t>(cell.row) + 1);
+      cols = std::max(cols, static_cast<size_t>(cell.col) + 1);
+    }
+  }
+  const size_t max_cells = std::min(total_edges, rows * cols);
 
   // Pass 1: intern cells in FD order (first sighting assigns the id) and
   // emit the FD-side CSR in the same sweep — edges are already grouped by
-  // FD. The probe table is sized for the worst case (every edge a distinct
-  // cell) during interning and rebuilt right-sized afterwards.
+  // FD. The probe table is sized for the worst case (every possible cell
+  // distinct) during interning and rebuilt right-sized afterwards.
   g.fd_cell_offsets_.reserve(g.fds_.size() + 1);
   g.fd_cell_offsets_.push_back(0);
   g.fd_cell_edges_.reserve(total_edges);
-  g.index_slots_.assign(NextPow2(total_edges * 2), -1);
+  g.index_slots_.assign(NextPow2(max_cells * 2), -1);
   g.index_mask_ = g.index_slots_.size() - 1;
   for (FdId f = 0; f < g.NumFds(); ++f) {
     for (const Cell& cell : *per_fd[static_cast<size_t>(f)]) {
@@ -105,21 +110,20 @@ ViolationGraph ViolationGraph::Merge(
     }
   }
 
-  // Active state: everything starts live; both degree counters start at
-  // the full adjacency size.
-  g.fd_active_words_ = AllOnesBitmap(g.fds_.size());
-  g.cell_active_words_ = AllOnesBitmap(g.cells_.size());
-  g.fd_active_degree_.resize(g.fds_.size());
-  for (FdId f = 0; f < g.NumFds(); ++f) {
-    g.fd_active_degree_[static_cast<size_t>(f)] =
-        static_cast<int>(g.fd_cell_offsets_[static_cast<size_t>(f) + 1] -
-                         g.fd_cell_offsets_[static_cast<size_t>(f)]);
+  // The all-active template: everything starts live; both degree arrays
+  // start at the full adjacency size.
+  GraphActiveState& active = g.all_active_;
+  active.fds = IdBitmap::AllSet(g.NumFds());
+  active.cells = IdBitmap::AllSet(g.NumCells());
+  active.fd_degree.resize(g.fds_.size());
+  for (size_t f = 0; f < g.fds_.size(); ++f) {
+    active.fd_degree[f] = static_cast<int>(g.fd_cell_offsets_[f + 1] -
+                                           g.fd_cell_offsets_[f]);
   }
-  g.cell_active_degree_.resize(g.cells_.size());
-  for (CellId c = 0; c < g.NumCells(); ++c) {
-    g.cell_active_degree_[static_cast<size_t>(c)] =
-        static_cast<int>(g.cell_fd_offsets_[static_cast<size_t>(c) + 1] -
-                         g.cell_fd_offsets_[static_cast<size_t>(c)]);
+  active.cell_degree.resize(g.cells_.size());
+  for (size_t c = 0; c < g.cells_.size(); ++c) {
+    active.cell_degree[c] = static_cast<int>(g.cell_fd_offsets_[c + 1] -
+                                             g.cell_fd_offsets_[c]);
   }
 
   // Right-size the probe table. When the worst-case table already has the
@@ -185,41 +189,39 @@ ViolationGraph ViolationGraph::Build(ViolationEngine& engine,
   return Merge(std::move(fds), ViewsOf(per_fd));
 }
 
-void ViolationGraph::DeactivateFd(FdId f) {
-  Checked(f, NumFds());
+void GraphView::DeactivateFd(FdId f) {
   if (!FdActive(f)) return;
-  ClearBit(fd_active_words_, f);
+  state_.fds.Clear(f);
   // Cells orphaned by this removal are no longer violations of anything.
   // The cell-side degree is decremented unconditionally (it tracks active
   // *FDs*, and this FD was active); the cascade to DeactivateCell keeps
   // the FD-side degrees in sync.
   for (CellId c : CellsOfFd(f)) {
-    int& degree = cell_active_degree_[static_cast<size_t>(c)];
+    int& degree = state_.cell_degree[static_cast<size_t>(c)];
     --degree;
     if (degree == 0 && CellActive(c)) DeactivateCell(c);
   }
 }
 
-void ViolationGraph::DeactivateCell(CellId c) {
-  Checked(c, NumCells());
+void GraphView::DeactivateCell(CellId c) {
   if (!CellActive(c)) return;
-  ClearBit(cell_active_words_, c);
+  state_.cells.Clear(c);
   // Keep per-FD active-cell counts exact. A cell deactivates at most once
   // (guard above), so each adjacent FD is decremented exactly once per
   // cell. Inactive FDs are updated too — harmless, since their
   // ActiveDegreeOfFd reads 0 regardless.
   for (FdId f : FdsOfCell(c)) {
-    --fd_active_degree_[static_cast<size_t>(f)];
+    --state_.fd_degree[static_cast<size_t>(f)];
   }
 }
 
-std::vector<FdId> ViolationGraph::ActiveFds() const {
+std::vector<FdId> GraphView::ActiveFds() const {
   std::vector<FdId> out;
   ForEachActiveFd([&](FdId f) { out.push_back(f); });
   return out;
 }
 
-std::vector<CellId> ViolationGraph::ActiveCells() const {
+std::vector<CellId> GraphView::ActiveCells() const {
   std::vector<CellId> out;
   ForEachActiveCell([&](CellId c) { out.push_back(c); });
   return out;
@@ -235,10 +237,9 @@ size_t ViolationGraph::ApproxMemoryBytes() const {
          fd_cell_offsets_.size() * sizeof(uint32_t) +
          fd_cell_edges_.size() * sizeof(CellId) +
          cell_fd_offsets_.size() * sizeof(uint32_t) +
-         cell_fd_edges_.size() * sizeof(FdId) +
-         (fd_active_words_.size() + cell_active_words_.size()) *
-             sizeof(uint64_t) +
-         (fd_active_degree_.size() + cell_active_degree_.size()) *
+         cell_fd_edges_.size() * sizeof(FdId) + all_active_.fds.ApproxBytes() +
+         all_active_.cells.ApproxBytes() +
+         (all_active_.fd_degree.size() + all_active_.cell_degree.size()) *
              sizeof(int) +
          index_slots_.size() * sizeof(CellId);
 }

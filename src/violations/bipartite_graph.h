@@ -5,6 +5,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/id_bitmap.h"
 #include "common/span.h"
 #include "fd/fd.h"
 #include "relation/relation.h"
@@ -19,24 +20,31 @@ using FdId = int;
 /// Index of a violation (cell) node in a ViolationGraph.
 using CellId = int;
 
-/// \brief The bipartite FD <-> violation graph of §3.2.
+/// The mutable half of the graph: which nodes are still active, and how
+/// many active neighbours each node has.
+struct GraphActiveState {
+  IdBitmap fds;
+  IdBitmap cells;
+  /// Active cells flagged by each FD / active FDs flagging each cell.
+  std::vector<int> fd_degree;
+  std::vector<int> cell_degree;
+};
+
+/// \brief The bipartite FD <-> violation graph of §3.2, frozen.
 ///
 /// Left nodes are candidate FDs; right nodes are the cells they flag; an
-/// edge connects an FD to every cell in its g3 removal set. The interactive
-/// strategies deactivate nodes as the expert answers (an invalidated FD
-/// disappears together with cells only it flagged), so both sides carry
-/// active flags rather than being physically removed.
+/// edge connects an FD to every cell of ViolatingCells(fd). The graph
+/// depends only on the relation and the candidate set, never on a
+/// strategy run, so it is built once per dataset and shared `const` by
+/// every run over it (DESIGN.md §14). What a run mutates — nodes
+/// deactivating as the expert answers — lives in a GraphView, the small
+/// per-run overlay copied from the all-active template kept here.
 ///
-/// The adjacency is frozen CSR (DESIGN.md §14): both directions are stored
-/// as one flat edge array plus an offset array, built once in the
-/// deterministic Merge step and immutable afterwards — only the active
-/// state mutates. Active flags live in uint64_t bitmap words so selection
-/// scans iterate set bits branch-free (ForEachActiveFd/ForEachActiveCell),
-/// and both per-cell and per-FD active degrees are maintained
-/// incrementally, making every hot query of the strategy loops O(1).
-/// Cell lookup uses an open-addressed linear-probe table rebuilt
-/// right-sized after Merge, so the footprint reported by
-/// ApproxMemoryBytes() is a pure function of the graph's content.
+/// Both adjacency directions are frozen CSR: one flat edge array plus an
+/// offset array, built once in the deterministic Merge step. Cell lookup
+/// uses an open-addressed linear-probe table rebuilt right-sized after
+/// Merge, so the footprint reported by ApproxMemoryBytes() is a pure
+/// function of the graph's content.
 class ViolationGraph {
  public:
   /// Builds the graph for `candidates` over `relation`. FDs that flag no
@@ -82,7 +90,8 @@ class ViolationGraph {
   const Fd& fd(FdId f) const { return fds_[Checked(f, NumFds())]; }
   const Cell& cell(CellId c) const { return cells_[Checked(c, NumCells())]; }
 
-  /// Cells flagged by an FD (edges from the left), in interning order.
+  /// Cells flagged by an FD (edges from the left), in ViolatingCells
+  /// order: row-ascending.
   ConstSpan<CellId> CellsOfFd(FdId f) const {
     const size_t i = static_cast<size_t>(Checked(f, NumFds()));
     return ConstSpan<CellId>(fd_cell_edges_.data() + fd_cell_offsets_[i],
@@ -96,66 +105,21 @@ class ViolationGraph {
                            cell_fd_offsets_[i + 1] - cell_fd_offsets_[i]);
   }
 
-  bool FdActive(FdId f) const {
-    return TestBit(fd_active_words_, Checked(f, NumFds()));
-  }
-  bool CellActive(CellId c) const {
-    return TestBit(cell_active_words_, Checked(c, NumCells()));
-  }
-
-  /// Number of *active* FDs flagging cell `c`. O(1): maintained
-  /// incrementally as FDs are deactivated (the hot query of every
-  /// cell-strategy selection scan).
-  int ActiveDegreeOfCell(CellId c) const {
-    return CellActive(c) ? cell_active_degree_[Checked(c, NumCells())] : 0;
-  }
-
-  /// Number of *active* cells flagged by FD `f`. O(1): maintained
-  /// incrementally as cells are deactivated, symmetric to
-  /// ActiveDegreeOfCell.
-  int ActiveDegreeOfFd(FdId f) const {
-    return FdActive(f) ? fd_active_degree_[Checked(f, NumFds())] : 0;
-  }
-
-  /// Deactivates an FD; cells left with no active FD are deactivated too.
-  void DeactivateFd(FdId f);
-
-  /// Deactivates a single cell (e.g., the expert certified it clean or it
-  /// has been resolved). Idempotent.
-  void DeactivateCell(CellId c);
-
-  /// Ids of currently active FDs / cells, ascending.
-  std::vector<FdId> ActiveFds() const;
-  std::vector<CellId> ActiveCells() const;
-
-  /// Calls `fn(FdId)` for every active FD, ascending. Branch-free word
-  /// scan over the active bitmap: only set bits are visited, so sparse
-  /// late-session scans skip dead regions a word (64 ids) at a time.
-  template <typename Fn>
-  void ForEachActiveFd(Fn&& fn) const {
-    ForEachSetBit(fd_active_words_, fn);
-  }
-
-  /// Calls `fn(CellId)` for every active cell, ascending.
-  template <typename Fn>
-  void ForEachActiveCell(Fn&& fn) const {
-    ForEachSetBit(cell_active_words_, fn);
-  }
-
   /// Looks up the node for `cell`; returns -1 when the cell is not a
   /// violation node.
   CellId FindCell(const Cell& cell) const;
 
   /// Approximate heap footprint in bytes (container payloads at their
   /// logical sizes, not allocator metadata — the MemoryBudget accounting
-  /// convention of DESIGN.md §8). A pure function of the graph content:
-  /// every array, including the right-sized probe table, is fully
-  /// determined by the merged input, so the figure is identical across
-  /// build paths and thread counts. The DatasetRegistry charges shared
-  /// graphs with this.
+  /// convention of DESIGN.md §8), the all-active template included. A
+  /// pure function of the graph content: every array, including the
+  /// right-sized probe table, is fully determined by the merged input, so
+  /// the figure is identical across build paths and thread counts.
   size_t ApproxMemoryBytes() const;
 
  private:
+  friend class GraphView;
+
   ViolationGraph() = default;
 
   /// Interns cells and wires adjacency from frozen per-FD cell vectors
@@ -169,28 +133,6 @@ class ViolationGraph {
   static int Checked(int i, int bound) {
     UGUIDE_CHECK(i >= 0 && i < bound) << "graph index out of range";
     return i;
-  }
-
-  static bool TestBit(const std::vector<uint64_t>& words, int i) {
-    return (words[static_cast<size_t>(i) >> 6] >>
-            (static_cast<size_t>(i) & 63)) &
-           1u;
-  }
-  static void ClearBit(std::vector<uint64_t>& words, int i) {
-    words[static_cast<size_t>(i) >> 6] &=
-        ~(uint64_t{1} << (static_cast<size_t>(i) & 63));
-  }
-
-  template <typename Fn>
-  static void ForEachSetBit(const std::vector<uint64_t>& words, Fn&& fn) {
-    for (size_t w = 0; w < words.size(); ++w) {
-      uint64_t bits = words[w];
-      while (bits != 0) {
-        const int b = __builtin_ctzll(bits);
-        fn(static_cast<int>(w * 64) + b);
-        bits &= bits - 1;
-      }
-    }
   }
 
   /// Rebuilds the open-addressed cell index right-sized for cells_.
@@ -208,17 +150,93 @@ class ViolationGraph {
   std::vector<CellId> fd_cell_edges_;
   std::vector<uint32_t> cell_fd_offsets_;
   std::vector<FdId> cell_fd_edges_;
-  /// Active bitmaps: bit i of word i/64 is node i's flag. Bits past the
-  /// node count stay zero so word scans never yield phantom ids.
-  std::vector<uint64_t> fd_active_words_;
-  std::vector<uint64_t> cell_active_words_;
-  std::vector<int> fd_active_degree_;
-  std::vector<int> cell_active_degree_;
+  /// Every node active, both degree arrays at the full adjacency sizes:
+  /// what each GraphView starts from.
+  GraphActiveState all_active_;
   /// Open-addressed linear-probe cell lookup: power-of-two slot array of
   /// CellIds (-1 empty), keys compared against cells_. Rebuilt right-sized
   /// after Merge for a deterministic footprint.
   std::vector<CellId> index_slots_;
   size_t index_mask_ = 0;
+};
+
+/// \brief One strategy run's mutable overlay on a frozen ViolationGraph.
+///
+/// The interactive strategies deactivate nodes as the expert answers (an
+/// invalidated FD disappears together with cells only it flagged), so
+/// both sides carry active flags rather than being physically removed.
+/// A view starts as a copy of the graph's all-active template — four flat
+/// arrays, a fraction of a millisecond on Tax@10k where copying the whole
+/// graph took milliseconds — and never touches the graph itself, so any
+/// number of runs share one graph concurrently.
+///
+/// Active flags live in IdBitmaps so selection scans iterate set bits
+/// branch-free (ForEachActiveFd/ForEachActiveCell), and both per-cell and
+/// per-FD active degrees are maintained incrementally, making every hot
+/// query of the strategy loops O(1). The read-only adjacency accessors
+/// forward to the graph.
+class GraphView {
+ public:
+  /// Every node active. `graph` must outlive the view.
+  explicit GraphView(const ViolationGraph& graph)
+      : graph_(&graph), state_(graph.all_active_) {}
+
+  const ViolationGraph& graph() const { return *graph_; }
+
+  int NumFds() const { return graph_->NumFds(); }
+  int NumCells() const { return graph_->NumCells(); }
+  const Fd& fd(FdId f) const { return graph_->fd(f); }
+  const Cell& cell(CellId c) const { return graph_->cell(c); }
+  ConstSpan<CellId> CellsOfFd(FdId f) const { return graph_->CellsOfFd(f); }
+  ConstSpan<FdId> FdsOfCell(CellId c) const { return graph_->FdsOfCell(c); }
+
+  bool FdActive(FdId f) const {
+    return state_.fds.Test(ViolationGraph::Checked(f, NumFds()));
+  }
+  bool CellActive(CellId c) const {
+    return state_.cells.Test(ViolationGraph::Checked(c, NumCells()));
+  }
+
+  /// Number of *active* FDs flagging cell `c`. O(1): maintained
+  /// incrementally as FDs are deactivated (the hot query of every
+  /// cell-strategy selection scan).
+  int ActiveDegreeOfCell(CellId c) const {
+    return CellActive(c) ? state_.cell_degree[static_cast<size_t>(c)] : 0;
+  }
+
+  /// Number of *active* cells flagged by FD `f`. O(1): maintained
+  /// incrementally as cells are deactivated, symmetric to
+  /// ActiveDegreeOfCell.
+  int ActiveDegreeOfFd(FdId f) const {
+    return FdActive(f) ? state_.fd_degree[static_cast<size_t>(f)] : 0;
+  }
+
+  /// Deactivates an FD; cells left with no active FD are deactivated too.
+  void DeactivateFd(FdId f);
+
+  /// Deactivates a single cell (e.g., the expert certified it clean or it
+  /// has been resolved). Idempotent.
+  void DeactivateCell(CellId c);
+
+  /// Ids of currently active FDs / cells, ascending.
+  std::vector<FdId> ActiveFds() const;
+  std::vector<CellId> ActiveCells() const;
+
+  /// Calls `fn(FdId)` for every active FD, ascending.
+  template <typename Fn>
+  void ForEachActiveFd(Fn&& fn) const {
+    state_.fds.ForEach(fn);
+  }
+
+  /// Calls `fn(CellId)` for every active cell, ascending.
+  template <typename Fn>
+  void ForEachActiveCell(Fn&& fn) const {
+    state_.cells.ForEach(fn);
+  }
+
+ private:
+  const ViolationGraph* graph_;
+  GraphActiveState state_;
 };
 
 }  // namespace uguide

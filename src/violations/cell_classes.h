@@ -20,8 +20,9 @@ namespace uguide {
 ///
 /// Classes are numbered in order of their lowest member, and each class's
 /// members are listed ascending. The index is a snapshot of the graph's
-/// frozen adjacency; active flags play no part in it, so one index serves a
-/// whole strategy run while nodes deactivate.
+/// frozen adjacency; active flags play no part in it, so one index serves
+/// every run over the graph while their views deactivate nodes. It lives
+/// in the dataset's ViolationArtifact, built once beside the graph.
 class CellClasses {
  public:
   explicit CellClasses(const ViolationGraph& graph);
@@ -40,6 +41,13 @@ class CellClasses {
   /// The cells of class `k`, ascending.
   ConstSpan<CellId> Members(int k) const {
     return Slice(member_offsets_, members_, k);
+  }
+
+  /// Payload bytes (the MemoryBudget convention of ViolationGraph).
+  size_t ApproxMemoryBytes() const {
+    return (class_of_.size() + fd_edges_.size() + members_.size()) *
+               sizeof(int) +
+           (fd_offsets_.size() + member_offsets_.size()) * sizeof(uint32_t);
   }
 
  private:

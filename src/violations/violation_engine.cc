@@ -86,6 +86,12 @@ std::shared_ptr<const Partition> ViolationEngine::LhsPartition(
 }
 
 std::vector<TupleId> ViolationEngine::ViolatingTuples(const Fd& fd) {
+  std::vector<TupleId> out = ViolatingTuplesUnordered(fd);
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+std::vector<TupleId> ViolationEngine::ViolatingTuplesUnordered(const Fd& fd) {
   UGUIDE_CHECK(fd.IsValidShape());
   UGUIDE_CHECK(fd.rhs < relation_->NumAttributes());
   const std::vector<ValueCode>& codes = relation_->ColumnCodes(fd.rhs);
@@ -97,7 +103,6 @@ std::vector<TupleId> ViolationEngine::ViolatingTuples(const Fd& fd) {
       out.insert(out.end(), cls.begin(), cls.end());
     }
   }
-  std::sort(out.begin(), out.end());
   return out;
 }
 

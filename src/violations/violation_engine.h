@@ -50,6 +50,10 @@ class ViolationEngine {
   /// Rows participating in a violating pair of `fd`, ascending.
   std::vector<TupleId> ViolatingTuples(const Fd& fd);
 
+  /// ViolatingTuples without the final sort (LHS-class order), for
+  /// callers that only collect or count.
+  std::vector<TupleId> ViolatingTuplesUnordered(const Fd& fd);
+
   /// The RHS cells of ViolatingTuples, row-ascending.
   std::vector<Cell> ViolatingCells(const Fd& fd);
 

@@ -12,6 +12,7 @@ namespace uguide {
 namespace {
 
 using ::uguide::testing::MakeHospitalSession;
+using ::uguide::testing::ReportDigest;
 
 struct CellCase {
   const char* name;
@@ -163,16 +164,6 @@ TEST(CellStrategyTest, IdkAnswersOnlySlowProgress) {
             fluent_report.result.accepted_fds.Size());
 }
 
-// 64-bit FNV-1a over the canonical report text.
-uint64_t ReportDigest(const SessionReport& report) {
-  uint64_t hash = 0xcbf29ce484222325ULL;
-  for (unsigned char byte : SerializeSessionReport(report)) {
-    hash ^= byte;
-    hash *= 0x100000001b3ULL;
-  }
-  return hash;
-}
-
 TEST(CellStrategyGoldenTest, OracleAndSumsReportsArePinned) {
   // CellQ-Oracle has no rescan reference and SUMS's fixpoint is easy to
   // perturb by one ulp, so both strategies' report bytes are pinned on a
@@ -200,6 +191,37 @@ TEST(CellStrategyGoldenTest, OracleAndSumsReportsArePinned) {
         << "CellQ-Oracle idk=" << golden.idk << " budget=" << golden.budget;
     EXPECT_EQ(ReportDigest(session.Run(*sums, golden.budget)), golden.sums)
         << "CellQ-SUMS idk=" << golden.idk << " budget=" << golden.budget;
+  }
+}
+
+TEST(CellStrategyGoldenTest, HittingSetAndGreedyReportsArePinned) {
+  // The incremental-vs-rescan suites compare CellQ-HS and CellQ-Greedy
+  // against a reference that shares their graph plumbing; these digests
+  // pin the report bytes themselves, on the same session and settings as
+  // the Oracle/SUMS pins above.
+  struct Golden {
+    double idk;
+    double budget;
+    uint64_t hitting_set;
+    uint64_t greedy;
+  };
+  const Golden goldens[] = {
+      {0.0, 30.0, 0x69b4145efa84e650ULL, 0xa575b4c893f8f712ULL},
+      {0.0, 120.0, 0x5a152d0e685461efULL, 0xcce79b59c3a93042ULL},
+      {0.25, 30.0, 0xe69e9e24e660a43eULL, 0x9c980324dcc488bfULL},
+      {0.25, 120.0, 0xa86a4762bafcd19bULL, 0xcce79b59c3a93042ULL},
+  };
+  for (const Golden& golden : goldens) {
+    Session session = MakeHospitalSession(600, ErrorModel::kSystematic, 0.15,
+                                          5, golden.idk);
+    auto hitting_set = MakeCellQHittingSet({});
+    auto greedy = MakeCellQGreedy({});
+    EXPECT_EQ(ReportDigest(session.Run(*hitting_set, golden.budget)),
+              golden.hitting_set)
+        << "CellQ-HS idk=" << golden.idk << " budget=" << golden.budget;
+    EXPECT_EQ(ReportDigest(session.Run(*greedy, golden.budget)),
+              golden.greedy)
+        << "CellQ-Greedy idk=" << golden.idk << " budget=" << golden.budget;
   }
 }
 

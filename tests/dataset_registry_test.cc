@@ -100,13 +100,10 @@ TEST(DatasetRegistryTest, ThreadCountDoesNotChangeTheKey) {
 }
 
 // Serves one full FDQ-BMC session against shared artifacts, exactly as the
-// daemon wires them (engine + prebuilt graph injected into the manager),
-// and returns the wire report.
+// daemon wires them (the manager serves the bundle's session, whose
+// artifact the registry built), and returns the wire report.
 std::string ServeReport(const DatasetArtifacts& artifacts, double budget) {
-  SessionManagerOptions options;
-  options.engine = artifacts.engine.get();
-  options.graph = &artifacts.graph;
-  SessionManager manager(&artifacts.session, options);
+  SessionManager manager(&artifacts.session, {});
 
   const SessionConfig& config = artifacts.session.config();
   SimulatedExpert expert(&artifacts.session.true_violations(),

@@ -9,6 +9,7 @@ namespace uguide {
 namespace {
 
 using ::uguide::testing::MakeHospitalSession;
+using ::uguide::testing::ReportDigest;
 
 struct FdCase {
   const char* name;
@@ -127,6 +128,45 @@ TEST(FdStrategyTest, IdkReducesCoverageForFixedBudget) {
   const double hesitant_pct =
       hesitant.Run(*strategy, 150.0).metrics.TrueViolationPct();
   EXPECT_LE(hesitant_pct, fluent_pct);
+}
+
+TEST(FdStrategyGoldenTest, ReportsArePinned) {
+  // Report bytes of the three FD strategies on the small Hospital session
+  // of CellStrategyGoldenTest. Each run's question pool mixes candidate
+  // questions with merged non-minimal ones, so both kinds of violation
+  // set feed these digests. A mismatch is a behaviour change.
+  struct Golden {
+    double idk;
+    double budget;
+    uint64_t bmc;
+    uint64_t greedy;
+    uint64_t oracle;
+  };
+  const Golden goldens[] = {
+      {0.0, 30.0, 0x2ac07e189fc16668ULL, 0x490fd6fa54a9adeaULL,
+       0x91aea0ebf8a23df9ULL},
+      {0.0, 120.0, 0xcb56fefd10c95ff5ULL, 0x2e248fe6fab68931ULL,
+       0x7e28888f6fa911e0ULL},
+      {0.25, 30.0, 0xf4d8926118aa0947ULL, 0xbc7c1ee875ec139cULL,
+       0xfab8eeb270814a4fULL},
+      {0.25, 120.0, 0x98419c661204eac2ULL, 0x91100d7904e38ed5ULL,
+       0x76ebb0ad44f6c3cfULL},
+  };
+  for (const Golden& golden : goldens) {
+    Session session = MakeHospitalSession(600, ErrorModel::kSystematic, 0.15,
+                                          5, golden.idk);
+    auto bmc = MakeFdQBudgetedMaxCoverage({});
+    auto greedy = MakeFdQGreedy({});
+    auto oracle = MakeFdQOracle({});
+    EXPECT_EQ(ReportDigest(session.Run(*bmc, golden.budget)), golden.bmc)
+        << "FDQ-BMC idk=" << golden.idk << " budget=" << golden.budget;
+    EXPECT_EQ(ReportDigest(session.Run(*greedy, golden.budget)),
+              golden.greedy)
+        << "FDQ-Greedy idk=" << golden.idk << " budget=" << golden.budget;
+    EXPECT_EQ(ReportDigest(session.Run(*oracle, golden.budget)),
+              golden.oracle)
+        << "FDQ-Oracle idk=" << golden.idk << " budget=" << golden.budget;
+  }
 }
 
 }  // namespace

@@ -89,9 +89,12 @@ void ExpectGraphsEqual(const ViolationGraph& got, const ViolationGraph& want,
   ASSERT_EQ(got.NumFds(), want.NumFds()) << what;
   ASSERT_EQ(got.NumCells(), want.NumCells()) << what;
   EXPECT_EQ(got.ApproxMemoryBytes(), want.ApproxMemoryBytes()) << what;
+  const GraphView got_view(got);
+  const GraphView want_view(want);
   for (FdId f = 0; f < got.NumFds(); ++f) {
     ASSERT_TRUE(got.fd(f) == want.fd(f)) << what << " fd " << f;
-    ASSERT_EQ(got.ActiveDegreeOfFd(f), want.ActiveDegreeOfFd(f)) << what;
+    ASSERT_EQ(got_view.ActiveDegreeOfFd(f), want_view.ActiveDegreeOfFd(f))
+        << what;
     const auto a = got.CellsOfFd(f);
     const auto b = want.CellsOfFd(f);
     ASSERT_EQ(a.size(), b.size()) << what << " fd " << f;
@@ -101,7 +104,8 @@ void ExpectGraphsEqual(const ViolationGraph& got, const ViolationGraph& want,
   }
   for (CellId c = 0; c < got.NumCells(); ++c) {
     ASSERT_TRUE(got.cell(c) == want.cell(c)) << what << " cell " << c;
-    ASSERT_EQ(got.ActiveDegreeOfCell(c), want.ActiveDegreeOfCell(c)) << what;
+    ASSERT_EQ(got_view.ActiveDegreeOfCell(c), want_view.ActiveDegreeOfCell(c))
+        << what;
     const auto a = got.FdsOfCell(c);
     const auto b = want.FdsOfCell(c);
     ASSERT_EQ(a.size(), b.size()) << what << " cell " << c;
@@ -272,17 +276,8 @@ TEST_F(LiveTest, StormEpochsMatchFullRebuildAtAnyThreadCount) {
   ASSERT_EQ(strategies.size(), 11u);
 
   for (uint64_t seed : {21u, 22u, 23u}) {
-    ViolationEngine serial_engine(&session_->dirty());
-    ViolationGraph serial_graph =
-        ViolationGraph::Build(serial_engine, session_->candidates(), nullptr);
-    LiveDataset serial(session_, &serial_engine, &serial_graph, 0xfeed,
-                       nullptr);
-
-    ViolationEngine pooled_engine(&session_->dirty());
-    ViolationGraph pooled_graph =
-        ViolationGraph::Build(pooled_engine, session_->candidates(), &pool);
-    LiveDataset pooled(session_, &pooled_engine, &pooled_graph, 0xfeed,
-                       &pool);
+    LiveDataset serial(session_, 0xfeed, nullptr);
+    LiveDataset pooled(session_, 0xfeed, &pool);
 
     Rng rng(seed);
     const int m = session_->dirty().NumAttributes();
@@ -344,10 +339,7 @@ TEST_F(LiveTest, StormEpochsMatchFullRebuildAtAnyThreadCount) {
 }
 
 TEST_F(LiveTest, UpdateOnlyBatchesSkipUntouchedFds) {
-  ViolationEngine engine(&session_->dirty());
-  ViolationGraph graph =
-      ViolationGraph::Build(engine, session_->candidates(), nullptr);
-  LiveDataset live(session_, &engine, &graph, 0xbeef, nullptr);
+  LiveDataset live(session_, 0xbeef, nullptr);
 
   MutationBatch batch;
   batch.ops.push_back(Mutation::Update(0, 0, "solo"));
@@ -363,12 +355,9 @@ TEST_F(LiveTest, UpdateOnlyBatchesSkipUntouchedFds) {
 }
 
 TEST_F(LiveTest, EpochRingEvictsOldVersions) {
-  ViolationEngine engine(&session_->dirty());
-  ViolationGraph graph =
-      ViolationGraph::Build(engine, session_->candidates(), nullptr);
   LiveDatasetOptions options;
   options.epoch_ring = 2;
-  LiveDataset live(session_, &engine, &graph, 0xabc, nullptr, options);
+  LiveDataset live(session_, 0xabc, nullptr, options);
 
   ASSERT_NE(live.AtVersion(0), nullptr);
   for (int i = 0; i < 3; ++i) {
@@ -477,14 +466,9 @@ TEST_F(LiveTest, MutateFramesRoundTripOnTheWire) {
 }
 
 TEST_F(LiveTest, ManagerAppliesMutationsAndStampsReports) {
-  ViolationEngine engine(&session_->dirty());
-  ViolationGraph graph =
-      ViolationGraph::Build(engine, session_->candidates(), nullptr);
-  LiveDataset live(session_, &engine, &graph, 0x5117, nullptr);
+  LiveDataset live(session_, 0x5117, nullptr);
 
   SessionManagerOptions options;
-  options.engine = &engine;
-  options.graph = &graph;
   options.live = &live;
   SessionManager manager(session_, options);
 
@@ -516,16 +500,11 @@ TEST_F(LiveTest, ManagerAppliesMutationsAndStampsReports) {
 }
 
 TEST_F(LiveTest, ResumeAgainstEvictedVersionIsRefusedWithVersionMismatch) {
-  ViolationEngine engine(&session_->dirty());
-  ViolationGraph graph =
-      ViolationGraph::Build(engine, session_->candidates(), nullptr);
   LiveDatasetOptions live_options;
   live_options.epoch_ring = 2;
-  LiveDataset live(session_, &engine, &graph, 0x90, nullptr, live_options);
+  LiveDataset live(session_, 0x90, nullptr, live_options);
 
   SessionManagerOptions options;
-  options.engine = &engine;
-  options.graph = &graph;
   options.live = &live;
   options.journal_dir = MakeJournalDir("live_vm");
 

@@ -228,21 +228,22 @@ TEST_P(SeededPropertyTest, ViolationGraphEdgeCountsAgree) {
   TaneOptions approx;
   approx.max_error = 0.3;
   FdSet candidates = DiscoverFds(rel, approx).ValueOrDie();
-  ViolationGraph graph = ViolationGraph::Build(rel, candidates);
+  const ViolationGraph graph = ViolationGraph::Build(rel, candidates);
+  GraphView view(graph);
   size_t from_fds = 0, from_cells = 0;
   for (FdId f = 0; f < graph.NumFds(); ++f) {
     from_fds += graph.CellsOfFd(f).size();
   }
   for (CellId c = 0; c < graph.NumCells(); ++c) {
     from_cells += graph.FdsOfCell(c).size();
-    EXPECT_EQ(graph.ActiveDegreeOfCell(c),
+    EXPECT_EQ(view.ActiveDegreeOfCell(c),
               static_cast<int>(graph.FdsOfCell(c).size()));
   }
   EXPECT_EQ(from_fds, from_cells);
 
   // Deactivating every FD empties the right side too.
-  for (FdId f = 0; f < graph.NumFds(); ++f) graph.DeactivateFd(f);
-  EXPECT_TRUE(graph.ActiveCells().empty());
+  for (FdId f = 0; f < graph.NumFds(); ++f) view.DeactivateFd(f);
+  EXPECT_TRUE(view.ActiveCells().empty());
 }
 
 // --- Repair laws ----------------------------------------------------------------

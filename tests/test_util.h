@@ -1,10 +1,13 @@
 #ifndef UGUIDE_TESTS_TEST_UTIL_H_
 #define UGUIDE_TESTS_TEST_UTIL_H_
 
+#include <cstdint>
+
 #include "core/session.h"
 #include "datagen/generators.h"
 #include "discovery/tane.h"
 #include "errorgen/error_generator.h"
+#include "server/protocol.h"
 
 namespace uguide::testing {
 
@@ -57,6 +60,17 @@ inline Session MakeTaxSession(int rows = 400, double idk_rate = 0.0,
   config.candidate_options.max_lhs_size = 3;
   config.idk_rate = idk_rate;
   return Session::Create(clean, std::move(dataset), config).ValueOrDie();
+}
+
+/// 64-bit FNV-1a over the canonical report text: the digest the golden
+/// tests pin.
+inline uint64_t ReportDigest(const SessionReport& report) {
+  uint64_t hash = 0xcbf29ce484222325ULL;
+  for (unsigned char byte : SerializeSessionReport(report)) {
+    hash ^= byte;
+    hash *= 0x100000001b3ULL;
+  }
+  return hash;
 }
 
 }  // namespace uguide::testing

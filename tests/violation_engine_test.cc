@@ -401,7 +401,8 @@ TEST(ViolationGraphTest, ActiveDegreesMatchRescanUnderRandomDeactivation) {
   Relation rel = MakeRandomRelation(31, 140);
   FdSet fds;
   for (const Fd& fd : EnumerateFds(rel.NumAttributes())) fds.Add(fd);
-  ViolationGraph g = ViolationGraph::Build(rel, fds);
+  const ViolationGraph graph = ViolationGraph::Build(rel, fds);
+  GraphView g(graph);
   ASSERT_GT(g.NumFds(), 0);
   ASSERT_GT(g.NumCells(), 0);
   const auto check = [&g] {

@@ -134,8 +134,9 @@ TEST(ViolationGraphTest, SharedCellHasTwoFds) {
       {"zip", "area", "city"},
       {{"1", "a", "ny"}, {"1", "a", "ny"}, {"1", "a", "boston"}});
   // Both zip->city and area->city flag the same three cells.
-  ViolationGraph g =
+  const ViolationGraph graph =
       ViolationGraph::Build(rel, FdSet({Fd({0}, 2), Fd({1}, 2)}));
+  const GraphView g(graph);
   ASSERT_EQ(g.NumCells(), 3);
   for (CellId c = 0; c < g.NumCells(); ++c) {
     EXPECT_EQ(g.FdsOfCell(c).size(), 2u);
@@ -149,8 +150,9 @@ TEST(ViolationGraphTest, DeactivateFdCascadesToOrphanCells) {
       {{"1", "a", "ny"}, {"1", "a", "ny"}, {"1", "b", "boston"}});
   // zip->city flags its impure class; area->city flags nothing (area
   // splits the groups into pure classes).
-  ViolationGraph g =
+  const ViolationGraph graph =
       ViolationGraph::Build(rel, FdSet({Fd({0}, 2), Fd({1}, 2)}));
+  GraphView g(graph);
   ASSERT_EQ(g.NumCells(), 3);
   EXPECT_TRUE(g.CellActive(0));
   g.DeactivateFd(0);
@@ -166,8 +168,9 @@ TEST(ViolationGraphTest, DeactivateFdKeepsSharedCells) {
   Relation rel = MakeRelation(
       {"zip", "area", "city"},
       {{"1", "a", "ny"}, {"1", "a", "ny"}, {"1", "a", "boston"}});
-  ViolationGraph g =
+  const ViolationGraph graph =
       ViolationGraph::Build(rel, FdSet({Fd({0}, 2), Fd({1}, 2)}));
+  GraphView g(graph);
   g.DeactivateFd(0);
   EXPECT_TRUE(g.CellActive(0));  // still flagged by area->city
   EXPECT_EQ(g.ActiveDegreeOfCell(0), 1);
@@ -180,11 +183,28 @@ TEST(ViolationGraphTest, FindCell) {
 }
 
 TEST(ViolationGraphTest, DeactivateCellIsIdempotent) {
-  ViolationGraph g = SmallGraph();
+  const ViolationGraph graph = SmallGraph();
+  GraphView g(graph);
   g.DeactivateCell(0);
   g.DeactivateCell(0);
   EXPECT_FALSE(g.CellActive(0));
   EXPECT_EQ(g.ActiveDegreeOfCell(0), 0);
+}
+
+TEST(ViolationGraphTest, ViewsOverOneGraphAreIndependent) {
+  // A run's deactivations live in its view: the frozen graph, and every
+  // other view over it, still see all nodes active.
+  const ViolationGraph graph = SmallGraph();
+  GraphView run(graph);
+  for (FdId f = 0; f < graph.NumFds(); ++f) run.DeactivateFd(f);
+  EXPECT_TRUE(run.ActiveCells().empty());
+  const GraphView fresh(graph);
+  EXPECT_EQ(static_cast<int>(fresh.ActiveFds().size()), graph.NumFds());
+  EXPECT_EQ(static_cast<int>(fresh.ActiveCells().size()), graph.NumCells());
+  for (CellId c = 0; c < graph.NumCells(); ++c) {
+    EXPECT_EQ(fresh.ActiveDegreeOfCell(c),
+              static_cast<int>(graph.FdsOfCell(c).size()));
+  }
 }
 
 }  // namespace

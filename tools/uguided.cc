@@ -302,8 +302,7 @@ int main(int argc, char** argv) {
   // The live mutation subsystem wraps the registry's immutable bundle:
   // op=mutate batches advance it epoch by epoch while open sessions stay
   // pinned to the epoch they started against.
-  LiveDataset live(&(*artifacts)->session, (*artifacts)->engine.get(),
-                   &(*artifacts)->graph, (*artifacts)->key.content_hash,
+  LiveDataset live(&(*artifacts)->session, (*artifacts)->key.content_hash,
                    &pool);
 
   DaemonOptions options;
