@@ -152,6 +152,37 @@ void BM_CandidateGeneration(benchmark::State& state) {
 BENCHMARK(BM_CandidateGeneration)->Arg(1000)->Arg(5000)
     ->Unit(benchmark::kMillisecond);
 
+// Candidate generation as the offline-tax set-up pays it: the dirty Tax
+// table at 10,000 rows (systematic errors at 20%), LHS bound 3, one
+// worker. `peak_partition_bytes` is the walk's governed working set: both
+// frontiers share one partition store and the last level is never stored.
+void BM_CandidateGenerationTax(benchmark::State& state) {
+  DataGenOptions gen;
+  gen.rows = 10000;
+  gen.seed = 1;
+  const Relation clean = GenerateTax(gen);
+  TaneOptions tane;
+  tane.max_lhs_size = 3;
+  ErrorGenOptions errors;
+  errors.model = ErrorModel::kSystematic;
+  errors.error_rate = 0.20;
+  errors.seed = 2;
+  const DirtyDataset dirty =
+      InjectErrors(clean, DiscoverFds(clean, tane).ValueOrDie(), errors)
+          .ValueOrDie();
+  MemoryBudget budget;
+  CandidateGenOptions opts;
+  opts.max_lhs_size = 3;
+  opts.memory_budget = &budget;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        GenerateCandidates(dirty.dirty, opts).ValueOrDie());
+  }
+  state.counters["peak_partition_bytes"] = benchmark::Counter(
+      static_cast<double>(budget.high_water()));
+}
+BENCHMARK(BM_CandidateGenerationTax)->Unit(benchmark::kMillisecond);
+
 void BM_ViolatingCells(benchmark::State& state) {
   Relation rel = HospitalAtScale(static_cast<int>(state.range(0)));
   const Fd fd(AttributeSet::Single(0), 1);  // provider -> hospital_name
@@ -189,11 +220,13 @@ BENCHMARK(BM_ArmstrongConstruction)->Unit(benchmark::kMillisecond);
 
 // Custom main instead of BENCHMARK_MAIN(): default to machine-readable
 // JSON alongside the console table so CI and scaling-curve tooling can
-// diff runs without scraping text. Any caller-provided --benchmark_out=
-// wins; console output is unchanged either way.
+// diff runs without scraping text. The default file is
+// BENCH_discovery.fresh.json, so a run from the repo root leaves the
+// checked-in baseline alone. Any caller-provided --benchmark_out= wins;
+// console output is unchanged either way.
 int main(int argc, char** argv) {
   std::vector<char*> args(argv, argv + argc);
-  std::string out_flag = "--benchmark_out=BENCH_discovery.json";
+  std::string out_flag = "--benchmark_out=BENCH_discovery.fresh.json";
   std::string fmt_flag = "--benchmark_out_format=json";
   bool has_out = false;
   for (int i = 1; i < argc; ++i) {
@@ -207,6 +240,14 @@ int main(int argc, char** argv) {
   }
   int args_argc = static_cast<int>(args.size());
   benchmark::Initialize(&args_argc, args.data());
+  // Record this binary's own build mode (the JSON's library_build_type
+  // describes the benchmark library), so a debug run is never mistaken
+  // for the Release baseline.
+#ifdef NDEBUG
+  benchmark::AddCustomContext("uguide_build_type", "release");
+#else
+  benchmark::AddCustomContext("uguide_build_type", "debug");
+#endif
   if (benchmark::ReportUnrecognizedArguments(args_argc, args.data())) {
     return 1;
   }

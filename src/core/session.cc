@@ -30,6 +30,7 @@ Result<Session> Session::Create(const Relation& clean, DirtyDataset dataset,
   TaneOptions tane;
   tane.max_error = 0.0;
   tane.max_lhs_size = config.candidate_options.max_lhs_size;
+  tane.num_threads = config.candidate_options.num_threads;
   UGUIDE_ASSIGN_OR_RETURN(FdSet true_fds, DiscoverFds(clean, tane));
 
   UGUIDE_ASSIGN_OR_RETURN(

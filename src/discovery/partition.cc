@@ -306,6 +306,15 @@ bool PartitionStore::Put(const AttributeSet& attrs, Partition partition,
   return true;
 }
 
+std::shared_ptr<const Partition> PartitionStore::Transient(
+    Partition partition) {
+  if (budget_ == nullptr) return Account(std::move(partition));
+  budget_->ForceCharge(partition.ApproxBytes());
+  std::shared_ptr<const Partition> handle = Account(std::move(partition));
+  if (budget_->OverSoftLimit()) EvictToSoftLimit();
+  return handle;
+}
+
 void PartitionStore::PutShared(const AttributeSet& attrs,
                                std::shared_ptr<const Partition> partition,
                                bool pinned) {

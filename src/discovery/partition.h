@@ -202,6 +202,14 @@ class PartitionStore {
   bool Put(const AttributeSet& attrs, Partition partition,
            bool pinned = false);
 
+  /// Force-charges `partition` and returns a handle that releases the
+  /// charge when the last holder drops it; the store never admits it. For
+  /// partitions a caller needs only briefly and must not refuse (TANE's
+  /// streamed last level): charging them unconditionally keeps truncation a
+  /// function of the admitted levels alone, not of how many transients the
+  /// workers happen to hold at once.
+  std::shared_ptr<const Partition> Transient(Partition partition);
+
   /// Admits an externally accounted partition handle without charging the
   /// budget: the bytes stay owned by whoever created the handle (the live
   /// dataset shares one handle across epoch stores, so charging each store

@@ -1,10 +1,12 @@
 #include "discovery/tane.h"
 
 #include <algorithm>
+#include <array>
+#include <chrono>
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -21,6 +23,9 @@ namespace {
 // store can evict and rebuild them without the traversal noticing.
 struct Node {
   AttributeSet cplus;
+  /// The node's position in its level map's iteration order, i.e. which FD
+  /// shard its check writes; set at the start of each check phase.
+  size_t shard = 0;
 };
 
 using Level = std::unordered_map<AttributeSet, Node, AttributeSetHash>;
@@ -54,16 +59,10 @@ FdSet FilterMinimal(const std::vector<Fd>& fds) {
   return out;
 }
 
-// One node's dependency check: compute C+(X) from the frozen previous
-// level, emit the FDs X\{a} -> a that pass the error threshold, and prune
-// this node's C+ accordingly. Pure function of (`x`, `node`, `prev`, the
-// partitions behind `store`), so nodes of one level can be checked
-// concurrently — each call writes only its own `node` and its own `found`
-// list, and the store is internally synchronized.
-void CheckNode(const AttributeSet& x, Node& node, const Level& prev,
-               PartitionStore& store, const AttributeSet& all_attrs,
-               const TaneOptions& options, std::vector<Fd>& found) {
-  // C+(X) = intersection of C+(X \ {A}) over A in X.
+// C+(X) = intersection of C+(X \ {A}) over A in X, read from one walk's
+// frozen previous level.
+AttributeSet CplusOf(const AttributeSet& x, const Level& prev,
+                     const AttributeSet& all_attrs) {
   AttributeSet cplus = all_attrs;
   for (int a : x) {
     auto it = prev.find(x.Without(a));
@@ -72,22 +71,28 @@ void CheckNode(const AttributeSet& x, Node& node, const Level& prev,
       // The node itself is erased at this level's prune step; the regression
       // test TaneTest.PrunedParentEmitsNothing pins that it emits no FDs in
       // the meantime (candidates below intersect to the empty set).
-      cplus = AttributeSet();
-      break;
+      return AttributeSet();
     }
     cplus = cplus.Intersect(it->second.cplus);
   }
-  node.cplus = cplus;
+  return cplus;
+}
 
-  AttributeSet candidates = x.Intersect(node.cplus);
-  if (candidates.Empty()) return;
-  const std::shared_ptr<const Partition> refined = store.Get(x);
+// One walk's dependency check of node X, whose C+ was just set from the
+// walk's frozen previous level: emit the FDs X\{a} -> a within the walk's
+// g3 threshold and prune the node's C+ accordingly. `error(a)` is the g3
+// error of X\{a} -> a, a pure function of the two partitions, so walks that
+// share the node share it too. Writes only `node` and `found`.
+template <typename ErrorFn>
+void CheckNode(const AttributeSet& x, Node& node, const Level& prev,
+               double max_error, bool prune_on_approximate,
+               const ErrorFn& error, std::vector<Fd>& found) {
+  const AttributeSet candidates = x.Intersect(node.cplus);
   for (int a : candidates) {
     if (prev.find(x.Without(a)) == prev.end()) continue;
-    const std::shared_ptr<const Partition> base = store.Get(x.Without(a));
-    const double error = base->FdError(*refined);
-    const bool exact = error == 0.0;
-    const bool valid = error <= options.max_error;
+    const double g3 = error(a);
+    const bool exact = g3 == 0.0;
+    const bool valid = g3 <= max_error;
     if (valid) {
       found.emplace_back(x.Without(a), a);
     }
@@ -98,12 +103,91 @@ void CheckNode(const AttributeSet& x, Node& node, const Level& prev,
       // only sound for exact FDs -- the implication arguments behind it
       // break under g3 slack.)
       node.cplus = node.cplus.Intersect(x);
-    } else if (valid && options.prune_on_approximate) {
+    } else if (valid && prune_on_approximate) {
       // An approximate FD prunes only its own RHS: supersets of the
       // LHS cannot yield a *minimal* AFD for `a` anymore, but other
       // RHS candidates stay live.
       node.cplus.Remove(a);
     }
+  }
+}
+
+// One TANE walk under one g3 threshold. The shared lattice walk drives
+// every walk in lock step, but each keeps its own level maps and sees
+// exactly the inserts and erases its solo walk would make, so map
+// iteration order -- and with it the FD emission order -- does not depend
+// on its siblings.
+struct Walk {
+  double max_error = 0.0;
+  Level prev;
+  Level current;
+  std::vector<Fd> emitted;
+  DiscoveryOutcome outcome;
+};
+
+// The two stored partitions node Z's product is built from: Z minus its
+// highest attribute (the prefix that generated Z) and Z minus its second
+// highest (a co-generator). Every walk uses these same two operands, and
+// partitions are canonical in content, so which walk generated Z does not
+// matter.
+std::pair<AttributeSet, AttributeSet> Operands(const AttributeSet& z) {
+  const AttributeSet left = z.Without(z.Highest());
+  return {left, z.Without(left.Highest())};
+}
+
+// True iff every |Z|-1 subset of Z is a node of `level` (downward
+// closure): exactly when a walk whose level this is generates Z.
+bool Closed(const AttributeSet& z, const Level& level) {
+  for (int b : z) {
+    if (level.count(z.Without(b)) == 0) return false;
+  }
+  return true;
+}
+
+// Checks node X for every walk holding it: one refined partition and at
+// most one g3 error per RHS, shared across the walks. Walks read their
+// frozen `prev` and write only their own node and FD shard
+// (`found[w][node.shard]`), so jobs of one level run concurrently; the
+// level maps are only searched, and the store is internally synchronized.
+// On a streamed level the node's partition was never stored: it is built
+// here from the same two operands the materializing walk would use,
+// charged while alive, and dropped on return.
+void CheckJob(const AttributeSet& x, const std::vector<Walk*>& walks,
+              std::vector<std::vector<std::vector<Fd>>>& found, bool streamed,
+              PartitionStore& store, const AttributeSet& all_attrs,
+              bool prune_on_approximate) {
+  bool any_candidate = false;
+  for (Walk* walk : walks) {
+    auto it = walk->current.find(x);
+    if (it == walk->current.end()) continue;
+    it->second.cplus = CplusOf(x, walk->prev, all_attrs);
+    any_candidate |= !x.Intersect(it->second.cplus).Empty();
+  }
+  if (!any_candidate) return;
+
+  std::shared_ptr<const Partition> refined;
+  if (streamed) {
+    const auto [left, right] = Operands(x);
+    refined = store.Transient(store.Get(left)->Product(*store.Get(right)));
+  } else {
+    refined = store.Get(x);
+  }
+  std::array<double, AttributeSet::kMaxAttributes> errors;
+  uint64_t known = 0;
+  const auto error = [&](int a) {
+    const uint64_t bit = uint64_t{1} << a;
+    if ((known & bit) == 0) {
+      errors[static_cast<size_t>(a)] =
+          store.Get(x.Without(a))->FdError(*refined);
+      known |= bit;
+    }
+    return errors[static_cast<size_t>(a)];
+  };
+  for (size_t w = 0; w < walks.size(); ++w) {
+    auto it = walks[w]->current.find(x);
+    if (it == walks[w]->current.end()) continue;
+    CheckNode(x, it->second, walks[w]->prev, walks[w]->max_error,
+              prune_on_approximate, error, found[w][it->second.shard]);
   }
 }
 
@@ -118,8 +202,19 @@ Result<FdSet> DiscoverFds(const Relation& relation,
 
 Result<DiscoveryOutcome> DiscoverFdsDetailed(const Relation& relation,
                                              const TaneOptions& options) {
-  if (options.max_error < 0.0 || options.max_error >= 1.0) {
-    return Status::InvalidArgument("max_error must be in [0, 1)");
+  UGUIDE_ASSIGN_OR_RETURN(
+      std::vector<DiscoveryOutcome> outcomes,
+      DiscoverFdFrontiers(relation, options, {options.max_error}));
+  return std::move(outcomes.front());
+}
+
+Result<std::vector<DiscoveryOutcome>> DiscoverFdFrontiers(
+    const Relation& relation, const TaneOptions& options,
+    const std::vector<double>& max_errors) {
+  for (double max_error : max_errors) {
+    if (max_error < 0.0 || max_error >= 1.0) {
+      return Status::InvalidArgument("max_error must be in [0, 1)");
+    }
   }
   if (options.max_lhs_size < 0) {
     return Status::InvalidArgument("max_lhs_size must be non-negative");
@@ -132,19 +227,27 @@ Result<DiscoveryOutcome> DiscoverFdsDetailed(const Relation& relation,
   }
   const int m = relation.NumAttributes();
   const AttributeSet all_attrs = AttributeSet::Full(m);
-  std::vector<Fd> emitted;
 
-  DiscoveryOutcome outcome;
+  std::vector<Walk> walks(max_errors.size());
+  for (size_t w = 0; w < walks.size(); ++w) {
+    walks[w].max_error = max_errors[w];
+  }
   MemoryBudget* budget = options.memory_budget;
   PartitionStore store(&relation, budget);
-  const auto finish = [&](DiscoveryOutcome&& done) {
-    done.fds = FilterMinimal(emitted);
-    if (budget != nullptr) done.peak_memory_bytes = budget->high_water();
-    done.partitions_evicted = store.evictions();
-    done.partitions_recomputed = store.recomputes();
-    return std::move(done);
+  const auto finish = [&] {
+    std::vector<DiscoveryOutcome> outcomes;
+    outcomes.reserve(walks.size());
+    for (Walk& walk : walks) {
+      DiscoveryOutcome& done = walk.outcome;
+      done.fds = FilterMinimal(walk.emitted);
+      if (budget != nullptr) done.peak_memory_bytes = budget->high_water();
+      done.partitions_evicted = store.evictions();
+      done.partitions_recomputed = store.recomputes();
+      outcomes.push_back(std::move(done));
+    }
+    return outcomes;
   };
-  if (m == 0 || relation.NumRows() == 0) return finish(std::move(outcome));
+  if (walks.empty() || m == 0 || relation.NumRows() == 0) return finish();
 
   FaultRegistry& registry = FaultRegistry::Global();
   const auto start = registry.Now();
@@ -164,64 +267,94 @@ Result<DiscoveryOutcome> DiscoverFdsDetailed(const Relation& relation,
   // they are pinned (never evicted) — but still charged: a hard limit too
   // small for even the column partitions truncates discovery at level 0,
   // the graceful floor of the degradation contract.
-  Level prev;
-  prev.emplace(AttributeSet(), Node{all_attrs});
+  const auto truncate_all = [&] {
+    for (Walk& walk : walks) walk.outcome.memory_truncated = true;
+    return finish();
+  };
   if (!store.Put(AttributeSet(), Partition::ForEmptySet(relation.NumRows()),
                  /*pinned=*/true)) {
-    outcome.memory_truncated = true;
-    return finish(std::move(outcome));
+    return truncate_all();
   }
-
-  Level current;
   for (int a = 0; a < m; ++a) {
     if (!store.Put(AttributeSet::Single(a), Partition::ForColumn(relation, a),
                    /*pinned=*/true)) {
-      outcome.memory_truncated = true;
-      return finish(std::move(outcome));
+      return truncate_all();
     }
-    current.emplace(AttributeSet::Single(a), Node{all_attrs});
+  }
+  for (Walk& walk : walks) {
+    walk.prev.emplace(AttributeSet(), Node{all_attrs});
+    for (int a = 0; a < m; ++a) {
+      walk.current.emplace(AttributeSet::Single(a), Node{all_attrs});
+    }
   }
 
-  for (int level_size = 1; level_size <= m && !current.empty();
-       ++level_size) {
+  for (int level_size = 1; level_size <= m; ++level_size) {
+    // A walk whose level came out empty has finished; the others go on.
+    std::vector<Walk*> active;
+    for (Walk& walk : walks) {
+      if (!walk.current.empty()) active.push_back(&walk);
+    }
+    if (active.empty()) break;
+
     // Graceful degradation: the deadline (and the fault site) is honored
-    // only at level boundaries, so whatever is returned is every minimal FD
-    // up to the last completed level -- never a half-checked level.
+    // only at level boundaries, once per level of the shared walk, so
+    // whatever is returned is every minimal FD up to the last completed
+    // level -- never a half-checked level.
     UGUIDE_FAULT_POINT("discovery.level");
     if (past_deadline()) {
-      outcome.truncated = true;
+      for (Walk* walk : active) walk->outcome.truncated = true;
       break;
     }
 
     // --- Compute dependencies -------------------------------------------
-    // Freeze-prev / shard-current: `prev` is read-only from here on, and
-    // each node of `current` is checked independently against it. Shards
-    // follow the level map's iteration order — fixed once the level is
-    // built, and built identically for every thread count — and each
-    // worker writes only its own node's C+ and its own FD list, merged in
-    // shard order below. The emitted FD sequence is therefore bit-identical
-    // to the serial traversal (and to the pre-parallel implementation,
-    // which downstream question-selection heuristics are sensitive to).
-    std::vector<Level::value_type*> nodes;
-    nodes.reserve(current.size());
-    for (auto& entry : current) nodes.push_back(&entry);
-    const Level& frozen_prev = prev;
-    std::vector<std::vector<Fd>> found(nodes.size());
-    pool.ParallelFor(nodes.size(), [&](size_t i) {
-      CheckNode(nodes[i]->first, nodes[i]->second, frozen_prev, store,
-                all_attrs, options, found[i]);
-    });
-    for (const std::vector<Fd>& shard : found) {
-      emitted.insert(emitted.end(), shard.begin(), shard.end());
+    // Freeze-prev / shard-current: every walk's `prev` is read-only from
+    // here on, and each distinct node of the level is one job on the pool.
+    // A job checks the node for every walk holding it and writes only
+    // those walks' node C+ and FD shards. Each walk's shards follow its
+    // own level map's iteration order -- fixed once the level is built,
+    // and built identically for every thread count and every sibling
+    // walk -- and are merged in that order below, so each emitted FD
+    // sequence is bit-identical to the serial solo traversal (which
+    // downstream question-selection heuristics are sensitive to).
+    // The last level (LHS size max_lhs_size) is streamed: its products
+    // were never stored, each job builds and drops its own.
+    const bool streamed = level_size > 1 && level_size > options.max_lhs_size;
+    std::vector<AttributeSet> jobs;  // distinct nodes, first walk first
+    std::vector<std::vector<std::vector<Fd>>> found(active.size());
+    for (size_t w = 0; w < active.size(); ++w) {
+      found[w].resize(active[w]->current.size());
+      size_t shard = 0;
+      for (auto& [x, node] : active[w]->current) {
+        node.shard = shard++;
+        const bool held_earlier =
+            std::any_of(active.begin(), active.begin() + w,
+                        [&x = x](const Walk* earlier) {
+                          return earlier->current.count(x) != 0;
+                        });
+        if (!held_earlier) jobs.push_back(x);
+      }
     }
-    outcome.levels_completed = level_size;
+    pool.ParallelFor(jobs.size(), [&](size_t j) {
+      CheckJob(jobs[j], active, found, streamed, store, all_attrs,
+               options.prune_on_approximate);
+    });
+    for (size_t w = 0; w < active.size(); ++w) {
+      for (const std::vector<Fd>& shard : found[w]) {
+        active[w]->emitted.insert(active[w]->emitted.end(), shard.begin(),
+                                  shard.end());
+      }
+      active[w]->outcome.levels_completed = level_size;
+    }
 
     // The previous level's partitions were last touched by the checks
-    // above; drop them now (the old code held them through the product
-    // phase, needlessly doubling the resident-level count). The pinned
-    // recompute base (empty set, singletons) stays.
-    for (const auto& [x, node] : prev) {
-      if (x.Size() > 1) store.Erase(x);
+    // above, whichever walk held them; drop them now. The pinned recompute
+    // base (empty set, singletons) stays. A finished walk's leftover level
+    // is released here once and forgotten.
+    for (Walk& walk : walks) {
+      for (const auto& [x, node] : walk.prev) {
+        if (x.Size() > 1) store.Erase(x);
+      }
+      if (walk.current.empty()) walk.prev.clear();
     }
 
     // --- Prune -----------------------------------------------------------
@@ -233,70 +366,70 @@ Result<DiscoveryOutcome> DiscoverFdsDetailed(const Relation& relation,
     // key-heavy (e.g., small-sample) relations. C+ pruning alone keeps the
     // traversal sound and complete; superkey partitions are empty, so the
     // retained nodes cost little.
-    std::vector<AttributeSet> to_delete;
-    for (auto& [x, node] : current) {
-      if (node.cplus.Empty()) to_delete.push_back(x);
+    std::vector<AttributeSet> pruned;
+    for (Walk* walk : active) {
+      std::vector<AttributeSet> to_delete;
+      for (auto& [x, node] : walk->current) {
+        if (node.cplus.Empty()) to_delete.push_back(x);
+      }
+      for (const AttributeSet& x : to_delete) {
+        walk->current.erase(x);
+        if (x.Size() > 1) pruned.push_back(x);
+      }
     }
-    for (const AttributeSet& x : to_delete) {
-      current.erase(x);
-      // A pruned node can never co-generate a candidate (downward closure
-      // consults `current`), so its partition is dead too.
-      if (x.Size() > 1) store.Erase(x);
+    // A node pruned from every walk can never co-generate a candidate
+    // (downward closure consults `current`), so its partition is dead too.
+    for (const AttributeSet& x : pruned) {
+      const bool held = std::any_of(
+          active.begin(), active.end(),
+          [&x](const Walk* walk) { return walk->current.count(x) != 0; });
+      if (!held) store.Erase(x);
     }
 
-    if (level_size >= options.max_lhs_size + 1) break;
+    if (level_size > options.max_lhs_size) break;
 
     // --- Generate the next level ----------------------------------------
-    // Candidate enumeration is cheap and stays serial; the partition
-    // products (the expensive part) run in parallel. Each Z is generated
-    // exactly once — from its prefix X = Z \ {Z.Highest()} — so the
-    // candidate list needs no dedup, and Product() is a pure const
-    // function of two frozen partitions, so products are independent.
-    // Inserting into `next` in enumeration order reproduces the serial
-    // map's insertion sequence, keeping level iteration order (and hence
-    // the emission order above) independent of the thread count.
-    struct Candidate {
-      AttributeSet z;
-      AttributeSet left;   // the generator X = Z \ {a}
-      AttributeSet right;  // a co-generator Z \ {b}, b != a
-    };
-    std::vector<Candidate> cands;
-    for (const auto& [x, node] : current) {
-      const int highest = x.Highest();
-      for (int a = highest + 1; a < m; ++a) {
-        AttributeSet z = x.With(a);
-        // Downward closure: every |Z|-1 subset must have survived.
-        bool all_present = true;
-        AttributeSet other;
-        bool have_other = false;
-        for (int b : z) {
-          auto it = current.find(z.Without(b));
-          if (it == current.end()) {
-            all_present = false;
-            break;
-          }
-          if (b != a) {  // any co-generator works
-            other = z.Without(b);
-            have_other = true;
-          }
+    // Candidate enumeration is cheap and stays serial. Each walk generates
+    // each Z exactly once -- from its prefix X = Z \ {Z.Highest()} -- in
+    // its own level-map order, and inserts its candidates into its next
+    // map in that order, reproducing the solo walk's insertion sequence.
+    // The partition products (the expensive part) are deduplicated by Z
+    // across walks and run in parallel: Product() is a pure const function
+    // of two frozen partitions, so products are independent.
+    // A Z an earlier walk also generated is already in `cands`.
+    std::vector<AttributeSet> cands;
+    std::vector<std::vector<AttributeSet>> walk_next(active.size());
+    for (size_t w = 0; w < active.size(); ++w) {
+      for (const auto& [x, node] : active[w]->current) {
+        for (int a = x.Highest() + 1; a < m; ++a) {
+          const AttributeSet z = x.With(a);
+          // Downward closure: every |Z|-1 subset must have survived.
+          if (!Closed(z, active[w]->current)) continue;
+          walk_next[w].push_back(z);
+          const bool generated_earlier =
+              std::any_of(active.begin(), active.begin() + w,
+                          [&z](const Walk* earlier) {
+                            return Closed(z, earlier->current);
+                          });
+          if (!generated_earlier) cands.push_back(z);
         }
-        if (!all_present || !have_other) continue;
-        cands.push_back({z, x, other});
       }
     }
 
+    // The last level is streamed, not stored: its nodes are checked once
+    // and never extended, so each check job builds its product, uses it
+    // and drops it (see CheckJob). Earlier levels are materialized.
     // Products are computed in bounded batches when a budget governs the
     // run: only the current batch's operands are pinned, so partitions
     // outside it stay evictable and the working set is capped at
     // (admitted-under-soft-limit + one batch). Ungoverned runs use a
-    // single batch — no extra barriers, identical to the pre-budget code.
+    // single batch — no extra barriers.
+    const bool stream_next = level_size + 1 > options.max_lhs_size;
     const size_t batch_size =
         budget != nullptr ? size_t{64} : std::max<size_t>(cands.size(), 1);
-    Level next;
     bool exhausted = false;
     std::vector<AttributeSet> admitted;
-    admitted.reserve(cands.size());
-    for (size_t begin = 0; begin < cands.size() && !exhausted;
+    for (size_t begin = 0; !stream_next && !exhausted && begin < cands.size();
          begin += batch_size) {
       const size_t end = std::min(begin + batch_size, cands.size());
       // Pin the batch operands (rebuilding any evicted ones), serially.
@@ -304,38 +437,42 @@ Result<DiscoveryOutcome> DiscoverFdsDetailed(const Relation& relation,
                             std::shared_ptr<const Partition>>>
           operands(end - begin);
       for (size_t i = begin; i < end; ++i) {
-        operands[i - begin] = {store.Get(cands[i].left),
-                               store.Get(cands[i].right)};
+        const auto [left, right] = Operands(cands[i]);
+        operands[i - begin] = {store.Get(left), store.Get(right)};
       }
       std::vector<std::optional<Partition>> products(end - begin);
       pool.ParallelFor(end - begin, [&](size_t i) {
-        products[i] =
-            operands[i].first->Product(*operands[i].second);
+        products[i] = operands[i].first->Product(*operands[i].second);
       });
       operands.clear();  // unpin before admission so eviction can help
       for (size_t i = begin; i < end; ++i) {
-        if (!store.Put(cands[i].z, std::move(*products[i - begin]))) {
+        if (!store.Put(cands[i], std::move(*products[i - begin]))) {
           exhausted = true;
           break;
         }
-        admitted.push_back(cands[i].z);
-        next.emplace(cands[i].z, Node{AttributeSet()});
+        admitted.push_back(cands[i]);
       }
       store.EvictToSoftLimit();
     }
     if (exhausted) {
-      // Hard limit: abandon the half-built level so the result is exactly
-      // the lattice through `levels_completed` — the same contract as the
-      // deadline, discovered and consumed identically downstream.
+      // Hard limit: abandon the half-built level so every result is
+      // exactly the lattice through `levels_completed` — the same contract
+      // as the deadline, discovered and consumed identically downstream.
       for (const AttributeSet& z : admitted) store.Erase(z);
-      outcome.memory_truncated = true;
+      for (size_t w = 0; w < active.size(); ++w) {
+        if (!walk_next[w].empty()) active[w]->outcome.memory_truncated = true;
+      }
       break;
     }
-    prev = std::move(current);
-    current = std::move(next);
+    for (size_t w = 0; w < active.size(); ++w) {
+      Level next;
+      for (const AttributeSet& z : walk_next[w]) next.emplace(z, Node{});
+      active[w]->prev = std::move(active[w]->current);
+      active[w]->current = std::move(next);
+    }
   }
 
-  return finish(std::move(outcome));
+  return finish();
 }
 
 }  // namespace uguide

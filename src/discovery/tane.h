@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <limits>
+#include <vector>
 
 #include "common/memory_budget.h"
 #include "common/result.h"
@@ -44,18 +45,18 @@ struct TaneOptions {
   double deadline_ms = 0.0;
 
   /// Memory budget charged for every stripped partition and partition
-  /// product of the traversal; null = ungoverned (today's behavior,
-  /// bit-identical output). Crossing the budget's soft limit evicts
-  /// recomputable partitions (LRU, recompute-on-miss); hitting the hard
-  /// limit stops lattice growth at a level boundary and flags
-  /// DiscoveryOutcome::memory_truncated — the memory analogue of the
-  /// deadline above. The budget may be shared across passes (candidate
-  /// generation charges both of its discoveries against one budget). Must
+  /// product of the traversal; null = ungoverned (bit-identical output).
+  /// Crossing the budget's soft limit evicts recomputable partitions (LRU,
+  /// recompute-on-miss); hitting the hard limit stops lattice growth at a
+  /// level boundary and flags DiscoveryOutcome::memory_truncated — the
+  /// memory analogue of the deadline above. The last level's products are
+  /// never stored: each is force-charged while its check runs, so it can
+  /// overshoot the hard limit transiently but never truncates. Must
   /// outlive the call.
   MemoryBudget* memory_budget = nullptr;
 };
 
-/// \brief What DiscoverFdsDetailed produced, plus how far it got.
+/// \brief What one discovery walk produced, plus how far it got.
 struct DiscoveryOutcome {
   FdSet fds;
   /// True iff the deadline cut the traversal short; `fds` then covers only
@@ -68,7 +69,9 @@ struct DiscoveryOutcome {
   /// size k).
   int levels_completed = 0;
   /// Peak bytes charged to the memory budget during this call (0 when no
-  /// budget was supplied). Cumulative high-water if the budget is shared.
+  /// budget was supplied). Cumulative high-water if the budget is shared;
+  /// walks of one DiscoverFdFrontiers call share it, so they all report
+  /// the same peak, and the same eviction and recompute counts below.
   size_t peak_memory_bytes = 0;
   /// Partitions evicted / rebuilt by the budget-governed store.
   size_t partitions_evicted = 0;
@@ -91,12 +94,32 @@ Result<FdSet> DiscoverFds(const Relation& relation,
 
 /// \brief DiscoverFds plus progress/truncation metadata.
 ///
-/// Identical traversal; use this form when a deadline is set (or when the
-/// caller wants to know how deep discovery went). Also fires the
-/// "discovery.level" fault site once per level, so fault plans can inject
-/// latency or failure into the traversal.
+/// The one-threshold call of DiscoverFdFrontiers (threshold
+/// `options.max_error`); use this form when a deadline is set (or when the
+/// caller wants to know how deep discovery went).
 Result<DiscoveryOutcome> DiscoverFdsDetailed(const Relation& relation,
                                              const TaneOptions& options = {});
+
+/// \brief One lattice walk serving several g3 thresholds at once.
+///
+/// Returns one outcome per entry of `max_errors`, in order; each equals
+/// DiscoverFdsDetailed with `options.max_error` set to that entry — the
+/// same FDs in the same order, the same levels — except that under a
+/// binding memory budget the shared store can truncate earlier than a solo
+/// walk would. `options.max_error` itself is ignored.
+///
+/// Each threshold keeps its own C+ level maps (so its emission order is
+/// exactly its solo walk's), while everything else is shared: one
+/// PartitionStore, one product per distinct lattice node, and one g3 error
+/// per (X, A) pair, checked on the pool once per distinct node. The last
+/// level (LHS size max_lhs_size) is streamed, never stored. The deadline
+/// and the "discovery.level" fault site apply once per level of the shared
+/// walk, so fault plans can inject latency or failure into the traversal.
+/// (Wan & Han's top-k AFD discovery evaluates several error bounds in one
+/// walk the same way.)
+Result<std::vector<DiscoveryOutcome>> DiscoverFdFrontiers(
+    const Relation& relation, const TaneOptions& options,
+    const std::vector<double>& max_errors);
 
 }  // namespace uguide
 

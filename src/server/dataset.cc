@@ -19,6 +19,7 @@ Result<Session> MakeServedDataset(const ServedDatasetOptions& options) {
 
   TaneOptions tane;
   tane.max_lhs_size = options.max_lhs;
+  tane.num_threads = options.num_threads;
   UGUIDE_ASSIGN_OR_RETURN(FdSet true_fds, DiscoverFds(clean, tane));
 
   ErrorGenOptions errors;

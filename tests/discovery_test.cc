@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "common/rng.h"
 #include "datagen/generators.h"
@@ -733,6 +736,202 @@ TEST(TaneBudgetTest, TinyHardLimitStillReturnsCleanly) {
   EXPECT_TRUE(outcome.memory_truncated);
   EXPECT_EQ(outcome.levels_completed, 0);
   EXPECT_EQ(budget.charged(), 0u);
+}
+
+TEST(TaneBudgetTest, StreamedLastLevelIsChargedButNeverRefused) {
+  // With max_lhs_size = 1 the only product level (LHS size 1, lattice
+  // level 2) is the streamed last level: its products are never stored,
+  // only force-charged while their check runs. A hard limit that admits
+  // just the pinned base therefore does not truncate, and the charge shows
+  // in the high-water mark at every thread count.
+  const Relation rel = BudgetRelation();
+  size_t base_bytes = Partition::ForEmptySet(rel.NumRows()).ApproxBytes();
+  for (int c = 0; c < rel.NumAttributes(); ++c) {
+    base_bytes += Partition::ForColumn(rel, c).ApproxBytes();
+  }
+  TaneOptions plain;
+  plain.max_lhs_size = 1;
+  const DiscoveryOutcome ungoverned =
+      DiscoverFdsDetailed(rel, plain).ValueOrDie();
+  for (int threads : {1, 4}) {
+    MemoryBudget budget(/*soft_limit_bytes=*/0,
+                        /*hard_limit_bytes=*/base_bytes + 256);
+    TaneOptions governed = plain;
+    governed.num_threads = threads;
+    governed.memory_budget = &budget;
+    const DiscoveryOutcome outcome =
+        DiscoverFdsDetailed(rel, governed).ValueOrDie();
+    EXPECT_FALSE(outcome.memory_truncated) << threads;
+    EXPECT_EQ(outcome.levels_completed, 2) << threads;
+    EXPECT_EQ(outcome.fds.fds(), ungoverned.fds.fds()) << threads;
+    EXPECT_GT(budget.high_water(), base_bytes) << threads;
+    EXPECT_EQ(budget.charged(), 0u) << threads;
+  }
+}
+
+// --- One walk, several frontiers --------------------------------------------
+
+// Every outcome of the shared walk must be its threshold's solo walk: the
+// same FDs in the same fds() order, and the same progress flags.
+void ExpectSameOutcome(const DiscoveryOutcome& got,
+                       const DiscoveryOutcome& solo, const std::string& what) {
+  EXPECT_EQ(got.fds.fds(), solo.fds.fds()) << what;
+  EXPECT_EQ(got.levels_completed, solo.levels_completed) << what;
+  EXPECT_EQ(got.truncated, solo.truncated) << what;
+  EXPECT_EQ(got.memory_truncated, solo.memory_truncated) << what;
+}
+
+// Runs every threshold list at 1, 2, 4 and 8 threads, and at 4 threads
+// under soft-limit spill, against ungoverned serial solo walks. Returns the
+// number of FDs the solo walks found, so callers can check the comparison
+// was not vacuous.
+size_t ExpectFrontiersMatchSolo(const Relation& rel,
+                                const TaneOptions& options,
+                                const std::string& name) {
+  std::map<double, DiscoveryOutcome> solo;
+  for (double max_error : {0.0, 0.1}) {
+    TaneOptions one = options;
+    one.max_error = max_error;
+    one.num_threads = 1;
+    solo[max_error] = DiscoverFdsDetailed(rel, one).ValueOrDie();
+  }
+  const auto check = [&](const std::vector<double>& thresholds,
+                         const TaneOptions& shared, const std::string& how) {
+    const std::vector<DiscoveryOutcome> got =
+        DiscoverFdFrontiers(rel, shared, thresholds).ValueOrDie();
+    EXPECT_EQ(got.size(), thresholds.size()) << name;
+    for (size_t i = 0; i < std::min(got.size(), thresholds.size()); ++i) {
+      const std::string what = name + ": threshold " +
+                               std::to_string(thresholds[i]) + " of " +
+                               std::to_string(thresholds.size()) + ", " + how;
+      ExpectSameOutcome(got[i], solo[thresholds[i]], what);
+      if (shared.memory_budget != nullptr) {
+        EXPECT_GT(got[i].partitions_evicted, 0u) << what;
+      }
+    }
+  };
+  for (const std::vector<double>& thresholds :
+       std::vector<std::vector<double>>{{0.0, 0.1}, {0.1}, {0.0, 0.0}}) {
+    TaneOptions shared = options;
+    for (int threads : {1, 2, 4, 8}) {
+      shared.num_threads = threads;
+      check(thresholds, shared, "threads=" + std::to_string(threads));
+    }
+    // Spill: a soft limit at a quarter of this walk's natural peak.
+    MemoryBudget probe;
+    shared.num_threads = 1;
+    shared.memory_budget = &probe;
+    DiscoverFdFrontiers(rel, shared, thresholds).ValueOrDie();
+    MemoryBudget budget(/*soft_limit_bytes=*/probe.high_water() / 4,
+                        /*hard_limit_bytes=*/0);
+    shared.num_threads = 4;
+    shared.memory_budget = &budget;
+    check(thresholds, shared, "threads=4, spilled");
+    EXPECT_EQ(budget.charged(), 0u) << name;
+  }
+  return solo[0.0].fds.Size() + solo[0.1].fds.Size();
+}
+
+Relation RandomRelation(uint64_t seed, int rows, int m) {
+  Rng rng(seed);
+  std::vector<std::string> names;
+  for (int c = 0; c < m; ++c) names.push_back(std::string(1, 'a' + c));
+  Relation rel(Schema::Make(names).ValueOrDie());
+  for (int i = 0; i < rows; ++i) {
+    std::vector<std::string> row;
+    for (int c = 0; c < m; ++c) {
+      row.push_back(std::to_string(rng.NextBounded(2 + c)));
+    }
+    rel.AddRow(row);
+  }
+  return rel;
+}
+
+TEST(TaneFrontiersTest, MatchSoloWalksOnTax) {
+  // LHS <= 2 keeps the sweep affordable under TSan; candidate_gen_test
+  // runs the same table at LHS <= 3.
+  DataGenOptions gen;
+  gen.rows = 2000;
+  const Relation rel = GenerateTax(gen);
+  TaneOptions options;
+  options.max_lhs_size = 2;
+  EXPECT_GT(ExpectFrontiersMatchSolo(rel, options, "tax"), 0u);
+}
+
+TEST(TaneFrontiersTest, MatchSoloWalksOnHospital) {
+  DataGenOptions gen;
+  gen.rows = 800;
+  gen.seed = 31;
+  const Relation rel = GenerateHospital(gen);
+  TaneOptions options;
+  options.max_lhs_size = 3;
+  EXPECT_GT(ExpectFrontiersMatchSolo(rel, options, "hospital"), 0u);
+}
+
+TEST(TaneFrontiersTest, MatchSoloWalksOnBudgetRelation) {
+  TaneOptions options;
+  options.max_lhs_size = 4;
+  ExpectFrontiersMatchSolo(BudgetRelation(), options, "budget");
+}
+
+TEST(TaneFrontiersTest, MatchSoloWalksOnRandomRelations) {
+  // Unbounded LHS: the walks end at different levels, and no level is
+  // streamed.
+  for (uint64_t seed : {1234u, 77u, 5u}) {
+    TaneOptions options;
+    EXPECT_GT(ExpectFrontiersMatchSolo(RandomRelation(seed, 300, 6), options,
+                                       "random " + std::to_string(seed)),
+              0u);
+  }
+}
+
+TEST(TaneFrontiersTest, MatchSoloWalksWithoutApproximatePruning) {
+  TaneOptions options;
+  options.prune_on_approximate = false;
+  EXPECT_GT(ExpectFrontiersMatchSolo(RandomRelation(1234, 300, 6), options,
+                                     "random, no approximate pruning"),
+            0u);
+  DataGenOptions gen;
+  gen.rows = 800;
+  gen.seed = 31;
+  options.max_lhs_size = 3;
+  EXPECT_GT(ExpectFrontiersMatchSolo(GenerateHospital(gen), options,
+                                     "hospital, no approximate pruning"),
+            0u);
+}
+
+TEST(TaneFrontiersTest, HardLimitTruncationIsDeterministicAcrossThreadCounts) {
+  const Relation rel = BudgetRelation();
+  size_t base_bytes = Partition::ForEmptySet(rel.NumRows()).ApproxBytes();
+  for (int c = 0; c < rel.NumAttributes(); ++c) {
+    base_bytes += Partition::ForColumn(rel, c).ApproxBytes();
+  }
+  auto run = [&rel, base_bytes](int threads) {
+    MemoryBudget budget(/*soft_limit_bytes=*/0,
+                        /*hard_limit_bytes=*/base_bytes + 256);
+    TaneOptions options;
+    options.max_lhs_size = 4;
+    options.num_threads = threads;
+    options.memory_budget = &budget;
+    auto outcomes = DiscoverFdFrontiers(rel, options, {0.0, 0.1}).ValueOrDie();
+    EXPECT_EQ(budget.charged(), 0u);
+    return outcomes;
+  };
+  const std::vector<DiscoveryOutcome> serial = run(1);
+  const std::vector<DiscoveryOutcome> parallel = run(4);
+  ASSERT_EQ(serial.size(), 2u);
+  EXPECT_TRUE(serial[0].memory_truncated);
+  for (size_t i = 0; i < serial.size(); ++i) {
+    ExpectSameOutcome(parallel[i], serial[i],
+                      "threshold " + std::to_string(i));
+  }
+}
+
+TEST(TaneFrontiersTest, EmptyThresholdListAndBadThresholds) {
+  const Relation rel = BudgetRelation();
+  EXPECT_TRUE(DiscoverFdFrontiers(rel, {}, {}).ValueOrDie().empty());
+  EXPECT_FALSE(DiscoverFdFrontiers(rel, {}, {0.0, 1.0}).ok());
+  EXPECT_FALSE(DiscoverFdFrontiers(rel, {}, {-0.1}).ok());
 }
 
 }  // namespace

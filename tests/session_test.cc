@@ -238,5 +238,42 @@ TEST(SessionTest, CompletesOnMemoryTruncatedCandidates) {
   }
 }
 
+TEST(SessionTest, CreateIsIdenticalAtEveryThreadCount) {
+  // candidate_options.num_threads drives both the clean-table walk for
+  // Sigma_TC and candidate generation; neither may change a byte.
+  DataGenOptions data;
+  data.rows = 800;
+  data.seed = 5;
+  Relation clean = GenerateHospital(data);
+  TaneOptions tane;
+  tane.max_lhs_size = 3;
+  FdSet true_fds = DiscoverFds(clean, tane).ValueOrDie();
+  ErrorGenOptions errors;
+  errors.seed = 6;
+  const DirtyDataset dirty =
+      InjectErrors(clean, true_fds, errors).ValueOrDie();
+
+  auto create = [&](int threads) {
+    SessionConfig config;
+    config.candidate_options.max_lhs_size = 3;
+    config.candidate_options.num_threads = threads;
+    return Session::Create(clean, dirty, config).ValueOrDie();
+  };
+  const Session serial = create(1);
+  const Session parallel = create(4);
+  EXPECT_EQ(parallel.true_fds().fds(), serial.true_fds().fds());
+  EXPECT_EQ(parallel.exact_fds().fds(), serial.exact_fds().fds());
+  EXPECT_EQ(parallel.candidates().fds(), serial.candidates().fds());
+  for (auto make : {+[] { return MakeFdQBudgetedMaxCoverage({}); },
+                    +[] { return MakeCellQSums({}); },
+                    +[] { return MakeTupleSamplingSaturationSets({}); }}) {
+    auto one = make();
+    auto four = make();
+    EXPECT_EQ(SerializeSessionReport(parallel.Run(*four, 150.0)),
+              SerializeSessionReport(serial.Run(*one, 150.0)))
+        << one->name();
+  }
+}
+
 }  // namespace
 }  // namespace uguide
