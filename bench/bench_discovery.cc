@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "core/uguide.h"
+#include "reference/fd_theory.h"
 #include "reference/hash_detector.h"
 
 namespace uguide {

@@ -1,8 +1,8 @@
 // Microbenchmarks (google-benchmark) for the interactive questioning path:
 // violation-graph construction (hash-grouping baseline vs the shared
 // partition-backed engine, serial and parallel), per-question selection for
-// the cell strategies (incremental heaps / class-indexed SUMS and Oracle vs
-// the retained full-rescan reference), detection scoring against E_T, and
+// the cell strategies (selection heaps / class-indexed SUMS and Oracle vs
+// the full-rescan reference), detection scoring against E_T, and
 // end-to-end sessions across strategies and thread counts. Emits
 // BENCH_questioning.fresh.json by default, never the checked-in
 // BENCH_questioning.json baseline; the engine benches carry the
@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "core/uguide.h"
+#include "reference/cell_rescan.h"
 #include "reference/hash_detector.h"
 
 namespace uguide {
@@ -259,25 +260,12 @@ BENCHMARK(BM_PartitionProductReference)->Unit(benchmark::kMillisecond);
 
 // --- Per-question selection --------------------------------------------------
 
-// Full strategy runs with incremental selection on vs. the retained
-// rescan reference; `per_question_us` is the normalized selection+update
-// cost the interactive loop actually pays.
+// Full strategy runs of the library's selection (heaps, class-indexed SUMS
+// and Oracle) and of the full-rescan reference (tests/reference/
+// cell_rescan); `questions_per_second` normalizes a run by the questions
+// it asked.
 void RunCellStrategyBench(benchmark::State& state, const Session& session,
-                          const std::string& which, bool incremental,
-                          int sums_interval = 0) {
-  CellStrategyOptions options;
-  options.incremental = incremental;
-  if (sums_interval > 0) options.sums_recompute_interval = sums_interval;
-  std::unique_ptr<Strategy> strategy;
-  if (which == "hs") {
-    strategy = MakeCellQHittingSet(options);
-  } else if (which == "greedy") {
-    strategy = MakeCellQGreedy(options);
-  } else if (which == "oracle") {
-    strategy = MakeCellQOracle(options);
-  } else {
-    strategy = MakeCellQSums(options);
-  }
+                          std::unique_ptr<Strategy> strategy) {
   int questions = 0;
   for (auto _ : state) {
     SessionReport report = session.Run(*strategy);
@@ -291,45 +279,52 @@ void RunCellStrategyBench(benchmark::State& state, const Session& session,
       benchmark::Counter::kIsIterationInvariantRate);
 }
 
+// Per-answer Estimate-Confidence recomputation.
+CellStrategyOptions TightSums() {
+  CellStrategyOptions options;
+  options.sums_recompute_interval = 1;
+  return options;
+}
+
 void BM_CellQHittingSetIncremental(benchmark::State& state) {
-  RunCellStrategyBench(state, HospitalSession(1), "hs", /*incremental=*/true);
+  RunCellStrategyBench(state, HospitalSession(1), MakeCellQHittingSet());
 }
 BENCHMARK(BM_CellQHittingSetIncremental)->Unit(benchmark::kMillisecond);
 
 void BM_CellQHittingSetReference(benchmark::State& state) {
-  RunCellStrategyBench(state, HospitalSession(1), "hs", /*incremental=*/false);
+  RunCellStrategyBench(state, HospitalSession(1), MakeRescanCellQHittingSet());
 }
 BENCHMARK(BM_CellQHittingSetReference)->Unit(benchmark::kMillisecond);
 
 // Tax@5000: the acceptance target for the CellQ-HS selection speedup on
 // the paper's widest relation.
 void BM_CellQHittingSetTaxIncremental(benchmark::State& state) {
-  RunCellStrategyBench(state, TaxSession(), "hs", /*incremental=*/true);
+  RunCellStrategyBench(state, TaxSession(), MakeCellQHittingSet());
 }
 BENCHMARK(BM_CellQHittingSetTaxIncremental)->Unit(benchmark::kMillisecond);
 
 void BM_CellQHittingSetTaxReference(benchmark::State& state) {
-  RunCellStrategyBench(state, TaxSession(), "hs", /*incremental=*/false);
+  RunCellStrategyBench(state, TaxSession(), MakeRescanCellQHittingSet());
 }
 BENCHMARK(BM_CellQHittingSetTaxReference)->Unit(benchmark::kMillisecond);
 
 void BM_CellQGreedyIncremental(benchmark::State& state) {
-  RunCellStrategyBench(state, HospitalSession(1), "greedy", /*incremental=*/true);
+  RunCellStrategyBench(state, HospitalSession(1), MakeCellQGreedy());
 }
 BENCHMARK(BM_CellQGreedyIncremental)->Unit(benchmark::kMillisecond);
 
 void BM_CellQGreedyReference(benchmark::State& state) {
-  RunCellStrategyBench(state, HospitalSession(1), "greedy", /*incremental=*/false);
+  RunCellStrategyBench(state, HospitalSession(1), MakeRescanCellQGreedy());
 }
 BENCHMARK(BM_CellQGreedyReference)->Unit(benchmark::kMillisecond);
 
 void BM_CellQSumsIncremental(benchmark::State& state) {
-  RunCellStrategyBench(state, HospitalSession(1), "sums", /*incremental=*/true);
+  RunCellStrategyBench(state, HospitalSession(1), MakeCellQSums());
 }
 BENCHMARK(BM_CellQSumsIncremental)->Unit(benchmark::kMillisecond);
 
 void BM_CellQSumsReference(benchmark::State& state) {
-  RunCellStrategyBench(state, HospitalSession(1), "sums", /*incremental=*/false);
+  RunCellStrategyBench(state, HospitalSession(1), MakeRescanCellQSums());
 }
 BENCHMARK(BM_CellQSumsReference)->Unit(benchmark::kMillisecond);
 
@@ -338,26 +333,25 @@ BENCHMARK(BM_CellQSumsReference)->Unit(benchmark::kMillisecond);
 // adjacency per iteration, but its cell side runs once per class of cells
 // sharing a flagging-FD list instead of once per cell.
 void BM_CellQSumsTightIncremental(benchmark::State& state) {
-  RunCellStrategyBench(state, HospitalSession(1), "sums", /*incremental=*/true,
-                       /*sums_interval=*/1);
+  RunCellStrategyBench(state, HospitalSession(1), MakeCellQSums(TightSums()));
 }
 BENCHMARK(BM_CellQSumsTightIncremental)->Unit(benchmark::kMillisecond);
 
 void BM_CellQSumsTightReference(benchmark::State& state) {
-  RunCellStrategyBench(state, HospitalSession(1), "sums", /*incremental=*/false,
-                       /*sums_interval=*/1);
+  RunCellStrategyBench(state, HospitalSession(1),
+                       MakeRescanCellQSums(TightSums()));
 }
 BENCHMARK(BM_CellQSumsTightReference)->Unit(benchmark::kMillisecond);
 
 // Tax@5000: the class-indexed SUMS fixpoint and selection, and the
 // class-indexed CellQ-Oracle payoff scan, on the paper's widest relation.
 void BM_CellQSumsTax(benchmark::State& state) {
-  RunCellStrategyBench(state, TaxSession(), "sums", /*incremental=*/true);
+  RunCellStrategyBench(state, TaxSession(), MakeCellQSums());
 }
 BENCHMARK(BM_CellQSumsTax)->Unit(benchmark::kMillisecond);
 
 void BM_CellQOracleTax(benchmark::State& state) {
-  RunCellStrategyBench(state, TaxSession(), "oracle", /*incremental=*/true);
+  RunCellStrategyBench(state, TaxSession(), MakeCellQOracle());
 }
 BENCHMARK(BM_CellQOracleTax)->Unit(benchmark::kMillisecond);
 

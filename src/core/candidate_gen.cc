@@ -15,8 +15,8 @@ Result<CandidateSet> GenerateCandidates(const Relation& dirty,
   // One walk, two frontiers: the exact FDs (g3 = 0) and the candidate AFDs,
   // all minimal FDs with g3 error within the relaxation threshold. The
   // latter is the complete frontier the paper's §3.1 relaxation walk aims
-  // for; walking down from Sigma_T alone (RelaxFds) can miss true FDs whose
-  // exact specializations are shadowed by key-based minimal FDs (e.g.
+  // for; walking down from Sigma_T alone can miss true FDs whose exact
+  // specializations are shadowed by key-based minimal FDs (e.g.
   // id -> city hides {zip,id} -> city, so zip -> city is never reached).
   // Approximate discovery returns every minimal element of the g3-passing
   // region and therefore provably covers the relaxation output.

@@ -2,7 +2,6 @@
 #define UGUIDE_CORE_CANDIDATE_GEN_H_
 
 #include "common/result.h"
-#include "discovery/relaxation.h"
 #include "discovery/tane.h"
 #include "fd/fd.h"
 #include "relation/relation.h"

@@ -36,16 +36,6 @@ struct CellStrategyOptions {
   /// accept_threshold; the truth-discovery fixpoint steers question
   /// *selection*, while acceptance follows confirmed violations).
   double sums_accept_threshold = 0.9;
-
-  /// Incremental question selection: lazy-invalidation score heaps for
-  /// CellQ-HS / CellQ-Greedy, and for CellQ-SUMS an Estimate-Confidence
-  /// fixpoint and selection scan computed once per class of cells sharing
-  /// a flagging-FD list (DESIGN.md §14.2), replacing the per-cell
-  /// rescans. Selections and results are byte-identical either way
-  /// (DESIGN.md §9.4); `false` runs the original rescan code, retained as
-  /// the behavioral reference for the equivalence suite. CellQ-Oracle
-  /// always runs its class-indexed scan and ignores this flag.
-  bool incremental = true;
 };
 
 /// Cell-Q-Hitting-Set (Algorithm 2): asks the violation minimizing

@@ -12,6 +12,38 @@
 
 namespace uguide {
 
+namespace {
+
+// Pumps `machine` with `expert` until the strategy finishes. When
+// `retrying` is non-null its per-question retry-cost delta and exhaustion
+// increment ride along on each submission (resilient runs).
+Result<SessionReport> DriveWithExpert(SessionStateMachine& machine,
+                                      Expert& expert,
+                                      RetryingExpert* retrying) {
+  while (std::optional<SessionQuestion> question = machine.NextQuestion()) {
+    AnswerSubmission submission;
+    switch (question->kind) {
+      case QuestionKind::kCell:
+        submission.answer = expert.IsCellErroneous(question->cell);
+        break;
+      case QuestionKind::kTuple:
+        submission.answer = expert.IsTupleClean(question->row);
+        break;
+      case QuestionKind::kFd:
+        submission.answer = expert.IsFdValid(question->fd);
+        break;
+    }
+    if (retrying != nullptr) {
+      submission.retry_cost = retrying->last_retry_cost();
+      submission.exhausted = retrying->last_exhausted();
+    }
+    UGUIDE_RETURN_NOT_OK(machine.SubmitAnswer(submission));
+  }
+  return machine.Finish();
+}
+
+}  // namespace
+
 Session::Session(Relation dirty, GroundTruth truth, FdSet true_fds,
                  CandidateSet candidates, SessionConfig config)
     : dirty_(std::move(dirty)),
@@ -108,8 +140,8 @@ Result<SessionReport> Session::Run(Strategy& strategy, double budget,
   UGUIDE_ASSIGN_OR_RETURN(
       std::unique_ptr<SessionStateMachine> machine,
       SessionStateMachine::Start(*this, strategy, budget, std::move(step)));
-  return DriveSession(*machine, *head,
-                      retrying.has_value() ? &*retrying : nullptr);
+  return DriveWithExpert(*machine, *head,
+                         retrying.has_value() ? &*retrying : nullptr);
 }
 
 }  // namespace uguide

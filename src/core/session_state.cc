@@ -328,30 +328,6 @@ Status SessionStateMachine::write_status() const {
   return write_status_;
 }
 
-Result<SessionReport> DriveSession(SessionStateMachine& machine, Expert& expert,
-                                   RetryingExpert* retrying) {
-  while (std::optional<SessionQuestion> question = machine.NextQuestion()) {
-    AnswerSubmission submission;
-    switch (question->kind) {
-      case QuestionKind::kCell:
-        submission.answer = expert.IsCellErroneous(question->cell);
-        break;
-      case QuestionKind::kTuple:
-        submission.answer = expert.IsTupleClean(question->row);
-        break;
-      case QuestionKind::kFd:
-        submission.answer = expert.IsFdValid(question->fd);
-        break;
-    }
-    if (retrying != nullptr) {
-      submission.retry_cost = retrying->last_retry_cost();
-      submission.exhausted = retrying->last_exhausted();
-    }
-    UGUIDE_RETURN_NOT_OK(machine.SubmitAnswer(submission));
-  }
-  return machine.Finish();
-}
-
 Result<std::unique_ptr<Strategy>> MakeStrategyByName(const std::string& name) {
   if (name == "CellQ-HS") return MakeCellQHittingSet();
   if (name == "CellQ-Greedy") return MakeCellQGreedy();

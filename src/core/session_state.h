@@ -102,7 +102,7 @@ struct SessionStepOptions {
 /// crashes and resumes is bit-identical to an uninterrupted one under the
 /// same driver — the same contract the monolithic Session::Run had, now
 /// independent of where the answers come from. Session::Run itself is a
-/// thin driver over this class (see DriveSession).
+/// thin driver over this class.
 ///
 /// Thread safety: NextQuestion/SubmitAnswer/Finish must be called from one
 /// driver thread at a time (the serving daemon serializes per session) but
@@ -211,17 +211,6 @@ class SessionStateMachine {
   int served_replays_ = 0;
   Status write_status_ = Status::OK();
 };
-
-/// \brief The canonical in-process driver: pumps `machine` with `expert`.
-///
-/// Every question is put to `expert`; when `retrying` is non-null its
-/// per-question retry-cost delta and exhaustion increment ride along on the
-/// submission (resilient runs). Returns the finished report. Session::Run
-/// is implemented with this, and tests drive custom expert stacks through
-/// it.
-Result<SessionReport> DriveSession(SessionStateMachine& machine,
-                                   Expert& expert,
-                                   RetryingExpert* retrying = nullptr);
 
 /// \brief Instantiates one of the 11 strategies by its reporting name
 /// (e.g. "FDQ-BMC", "CellQ-SUMS", "Sampling-Uniform"); the registry the

@@ -41,10 +41,8 @@
 #include "core/tuple_strategies.h"
 #include "datagen/generators.h"
 #include "discovery/partition.h"
-#include "discovery/relaxation.h"
 #include "discovery/tane.h"
 #include "errorgen/error_generator.h"
-#include "fd/armstrong.h"
 #include "fd/closure.h"
 #include "fd/fd.h"
 #include "oracle/cost_model.h"

@@ -212,7 +212,7 @@ Result<std::vector<DiscoveryOutcome>> DiscoverFdFrontiers(
     const Relation& relation, const TaneOptions& options,
     const std::vector<double>& max_errors) {
   for (double max_error : max_errors) {
-    if (max_error < 0.0 || max_error >= 1.0) {
+    if (!(max_error >= 0.0 && max_error < 1.0)) {
       return Status::InvalidArgument("max_error must be in [0, 1)");
     }
   }

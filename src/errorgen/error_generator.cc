@@ -142,10 +142,10 @@ std::vector<Cell> GroundTruth::ChangedCells() const {
 
 Result<DirtyDataset> InjectErrors(const Relation& clean, const FdSet& true_fds,
                                   const ErrorGenOptions& options) {
-  if (options.error_rate < 0.0 || options.error_rate > 0.9) {
+  if (!(options.error_rate >= 0.0 && options.error_rate <= 0.9)) {
     return Status::InvalidArgument("error_rate must be in [0, 0.9]");
   }
-  if (options.per_fd_cap <= 0.0 || options.per_fd_cap > 1.0) {
+  if (!(options.per_fd_cap > 0.0 && options.per_fd_cap <= 1.0)) {
     return Status::InvalidArgument("per_fd_cap must be in (0, 1]");
   }
   if (clean.NumRows() == 0) {

@@ -21,64 +21,6 @@ bool ClosureEngine::Implies(const Fd& fd) const {
   return Closure(fd.lhs).Contains(fd.rhs);
 }
 
-bool ClosureEngine::IsMinimal(const Fd& fd) const {
-  if (!Implies(fd)) return false;
-  for (int a : fd.lhs) {
-    if (Implies(Fd(fd.lhs.Without(a), fd.rhs))) return false;
-  }
-  return true;
-}
-
-Fd ClosureEngine::Minimize(const Fd& fd) const {
-  UGUIDE_CHECK(Implies(fd)) << "Minimize on non-implied FD " << fd.ToString();
-  Fd reduced = fd;
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (int a : reduced.lhs) {
-      Fd candidate(reduced.lhs.Without(a), reduced.rhs);
-      if (Implies(candidate)) {
-        reduced = candidate;
-        changed = true;
-        break;
-      }
-    }
-  }
-  return reduced;
-}
-
-FdSet ClosureEngine::MinimalCover() const {
-  // Left-reduce every FD, deduplicating as we go.
-  FdSet reduced;
-  for (const Fd& fd : fds_) {
-    reduced.Add(Minimize(fd));
-  }
-  // Drop redundant FDs: fd is redundant if the remaining FDs still imply it.
-  std::vector<Fd> kept = reduced.fds();
-  for (size_t i = 0; i < kept.size();) {
-    FdSet without;
-    for (size_t j = 0; j < kept.size(); ++j) {
-      if (j != i) without.Add(kept[j]);
-    }
-    if (ClosureEngine(without).Implies(kept[i])) {
-      kept.erase(kept.begin() + static_cast<ptrdiff_t>(i));
-    } else {
-      ++i;
-    }
-  }
-  return FdSet(kept);
-}
-
-bool ClosureEngine::EquivalentTo(const ClosureEngine& other) const {
-  for (const Fd& fd : fds_) {
-    if (!other.Implies(fd)) return false;
-  }
-  for (const Fd& fd : other.fds_) {
-    if (!Implies(fd)) return false;
-  }
-  return true;
-}
-
 std::vector<AttributeSet> SaturatedSets(const FdSet& fds,
                                         int num_attributes,
                                         size_t max_sets) {

@@ -12,7 +12,7 @@ namespace uguide {
 /// \brief Attribute-closure machinery over a fixed FD set (Armstrong
 /// axioms, §2.1).
 ///
-/// Wraps an FdSet and answers closure / implication / minimal-cover queries.
+/// Wraps an FdSet and answers closure and implication queries.
 /// The FD set is copied at construction; the engine is immutable afterwards.
 class ClosureEngine {
  public:
@@ -25,21 +25,6 @@ class ClosureEngine {
 
   /// True iff the FD set logically implies `fd` (fd.rhs in Closure(fd.lhs)).
   bool Implies(const Fd& fd) const;
-
-  /// True iff `fd` holds with a semantically minimal LHS: removing any LHS
-  /// attribute breaks implication. (`fd` itself must be implied.)
-  bool IsMinimal(const Fd& fd) const;
-
-  /// Reduces `fd`'s LHS to a minimal determining subset (left-reduction).
-  /// `fd` must be implied by the FD set.
-  Fd Minimize(const Fd& fd) const;
-
-  /// A minimal cover: left-reduced, non-redundant FDs equivalent to the
-  /// original set.
-  FdSet MinimalCover() const;
-
-  /// True iff both engines' FD sets imply each other.
-  bool EquivalentTo(const ClosureEngine& other) const;
 
  private:
   FdSet fds_;

@@ -1,12 +1,14 @@
-# Smoke test for the uguide CLI, run via `cmake -P` so it works anywhere
-# ctest does. Asserts the argument-parsing contract: bad usage is exit 2
-# with a one-line error plus usage on stderr (never an abort, never a
-# silent default), and good usage exits 0 with the expected report.
+# Smoke test for the command-line tools, run via `cmake -P` so it works
+# anywhere ctest does. Asserts the argument-parsing contract: bad usage is
+# exit 2 with a one-line error plus usage on stderr (never an abort, never
+# a silent default), and good usage exits 0 with the expected report.
 #
-# Inputs: -DUGUIDE_CLI=<binary> -DWORK_DIR=<scratch dir>
+# Inputs: -DUGUIDE_CLI=<binary> -DUGUIDED=<binary> -DLOADGEN=<binary>
+#         -DWORK_DIR=<scratch dir>
 
-if(NOT UGUIDE_CLI OR NOT WORK_DIR)
-  message(FATAL_ERROR "cli_smoke: UGUIDE_CLI and WORK_DIR are required")
+if(NOT UGUIDE_CLI OR NOT UGUIDED OR NOT LOADGEN OR NOT WORK_DIR)
+  message(FATAL_ERROR
+          "cli_smoke: UGUIDE_CLI, UGUIDED, LOADGEN and WORK_DIR are required")
 endif()
 
 file(REMOVE_RECURSE "${WORK_DIR}")
@@ -27,10 +29,13 @@ file(WRITE "${WORK_DIR}/data.csv"
 set(FAILURES 0)
 
 # run(<name> <expected-exit> <must-match-regex> <stream> <args...>)
-#   stream is OUT or ERR: which stream the regex must match against.
+#   runs the binary in `tool`; stream is OUT or ERR: which stream the regex
+#   must match against. A daemon that accepts a bad flag would serve
+#   forever, so every run is cut after 30 s (and then fails its exit check).
 function(run name expected_exit pattern stream)
   execute_process(
-    COMMAND "${UGUIDE_CLI}" ${ARGN}
+    COMMAND "${tool}" ${ARGN}
+    TIMEOUT 30
     WORKING_DIRECTORY "${WORK_DIR}"
     RESULT_VARIABLE exit_code
     OUTPUT_VARIABLE out
@@ -61,6 +66,8 @@ function(run name expected_exit pattern stream)
   endif()
 endfunction()
 
+set(tool "${UGUIDE_CLI}")
+
 # -- Usage errors: exit 2, one-line diagnostic + usage on stderr. ------------
 run(no_args 2 "usage:" ERR)
 run(unknown_command 2 "unknown command" ERR nonsense data.csv)
@@ -85,6 +92,31 @@ run(profile_budgeted 0 "peak partition memory" OUT
     profile data.csv --max-lhs=2 --memory-budget-mb=64)
 run(detect_budgeted 0 "suspect cell" OUT
     detect data.csv --memory-budget-mb=64)
+
+# -- The daemon and the load generator share the CLI's parsers: a value
+# that is not a finite number in the flag's range is refused before any
+# dataset is built or any connection is made. -------------------------------
+set(tool "${UGUIDED}")
+run(uguided_nan_error_rate 2 "invalid value 'nan' for --error-rate" ERR
+    --port=0 --error-rate=nan)
+run(uguided_idk_rate_above_one 2 "invalid value '2' for --idk-rate" ERR
+    --port=0 --idk-rate=2)
+run(uguided_negative_budget 2 "invalid value '-5' for --budget" ERR
+    --port=0 --budget=-5)
+run(uguided_nan_tick 2 "invalid value 'nan' for --tick-ms" ERR
+    --port=0 --tick-ms=nan)
+run(uguided_negative_seed 2 "invalid value '-1' for --seed" ERR
+    --port=0 --seed=-1)
+
+set(tool "${LOADGEN}")
+run(loadgen_nan_error_rate 2 "invalid value 'nan' for --error-rate" ERR
+    --port=1 --error-rate=nan)
+run(loadgen_idk_rate_above_one 2 "invalid value '2' for --idk-rate" ERR
+    --port=1 --idk-rate=2)
+run(loadgen_negative_budget 2 "invalid value '-5' for --budget" ERR
+    --port=1 --budget=-5)
+run(loadgen_infinite_mutate_rate 2 "invalid value 'inf' for --mutate-rate"
+    ERR --port=1 --mutate-rate=inf)
 
 if(FAILURES GREATER 0)
   message(FATAL_ERROR "cli_smoke: ${FAILURES} check(s) failed")

@@ -8,8 +8,8 @@
 
 #include "datagen/generators.h"
 #include "discovery/tane.h"
-#include "fd/armstrong.h"
 #include "fd/closure.h"
+#include "reference/fd_theory.h"
 
 namespace uguide {
 namespace {

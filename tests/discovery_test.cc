@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <map>
 #include <string>
 #include <unordered_map>
@@ -9,10 +10,10 @@
 #include "common/rng.h"
 #include "datagen/generators.h"
 #include "discovery/partition.h"
-#include "discovery/relaxation.h"
 #include "discovery/tane.h"
-#include "fd/armstrong.h"
 #include "fd/closure.h"
+#include "reference/fd_theory.h"
+#include "reference/relaxation.h"
 
 namespace uguide {
 namespace {
@@ -932,6 +933,7 @@ TEST(TaneFrontiersTest, EmptyThresholdListAndBadThresholds) {
   EXPECT_TRUE(DiscoverFdFrontiers(rel, {}, {}).ValueOrDie().empty());
   EXPECT_FALSE(DiscoverFdFrontiers(rel, {}, {0.0, 1.0}).ok());
   EXPECT_FALSE(DiscoverFdFrontiers(rel, {}, {-0.1}).ok());
+  EXPECT_FALSE(DiscoverFdFrontiers(rel, {}, {0.0, std::nan("")}).ok());
 }
 
 }  // namespace

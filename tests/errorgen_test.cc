@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <map>
 #include <set>
 
@@ -54,8 +55,12 @@ TEST(ErrorGenTest, RejectsBadOptions) {
   ErrorGenOptions opts;
   opts.error_rate = 0.95;
   EXPECT_FALSE(InjectErrors(fx.clean, fx.true_fds, opts).ok());
+  opts.error_rate = std::nan("");
+  EXPECT_FALSE(InjectErrors(fx.clean, fx.true_fds, opts).ok());
   opts.error_rate = 0.1;
   opts.per_fd_cap = 0.0;
+  EXPECT_FALSE(InjectErrors(fx.clean, fx.true_fds, opts).ok());
+  opts.per_fd_cap = std::nan("");
   EXPECT_FALSE(InjectErrors(fx.clean, fx.true_fds, opts).ok());
 }
 

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "core/uguide.h"
+#include "reference/fd_theory.h"
 
 namespace uguide {
 namespace {
@@ -113,8 +114,7 @@ TEST(IntegrationTest, ArmstrongRelationRepresentsDiscoveredFds) {
   FdSet fds = DiscoverFds(rel, tane).ValueOrDie();
   Relation armstrong = BuildArmstrongRelation(rel.schema(), fds);
   FdSet rediscovered = DiscoverFds(armstrong).ValueOrDie();
-  EXPECT_TRUE(
-      ClosureEngine(fds).EquivalentTo(ClosureEngine(rediscovered)));
+  EXPECT_TRUE(EquivalentTo(ClosureEngine(fds), ClosureEngine(rediscovered)));
 }
 
 }  // namespace

@@ -8,12 +8,12 @@
 #include "common/rng.h"
 #include "core/repair.h"
 #include "discovery/partition.h"
-#include "discovery/relaxation.h"
 #include "discovery/tane.h"
-#include "fd/armstrong.h"
 #include "fd/closure.h"
-#include "violations/bipartite_graph.h"
+#include "reference/fd_theory.h"
 #include "reference/hash_detector.h"
+#include "reference/relaxation.h"
+#include "violations/bipartite_graph.h"
 
 namespace uguide {
 namespace {
@@ -70,11 +70,11 @@ TEST_P(SeededPropertyTest, ClosureIsExtensiveMonotoneIdempotent) {
 TEST_P(SeededPropertyTest, MinimalCoverIsEquivalentAndMinimal) {
   Rng rng(GetParam());
   ClosureEngine engine(RandomFdSet(rng, 5, 6));
-  FdSet cover = engine.MinimalCover();
+  FdSet cover = MinimalCover(engine);
   ClosureEngine cover_engine(cover);
-  EXPECT_TRUE(engine.EquivalentTo(cover_engine));
+  EXPECT_TRUE(EquivalentTo(engine, cover_engine));
   for (const Fd& fd : cover) {
-    EXPECT_TRUE(cover_engine.IsMinimal(fd)) << fd.ToString();
+    EXPECT_TRUE(IsMinimal(cover_engine, fd)) << fd.ToString();
   }
 }
 

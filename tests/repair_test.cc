@@ -3,7 +3,7 @@
 #include "core/fd_strategies.h"
 #include "core/repair.h"
 #include "core/session.h"
-#include "fd/armstrong.h"
+#include "reference/fd_theory.h"
 #include "test_util.h"
 
 namespace uguide {

@@ -38,9 +38,9 @@ void ExpectReportsEqual(const SessionReport& a, const SessionReport& b) {
   EXPECT_EQ(a.metrics.injected_detected, b.metrics.injected_detected);
 }
 
-// A hand-rolled driver, deliberately *not* DriveSession: the test
+// A hand-rolled driver, deliberately *not* Session::Run's: the test
 // re-implements the driver contract from the header comment alone, so a
-// drift between the contract and DriveSession shows up as a mismatch.
+// drift between the contract and Session::Run shows up as a mismatch.
 Result<SessionReport> StepManually(const Session& session, Strategy& strategy,
                                    double budget,
                                    SessionStepOptions options = {}) {

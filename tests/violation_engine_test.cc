@@ -1,8 +1,9 @@
 // Equivalence suite for the partition-backed violation engine (DESIGN.md
 // §9): every query must be byte-identical to the hash-grouping reference
 // detector, the parallel graph build must be bit-identical to the serial
-// one at any thread count, and the incremental strategy paths must select
-// the same questions as the retained full-rescan reference.
+// one at any thread count, and the cell strategies' heap and class-indexed
+// selection must ask the same questions as the full-rescan reference
+// (tests/reference/cell_rescan).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -25,6 +26,7 @@
 #include "discovery/tane.h"
 #include "errorgen/error_generator.h"
 #include "oracle/simulated_expert.h"
+#include "reference/cell_rescan.h"
 #include "relation/cell_bitmap.h"
 #include "test_util.h"
 #include "violations/bipartite_graph.h"
@@ -554,31 +556,35 @@ void ExpectReportsEqual(const SessionReport& a, const SessionReport& b) {
 }
 
 TEST(IncrementalSelectionTest, CellStrategiesMatchRescanReference) {
-  // The lazy heaps (HS / Greedy) and the change-propagating SUMS fixpoint
-  // must ask the same questions — hence produce byte-identical reports —
-  // as the retained O(NumCells)-rescan reference, including under IDK
-  // answers (which change no state and re-select).
+  // The lazy heaps (HS / Greedy) and the class-indexed SUMS fixpoint must
+  // ask the same questions — hence produce byte-identical reports — as the
+  // O(NumCells)-rescan reference, including under IDK answers (which
+  // change no state and re-select). Hospital has few cells per flagging-FD
+  // list; Tax shares lists widely.
+  std::vector<std::pair<std::string, Session>> sessions;
   for (double idk : {0.0, 0.25}) {
-    Session session = testing::MakeHospitalSession(
+    Session hospital = testing::MakeHospitalSession(
         600, ErrorModel::kSystematic, 0.15, 5, idk);
+    sessions.emplace_back("hospital idk=" + std::to_string(idk),
+                          std::move(hospital));
+  }
+  sessions.emplace_back("tax", testing::MakeTaxSession(300));
+  for (const auto& [label, session] : sessions) {
     for (double budget : {30.0, 120.0}) {
-      CellStrategyOptions incremental;
-      incremental.incremental = true;
-      CellStrategyOptions reference;
-      reference.incremental = false;
+      SCOPED_TRACE(::testing::Message() << label << " budget=" << budget);
       {
-        auto a = MakeCellQHittingSet(incremental);
-        auto b = MakeCellQHittingSet(reference);
+        auto a = MakeCellQHittingSet();
+        auto b = MakeRescanCellQHittingSet();
         ExpectReportsEqual(session.Run(*a, budget), session.Run(*b, budget));
       }
       {
-        auto a = MakeCellQGreedy(incremental);
-        auto b = MakeCellQGreedy(reference);
+        auto a = MakeCellQGreedy();
+        auto b = MakeRescanCellQGreedy();
         ExpectReportsEqual(session.Run(*a, budget), session.Run(*b, budget));
       }
       {
-        auto a = MakeCellQSums(incremental);
-        auto b = MakeCellQSums(reference);
+        auto a = MakeCellQSums();
+        auto b = MakeRescanCellQSums();
         ExpectReportsEqual(session.Run(*a, budget), session.Run(*b, budget));
       }
     }
@@ -587,16 +593,13 @@ TEST(IncrementalSelectionTest, CellStrategiesMatchRescanReference) {
 
 TEST(IncrementalSelectionTest, SumsMatchesReferenceAtTightRecompute) {
   // Recomputing the fixpoint after every answer maximizes the number of
-  // incremental Estimate-Confidence invocations (the hardest schedule for
-  // staleness propagation).
+  // Estimate-Confidence invocations (the hardest schedule for the class
+  // state carried between calls).
   Session session = testing::MakeHospitalSession(500);
-  CellStrategyOptions incremental;
-  incremental.incremental = true;
-  incremental.sums_recompute_interval = 1;
-  CellStrategyOptions reference = incremental;
-  reference.incremental = false;
-  auto a = MakeCellQSums(incremental);
-  auto b = MakeCellQSums(reference);
+  CellStrategyOptions options;
+  options.sums_recompute_interval = 1;
+  auto a = MakeCellQSums(options);
+  auto b = MakeRescanCellQSums(options);
   ExpectReportsEqual(session.Run(*a, 150.0), session.Run(*b, 150.0));
 }
 
@@ -610,12 +613,10 @@ TEST(IncrementalSelectionTest, SumsClassesMatchReferenceOnTax) {
     Session session = testing::MakeTaxSession(300, idk);
     for (int interval : {1, CellStrategyOptions{}.sums_recompute_interval}) {
       for (double budget : {40.0, 400.0}) {
-        CellStrategyOptions classes;
-        classes.sums_recompute_interval = interval;
-        CellStrategyOptions reference = classes;
-        reference.incremental = false;
-        auto a = MakeCellQSums(classes);
-        auto b = MakeCellQSums(reference);
+        CellStrategyOptions options;
+        options.sums_recompute_interval = interval;
+        auto a = MakeCellQSums(options);
+        auto b = MakeRescanCellQSums(options);
         SCOPED_TRACE(::testing::Message() << "idk=" << idk << " interval="
                                           << interval << " budget=" << budget);
         ExpectReportsEqual(session.Run(*a, budget), session.Run(*b, budget));

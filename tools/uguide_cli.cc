@@ -26,15 +26,15 @@
 // Every subcommand prints a short human-readable summary to stdout; --out
 // writes machine-readable CSV.
 
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <limits>
 #include <optional>
 #include <string>
 
 #include "core/uguide.h"
+
+#include "flag_parse.h"
 
 using namespace uguide;
 
@@ -96,64 +96,8 @@ void Usage() {
                "re-asks)\n");
 }
 
-// Strict flag-value parsers. A value that does not parse (or is out of
-// range) is a usage error reported on stderr — never a silent default;
-// atoi's "--threads=two" -> 0 used to mean "all cores".
-
-bool FlagError(const char* flag, std::string_view value, const char* want) {
-  std::fprintf(stderr, "uguide: invalid value '%.*s' for %s (expected %s)\n",
-               static_cast<int>(value.size()), value.data(), flag, want);
-  return false;
-}
-
-bool ParseIntFlag(const char* flag, std::string_view value, int min_value,
-                  int* out) {
-  if (value.empty()) return FlagError(flag, value, "an integer");
-  long long parsed = 0;
-  for (char c : value) {
-    if (c < '0' || c > '9') return FlagError(flag, value, "an integer");
-    parsed = parsed * 10 + (c - '0');
-    if (parsed > std::numeric_limits<int>::max()) {
-      return FlagError(flag, value, "an integer in range");
-    }
-  }
-  if (parsed < min_value) return FlagError(flag, value, "a larger integer");
-  *out = static_cast<int>(parsed);
-  return true;
-}
-
-bool ParseU64Flag(const char* flag, std::string_view value, uint64_t* out) {
-  if (value.empty()) return FlagError(flag, value, "an unsigned integer");
-  uint64_t parsed = 0;
-  for (char c : value) {
-    if (c < '0' || c > '9') {
-      return FlagError(flag, value, "an unsigned integer");
-    }
-    const uint64_t digit = static_cast<uint64_t>(c - '0');
-    if (parsed > (std::numeric_limits<uint64_t>::max() - digit) / 10) {
-      return FlagError(flag, value, "an unsigned 64-bit integer");
-    }
-    parsed = parsed * 10 + digit;
-  }
-  *out = parsed;
-  return true;
-}
-
-bool ParseDoubleFlag(const char* flag, std::string_view value, double lo,
-                     double hi, double* out) {
-  if (value.empty()) return FlagError(flag, value, "a number");
-  const std::string copy(value);
-  char* end = nullptr;
-  const double parsed = std::strtod(copy.c_str(), &end);
-  if (end != copy.c_str() + copy.size() || !std::isfinite(parsed) ||
-      !(parsed >= lo && parsed <= hi)) {
-    return FlagError(flag, value, "a finite number in range");
-  }
-  *out = parsed;
-  return true;
-}
-
 bool ParseArgs(int argc, char** argv, Args* args) {
+  const FlagParser flags("uguide");
   if (argc < 3) {
     std::fprintf(stderr, "uguide: expected a command and a CSV path\n");
     return false;
@@ -170,42 +114,40 @@ bool ParseArgs(int argc, char** argv, Args* args) {
     } else if (arg.rfind("--out=", 0) == 0) {
       args->out_path = arg.substr(6);
     } else if (arg.rfind("--max-lhs=", 0) == 0) {
-      if (!ParseIntFlag("--max-lhs", value_of(10), 1, &args->max_lhs)) {
+      if (!flags.Int("--max-lhs", value_of(10), 1, &args->max_lhs)) {
         return false;
       }
     } else if (arg.rfind("--max-error=", 0) == 0) {
-      if (!ParseDoubleFlag("--max-error", value_of(12), 0.0, 1.0,
-                           &args->max_error)) {
+      if (!flags.Double("--max-error", value_of(12), 0.0, 1.0,
+                        &args->max_error)) {
         return false;
       }
     } else if (arg.rfind("--threads=", 0) == 0) {
-      if (!ParseIntFlag("--threads", value_of(10), 0, &args->threads)) {
+      if (!flags.Int("--threads", value_of(10), 0, &args->threads)) {
         return false;
       }
     } else if (arg.rfind("--memory-budget-mb=", 0) == 0) {
-      if (!ParseIntFlag("--memory-budget-mb", value_of(19), 0,
-                        &args->memory_budget_mb)) {
+      if (!flags.Int("--memory-budget-mb", value_of(19), 0,
+                     &args->memory_budget_mb)) {
         return false;
       }
     } else if (arg.rfind("--fault-plan=", 0) == 0) {
       args->fault_plan = arg.substr(13);
     } else if (arg.rfind("--discovery-deadline-ms=", 0) == 0) {
-      if (!ParseDoubleFlag("--discovery-deadline-ms", value_of(24), 0.0,
-                           std::numeric_limits<double>::max(),
-                           &args->discovery_deadline_ms)) {
+      if (!flags.Double("--discovery-deadline-ms", value_of(24), 0.0,
+                        FlagParser::kMax, &args->discovery_deadline_ms)) {
         return false;
       }
     } else if (arg.rfind("--strategy=", 0) == 0) {
       args->strategy = arg.substr(11);
     } else if (arg.rfind("--budget=", 0) == 0) {
-      if (!ParseDoubleFlag("--budget", value_of(9), 0.0,
-                           std::numeric_limits<double>::max(),
-                           &args->budget)) {
+      if (!flags.Double("--budget", value_of(9), 0.0, FlagParser::kMax,
+                        &args->budget)) {
         return false;
       }
     } else if (arg.rfind("--error-rate=", 0) == 0) {
-      if (!ParseDoubleFlag("--error-rate", value_of(13), 0.0, 1.0,
-                           &args->error_rate)) {
+      if (!flags.Double("--error-rate", value_of(13), 0.0, 1.0,
+                        &args->error_rate)) {
         return false;
       }
     } else if (arg.rfind("--journal=", 0) == 0) {
@@ -224,7 +166,7 @@ bool ParseArgs(int argc, char** argv, Args* args) {
     } else if (arg == "--resume") {
       args->resume = true;
     } else if (arg.rfind("--seed=", 0) == 0) {
-      if (!ParseU64Flag("--seed", value_of(7), &args->seed)) return false;
+      if (!flags.U64("--seed", value_of(7), &args->seed)) return false;
     } else {
       std::fprintf(stderr, "uguide: unknown flag: %s\n", arg.c_str());
       return false;

@@ -61,7 +61,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -75,6 +74,8 @@
 #include "core/uguide.h"
 #include "server/dataset.h"
 #include "server/protocol.h"
+
+#include "flag_parse.h"
 
 using namespace uguide;
 
@@ -116,55 +117,8 @@ void Usage() {
       "                      [--mutate-rate=M] [--mutate-seed=S]\n");
 }
 
-bool FlagError(const char* flag, const std::string& value, const char* want) {
-  std::fprintf(stderr,
-               "uguide_loadgen: invalid value '%s' for %s (expected %s)\n",
-               value.c_str(), flag, want);
-  return false;
-}
-
-bool ParseIntFlag(const char* flag, const std::string& value, int min_value,
-                  int* out) {
-  if (value.empty()) return FlagError(flag, value, "an integer");
-  long long parsed = 0;
-  for (char c : value) {
-    if (c < '0' || c > '9') return FlagError(flag, value, "an integer");
-    parsed = parsed * 10 + (c - '0');
-    if (parsed > std::numeric_limits<int>::max()) {
-      return FlagError(flag, value, "an integer in range");
-    }
-  }
-  if (parsed < min_value) return FlagError(flag, value, "a larger integer");
-  *out = static_cast<int>(parsed);
-  return true;
-}
-
-bool ParseDoubleFlag(const char* flag, const std::string& value,
-                     double* out) {
-  if (value.empty()) return FlagError(flag, value, "a number");
-  char* end = nullptr;
-  errno = 0;
-  const double parsed = std::strtod(value.c_str(), &end);
-  if (errno != 0 || end != value.c_str() + value.size()) {
-    return FlagError(flag, value, "a number");
-  }
-  *out = parsed;
-  return true;
-}
-
-bool ParseU64Flag(const char* flag, const std::string& value, uint64_t* out) {
-  if (value.empty()) return FlagError(flag, value, "an integer");
-  char* end = nullptr;
-  errno = 0;
-  const uint64_t parsed = std::strtoull(value.c_str(), &end, 10);
-  if (errno != 0 || end != value.c_str() + value.size()) {
-    return FlagError(flag, value, "an integer");
-  }
-  *out = parsed;
-  return true;
-}
-
 bool ParseArgs(int argc, char** argv, Args* args) {
+  const FlagParser flags("uguide_loadgen");
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     const size_t eq = arg.find('=');
@@ -172,17 +126,20 @@ bool ParseArgs(int argc, char** argv, Args* args) {
     const std::string value =
         eq == std::string::npos ? std::string() : arg.substr(eq + 1);
     if (flag == "--port") {
-      if (!ParseIntFlag("--port", value, 1, &args->port)) return false;
+      if (!flags.Int("--port", value, 1, &args->port)) return false;
     } else if (flag == "--sessions") {
-      if (!ParseIntFlag("--sessions", value, 1, &args->sessions)) return false;
+      if (!flags.Int("--sessions", value, 1, &args->sessions)) return false;
     } else if (flag == "--concurrency") {
-      if (!ParseIntFlag("--concurrency", value, 1, &args->concurrency)) {
+      if (!flags.Int("--concurrency", value, 1, &args->concurrency)) {
         return false;
       }
     } else if (flag == "--strategy") {
       args->strategy = value;
     } else if (flag == "--budget") {
-      if (!ParseDoubleFlag("--budget", value, &args->budget)) return false;
+      if (!flags.Double("--budget", value, 0.0, FlagParser::kMax,
+                        &args->budget)) {
+        return false;
+      }
     } else if (flag == "--id-prefix") {
       args->id_prefix = value;
     } else if (flag == "--no-verify") {
@@ -194,32 +151,30 @@ bool ParseArgs(int argc, char** argv, Args* args) {
     } else if (flag == "--chaos") {
       args->chaos = true;
     } else if (flag == "--chaos-seed") {
-      if (!ParseU64Flag("--chaos-seed", value, &args->chaos_seed)) {
-        return false;
-      }
+      if (!flags.U64("--chaos-seed", value, &args->chaos_seed)) return false;
     } else if (flag == "--restart-grace-ms") {
-      if (!ParseDoubleFlag("--restart-grace-ms", value,
-                           &args->restart_grace_ms)) {
+      if (!flags.Double("--restart-grace-ms", value, 0.0, FlagParser::kMax,
+                        &args->restart_grace_ms)) {
         return false;
       }
     } else if (flag == "--mutate-rate") {
-      if (!ParseDoubleFlag("--mutate-rate", value, &args->mutate_rate)) {
+      if (!flags.Double("--mutate-rate", value, 0.0, 1.0, &args->mutate_rate)) {
         return false;
       }
     } else if (flag == "--mutate-seed") {
-      if (!ParseU64Flag("--mutate-seed", value, &args->mutate_seed)) {
-        return false;
-      }
+      if (!flags.U64("--mutate-seed", value, &args->mutate_seed)) return false;
     } else if (flag == "--rows") {
-      if (!ParseIntFlag("--rows", value, 1, &args->dataset.rows)) return false;
+      if (!flags.Int("--rows", value, 1, &args->dataset.rows)) return false;
     } else if (flag == "--error-rate") {
-      if (!ParseDoubleFlag("--error-rate", value, &args->dataset.error_rate)) {
+      if (!flags.Double("--error-rate", value, 0.0, 1.0,
+                        &args->dataset.error_rate)) {
         return false;
       }
     } else if (flag == "--seed") {
-      if (!ParseU64Flag("--seed", value, &args->dataset.seed)) return false;
+      if (!flags.U64("--seed", value, &args->dataset.seed)) return false;
     } else if (flag == "--idk-rate") {
-      if (!ParseDoubleFlag("--idk-rate", value, &args->dataset.idk_rate)) {
+      if (!flags.Double("--idk-rate", value, 0.0, 1.0,
+                        &args->dataset.idk_rate)) {
         return false;
       }
     } else {

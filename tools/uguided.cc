@@ -26,13 +26,11 @@
 #include <unistd.h>
 
 #include <atomic>
-#include <cerrno>
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <limits>
 #include <string>
 #include <thread>
 
@@ -43,6 +41,8 @@
 #include "server/daemon.h"
 #include "server/dataset.h"
 #include "server/dataset_registry.h"
+
+#include "flag_parse.h"
 
 using namespace uguide;
 
@@ -111,54 +111,8 @@ void Usage() {
       "reports the brownout level and all shed/refused/dropped counters.\n");
 }
 
-bool FlagError(const char* flag, const std::string& value, const char* want) {
-  std::fprintf(stderr, "uguided: invalid value '%s' for %s (expected %s)\n",
-               value.c_str(), flag, want);
-  return false;
-}
-
-bool ParseIntFlag(const char* flag, const std::string& value, int min_value,
-                  int* out) {
-  if (value.empty()) return FlagError(flag, value, "an integer");
-  long long parsed = 0;
-  for (char c : value) {
-    if (c < '0' || c > '9') return FlagError(flag, value, "an integer");
-    parsed = parsed * 10 + (c - '0');
-    if (parsed > std::numeric_limits<int>::max()) {
-      return FlagError(flag, value, "an integer in range");
-    }
-  }
-  if (parsed < min_value) return FlagError(flag, value, "a larger integer");
-  *out = static_cast<int>(parsed);
-  return true;
-}
-
-bool ParseDoubleFlag(const char* flag, const std::string& value,
-                     double* out) {
-  if (value.empty()) return FlagError(flag, value, "a number");
-  char* end = nullptr;
-  errno = 0;
-  const double parsed = std::strtod(value.c_str(), &end);
-  if (errno != 0 || end != value.c_str() + value.size()) {
-    return FlagError(flag, value, "a number");
-  }
-  *out = parsed;
-  return true;
-}
-
-bool ParseU64Flag(const char* flag, const std::string& value, uint64_t* out) {
-  if (value.empty()) return FlagError(flag, value, "an integer");
-  char* end = nullptr;
-  errno = 0;
-  const uint64_t parsed = std::strtoull(value.c_str(), &end, 10);
-  if (errno != 0 || end != value.c_str() + value.size()) {
-    return FlagError(flag, value, "an integer");
-  }
-  *out = parsed;
-  return true;
-}
-
 bool ParseArgs(int argc, char** argv, Args* args) {
+  const FlagParser flags("uguided");
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     const size_t eq = arg.find('=');
@@ -166,21 +120,20 @@ bool ParseArgs(int argc, char** argv, Args* args) {
     const std::string value =
         eq == std::string::npos ? std::string() : arg.substr(eq + 1);
     if (flag == "--port") {
-      if (!ParseIntFlag("--port", value, 0, &args->port)) return false;
+      if (!flags.Int("--port", value, 0, &args->port)) return false;
     } else if (flag == "--port-file") {
       args->port_file = value;
     } else if (flag == "--max-sessions") {
-      if (!ParseIntFlag("--max-sessions", value, 1, &args->max_sessions)) {
+      if (!flags.Int("--max-sessions", value, 1, &args->max_sessions)) {
         return false;
       }
     } else if (flag == "--max-connections") {
-      if (!ParseIntFlag("--max-connections", value, 0,
-                        &args->max_connections)) {
+      if (!flags.Int("--max-connections", value, 0, &args->max_connections)) {
         return false;
       }
     } else if (flag == "--idle-timeout-ms") {
-      if (!ParseDoubleFlag("--idle-timeout-ms", value,
-                           &args->idle_timeout_ms)) {
+      if (!flags.Double("--idle-timeout-ms", value, 0.0, FlagParser::kMax,
+                        &args->idle_timeout_ms)) {
         return false;
       }
     } else if (flag == "--journal-dir") {
@@ -188,61 +141,69 @@ bool ParseArgs(int argc, char** argv, Args* args) {
     } else if (flag == "--journal-fsync") {
       Result<JournalFsyncMode> mode = ParseJournalFsyncMode(value);
       if (!mode.ok()) {
-        return FlagError("--journal-fsync", value, "every|batch");
+        return flags.Error("--journal-fsync", value, "every|batch");
       }
       args->journal_fsync = *mode;
     } else if (flag == "--journal-retain-s") {
-      if (!ParseDoubleFlag("--journal-retain-s", value,
-                           &args->journal_retain_s)) {
+      if (!flags.Double("--journal-retain-s", value, 0.0, FlagParser::kMax,
+                        &args->journal_retain_s)) {
         return false;
       }
     } else if (flag == "--threads") {
-      if (!ParseIntFlag("--threads", value, 0, &args->threads)) return false;
+      if (!flags.Int("--threads", value, 0, &args->threads)) return false;
     } else if (flag == "--memory-budget-mb") {
-      if (!ParseIntFlag("--memory-budget-mb", value, 0,
-                        &args->memory_budget_mb)) {
+      if (!flags.Int("--memory-budget-mb", value, 0, &args->memory_budget_mb)) {
         return false;
       }
     } else if (flag == "--fault-plan") {
       args->fault_plan = value;
     } else if (flag == "--tick-ms") {
-      if (!ParseDoubleFlag("--tick-ms", value, &args->tick_ms)) return false;
+      if (!flags.Double("--tick-ms", value, 0.0, FlagParser::kMax,
+                        &args->tick_ms)) {
+        return false;
+      }
     } else if (flag == "--read-idle-ms") {
-      if (!ParseDoubleFlag("--read-idle-ms", value, &args->read_idle_ms)) {
+      if (!flags.Double("--read-idle-ms", value, 0.0, FlagParser::kMax,
+                        &args->read_idle_ms)) {
         return false;
       }
     } else if (flag == "--max-pending-out-kb") {
-      if (!ParseIntFlag("--max-pending-out-kb", value, 0,
-                        &args->max_pending_out_kb)) {
+      if (!flags.Int("--max-pending-out-kb", value, 0,
+                     &args->max_pending_out_kb)) {
         return false;
       }
     } else if (flag == "--queue-deadline-ms") {
-      if (!ParseDoubleFlag("--queue-deadline-ms", value,
-                           &args->queue_deadline_ms)) {
+      if (!flags.Double("--queue-deadline-ms", value, 0.0, FlagParser::kMax,
+                        &args->queue_deadline_ms)) {
         return false;
       }
     } else if (flag == "--rate-limit") {
-      if (!ParseDoubleFlag("--rate-limit", value, &args->rate_limit)) {
+      if (!flags.Double("--rate-limit", value, 0.0, FlagParser::kMax,
+                        &args->rate_limit)) {
         return false;
       }
     } else if (flag == "--rate-burst") {
-      if (!ParseDoubleFlag("--rate-burst", value, &args->rate_burst)) {
+      if (!flags.Double("--rate-burst", value, 0.0, FlagParser::kMax,
+                        &args->rate_burst)) {
         return false;
       }
     } else if (flag == "--rows") {
-      if (!ParseIntFlag("--rows", value, 1, &args->dataset.rows)) return false;
+      if (!flags.Int("--rows", value, 1, &args->dataset.rows)) return false;
     } else if (flag == "--error-rate") {
-      if (!ParseDoubleFlag("--error-rate", value, &args->dataset.error_rate)) {
+      if (!flags.Double("--error-rate", value, 0.0, 1.0,
+                        &args->dataset.error_rate)) {
         return false;
       }
     } else if (flag == "--seed") {
-      if (!ParseU64Flag("--seed", value, &args->dataset.seed)) return false;
+      if (!flags.U64("--seed", value, &args->dataset.seed)) return false;
     } else if (flag == "--idk-rate") {
-      if (!ParseDoubleFlag("--idk-rate", value, &args->dataset.idk_rate)) {
+      if (!flags.Double("--idk-rate", value, 0.0, 1.0,
+                        &args->dataset.idk_rate)) {
         return false;
       }
     } else if (flag == "--budget") {
-      if (!ParseDoubleFlag("--budget", value, &args->dataset.budget)) {
+      if (!flags.Double("--budget", value, 0.0, FlagParser::kMax,
+                        &args->dataset.budget)) {
         return false;
       }
     } else {
