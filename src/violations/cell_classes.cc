@@ -63,6 +63,19 @@ CellClasses::CellClasses(const ViolationGraph& graph) {
   for (CellId c = 0; c < num_cells; ++c) {
     members_[next[static_cast<size_t>(ClassOf(c))]++] = c;
   }
+
+  // The FD -> classes inverse the same way, scattered in ascending class
+  // order.
+  class_offsets_.assign(static_cast<size_t>(graph.NumFds()) + 1, 0);
+  for (FdId f : fd_edges_) ++class_offsets_[static_cast<size_t>(f) + 1];
+  for (size_t i = 1; i < class_offsets_.size(); ++i) {
+    class_offsets_[i] += class_offsets_[i - 1];
+  }
+  classes_.resize(fd_edges_.size());
+  next.assign(class_offsets_.begin(), class_offsets_.end() - 1);
+  for (int k = 0; k < NumClasses(); ++k) {
+    for (FdId f : Fds(k)) classes_[next[static_cast<size_t>(f)]++] = k;
+  }
 }
 
 }  // namespace uguide

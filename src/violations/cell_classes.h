@@ -19,10 +19,12 @@ namespace uguide {
 /// classes.
 ///
 /// Classes are numbered in order of their lowest member, and each class's
-/// members are listed ascending. The index is a snapshot of the graph's
-/// frozen adjacency; active flags play no part in it, so one index serves
-/// every run over the graph while their views deactivate nodes. It lives
-/// in the dataset's ViolationArtifact, built once beside the graph.
+/// members are listed ascending. ClassesOfFd inverts Fds, so a strategy
+/// finds the classes an answer touched from the FDs it touched. The index
+/// is a snapshot of the graph's frozen adjacency; active flags play no
+/// part in it, so one index serves every run over the graph while their
+/// views deactivate nodes. It lives in the dataset's ViolationArtifact,
+/// built once beside the graph.
 class CellClasses {
  public:
   explicit CellClasses(const ViolationGraph& graph);
@@ -43,11 +45,20 @@ class CellClasses {
     return Slice(member_offsets_, members_, k);
   }
 
+  /// The classes whose FD list contains FD `f`, ascending (the inverse of
+  /// Fds).
+  ConstSpan<int> ClassesOfFd(FdId f) const {
+    return Slice(class_offsets_, classes_, f);
+  }
+
   /// Payload bytes (the MemoryBudget convention of ViolationGraph).
   size_t ApproxMemoryBytes() const {
-    return (class_of_.size() + fd_edges_.size() + members_.size()) *
+    return (class_of_.size() + fd_edges_.size() + members_.size() +
+            classes_.size()) *
                sizeof(int) +
-           (fd_offsets_.size() + member_offsets_.size()) * sizeof(uint32_t);
+           (fd_offsets_.size() + member_offsets_.size() +
+            class_offsets_.size()) *
+               sizeof(uint32_t);
   }
 
  private:
@@ -62,11 +73,14 @@ class CellClasses {
 
   std::vector<int> class_of_;
   /// CSR: class k's FD list is fd_edges_[fd_offsets_[k], fd_offsets_[k+1]),
-  /// its members members_[member_offsets_[k], member_offsets_[k+1]).
+  /// its members members_[member_offsets_[k], member_offsets_[k+1]), and
+  /// FD f's classes classes_[class_offsets_[f], class_offsets_[f+1]).
   std::vector<uint32_t> fd_offsets_;
   std::vector<FdId> fd_edges_;
   std::vector<uint32_t> member_offsets_;
   std::vector<CellId> members_;
+  std::vector<uint32_t> class_offsets_;
+  std::vector<int> classes_;
 };
 
 }  // namespace uguide

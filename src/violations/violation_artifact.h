@@ -24,7 +24,7 @@ class ThreadPool;
 ///     its store warmed by the graph build;
 ///   - graph(): the frozen FD <-> violation graph over the candidates;
 ///   - classes(): the graph's cells grouped by flagging-FD list, which
-///     CellQ-SUMS and CellQ-Oracle compute over (DESIGN.md §14.2);
+///     every cell strategy scores and selects over (DESIGN.md §14.2);
 ///   - RemovalCount(f): |g3 removal set| of every graph FD, the FD
 ///     strategies' accuracy prior.
 /// Each piece is a deterministic function of the relation and the

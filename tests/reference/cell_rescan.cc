@@ -4,6 +4,7 @@
 #include <cmath>
 #include <vector>
 
+#include "fd/closure.h"
 #include "violations/bipartite_graph.h"
 #include "violations/violation_artifact.h"
 
@@ -313,6 +314,60 @@ class RescanCellQSums : public Strategy {
   CellStrategyOptions options_;
 };
 
+class RescanCellQOracle : public Strategy {
+ public:
+  explicit RescanCellQOracle(const CellStrategyOptions& options)
+      : options_(options) {}
+
+  std::string_view name() const override { return "CellQ-Oracle"; }
+
+  StrategyResult Run(const QuestionContext& ctx) override {
+    UGUIDE_CHECK(ctx.true_violations != nullptr && ctx.true_fds != nullptr)
+        << "CellQ-Oracle requires the true violation set and true FDs";
+    CellRun run(ctx, options_);
+    StrategyResult result;
+    const double cost = ctx.cost.CellCost();
+    ClosureEngine true_closure(*ctx.true_fds);
+    std::vector<bool> is_true_fd(static_cast<size_t>(run.graph.NumFds()));
+    for (FdId f = 0; f < run.graph.NumFds(); ++f) {
+      is_true_fd[static_cast<size_t>(f)] =
+          true_closure.Implies(run.graph.fd(f));
+    }
+    while (result.cost_spent + cost <= ctx.budget) {
+      CellId best = -1;
+      double best_payoff = 0.0;
+      for (CellId c = 0; c < run.graph.NumCells(); ++c) {
+        if (!run.Askable(c)) continue;
+        const bool is_violation =
+            ctx.true_violations->Contains(run.graph.cell(c));
+        double payoff = 0.0;
+        for (FdId f : run.graph.FdsOfCell(c)) {
+          if (!run.graph.FdActive(f)) continue;
+          const bool is_true = is_true_fd[static_cast<size_t>(f)];
+          if (!is_violation) {
+            payoff += is_true ? 0.0 : 1.0;
+          } else if (is_true && run.fd_conf[static_cast<size_t>(f)] <
+                                    options_.accept_threshold) {
+            payoff += 1.0;
+          }
+        }
+        if (payoff > best_payoff) {
+          best = c;
+          best_payoff = payoff;
+        }
+      }
+      if (best < 0) break;
+      const Answer answer = Ask(ctx, run, best, result);
+      ApplyAnswer(run, best, answer, options_.delta, run.fd_conf);
+    }
+    result.accepted_fds = run.Accept(run.fd_conf, options_.accept_threshold);
+    return result;
+  }
+
+ private:
+  CellStrategyOptions options_;
+};
+
 }  // namespace
 
 std::unique_ptr<Strategy> MakeRescanCellQHittingSet(
@@ -328,6 +383,11 @@ std::unique_ptr<Strategy> MakeRescanCellQGreedy(
 std::unique_ptr<Strategy> MakeRescanCellQSums(
     const CellStrategyOptions& options) {
   return std::make_unique<RescanCellQSums>(options);
+}
+
+std::unique_ptr<Strategy> MakeRescanCellQOracle(
+    const CellStrategyOptions& options) {
+  return std::make_unique<RescanCellQOracle>(options);
 }
 
 }  // namespace uguide

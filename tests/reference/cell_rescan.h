@@ -2,12 +2,13 @@
 #define UGUIDE_TESTS_REFERENCE_CELL_RESCAN_H_
 
 /// \file
-/// \brief The full-rescan cell strategies: CellQ-HS, CellQ-Greedy and
-/// CellQ-SUMS as Algorithms 2-4 state them, rescanning every cell for each
-/// question and running Estimate-Confidence cell by cell. The behavioral
-/// reference the library's selection heaps and class-indexed SUMS must
-/// match question for question (DESIGN.md §9.4, §14.2), and the baseline
-/// their benchmarks measure against. Test and benchmark code only.
+/// \brief The full-rescan cell strategies: CellQ-HS, CellQ-Greedy,
+/// CellQ-SUMS and CellQ-Oracle as Algorithms 2-4 state them, rescanning
+/// every cell for each question and running Estimate-Confidence cell by
+/// cell. The behavioral reference the library's class selector and
+/// class-indexed SUMS must match question for question (DESIGN.md §9.4,
+/// §14.2), and the baseline their benchmarks measure against. Test and
+/// benchmark code only.
 ///
 /// Each strategy reports under the library strategy's name, so a report
 /// of either is directly comparable. The selection and answer logic is a
@@ -34,6 +35,12 @@ std::unique_ptr<Strategy> MakeRescanCellQGreedy(
 /// CellQ-SUMS with the per-cell Estimate-Confidence fixpoint (Algorithm 4)
 /// and per-cell selection scans.
 std::unique_ptr<Strategy> MakeRescanCellQSums(
+    const CellStrategyOptions& options = {});
+
+/// CellQ-Oracle by linear rescan: each round asks the askable cell with
+/// the highest positive payoff — a clean cell's active false FDs, a true
+/// violation's active unaccepted true FDs — ties toward the lowest CellId.
+std::unique_ptr<Strategy> MakeRescanCellQOracle(
     const CellStrategyOptions& options = {});
 
 }  // namespace uguide

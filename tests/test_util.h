@@ -12,10 +12,13 @@
 namespace uguide::testing {
 
 /// Builds a ready-to-run Session over a generated Hospital table with
-/// injected errors; the standard fixture for strategy tests.
+/// injected errors; the standard fixture for strategy tests. The simulated
+/// expert answers "I don't know" at `idk_rate` and flips an answer at
+/// `wrong_rate`.
 inline Session MakeHospitalSession(
     int rows = 1200, ErrorModel model = ErrorModel::kSystematic,
-    double error_rate = 0.15, uint64_t seed = 5, double idk_rate = 0.0) {
+    double error_rate = 0.15, uint64_t seed = 5, double idk_rate = 0.0,
+    double wrong_rate = 0.0) {
   DataGenOptions data;
   data.rows = rows;
   data.seed = seed;
@@ -34,13 +37,14 @@ inline Session MakeHospitalSession(
   SessionConfig config;
   config.candidate_options.max_lhs_size = 3;
   config.idk_rate = idk_rate;
+  config.wrong_rate = wrong_rate;
   return Session::Create(clean, std::move(dataset), config).ValueOrDie();
 }
 
 /// As MakeHospitalSession over the generated Tax table, the paper's
 /// widest relation: many candidate FDs and cells shared by several of them.
 inline Session MakeTaxSession(int rows = 400, double idk_rate = 0.0,
-                              uint64_t seed = 9) {
+                              uint64_t seed = 9, double wrong_rate = 0.0) {
   DataGenOptions data;
   data.rows = rows;
   data.seed = seed;
@@ -59,6 +63,7 @@ inline Session MakeTaxSession(int rows = 400, double idk_rate = 0.0,
   SessionConfig config;
   config.candidate_options.max_lhs_size = 3;
   config.idk_rate = idk_rate;
+  config.wrong_rate = wrong_rate;
   return Session::Create(clean, std::move(dataset), config).ValueOrDie();
 }
 

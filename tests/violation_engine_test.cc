@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <map>
+#include <set>
 #include <string>
 #include <unordered_set>
 #include <utility>
@@ -474,7 +475,8 @@ TEST(ViolationGraphTest, ParallelBuildBitIdenticalAcrossThreadCounts) {
 // The CellClasses contract against the graph it indexes: each class's FD
 // list is every member's FdsOfCell, members are ascending and partition
 // the cells, classes are numbered by their lowest member, equal lists share
-// a class, and a second build is identical.
+// a class, ClassesOfFd is the exact inverse of Fds with ascending lists,
+// ApproxMemoryBytes counts every array, and a second build is identical.
 void ExpectClassesIndexGraph(const ViolationGraph& g) {
   const CellClasses classes(g);
   std::vector<int> seen(static_cast<size_t>(g.NumCells()), 0);
@@ -505,11 +507,46 @@ void ExpectClassesIndexGraph(const ViolationGraph& g) {
   }
   EXPECT_EQ(class_of_list.size(), static_cast<size_t>(classes.NumClasses()));
 
+  // ClassesOfFd: every (class, FD) pair of Fds appears exactly once, in
+  // ascending class order per FD, and nothing else does.
+  std::set<std::pair<int, FdId>> pairs;
+  size_t listed_fds = 0;
+  for (int k = 0; k < classes.NumClasses(); ++k) {
+    for (FdId f : classes.Fds(k)) pairs.emplace(k, f);
+    listed_fds += classes.Fds(k).size();
+  }
+  EXPECT_EQ(pairs.size(), listed_fds);
+  size_t inverse_pairs = 0;
+  for (FdId f = 0; f < g.NumFds(); ++f) {
+    const ConstSpan<int> of_fd = classes.ClassesOfFd(f);
+    for (size_t i = 0; i < of_fd.size(); ++i) {
+      if (i > 0) {
+        EXPECT_LT(of_fd[i - 1], of_fd[i]) << "fd " << f;
+      }
+      EXPECT_EQ(pairs.count({of_fd[i], f}), 1u)
+          << "fd " << f << " class " << of_fd[i];
+    }
+    inverse_pairs += of_fd.size();
+  }
+  EXPECT_EQ(inverse_pairs, pairs.size());
+
+  // Payload bytes: class_of and members (one int per cell), the FD lists
+  // and their inverse (one int per pair each), and three offset arrays.
+  const size_t classes_n = static_cast<size_t>(classes.NumClasses());
+  const size_t cells_n = static_cast<size_t>(g.NumCells());
+  const size_t fds_n = static_cast<size_t>(g.NumFds());
+  EXPECT_EQ(classes.ApproxMemoryBytes(),
+            (2 * cells_n + 2 * listed_fds) * sizeof(int) +
+                (2 * (classes_n + 1) + fds_n + 1) * sizeof(uint32_t));
+
   const CellClasses again(g);
   ASSERT_EQ(again.NumClasses(), classes.NumClasses());
   for (int k = 0; k < classes.NumClasses(); ++k) {
     EXPECT_EQ(again.Fds(k), classes.Fds(k));
     EXPECT_EQ(again.Members(k), classes.Members(k));
+  }
+  for (FdId f = 0; f < g.NumFds(); ++f) {
+    EXPECT_EQ(again.ClassesOfFd(f), classes.ClassesOfFd(f));
   }
 }
 
@@ -529,6 +566,10 @@ TEST(CellClassesTest, HandBuiltGraph) {
             (std::vector<CellId>{g.FindCell(a), g.FindCell(e)}));
   EXPECT_EQ(classes.Fds(classes.ClassOf(g.FindCell(c))),
             (std::vector<FdId>{0, 1, 2}));
+  // FD 0 flags a/e, b and c; FD 1 flags b, c and d; FD 2 flags c and d.
+  EXPECT_EQ(classes.ClassesOfFd(0), (std::vector<int>{0, 1, 2}));
+  EXPECT_EQ(classes.ClassesOfFd(1), (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(classes.ClassesOfFd(2), (std::vector<int>{2, 3}));
 }
 
 TEST(CellClassesTest, TaxGraph) {
@@ -556,11 +597,13 @@ void ExpectReportsEqual(const SessionReport& a, const SessionReport& b) {
 }
 
 TEST(IncrementalSelectionTest, CellStrategiesMatchRescanReference) {
-  // The lazy heaps (HS / Greedy) and the class-indexed SUMS fixpoint must
-  // ask the same questions — hence produce byte-identical reports — as the
-  // O(NumCells)-rescan reference, including under IDK answers (which
-  // change no state and re-select). Hospital has few cells per flagging-FD
-  // list; Tax shares lists widely.
+  // The class selector (all four strategies) and the class-indexed SUMS
+  // fixpoint must ask the same questions — hence produce byte-identical
+  // reports — as the O(NumCells)-rescan reference, including under IDK
+  // answers (which change no state and re-select) and wrong answers (a
+  // "no" on a true violation deactivates FDs and can orphan cells; a
+  // "yes" on a clean cell pins it in SUMS). Hospital has few cells per
+  // flagging-FD list; Tax shares lists widely.
   std::vector<std::pair<std::string, Session>> sessions;
   for (double idk : {0.0, 0.25}) {
     Session hospital = testing::MakeHospitalSession(
@@ -568,6 +611,9 @@ TEST(IncrementalSelectionTest, CellStrategiesMatchRescanReference) {
     sessions.emplace_back("hospital idk=" + std::to_string(idk),
                           std::move(hospital));
   }
+  sessions.emplace_back("hospital wrong=0.1",
+                        testing::MakeHospitalSession(
+                            600, ErrorModel::kSystematic, 0.15, 5, 0.0, 0.1));
   sessions.emplace_back("tax", testing::MakeTaxSession(300));
   for (const auto& [label, session] : sessions) {
     for (double budget : {30.0, 120.0}) {
@@ -585,6 +631,11 @@ TEST(IncrementalSelectionTest, CellStrategiesMatchRescanReference) {
       {
         auto a = MakeCellQSums();
         auto b = MakeRescanCellQSums();
+        ExpectReportsEqual(session.Run(*a, budget), session.Run(*b, budget));
+      }
+      {
+        auto a = MakeCellQOracle();
+        auto b = MakeRescanCellQOracle();
         ExpectReportsEqual(session.Run(*a, budget), session.Run(*b, budget));
       }
     }

@@ -16,12 +16,26 @@ reasonable tolerance. Override with QUESTIONING_TOLERANCE_PCT.
 Benchmarks present only in the fresh run (newly added ones) are listed
 but never fail the gate; re-baseline by checking in the fresh JSON.
 
+Speedup floors (SPEEDUP_FLOORS) are checked within the fresh run alone:
+the reference row's real_time over the optimized row's must stay at or
+above the floor. Both rows run on the same host in the same process, so
+a slower or faster host moves them together and only a code change moves
+the ratio. CellQ-HS on Tax@5000 selects from one lazy heap over cell
+classes, and its rescan reference ran about 36x slower on a 4-vCPU VM; the
+floor of 18x is half that, well above the ~8x a per-cell heap reaches.
+
 Exit status: 0 clean, 1 regression, 2 usage/baseline mismatch.
 """
 
 import json
 import os
 import sys
+
+# (reference row, optimized row, minimum reference/optimized real_time).
+SPEEDUP_FLOORS = [
+    ("BM_CellQHittingSetTaxReference", "BM_CellQHittingSetTaxIncremental",
+     18.0),
+]
 
 
 def load_benchmarks(path):
@@ -82,6 +96,24 @@ def main():
     for name in sorted(set(fresh) - set(baseline)):
         print(f"{name}: {fresh[name]['real_time']:.2f}"
               f"{fresh[name].get('time_unit', 'ms')} [new, not gated]")
+
+    for reference, optimized, floor in SPEEDUP_FLOORS:
+        ref_run, opt_run = fresh.get(reference), fresh.get(optimized)
+        if ref_run is None or opt_run is None:
+            failures.append(f"{reference} / {optimized}: missing from "
+                            f"fresh run")
+            continue
+        if ref_run.get("time_unit") != opt_run.get("time_unit"):
+            failures.append(f"{reference} / {optimized}: time units differ")
+            continue
+        speedup = ref_run["real_time"] / opt_run["real_time"]
+        verdict = "ok"
+        if speedup < floor:
+            verdict = "REGRESSION"
+            failures.append(f"{reference} / {optimized}: speedup "
+                            f"{speedup:.2f}x < required {floor:.2f}x")
+        print(f"{reference} / {optimized}: speedup {speedup:.2f}x "
+              f"(floor {floor:.2f}x) [{verdict}]")
 
     if failures:
         print("\nquestioning perf regression:", file=sys.stderr)
