@@ -19,6 +19,7 @@
 
 #include "core/uguide.h"
 #include "reference/cell_rescan.h"
+#include "reference/fd_rescan.h"
 #include "reference/hash_detector.h"
 
 namespace uguide {
@@ -267,7 +268,7 @@ BENCHMARK(BM_PartitionProductReference)->Unit(benchmark::kMillisecond);
 // session's artifact is built before timing starts, so no row's first
 // iteration pays for the graph build: the Reference/Incremental ratios
 // the questioning gate checks compare selection alone.
-void RunCellStrategyBench(benchmark::State& state, const Session& session,
+void RunStrategyBench(benchmark::State& state, const Session& session,
                           std::unique_ptr<Strategy> strategy) {
   session.artifact();
   int questions = 0;
@@ -291,12 +292,12 @@ CellStrategyOptions TightSums() {
 }
 
 void BM_CellQHittingSetIncremental(benchmark::State& state) {
-  RunCellStrategyBench(state, HospitalSession(1), MakeCellQHittingSet());
+  RunStrategyBench(state, HospitalSession(1), MakeCellQHittingSet());
 }
 BENCHMARK(BM_CellQHittingSetIncremental)->Unit(benchmark::kMillisecond);
 
 void BM_CellQHittingSetReference(benchmark::State& state) {
-  RunCellStrategyBench(state, HospitalSession(1), MakeRescanCellQHittingSet());
+  RunStrategyBench(state, HospitalSession(1), MakeRescanCellQHittingSet());
 }
 BENCHMARK(BM_CellQHittingSetReference)->Unit(benchmark::kMillisecond);
 
@@ -304,32 +305,32 @@ BENCHMARK(BM_CellQHittingSetReference)->Unit(benchmark::kMillisecond);
 // the paper's widest relation. tools/check_questioning_regression.py gates
 // the Reference / Incremental ratio of this pair.
 void BM_CellQHittingSetTaxIncremental(benchmark::State& state) {
-  RunCellStrategyBench(state, TaxSession(), MakeCellQHittingSet());
+  RunStrategyBench(state, TaxSession(), MakeCellQHittingSet());
 }
 BENCHMARK(BM_CellQHittingSetTaxIncremental)->Unit(benchmark::kMillisecond);
 
 void BM_CellQHittingSetTaxReference(benchmark::State& state) {
-  RunCellStrategyBench(state, TaxSession(), MakeRescanCellQHittingSet());
+  RunStrategyBench(state, TaxSession(), MakeRescanCellQHittingSet());
 }
 BENCHMARK(BM_CellQHittingSetTaxReference)->Unit(benchmark::kMillisecond);
 
 void BM_CellQGreedyIncremental(benchmark::State& state) {
-  RunCellStrategyBench(state, HospitalSession(1), MakeCellQGreedy());
+  RunStrategyBench(state, HospitalSession(1), MakeCellQGreedy());
 }
 BENCHMARK(BM_CellQGreedyIncremental)->Unit(benchmark::kMillisecond);
 
 void BM_CellQGreedyReference(benchmark::State& state) {
-  RunCellStrategyBench(state, HospitalSession(1), MakeRescanCellQGreedy());
+  RunStrategyBench(state, HospitalSession(1), MakeRescanCellQGreedy());
 }
 BENCHMARK(BM_CellQGreedyReference)->Unit(benchmark::kMillisecond);
 
 void BM_CellQSumsIncremental(benchmark::State& state) {
-  RunCellStrategyBench(state, HospitalSession(1), MakeCellQSums());
+  RunStrategyBench(state, HospitalSession(1), MakeCellQSums());
 }
 BENCHMARK(BM_CellQSumsIncremental)->Unit(benchmark::kMillisecond);
 
 void BM_CellQSumsReference(benchmark::State& state) {
-  RunCellStrategyBench(state, HospitalSession(1), MakeRescanCellQSums());
+  RunStrategyBench(state, HospitalSession(1), MakeRescanCellQSums());
 }
 BENCHMARK(BM_CellQSumsReference)->Unit(benchmark::kMillisecond);
 
@@ -339,12 +340,12 @@ BENCHMARK(BM_CellQSumsReference)->Unit(benchmark::kMillisecond);
 // iteration (four FDs side by side), but its cell side runs once per class
 // of cells sharing a flagging-FD list instead of once per cell.
 void BM_CellQSumsTightIncremental(benchmark::State& state) {
-  RunCellStrategyBench(state, HospitalSession(1), MakeCellQSums(TightSums()));
+  RunStrategyBench(state, HospitalSession(1), MakeCellQSums(TightSums()));
 }
 BENCHMARK(BM_CellQSumsTightIncremental)->Unit(benchmark::kMillisecond);
 
 void BM_CellQSumsTightReference(benchmark::State& state) {
-  RunCellStrategyBench(state, HospitalSession(1),
+  RunStrategyBench(state, HospitalSession(1),
                        MakeRescanCellQSums(TightSums()));
 }
 BENCHMARK(BM_CellQSumsTightReference)->Unit(benchmark::kMillisecond);
@@ -352,14 +353,34 @@ BENCHMARK(BM_CellQSumsTightReference)->Unit(benchmark::kMillisecond);
 // Tax@5000: the class-indexed SUMS fixpoint and selection, and the
 // class-heap CellQ-Oracle, on the paper's widest relation.
 void BM_CellQSumsTax(benchmark::State& state) {
-  RunCellStrategyBench(state, TaxSession(), MakeCellQSums());
+  RunStrategyBench(state, TaxSession(), MakeCellQSums());
 }
 BENCHMARK(BM_CellQSumsTax)->Unit(benchmark::kMillisecond);
 
 void BM_CellQOracleTax(benchmark::State& state) {
-  RunCellStrategyBench(state, TaxSession(), MakeCellQOracle());
+  RunStrategyBench(state, TaxSession(), MakeCellQOracle());
 }
 BENCHMARK(BM_CellQOracleTax)->Unit(benchmark::kMillisecond);
+
+// FDQ-Oracle on Tax@5000. The library prices the artifact's shared FD
+// question pool (built here before timing, as the session's first FD run
+// builds it) and keeps each question's uncovered count up to date as
+// answers cover cells; the reference (tests/reference/fd_rescan) builds
+// its merged questions through the engine on every run and recounts
+// every question after each accepted FD.
+// tools/check_questioning_regression.py gates the Reference / library
+// ratio of this pair.
+void BM_FdQOracleTax(benchmark::State& state) {
+  TaxSession().artifact().FdQuestions(
+      FdStrategyOptions{}.max_merged_candidates);
+  RunStrategyBench(state, TaxSession(), MakeFdQOracle());
+}
+BENCHMARK(BM_FdQOracleTax)->Unit(benchmark::kMillisecond);
+
+void BM_FdQOracleTaxReference(benchmark::State& state) {
+  RunStrategyBench(state, TaxSession(), MakeRescanFdQOracle());
+}
+BENCHMARK(BM_FdQOracleTaxReference)->Unit(benchmark::kMillisecond);
 
 // --- Evaluation --------------------------------------------------------------
 

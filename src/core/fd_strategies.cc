@@ -1,7 +1,7 @@
 #include "core/fd_strategies.h"
 
 #include <algorithm>
-#include <unordered_set>
+#include <memory>
 #include <vector>
 
 #include "common/id_bitmap.h"
@@ -12,125 +12,93 @@ namespace uguide {
 
 namespace {
 
-// One askable FD question. A candidate's violation cells are its graph
-// node's CellsOfFd; a merged question keeps its own list of graph CellIds.
+// One askable FD question, priced with the run's CostModel. Question i <
+// pool.NumCandidates() is graph FD i; the rest are the pool's merged
+// questions in order.
 struct FdQuestion {
   Fd fd;
-  FdId node = -1;                // candidate: its graph FD; merged: -1
-  std::vector<CellId> merged;    // merged: its violation cells
-  size_t removal_count = 0;      // |g3 removal set| (for the accuracy prior)
+  size_t removal_count = 0;  // |g3 removal set| (for the accuracy prior)
   double cost = 1.0;
+  size_t uncovered = 0;      // cells no accepted FD has covered yet
   bool asked = false;
 };
 
-ConstSpan<CellId> CellsOf(const FdQuestion& q, const ViolationGraph& graph) {
-  return q.node >= 0 ? graph.CellsOfFd(q.node) : ConstSpan<CellId>(q.merged);
-}
+// The run's view of the artifact's question pool: every candidate FD,
+// plus (optionally) the first max_merged_candidates merged same-RHS pairs
+// as non-minimal questions (§5's AB -> C example).
+struct FdQuestions {
+  const ViolationGraph* graph = nullptr;
+  std::shared_ptr<const FdQuestionPool> pool;
+  int num_merged = 0;
+  std::vector<FdQuestion> questions;
 
-// Builds the question pool: every candidate FD, plus (optionally) merged
-// same-RHS pairs as non-minimal questions (§5's AB -> C example).
-// Candidates read their cells and removal counts from the shared
-// artifact; only merged questions, which have no graph node, query the
-// engine.
-std::vector<FdQuestion> BuildQuestions(const QuestionContext& ctx,
-                                       const ViolationArtifact& artifact,
-                                       const FdStrategyOptions& options) {
+  ConstSpan<CellId> CellsOf(size_t i) const {
+    const int candidates = pool->NumCandidates();
+    return i < static_cast<size_t>(candidates)
+               ? graph->CellsOfFd(static_cast<FdId>(i))
+               : pool->CellsOfMerged(static_cast<int>(i) - candidates);
+  }
+};
+
+FdQuestions BuildQuestions(const QuestionContext& ctx,
+                           const ViolationArtifact& artifact,
+                           const FdStrategyOptions& options) {
   const ViolationGraph& graph = artifact.graph();
   const std::vector<Fd>& base = ctx.candidates->fds();
   UGUIDE_CHECK_EQ(static_cast<size_t>(graph.NumFds()), base.size())
       << "artifact built over a different candidate set";
-  std::vector<FdQuestion> questions;
-  std::unordered_set<Fd, FdHash> known;
+  FdQuestions out;
+  out.graph = &graph;
+  const int max_merged = options.allow_non_minimal
+                             ? std::max(0, options.max_merged_candidates)
+                             : 0;
+  out.pool = artifact.FdQuestions(max_merged);
+  out.num_merged = std::min(max_merged, out.pool->NumMerged());
+  out.questions.reserve(base.size() + static_cast<size_t>(out.num_merged));
   for (FdId f = 0; f < graph.NumFds(); ++f) {
     FdQuestion q;
     q.fd = base[static_cast<size_t>(f)];
     UGUIDE_CHECK(graph.fd(f) == q.fd)
         << "artifact built over a different candidate set";
-    q.node = f;
     q.removal_count = artifact.RemovalCount(f);
-    q.cost = ctx.cost.FdCost(q.fd,
-                             CostModel::ExtraAttributes(q.fd, *ctx.candidates));
-    known.insert(q.fd);
-    questions.push_back(std::move(q));
+    q.cost = ctx.cost.FdCost(q.fd, out.pool->CandidateExtraAttributes(f));
+    q.uncovered = graph.CellsOfFd(f).size();
+    out.questions.push_back(q);
   }
-  if (options.allow_non_minimal) {
-    ViolationEngine& engine = artifact.engine();
-    int merged_count = 0;
-    for (size_t i = 0;
-         i < base.size() && merged_count < options.max_merged_candidates;
-         ++i) {
-      for (size_t j = i + 1;
-           j < base.size() && merged_count < options.max_merged_candidates;
-           ++j) {
-        if (base[i].rhs != base[j].rhs) continue;
-        Fd merged(base[i].lhs.Union(base[j].lhs), base[i].rhs);
-        if (!merged.IsValidShape() || known.contains(merged)) continue;
-        known.insert(merged);
-        FdQuestion q;
-        q.fd = merged;
-        // A pair violating XY -> C agrees on X and differs on C, so it
-        // violates the candidate X -> C too: every cell is a graph node.
-        for (TupleId row : engine.ViolatingTuplesUnordered(merged)) {
-          const CellId c = graph.FindCell(Cell{row, merged.rhs});
-          UGUIDE_CHECK(c >= 0) << "merged question flags a non-graph cell";
-          q.merged.push_back(c);
-        }
-        q.removal_count = engine.G3RemovalCount(merged);
-        q.cost = ctx.cost.FdCost(
-            merged, CostModel::ExtraAttributes(merged, *ctx.candidates));
-        questions.push_back(std::move(q));
-        ++merged_count;
-      }
-    }
+  for (int m = 0; m < out.num_merged; ++m) {
+    FdQuestion q;
+    q.fd = out.pool->merged_fd(m);
+    q.removal_count = out.pool->MergedRemovalCount(m);
+    q.cost = ctx.cost.FdCost(q.fd, out.pool->MergedExtraAttributes(m));
+    q.uncovered = out.pool->CellsOfMerged(m).size();
+    out.questions.push_back(q);
   }
-  return questions;
-}
-
-size_t CountUncovered(ConstSpan<CellId> cells, const IdBitmap& covered) {
-  size_t uncovered = 0;
-  for (CellId c : cells) {
-    if (!covered.Test(c)) ++uncovered;
-  }
-  return uncovered;
+  return out;
 }
 
 // Shared driver: the three FD strategies differ only in eligibility and
-// scoring.
+// scoring. Each round scans the questions in order and asks the
+// eligible, affordable one with the highest score (strict >: ties keep
+// the first).
 template <typename EligibleFn, typename ScoreFn>
-StrategyResult RunFdLoop(const QuestionContext& ctx,
-                         const ViolationGraph& graph,
-                         std::vector<FdQuestion>& questions,
+StrategyResult RunFdLoop(const QuestionContext& ctx, FdQuestions& run,
                          EligibleFn eligible, ScoreFn score) {
   StrategyResult result;
+  std::vector<FdQuestion>& questions = run.questions;
+  const ViolationGraph& graph = *run.graph;
+  const size_t num_candidates = static_cast<size_t>(graph.NumFds());
   // Coverage is keyed by graph CellId: every question's cells are graph
   // nodes, and distinct cells have distinct ids.
   IdBitmap covered(graph.NumCells());
-  // Lazy uncovered counts: `covered` only grows when an FD is accepted, so
-  // between acceptances every question's uncovered count is unchanged and
-  // the greedy scan does not need to re-walk the (large) violation-cell
-  // lists. Counts are recomputed per question at most once per accepted
-  // answer; selection is value-identical to the eager scan. With covered
-  // initially empty the count is just the cell total.
-  std::vector<size_t> uncovered_cache(questions.size());
-  for (size_t i = 0; i < questions.size(); ++i) {
-    uncovered_cache[i] = CellsOf(questions[i], graph).size();
-  }
-  std::vector<uint32_t> cache_epoch(questions.size(), 0);
-  uint32_t covered_epoch = 0;
   for (;;) {
     const double remaining = ctx.budget - result.cost_spent;
     int best = -1;
     double best_score = 0.0;
     for (size_t i = 0; i < questions.size(); ++i) {
-      FdQuestion& q = questions[i];
-      if (q.asked || q.cost > remaining || !eligible(q)) continue;
-      if (cache_epoch[i] != covered_epoch) {
-        uncovered_cache[i] = CountUncovered(CellsOf(q, graph), covered);
-        cache_epoch[i] = covered_epoch;
-      }
-      const size_t uncovered = uncovered_cache[i];
-      if (uncovered == 0) continue;  // nothing new to gain
-      const double s = score(q, uncovered);
+      const FdQuestion& q = questions[i];
+      if (q.asked || q.cost > remaining || !eligible(i)) continue;
+      if (q.uncovered == 0) continue;  // nothing new to gain
+      const double s = score(q);
       if (best < 0 || s > best_score) {
         best = static_cast<int>(i);
         best_score = s;
@@ -144,8 +112,19 @@ StrategyResult RunFdLoop(const QuestionContext& ctx,
     const Answer answer = ctx.expert->IsFdValid(q.fd);
     if (answer == Answer::kYes) {
       result.accepted_fds.Add(q.fd);
-      for (CellId c : CellsOf(q, graph)) covered.Set(c);
-      ++covered_epoch;
+      // A cell covered for the first time leaves every question holding
+      // it: the candidates flagging it and the run's merged questions.
+      for (CellId c : run.CellsOf(static_cast<size_t>(best))) {
+        if (covered.Test(c)) continue;
+        covered.Set(c);
+        for (FdId f : graph.FdsOfCell(c)) {
+          --questions[static_cast<size_t>(f)].uncovered;
+        }
+        for (int m : run.pool->MergedOfCell(c)) {
+          if (m >= run.num_merged) break;
+          --questions[num_candidates + static_cast<size_t>(m)].uncovered;
+        }
+      }
     }
     // "no" discards the FD (asked = true suffices); "I don't know" likewise
     // leaves the question unanswered -- merged/non-minimal variants of the
@@ -164,20 +143,18 @@ class FdQBudgetedMaxCoverage : public Strategy {
 
   StrategyResult Run(const QuestionContext& ctx) override {
     ArtifactRef artifact(ctx.artifact, ctx.dirty, *ctx.candidates, ctx.pool);
-    std::vector<FdQuestion> questions =
-        BuildQuestions(ctx, *artifact, options_);
+    FdQuestions questions = BuildQuestions(ctx, *artifact, options_);
     const double n = std::max<double>(1.0, ctx.dirty->NumRows());
     // Budgeted max coverage: weight of uncovered violations, discounted by
     // an accuracy prior (AFDs whose g3 removal share approaches the
     // relaxation threshold are likelier to be false positives), normalized
     // by question cost.
     return RunFdLoop(
-        ctx, artifact->graph(), questions,
-        [](const FdQuestion&) { return true; },
-        [&](const FdQuestion& q, size_t uncovered) {
+        ctx, questions, [](size_t) { return true; },
+        [&](const FdQuestion& q) {
           const double prior =
               1.0 - static_cast<double>(q.removal_count) / n;
-          return prior * static_cast<double>(uncovered) / q.cost;
+          return prior * static_cast<double>(q.uncovered) / q.cost;
         });
   }
 
@@ -195,14 +172,11 @@ class FdQGreedy : public Strategy {
     FdStrategyOptions minimal_only = options_;
     minimal_only.allow_non_minimal = false;
     ArtifactRef artifact(ctx.artifact, ctx.dirty, *ctx.candidates, ctx.pool);
-    std::vector<FdQuestion> questions =
-        BuildQuestions(ctx, *artifact, minimal_only);
-    return RunFdLoop(
-        ctx, artifact->graph(), questions,
-        [](const FdQuestion&) { return true; },
-        [](const FdQuestion&, size_t uncovered) {
-          return static_cast<double>(uncovered);
-        });
+    FdQuestions questions = BuildQuestions(ctx, *artifact, minimal_only);
+    return RunFdLoop(ctx, questions, [](size_t) { return true; },
+                     [](const FdQuestion& q) {
+                       return static_cast<double>(q.uncovered);
+                     });
   }
 
  private:
@@ -219,22 +193,17 @@ class FdQOracle : public Strategy {
     UGUIDE_CHECK(ctx.true_fds != nullptr)
         << "FDQ-Oracle requires the true FD set";
     ArtifactRef artifact(ctx.artifact, ctx.dirty, *ctx.candidates, ctx.pool);
-    std::vector<FdQuestion> questions =
-        BuildQuestions(ctx, *artifact, options_);
+    FdQuestions questions = BuildQuestions(ctx, *artifact, options_);
     // The oracle pre-screens validity against the true FD set and never
     // spends budget on an invalid FD.
     ClosureEngine true_closure(*ctx.true_fds);
-    std::vector<bool> valid(questions.size());
-    for (size_t i = 0; i < questions.size(); ++i) {
-      valid[i] = true_closure.Implies(questions[i].fd);
+    std::vector<bool> valid(questions.questions.size());
+    for (size_t i = 0; i < valid.size(); ++i) {
+      valid[i] = true_closure.Implies(questions.questions[i].fd);
     }
-    auto eligible = [&](const FdQuestion& q) {
-      // Identify the question by address to avoid threading indices.
-      return valid[static_cast<size_t>(&q - questions.data())];
-    };
-    return RunFdLoop(ctx, artifact->graph(), questions, eligible,
-                     [](const FdQuestion& q, size_t uncovered) {
-                       return static_cast<double>(uncovered) / q.cost;
+    return RunFdLoop(ctx, questions, [&](size_t i) { return valid[i]; },
+                     [](const FdQuestion& q) {
+                       return static_cast<double>(q.uncovered) / q.cost;
                      });
   }
 

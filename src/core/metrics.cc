@@ -5,22 +5,9 @@
 
 namespace uguide {
 
-namespace {
-
-// The union of the accepted FDs' violating cells as a dense bitmap over
-// the engine's relation.
-CellBitmap DetectionBitmap(ViolationEngine& engine, const FdSet& accepted) {
-  const Relation& dirty = engine.relation();
-  CellBitmap detections(dirty.NumRows(), dirty.NumAttributes());
-  for (const Fd& fd : accepted) engine.MarkViolatingCells(fd, &detections);
-  return detections;
-}
-
-}  // namespace
-
 std::vector<Cell> AllDetections(ViolationEngine& engine,
                                 const FdSet& accepted) {
-  return DetectionBitmap(engine, accepted).ToVector();
+  return engine.ViolatingCellUnion(accepted).ToVector();
 }
 
 std::vector<Cell> AllDetections(const Relation& dirty,
@@ -45,7 +32,7 @@ DetectionMetrics EvaluateDetections(ViolationEngine& engine,
   metrics.total_true_errors = true_violations.Size();
   if (injected != nullptr) metrics.total_injected = injected->NumChanged();
 
-  const CellBitmap detections = DetectionBitmap(engine, accepted);
+  const CellBitmap detections = engine.ViolatingCellUnion(accepted);
   metrics.detections = detections.Count();
   metrics.true_positives = detections.AndCount(true_violations.cells());
   metrics.false_positives = metrics.detections - metrics.true_positives;

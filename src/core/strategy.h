@@ -30,12 +30,12 @@ struct QuestionContext {
   double budget = 0.0;
 
   /// The dataset's violation artifact over `dirty` and `candidates`:
-  /// engine, frozen graph, cell classes and removal counts, shared
-  /// read-only by every run (a session passes its own, Session::artifact).
-  /// Optional: strategies wrap it in an ArtifactRef (or take its engine
-  /// through an EngineRef), which falls back to a private build when this
-  /// is null — bit-identical, since the artifact is a deterministic
-  /// function of `dirty` and `candidates`.
+  /// engine, frozen graph, cell classes, removal and per-tuple counts and
+  /// the FD question pool, shared read-only by every run (a session
+  /// passes its own, Session::artifact). Optional: strategies wrap it in
+  /// an ArtifactRef, which falls back to a private build when this is
+  /// null — bit-identical, since the artifact is a deterministic function
+  /// of `dirty` and `candidates`.
   const ViolationArtifact* artifact = nullptr;
 
   /// Worker pool for a private fallback build. Optional; null (or a

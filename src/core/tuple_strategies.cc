@@ -30,13 +30,11 @@ FdSet DiscoverSampleFds(const Relation& dirty,
 }
 
 // Weighted sampling weights of Algorithm 7: |Sigma_cand| minus the number
-// of candidate FDs whose removal set contains the tuple, normalized so
-// every tuple keeps a non-negative chance.
+// of candidate FDs whose removal set contains the tuple (the artifact's
+// per-tuple counts), normalized so every tuple keeps a non-negative chance.
 std::vector<double> ViolationWeights(const QuestionContext& ctx) {
-  EngineRef engine(
-      ctx.artifact != nullptr ? &ctx.artifact->engine() : nullptr, ctx.dirty);
-  const std::vector<int> counts =
-      engine->ViolationCountPerTuple(*ctx.candidates);
+  ArtifactRef artifact(ctx.artifact, ctx.dirty, *ctx.candidates, ctx.pool);
+  const std::vector<int>& counts = artifact->TupleViolationCounts();
   const double total = static_cast<double>(ctx.candidates->Size());
   std::vector<double> weights(counts.size());
   bool any_positive = false;

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/check.h"
+#include "common/span.h"
 #include "relation/relation.h"
 
 namespace uguide {
@@ -47,6 +48,24 @@ class CellBitmap {
     UGUIDE_CHECK(InRange(cell));
     const size_t bit = BitOf(cell);
     words_[bit >> 6] |= uint64_t{1} << (bit & 63);
+  }
+
+  /// Sets cell (r, col) for every r in `rows`; returns how many of them
+  /// were not set before. `col` and every row must be in range.
+  size_t InsertColumn(int col, ConstSpan<TupleId> rows) {
+    UGUIDE_CHECK(col >= 0 && col < cols_);
+    const size_t stride = static_cast<size_t>(cols_);
+    size_t inserted = 0;
+    for (TupleId r : rows) {
+      UGUIDE_CHECK(static_cast<size_t>(r) < static_cast<size_t>(rows_));
+      const size_t bit = static_cast<size_t>(r) * stride +
+                         static_cast<size_t>(col);
+      uint64_t& word = words_[bit >> 6];
+      const uint64_t mask = uint64_t{1} << (bit & 63);
+      inserted += (word & mask) == 0 ? 1 : 0;
+      word |= mask;
+    }
+    return inserted;
   }
 
   /// True iff some cell of `row` is set; false for an out-of-range row.

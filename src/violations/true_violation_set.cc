@@ -12,10 +12,8 @@ TrueViolationSet TrueViolationSet::Compute(const Relation& relation,
 
 TrueViolationSet TrueViolationSet::Compute(ViolationEngine& engine,
                                            const FdSet& fds) {
-  const Relation& relation = engine.relation();
   TrueViolationSet set;
-  set.cells_ = CellBitmap(relation.NumRows(), relation.NumAttributes());
-  for (const Fd& fd : fds) engine.MarkViolatingCells(fd, &set.cells_);
+  set.cells_ = engine.ViolatingCellUnion(fds);
   return set;
 }
 

@@ -114,18 +114,50 @@ std::vector<Cell> ViolationEngine::ViolatingCells(const Fd& fd) {
   return cells;
 }
 
-void ViolationEngine::MarkViolatingCells(const Fd& fd, CellBitmap* cells) {
-  UGUIDE_CHECK(fd.IsValidShape());
-  UGUIDE_CHECK(fd.rhs < relation_->NumAttributes());
-  UGUIDE_CHECK_EQ(cells->cols(), relation_->NumAttributes());
-  UGUIDE_CHECK_GE(cells->rows(), relation_->NumRows());
-  const std::vector<ValueCode>& codes = relation_->ColumnCodes(fd.rhs);
-  std::shared_ptr<const Partition> lhs = LhsPartition(fd.lhs);
-  for (size_t i = 0; i < lhs->NumClasses(); ++i) {
-    const Partition::ClassView cls = lhs->Class(i);
-    if (!ClassIsImpure(codes, cls)) continue;
-    for (TupleId r : cls) cells->Set(Cell{r, fd.rhs});
+CellBitmap ViolationEngine::ViolatingCellUnion(const FdSet& fds) {
+  const TupleId rows = relation_->NumRows();
+  const int cols = relation_->NumAttributes();
+  CellBitmap cells(rows, cols);
+  // Coarsest LHS first: X -> A flags every cell XY -> A does, so the
+  // coarse FDs fill columns early and later groups find them saturated.
+  std::vector<const Fd*> order;
+  order.reserve(fds.Size());
+  for (const Fd& fd : fds) {
+    UGUIDE_CHECK(fd.IsValidShape());
+    UGUIDE_CHECK(fd.rhs < cols);
+    order.push_back(&fd);
   }
+  std::sort(order.begin(), order.end(), [](const Fd* a, const Fd* b) {
+    if (a->lhs.Size() != b->lhs.Size()) return a->lhs.Size() < b->lhs.Size();
+    if (a->lhs != b->lhs) return a->lhs < b->lhs;
+    return a->rhs < b->rhs;
+  });
+  // flagged[a]: cells of column a set so far; the column is saturated
+  // once every row is flagged.
+  std::vector<TupleId> flagged(static_cast<size_t>(cols), 0);
+  std::vector<int> open_rhs;
+  for (size_t begin = 0; begin < order.size();) {
+    const AttributeSet lhs = order[begin]->lhs;
+    size_t end = begin;
+    open_rhs.clear();
+    for (; end < order.size() && order[end]->lhs == lhs; ++end) {
+      const int rhs = order[end]->rhs;
+      if (flagged[static_cast<size_t>(rhs)] < rows) open_rhs.push_back(rhs);
+    }
+    begin = end;
+    if (open_rhs.empty()) continue;
+    std::shared_ptr<const Partition> partition = LhsPartition(lhs);
+    for (int rhs : open_rhs) {
+      const std::vector<ValueCode>& codes = relation_->ColumnCodes(rhs);
+      TupleId& count = flagged[static_cast<size_t>(rhs)];
+      for (size_t i = 0; i < partition->NumClasses() && count < rows; ++i) {
+        const Partition::ClassView cls = partition->Class(i);
+        if (!ClassIsImpure(codes, cls)) continue;
+        count += static_cast<TupleId>(cells.InsertColumn(rhs, cls));
+      }
+    }
+  }
+  return cells;
 }
 
 template <typename RowFn>
@@ -146,9 +178,14 @@ void ViolationEngine::ForEachG3RemovalRow(const Fd& fd, const RowFn& fn) {
 }
 
 std::vector<TupleId> ViolationEngine::G3RemovalTuples(const Fd& fd) {
+  std::vector<TupleId> out = G3RemovalTuplesUnordered(fd);
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+std::vector<TupleId> ViolationEngine::G3RemovalTuplesUnordered(const Fd& fd) {
   std::vector<TupleId> out;
   ForEachG3RemovalRow(fd, [&](TupleId r) { out.push_back(r); });
-  std::sort(out.begin(), out.end());
   return out;
 }
 
@@ -175,15 +212,6 @@ bool ViolationEngine::HasViolations(const Fd& fd) {
     if (ClassIsImpure(codes, lhs->Class(i))) return true;
   }
   return false;
-}
-
-std::vector<int> ViolationEngine::ViolationCountPerTuple(const FdSet& fds) {
-  std::vector<int> counts(static_cast<size_t>(relation_->NumRows()), 0);
-  for (const Fd& fd : fds) {
-    ForEachG3RemovalRow(fd,
-                        [&](TupleId r) { ++counts[static_cast<size_t>(r)]; });
-  }
-  return counts;
 }
 
 void ViolationEngine::SeedPartition(const AttributeSet& attrs,

@@ -57,14 +57,23 @@ class ViolationEngine {
   /// The RHS cells of ViolatingTuples, row-ascending.
   std::vector<Cell> ViolatingCells(const Fd& fd);
 
-  /// Sets the bits of ViolatingCells(fd) in `cells`, straight from the
-  /// impure LHS classes (no sort, no intermediate vector). `cells` must
-  /// span the relation: same attribute count, at least as many rows.
-  void MarkViolatingCells(const Fd& fd, CellBitmap* cells);
+  /// The union of ViolatingCells(fd) over `fds` as a bitmap over the
+  /// relation: E_T for the true FDs, a report's detections for its
+  /// accepted FDs. The FDs are grouped by LHS, so each distinct LHS
+  /// partition is looked up once, coarsest (fewest attributes) first, and
+  /// each class is tested against every RHS of its group. An RHS whose
+  /// column is already flagged in full is skipped; a group whose every
+  /// RHS column is never looks its partition up. The result is a set
+  /// union, so neither the order nor the skipping can change it.
+  CellBitmap ViolatingCellUnion(const FdSet& fds);
 
   /// The g3 removal set of `fd`, ascending (minority rows per LHS class;
   /// ties break toward the first-seen RHS code, as in the reference).
   std::vector<TupleId> G3RemovalTuples(const Fd& fd);
+
+  /// G3RemovalTuples without the final sort (LHS-class order), for
+  /// callers that only count or aggregate.
+  std::vector<TupleId> G3RemovalTuplesUnordered(const Fd& fd);
 
   /// The RHS cells of G3RemovalTuples.
   std::vector<Cell> G3RemovalCells(const Fd& fd);
@@ -74,10 +83,6 @@ class ViolationEngine {
 
   /// True iff `fd` has at least one violating pair (early-out class scan).
   bool HasViolations(const Fd& fd);
-
-  /// For every tuple, the number of FDs in `fds` whose g3 removal set
-  /// contains it. LHS partitions are shared across the FDs.
-  std::vector<int> ViolationCountPerTuple(const FdSet& fds);
 
   /// The (cached) stripped partition of `attrs`; composed recursively from
   /// cached sub-partitions on a miss.
@@ -102,8 +107,7 @@ class ViolationEngine {
   size_t partition_misses() const;
 
  private:
-  /// G3RemovalTuples without the final sort (class-order output), for
-  /// callers that only aggregate.
+  /// Calls fn(row) for every g3 removal row of `fd`, in class order.
   template <typename RowFn>
   void ForEachG3RemovalRow(const Fd& fd, const RowFn& fn);
 

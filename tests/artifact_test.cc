@@ -35,8 +35,9 @@ std::string Report(const Session& session, const std::string& name) {
 }
 
 // One strategy of each family that reads the artifact differently: a
-// GraphView (HS), the cell classes (SUMS), CellsOfFd plus merged questions
-// (BMC), and the engine alone (Sampling-Violation).
+// GraphView (HS), the cell classes (SUMS), CellsOfFd plus the lazily built
+// merged-question pool (BMC), and the per-tuple violation counts
+// (Sampling-Violation).
 const std::vector<std::string>& MixedStrategies() {
   static const std::vector<std::string> names = {
       "CellQ-HS", "CellQ-SUMS", "FDQ-BMC", "Sampling-Violation"};
@@ -131,12 +132,35 @@ TEST(ArtifactTest, ConcurrentRunsRaceTheLazyBuildAndMatchSoloReports) {
   for (const std::string& name : names) solo[name] = Report(solo_session, name);
 
   // Nothing has asked this session for its artifact yet: all eight runs
-  // race its first build.
+  // race its first build, and FDQ-BMC and FDQ-Oracle then race the first
+  // build of its merged-question pool.
   const Session shared = MakeHospitalSession(300);
   const std::vector<std::string> got = RunConcurrently(shared, names);
   for (size_t i = 0; i < names.size(); ++i) {
     EXPECT_EQ(got[i], solo[names[i]]) << names[i];
   }
+}
+
+TEST(ArtifactTest, ConcurrentFdRunsRaceTheLazyQuestionPool) {
+  // The artifact is built first, so these runs race only the FD question
+  // pool: FDQ-BMC and FDQ-Oracle ask for its merged questions, while
+  // FDQ-Greedy asks for none and may build the small pool that a merged
+  // request then rebuilds under it.
+  const std::vector<std::string> names = {"FDQ-BMC", "FDQ-Oracle",
+                                          "FDQ-Greedy", "FDQ-BMC",
+                                          "FDQ-Oracle", "FDQ-Greedy"};
+  const Session solo_session = MakeHospitalSession(300);
+  std::map<std::string, std::string> solo;
+  for (const std::string& name : names) solo[name] = Report(solo_session, name);
+
+  const Session shared = MakeHospitalSession(300);
+  const size_t unpooled = shared.artifact().ApproxMemoryBytes();
+  const std::vector<std::string> got = RunConcurrently(shared, names);
+  for (size_t i = 0; i < names.size(); ++i) {
+    EXPECT_EQ(got[i], solo[names[i]]) << names[i];
+  }
+  // Once built, the pool is counted in the artifact's footprint.
+  EXPECT_GT(shared.artifact().ApproxMemoryBytes(), unpooled);
 }
 
 TEST(ArtifactTest, ConcurrentRunsOverOneRegistryArtifactMatchSoloReports) {

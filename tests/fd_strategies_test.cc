@@ -3,12 +3,15 @@
 #include "core/fd_strategies.h"
 #include "core/session.h"
 #include "fd/closure.h"
+#include "reference/fd_rescan.h"
+#include "server/protocol.h"
 #include "test_util.h"
 
 namespace uguide {
 namespace {
 
 using ::uguide::testing::MakeHospitalSession;
+using ::uguide::testing::MakeTaxSession;
 using ::uguide::testing::ReportDigest;
 
 struct FdCase {
@@ -166,6 +169,51 @@ TEST(FdStrategyGoldenTest, ReportsArePinned) {
     EXPECT_EQ(ReportDigest(session.Run(*oracle, golden.budget)),
               golden.oracle)
         << "FDQ-Oracle idk=" << golden.idk << " budget=" << golden.budget;
+  }
+}
+
+TEST(FdStrategyEquivalenceTest, MatchesRescanReference) {
+  // The shared merged-question pool and the incremental uncovered counts
+  // must ask the questions of the per-run build and epoch recount
+  // (tests/reference/fd_rescan), hence report the same bytes: with IDK
+  // answers (the merged variants stay askable), wrong answers (a "yes" on
+  // a false FD covers cells), on Tax (many same-RHS candidates, so the cap
+  // truncates the pair enumeration), and under a pool cap smaller than
+  // the shared pool.
+  std::vector<std::pair<std::string, Session>> sessions;
+  sessions.emplace_back("hospital", MakeHospitalSession(600));
+  sessions.emplace_back("hospital idk=0.25",
+                        MakeHospitalSession(600, ErrorModel::kSystematic,
+                                            0.15, 5, /*idk_rate=*/0.25));
+  sessions.emplace_back(
+      "hospital wrong=0.1",
+      MakeHospitalSession(600, ErrorModel::kSystematic, 0.15, 5, 0.0,
+                          /*wrong_rate=*/0.1));
+  sessions.emplace_back("tax", MakeTaxSession(300));
+  const FdCase shipped[] = {{"bmc", &MakeFdQBudgetedMaxCoverage},
+                            {"greedy", &MakeFdQGreedy},
+                            {"oracle", &MakeFdQOracle}};
+  const FdCase reference[] = {{"bmc", &MakeRescanFdQBudgetedMaxCoverage},
+                              {"greedy", &MakeRescanFdQGreedy},
+                              {"oracle", &MakeRescanFdQOracle}};
+  for (const auto& [label, session] : sessions) {
+    // The larger cap first, so the smaller one is served from a pool
+    // already built past it.
+    for (int cap : {200, 3}) {
+      FdStrategyOptions options;
+      options.max_merged_candidates = cap;
+      for (double budget : {30.0, 120.0}) {
+        for (size_t k = 0; k < std::size(shipped); ++k) {
+          SCOPED_TRACE(::testing::Message()
+                       << label << " " << shipped[k].name << " cap=" << cap
+                       << " budget=" << budget);
+          auto a = shipped[k].make(options);
+          auto b = reference[k].make(options);
+          EXPECT_EQ(SerializeSessionReport(session.Run(*a, budget)),
+                    SerializeSessionReport(session.Run(*b, budget)));
+        }
+      }
+    }
   }
 }
 

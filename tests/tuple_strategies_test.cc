@@ -9,6 +9,7 @@ namespace uguide {
 namespace {
 
 using ::uguide::testing::MakeHospitalSession;
+using ::uguide::testing::ReportDigest;
 
 struct TupleCase {
   const char* name;
@@ -116,6 +117,53 @@ TEST(TupleStrategyTest, IdkDrainsBudgetWithoutSample) {
   EXPECT_GT(report.result.questions_asked, 0);
   EXPECT_TRUE(report.result.accepted_fds.Empty());
   EXPECT_EQ(report.metrics.detections, 0u);
+}
+
+TEST(TupleStrategyGoldenTest, ReportsArePinned) {
+  // Report bytes of the four tuple strategies on the small Hospital
+  // session of FdStrategyGoldenTest (tuple cost m = 13, so 4 and 20
+  // questions). Every report scores the FDs discovered on the sample, so
+  // these digests pin report scoring as well as sampling. A mismatch is a
+  // behaviour change.
+  struct Golden {
+    double idk;
+    double budget;
+    uint64_t uniform;
+    uint64_t violation;
+    uint64_t saturation;
+    uint64_t oracle;
+  };
+  const Golden goldens[] = {
+      {0.0, 60.0, 0xc16ac0d947074a58ULL, 0xc0e70a9bb2b57eb7ULL,
+       0x47eb4924cdfff4b0ULL, 0x81eaa0930bd1b325ULL},
+      {0.0, 260.0, 0x0c08001603cd1f05ULL, 0xbcbffacc7f1f52c7ULL,
+       0x18b324c20ae25f34ULL, 0xd3144d6ef30c53cfULL},
+      {0.25, 60.0, 0xd9045b9cc791872fULL, 0x90768488aa8fba34ULL,
+       0xc861b50ed02b3ec5ULL, 0x45bb61df2d68a0f7ULL},
+      {0.25, 260.0, 0x41dd892ea95f5db2ULL, 0x9c770a802ac8b640ULL,
+       0x1ce630f355d423bbULL, 0x8df8a68654f95733ULL},
+  };
+  for (const Golden& golden : goldens) {
+    Session session = MakeHospitalSession(600, ErrorModel::kSystematic, 0.15,
+                                          5, golden.idk);
+    const struct {
+      const char* name;
+      std::unique_ptr<Strategy> strategy;
+      uint64_t digest;
+    } runs[] = {
+        {"Sampling-Uniform", MakeTupleSamplingUniform({}), golden.uniform},
+        {"Sampling-Violation", MakeTupleSamplingViolationWeighting({}),
+         golden.violation},
+        {"Sampling-Saturation", MakeTupleSamplingSaturationSets({}),
+         golden.saturation},
+        {"TupleQ-Oracle", MakeTupleQOracle({}), golden.oracle},
+    };
+    for (const auto& run : runs) {
+      EXPECT_EQ(ReportDigest(session.Run(*run.strategy, golden.budget)),
+                run.digest)
+          << run.name << " idk=" << golden.idk << " budget=" << golden.budget;
+    }
+  }
 }
 
 }  // namespace

@@ -33,6 +33,7 @@
 #include "violations/bipartite_graph.h"
 #include "violations/cell_classes.h"
 #include "reference/hash_detector.h"
+#include "violations/violation_artifact.h"
 #include "violations/violation_engine.h"
 
 namespace uguide {
@@ -124,13 +125,36 @@ TEST(ViolationEngineTest, MatchesReferenceOnHandcraftedTies) {
   EXPECT_EQ(engine.G3RemovalTuples(fd), (std::vector<TupleId>{1, 2}));
 }
 
+// The artifact's per-tuple counts over `fds`, its g3 scans sharded over a
+// pool of `threads`.
+std::vector<int> ArtifactTupleCounts(const Relation& rel, const FdSet& fds,
+                                     int threads) {
+  ThreadPool pool(threads);
+  const ViolationArtifact artifact(std::make_shared<ViolationEngine>(&rel),
+                                   fds, &pool);
+  return artifact.TupleViolationCounts();
+}
+
 TEST(ViolationEngineTest, ViolationCountPerTupleMatches) {
   Relation rel = MakeRandomRelation(7, 150);
   FdSet fds;
   for (const Fd& fd : EnumerateFds(rel.NumAttributes())) fds.Add(fd);
-  ViolationEngine engine(&rel);
-  EXPECT_EQ(engine.ViolationCountPerTuple(fds),
-            ViolationCountPerTuple(rel, fds));
+  const std::vector<int> want = ViolationCountPerTuple(rel, fds);
+  for (int threads : {1, 4}) {
+    EXPECT_EQ(ArtifactTupleCounts(rel, fds, threads), want)
+        << threads << " thread(s)";
+  }
+  // The live-epoch constructor, over a graph built elsewhere, fills the
+  // same counts.
+  auto engine = std::make_shared<ViolationEngine>(&rel);
+  auto graph = std::make_shared<const ViolationGraph>(
+      ViolationGraph::Build(*engine, fds));
+  for (int threads : {1, 4}) {
+    ThreadPool pool(threads);
+    EXPECT_EQ(ViolationArtifact(engine, graph, &pool).TupleViolationCounts(),
+              want)
+        << threads << " thread(s)";
+  }
 }
 
 TEST(ViolationEngineTest, MatchesReferenceOnTaxCandidates) {
@@ -339,6 +363,75 @@ TEST(DenseDetectionSetTest, MatchesHashSetReference) {
           ReferenceEvaluate(rel, accepted, reference_truth, &ledger));
     }
   }
+}
+
+TEST(DenseDetectionSetTest, SaturatingUnionMatchesHashSetReference) {
+  // The grouped, saturating union on the FD shapes it special-cases: the
+  // empty LHS (one class of every row, so {} -> two flags all of "two"
+  // and {} -> const flags nothing), many FDs sharing one LHS, a column
+  // flagged in full before later FDs with that RHS (which must then be
+  // skipped without changing the set), and X -> A next to XY -> A.
+  // Columns: const, two, six, key (all distinct), three.
+  const Fd empty_two(AttributeSet(), 1);
+  const Fd empty_key(AttributeSet(), 3);
+  const Fd empty_const(AttributeSet(), 0);
+  std::vector<Fd> shared_lhs;
+  for (int rhs : {0, 2, 3, 4}) shared_lhs.push_back(Fd({1}, rhs));
+  const std::vector<Fd> saturate_then_refine = {
+      Fd({0}, 1), Fd({2}, 1), Fd({2, 4}, 1), Fd({3}, 1), empty_key,
+      Fd({1}, 3), Fd({1, 2}, 3), Fd({4}, 3)};
+  const std::vector<Fd> nested = {Fd({2}, 4), Fd({1, 2}, 4), Fd({1}, 4),
+                                  Fd({2}, 1), Fd({2, 4}, 1)};
+  std::vector<std::vector<Fd>> fd_lists = {
+      {empty_two}, {empty_const}, {empty_key, empty_two, empty_const},
+      shared_lhs, saturate_then_refine, nested};
+  std::vector<Fd> all;
+  for (const auto& list : fd_lists) {
+    all.insert(all.end(), list.begin(), list.end());
+  }
+  fd_lists.push_back(all);
+  fd_lists.push_back(EnumerateFds(5));
+
+  for (uint64_t seed : {31u, 32u}) {
+    Relation rel = MakeRandomRelation(seed, 90);
+    ViolationEngine engine(&rel);
+    for (const std::vector<Fd>& list : fd_lists) {
+      const FdSet fds(list);
+      const std::vector<Cell> want = SortedCells(ReferenceCellUnion(rel, fds));
+      EXPECT_EQ(AllDetections(engine, fds), want);
+      EXPECT_EQ(TrueViolationSet::Compute(engine, fds).ToVector(), want);
+      EXPECT_EQ(TrueViolationSet::Compute(rel, fds).ToVector(), want);
+    }
+  }
+
+  // One cell short of full: x -> a flags rows 0-3, leaving a's column one
+  // row short, and only the later group y -> a flags row 4. Treating a
+  // nearly full column as full would drop that cell.
+  Relation short_of_full(Schema::Make({"x", "y", "a"}).ValueOrDie());
+  for (const auto& row : std::vector<std::vector<std::string>>{
+           {"1", "1", "p"},
+           {"1", "2", "q"},
+           {"1", "2", "p"},
+           {"1", "3", "q"},
+           {"2", "3", "r"}}) {
+    short_of_full.AddRow(row);
+  }
+  {
+    ViolationEngine engine(&short_of_full);
+    const FdSet fds({Fd({0}, 2), Fd({1}, 2), Fd({0, 1}, 2)});
+    EXPECT_EQ(AllDetections(engine, fds),
+              SortedCells(ReferenceCellUnion(short_of_full, fds)));
+    EXPECT_TRUE(engine.ViolatingCellUnion(fds).Test(Cell{4, 2}));
+  }
+
+  // A column flagged in full really is: every row of "two" and "key".
+  Relation rel = MakeRandomRelation(33, 40);
+  ViolationEngine engine(&rel);
+  const CellBitmap cells =
+      engine.ViolatingCellUnion(FdSet({empty_two, empty_key, empty_const}));
+  EXPECT_EQ(cells.Count(), 2u * static_cast<size_t>(rel.NumRows()));
+  EXPECT_TRUE(cells.Test(Cell{0, 1}));
+  EXPECT_FALSE(cells.Test(Cell{0, 0}));
 }
 
 // --- CSR layout equivalence (DESIGN.md §14) -------------------------------
@@ -787,8 +880,15 @@ TEST(IncrementalSamplingTest, ViolationWeightedDrawSequenceMatchesReference) {
 
   // Predict the ask sequence with the reference (re-summing) sampler: same
   // weights, same rng seed, same budget loop, same deterministic expert.
+  // The weights come from the hash reference's per-tuple counts, which the
+  // artifact's must equal at any thread count.
   std::vector<int> counts =
       ViolationCountPerTuple(dirty, session.candidates());
+  for (int threads : {1, 4}) {
+    EXPECT_EQ(ArtifactTupleCounts(dirty, session.candidates(), threads),
+              counts)
+        << threads << " thread(s)";
+  }
   const double total = static_cast<double>(session.candidates().Size());
   std::vector<double> weights(counts.size());
   bool any_positive = false;

@@ -23,6 +23,10 @@ a slower or faster host moves them together and only a code change moves
 the ratio. CellQ-HS on Tax@5000 selects from one lazy heap over cell
 classes, and its rescan reference ran about 36x slower on a 4-vCPU VM; the
 floor of 18x is half that, well above the ~8x a per-cell heap reaches.
+FDQ-Oracle on Tax@5000 prices the artifact's shared question pool and
+keeps its uncovered counts incrementally; the reference that rebuilds the
+merged questions per run and recounts after every accepted FD ran about
+8x slower on the same VM, so its floor is 4x.
 
 Exit status: 0 clean, 1 regression, 2 usage/baseline mismatch.
 """
@@ -35,6 +39,7 @@ import sys
 SPEEDUP_FLOORS = [
     ("BM_CellQHittingSetTaxReference", "BM_CellQHittingSetTaxIncremental",
      18.0),
+    ("BM_FdQOracleTaxReference", "BM_FdQOracleTax", 4.0),
 ]
 
 
