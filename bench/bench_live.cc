@@ -10,14 +10,12 @@
 // The merge cost is measured separately (materialize_ms_per_batch) and the
 // merged graphs are checked byte-identical every epoch. Emits
 // BENCH_live.fresh.json by default, never the checked-in BENCH_live.json
-// baseline; tools/check_live_regression.py gates the single-row speedup at
-// >= 5x.
+// baseline; tools/check_bench.py gates the single-row speedup at >= 5x.
 //
 //   bench_live [--rows=N] [--epochs=E] [--out=BENCH_live.fresh.json]
 
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -28,6 +26,7 @@
 #include "discovery/partition.h"
 #include "discovery/tane.h"
 #include "errorgen/error_generator.h"
+#include "flag_parse.h"
 #include "live/live_relation.h"
 #include "live/live_violation_index.h"
 #include "live/mutation.h"
@@ -194,14 +193,16 @@ SizeResult RunSize(const Relation& dirty, const FdSet& fds, ThreadPool* pool,
 }  // namespace
 
 int main(int argc, char** argv) {
+  const FlagParser flags("bench_live");
   Args args;
   for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--rows=", 7) == 0) {
-      args.rows = std::atoi(argv[i] + 7);
-    } else if (std::strncmp(argv[i], "--epochs=", 9) == 0) {
-      args.epochs = std::atoi(argv[i] + 9);
-    } else if (std::strncmp(argv[i], "--out=", 6) == 0) {
-      args.out = argv[i] + 6;
+    const auto [flag, value] = FlagParser::Split(argv[i]);
+    if (flag == "--rows") {
+      if (!flags.Int("--rows", value, 1, &args.rows)) return 2;
+    } else if (flag == "--epochs") {
+      if (!flags.Int("--epochs", value, 1, &args.epochs)) return 2;
+    } else if (flag == "--out") {
+      args.out = value;
     } else {
       std::fprintf(stderr, "bench_live: unknown flag %s\n", argv[i]);
       return 2;

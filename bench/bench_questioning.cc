@@ -302,8 +302,8 @@ void BM_CellQHittingSetReference(benchmark::State& state) {
 BENCHMARK(BM_CellQHittingSetReference)->Unit(benchmark::kMillisecond);
 
 // Tax@5000: the acceptance target for the CellQ-HS selection speedup on
-// the paper's widest relation. tools/check_questioning_regression.py gates
-// the Reference / Incremental ratio of this pair.
+// the paper's widest relation. tools/check_bench.py gates the
+// Reference / Incremental ratio of this pair.
 void BM_CellQHittingSetTaxIncremental(benchmark::State& state) {
   RunStrategyBench(state, TaxSession(), MakeCellQHittingSet());
 }
@@ -368,8 +368,7 @@ BENCHMARK(BM_CellQOracleTax)->Unit(benchmark::kMillisecond);
 // answers cover cells; the reference (tests/reference/fd_rescan) builds
 // its merged questions through the engine on every run and recounts
 // every question after each accepted FD.
-// tools/check_questioning_regression.py gates the Reference / library
-// ratio of this pair.
+// tools/check_bench.py gates the Reference / library ratio of this pair.
 void BM_FdQOracleTax(benchmark::State& state) {
   TaxSession().artifact().FdQuestions(
       FdStrategyOptions{}.max_merged_candidates);

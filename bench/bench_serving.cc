@@ -25,6 +25,7 @@
 
 #include "common/thread_pool.h"
 #include "core/uguide.h"
+#include "flag_parse.h"
 #include "server/daemon.h"
 #include "server/dataset.h"
 #include "server/dataset_registry.h"
@@ -205,16 +206,25 @@ LevelResult RunLevel(const Session& session, int port, const Args& args,
 }  // namespace
 
 int main(int argc, char** argv) {
+  const FlagParser flags("bench_serving");
   Args args;
   for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--rows=", 7) == 0) {
-      args.rows = std::atoi(argv[i] + 7);
-    } else if (std::strncmp(argv[i], "--budget=", 9) == 0) {
-      args.budget = std::atof(argv[i] + 9);
-    } else if (std::strncmp(argv[i], "--strategy=", 11) == 0) {
-      args.strategy = argv[i] + 11;
-    } else if (std::strncmp(argv[i], "--out=", 6) == 0) {
-      args.out = argv[i] + 6;
+    const auto [flag, value] = FlagParser::Split(argv[i]);
+    if (flag == "--rows") {
+      if (!flags.Int("--rows", value, 1, &args.rows)) return 2;
+    } else if (flag == "--budget") {
+      if (!flags.Double("--budget", value, 0.0, FlagParser::kMax,
+                        &args.budget)) {
+        return 2;
+      }
+    } else if (flag == "--strategy") {
+      if (!MakeStrategyByName(value).ok()) {
+        flags.Error("--strategy", value, "a strategy name");
+        return 2;
+      }
+      args.strategy = value;
+    } else if (flag == "--out") {
+      args.out = value;
     } else {
       std::fprintf(stderr, "bench_serving: unknown flag %s\n", argv[i]);
       return 2;
@@ -271,7 +281,7 @@ int main(int argc, char** argv) {
   // Overload/robustness counters, captured before shutdown. A clean bench
   // run admits everything; nonzero sheds here mean the measurements were
   // taken under (unintended) pressure. Additive: the regression gate
-  // (tools/check_serving_regression.py) reads only "levels".
+  // (tools/check_bench.py) reads only "levels".
   const SessionManagerStats manager_stats = daemon->manager().stats();
   const AdmissionStats admission = daemon->manager().admission_stats();
   const ReactorStats reactor = daemon->reactor().stats();

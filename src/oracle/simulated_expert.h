@@ -85,7 +85,8 @@ class SimulatedExpert : public Expert {
 /// majority answer (IDK responses do not vote; all-IDK yields IDK).
 ///
 /// Each wrapped question consumes `votes` inner questions, so callers
-/// should scale their budget accordingly (see bench_robustness).
+/// should scale their budget accordingly (see the robustness figure of
+/// bench/paper_figures).
 class MajorityVoteExpert : public Expert {
  public:
   /// `votes` should be odd; `inner` must outlive the wrapper.

@@ -4,11 +4,14 @@
 # a silent default), and good usage exits 0 with the expected report.
 #
 # Inputs: -DUGUIDE_CLI=<binary> -DUGUIDED=<binary> -DLOADGEN=<binary>
-#         -DWORK_DIR=<scratch dir>
+#         -DPAPER_FIGURES=<binary> -DBENCH_LIVE=<binary>
+#         -DBENCH_SERVING=<binary> -DWORK_DIR=<scratch dir>
 
-if(NOT UGUIDE_CLI OR NOT UGUIDED OR NOT LOADGEN OR NOT WORK_DIR)
+if(NOT UGUIDE_CLI OR NOT UGUIDED OR NOT LOADGEN OR NOT PAPER_FIGURES OR
+   NOT BENCH_LIVE OR NOT BENCH_SERVING OR NOT WORK_DIR)
   message(FATAL_ERROR
-          "cli_smoke: UGUIDE_CLI, UGUIDED, LOADGEN and WORK_DIR are required")
+          "cli_smoke: UGUIDE_CLI, UGUIDED, LOADGEN, PAPER_FIGURES, "
+          "BENCH_LIVE, BENCH_SERVING and WORK_DIR are required")
 endif()
 
 file(REMOVE_RECURSE "${WORK_DIR}")
@@ -117,6 +120,53 @@ run(loadgen_negative_budget 2 "invalid value '-5' for --budget" ERR
     --port=1 --budget=-5)
 run(loadgen_infinite_mutate_rate 2 "invalid value 'inf' for --mutate-rate"
     ERR --port=1 --mutate-rate=inf)
+
+# -- paper_figures and the hand-rolled benches parse flags the same way:
+# a bad value, an unknown flag or an unknown figure is one stderr line and
+# exit 2, before any dataset is built. ---------------------------------------
+set(tool "${PAPER_FIGURES}")
+run(figures_non_numeric_rows 2
+    "^paper_figures: invalid value 'abc' for --rows [^\n]*\n$" ERR --rows=abc)
+run(figures_zero_seeds 2
+    "^paper_figures: invalid value '0' for --seeds [^\n]*\n$" ERR --seeds=0)
+run(figures_unknown_figure 2 "^paper_figures: unknown figure 'fig11'\n$" ERR
+    --figure=fig11)
+run(figures_unknown_flag 2 "^paper_figures: unknown flag --bogus=1\n$" ERR
+    --bogus=1)
+
+set(tool "${BENCH_LIVE}")
+run(bench_live_non_numeric_epochs 2
+    "^bench_live: invalid value 'abc' for --epochs [^\n]*\n$" ERR
+    --epochs=abc)
+run(bench_live_non_numeric_rows 2
+    "^bench_live: invalid value 'abc' for --rows [^\n]*\n$" ERR --rows=abc)
+
+set(tool "${BENCH_SERVING}")
+run(bench_serving_non_numeric_rows 2
+    "^bench_serving: invalid value 'abc' for --rows [^\n]*\n$" ERR
+    --rows=abc)
+run(bench_serving_nan_budget 2
+    "^bench_serving: invalid value 'nan' for --budget [^\n]*\n$" ERR
+    --budget=nan)
+run(bench_serving_unknown_strategy 2
+    "^bench_serving: invalid value 'Nope' for --strategy [^\n]*\n$" ERR
+    --strategy=Nope)
+
+# One real figure: Fig. 6 is two panels of 5 budgets x 3 strategies, so its
+# JSON holds 30 rows.
+set(tool "${PAPER_FIGURES}")
+run(figures_fig6 0 "Figure 6: comparative question types" OUT
+    --figure=fig6 --rows=300 --out=fig6.json)
+file(READ "${WORK_DIR}/fig6.json" fig6_json)
+string(JSON fig6_points ERROR_VARIABLE fig6_error LENGTH "${fig6_json}"
+       points)
+if(fig6_error OR NOT fig6_points EQUAL 30)
+  message(WARNING "figures_fig6_json: expected 30 points, got "
+                  "'${fig6_points}' ${fig6_error}")
+  math(EXPR FAILURES "${FAILURES} + 1")
+else()
+  message(STATUS "figures_fig6_json: ok")
+endif()
 
 if(FAILURES GREATER 0)
   message(FATAL_ERROR "cli_smoke: ${FAILURES} check(s) failed")

@@ -13,6 +13,7 @@
 #include <limits>
 #include <string>
 #include <string_view>
+#include <utility>
 
 namespace uguide {
 
@@ -23,6 +24,14 @@ class FlagParser {
 
   /// Largest finite double: the upper bound of an unbounded range.
   static constexpr double kMax = std::numeric_limits<double>::max();
+
+  /// Splits "--flag=value" at the first '='; a bare "--flag" has an empty
+  /// value.
+  static std::pair<std::string, std::string> Split(std::string_view arg) {
+    const size_t eq = arg.find('=');
+    if (eq == std::string_view::npos) return {std::string(arg), ""};
+    return {std::string(arg.substr(0, eq)), std::string(arg.substr(eq + 1))};
+  }
 
   /// Prints "<tool>: invalid value '<value>' for <flag> (expected <want>)"
   /// and returns false, so callers can `return flags.Error(...)`.

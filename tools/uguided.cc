@@ -114,11 +114,7 @@ void Usage() {
 bool ParseArgs(int argc, char** argv, Args* args) {
   const FlagParser flags("uguided");
   for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const size_t eq = arg.find('=');
-    const std::string flag = arg.substr(0, eq);
-    const std::string value =
-        eq == std::string::npos ? std::string() : arg.substr(eq + 1);
+    const auto [flag, value] = FlagParser::Split(argv[i]);
     if (flag == "--port") {
       if (!flags.Int("--port", value, 0, &args->port)) return false;
     } else if (flag == "--port-file") {
