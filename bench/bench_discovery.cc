@@ -10,6 +10,7 @@
 #include <string_view>
 #include <vector>
 
+#include "build_type.h"
 #include "core/uguide.h"
 #include "reference/fd_theory.h"
 #include "reference/hash_detector.h"
@@ -241,14 +242,9 @@ int main(int argc, char** argv) {
   }
   int args_argc = static_cast<int>(args.size());
   benchmark::Initialize(&args_argc, args.data());
-  // Record this binary's own build mode (the JSON's library_build_type
-  // describes the benchmark library), so a debug run is never mistaken
-  // for the Release baseline.
-#ifdef NDEBUG
-  benchmark::AddCustomContext("uguide_build_type", "release");
-#else
-  benchmark::AddCustomContext("uguide_build_type", "debug");
-#endif
+  // The JSON's library_build_type describes the benchmark library, not
+  // this binary.
+  benchmark::AddCustomContext("uguide_build_type", kUguideBuildType);
   if (benchmark::ReportUnrecognizedArguments(args_argc, args.data())) {
     return 1;
   }

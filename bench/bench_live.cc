@@ -20,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "build_type.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "datagen/generators.h"
@@ -246,10 +247,11 @@ int main(int argc, char** argv) {
   std::fprintf(out,
                "{\n"
                "  \"bench\": \"live\",\n"
+               "  \"context\": {\"uguide_build_type\": \"%s\"},\n"
                "  \"rows\": %d,\n"
                "  \"fds\": %zu,\n"
                "  \"batch_sizes\": [\n",
-               args.rows, fds.Size());
+               kUguideBuildType, args.rows, fds.Size());
   for (size_t i = 0; i < results.size(); ++i) {
     const SizeResult& r = results[i];
     std::fprintf(out,

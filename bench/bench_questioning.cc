@@ -17,6 +17,7 @@
 #include <utility>
 #include <vector>
 
+#include "build_type.h"
 #include "core/uguide.h"
 #include "reference/cell_rescan.h"
 #include "reference/fd_rescan.h"
@@ -471,14 +472,9 @@ int main(int argc, char** argv) {
   int args_argc = static_cast<int>(args.size());
   benchmark::Initialize(&args_argc, args.data());
   // The JSON's library_build_type field describes how the *benchmark
-  // library* was compiled (the distro package reports debug); record this
-  // binary's own build mode so regression tooling can refuse to compare
-  // debug numbers against the Release baseline.
-#ifdef NDEBUG
-  benchmark::AddCustomContext("uguide_build_type", "release");
-#else
-  benchmark::AddCustomContext("uguide_build_type", "debug");
-#endif
+  // library* was compiled (the distro package reports debug), not this
+  // binary.
+  benchmark::AddCustomContext("uguide_build_type", kUguideBuildType);
   if (benchmark::ReportUnrecognizedArguments(args_argc, args.data())) {
     return 1;
   }

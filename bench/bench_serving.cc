@@ -23,6 +23,7 @@
 #include <thread>
 #include <vector>
 
+#include "build_type.h"
 #include "common/thread_pool.h"
 #include "core/uguide.h"
 #include "flag_parse.h"
@@ -167,17 +168,7 @@ LevelResult RunLevel(const Session& session, int port, const Args& args,
           answer.op = ClientOp::kAnswer;
           answer.id = open.id;
           answer.seq = q.index;
-          switch (q.kind) {
-            case QuestionKind::kCell:
-              answer.answer = expert.IsCellErroneous(q.cell);
-              break;
-            case QuestionKind::kTuple:
-              answer.answer = expert.IsTupleClean(q.row);
-              break;
-            case QuestionKind::kFd:
-              answer.answer = expert.IsFdValid(q.fd);
-              break;
-          }
+          answer.answer = AskQuestion(expert, q);
           sent_at = std::chrono::steady_clock::now();
           if (!conn.WriteLine(FormatClientFrame(answer))) return;
         }
@@ -296,11 +287,12 @@ int main(int argc, char** argv) {
   std::fprintf(out,
                "{\n"
                "  \"bench\": \"serving\",\n"
+               "  \"context\": {\"uguide_build_type\": \"%s\"},\n"
                "  \"rows\": %d,\n"
                "  \"budget\": %g,\n"
                "  \"strategy\": \"%s\",\n"
                "  \"levels\": [\n",
-               args.rows, args.budget, args.strategy.c_str());
+               kUguideBuildType, args.rows, args.budget, args.strategy.c_str());
   for (size_t i = 0; i < results.size(); ++i) {
     const LevelResult& r = results[i];
     std::fprintf(out,

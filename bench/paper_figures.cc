@@ -16,6 +16,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <numeric>
@@ -72,6 +73,18 @@ Session MakeSession(const Params& params, Dataset dataset,
 
   config.candidate_options.max_lhs_size = params.max_lhs;
   return Session::Create(clean, std::move(dirty), config).ValueOrDie();
+}
+
+/// Calls `fn` on one session per --seeds seed, built one at a time, each
+/// with expert seed 3000 + seed. Tables over these sessions print the mean
+/// over the seeds, as the sweep panels do.
+template <typename Fn>
+void ForEachSeed(const Params& params, Dataset dataset, ErrorGenOptions errors,
+                 SessionConfig config, Fn fn) {
+  for (int seed = 0; seed < params.seeds; ++seed) {
+    config.expert_seed = 3000 + seed;
+    fn(MakeSession(params, dataset, errors, config, seed));
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -332,18 +345,16 @@ class Sweep {
     if (!inserted) return it->second;
     if (sessions_key_ != key) {
       sessions_.clear();
-      for (int seed = 0; seed < params_.seeds; ++seed) {
-        ErrorGenOptions errors;
-        errors.model = key.model;
-        errors.error_rate = key.error_rate;
-        errors.per_fd_cap = key.per_fd_cap;
-        SessionConfig config;
-        config.idk_rate = key.idk_rate;
-        config.wrong_rate = key.wrong_rate;
-        config.expert_seed = 3000 + seed;
-        sessions_.push_back(
-            MakeSession(params_, key.dataset, errors, config, seed));
-      }
+      ErrorGenOptions errors;
+      errors.model = key.model;
+      errors.error_rate = key.error_rate;
+      errors.per_fd_cap = key.per_fd_cap;
+      SessionConfig config;
+      config.idk_rate = key.idk_rate;
+      config.wrong_rate = key.wrong_rate;
+      ForEachSeed(params_, key.dataset, errors, config, [&](Session session) {
+        sessions_.push_back(std::move(session));
+      });
       sessions_key_ = key;
     }
     const auto run = MakeStrategyByName(strategy).ValueOrDie();
@@ -456,6 +467,7 @@ double MsPerInteraction(const Session& session, Strategy& strategy,
   QuestionContext ctx;
   ctx.dirty = &session.dirty();
   ctx.candidates = &session.candidates();
+  ctx.artifact = &session.artifact();
   ctx.exact_fds = &session.exact_fds();
   ctx.expert = &timed;
   ctx.budget = budget;
@@ -473,15 +485,17 @@ void Fig10Runtime(const Params& params) {
   for (int rows : {1000, 2000, 4000, 8000}) {
     Params scaled = params;
     scaled.rows = rows;
-    SessionConfig config;
-    config.expert_seed = 3000;
-    Session session = MakeSession(scaled, Dataset::kTax, {}, config, 0);
+    std::vector<double> ms(kBestSeries.size(), 0.0);
+    ForEachSeed(scaled, Dataset::kTax, {}, {}, [&](const Session& session) {
+      for (size_t i = 0; i < kBestSeries.size(); ++i) {
+        const auto strategy =
+            MakeStrategyByName(kBestSeries[i].strategy).ValueOrDie();
+        MsPerInteraction(session, *strategy, budget);  // warm-up
+        ms[i] += MsPerInteraction(session, *strategy, budget);
+      }
+    });
     std::printf("%-10d", rows);
-    for (const Series& series : kBestSeries) {
-      const auto strategy = MakeStrategyByName(series.strategy).ValueOrDie();
-      MsPerInteraction(session, *strategy, budget);  // warm-up
-      std::printf(" %14.3f", MsPerInteraction(session, *strategy, budget));
-    }
+    for (double total : ms) std::printf(" %14.3f", total / params.seeds);
     std::printf("\n");
   }
 }
@@ -492,33 +506,55 @@ void Fig10Runtime(const Params& params) {
 // fixture -- every row of the paper's list backed by a measured number.
 void SummaryTable(const Params& params) {
   const double budget = 1000.0;
+  const char* const strategies[] = {"CellQ-HS", "CellQ-SUMS", "FDQ-BMC",
+                                    "Sampling-Uniform", "Sampling-Saturation"};
+  constexpr size_t kStrategies = std::size(strategies);
+  // Per strategy, summed over the seeds: expert effort (§7.2.8 #1), true
+  // violations (#2), false positives (#3), runtime (#4), detection under
+  // 70% IDK (#5).
+  struct Sums {
+    double cost_per_question = 0, true_pct = 0, false_pct = 0, run_ms = 0,
+           idk_true_pct = 0;
+  } sums[kStrategies];
+  int attributes = 0;
   SessionConfig config;
-  config.expert_seed = 3000;
-  const Session normal = MakeSession(params, Dataset::kHospital, {}, config, 0);
+  ForEachSeed(params, Dataset::kHospital, {}, config,
+              [&](const Session& normal) {
+                attributes = normal.dirty().NumAttributes();
+                for (size_t i = 0; i < kStrategies; ++i) {
+                  const auto strategy =
+                      MakeStrategyByName(strategies[i]).ValueOrDie();
+                  const auto start = Clock::now();
+                  const SessionReport report = normal.Run(*strategy, budget);
+                  sums[i].run_ms += std::chrono::duration<double, std::milli>(
+                                        Clock::now() - start)
+                                        .count();
+                  const int asked = report.result.questions_asked;
+                  sums[i].cost_per_question +=
+                      asked == 0 ? 0 : report.result.cost_spent / asked;
+                  sums[i].true_pct += report.metrics.TrueViolationPct();
+                  sums[i].false_pct += report.metrics.FalseViolationPct();
+                }
+              });
   config.idk_rate = 0.70;
-  const Session hesitant =
-      MakeSession(params, Dataset::kHospital, {}, config, 0);
+  ForEachSeed(params, Dataset::kHospital, {}, config,
+              [&](const Session& hesitant) {
+                for (size_t i = 0; i < kStrategies; ++i) {
+                  const auto strategy =
+                      MakeStrategyByName(strategies[i]).ValueOrDie();
+                  sums[i].idk_true_pct += hesitant.Run(*strategy, budget)
+                                              .metrics.TrueViolationPct();
+                }
+              });
 
   std::printf("%-22s %12s %8s %8s %12s %14s\n", "strategy", "cost/quest",
               "true%", "false%", "run ms", "true%@70%IDK");
-  const char* const strategies[] = {"CellQ-HS", "CellQ-SUMS", "FDQ-BMC",
-                                    "Sampling-Uniform", "Sampling-Saturation"};
-  for (const char* name : strategies) {
-    const std::unique_ptr<Strategy> strategy =
-        MakeStrategyByName(name).ValueOrDie();
-    const auto start = Clock::now();
-    const SessionReport report = normal.Run(*strategy, budget);
-    const double run_ms =
-        std::chrono::duration<double, std::milli>(Clock::now() - start)
-            .count();
-    const int asked = report.result.questions_asked;
-    // Expert effort (§7.2.8 #1), true violations (#2), false positives
-    // (#3), runtime (#4), detection under 70% IDK (#5).
-    std::printf("%-22s %12.1f %8.1f %8.1f %12.1f %14.1f\n", name,
-                asked == 0 ? 0 : report.result.cost_spent / asked,
-                report.metrics.TrueViolationPct(),
-                report.metrics.FalseViolationPct(), run_ms,
-                hesitant.Run(*strategy, budget).metrics.TrueViolationPct());
+  const double n = params.seeds;
+  for (size_t i = 0; i < kStrategies; ++i) {
+    const Sums& sum = sums[i];
+    std::printf("%-22s %12.1f %8.1f %8.1f %12.1f %14.1f\n", strategies[i],
+                sum.cost_per_question / n, sum.true_pct / n,
+                sum.false_pct / n, sum.run_ms / n, sum.idk_true_pct / n);
   }
 
   std::printf(
@@ -528,7 +564,7 @@ void SummaryTable(const Params& params) {
       " 3. false positives: FD = 0 < cell < tuple\n"
       " 4. runtime: tuple cheapest per interaction\n"
       " 5. IDK impact: FD worst, cell mild, tuple recall unaffected\n",
-      normal.dirty().NumAttributes());
+      attributes);
 }
 
 // Ablation studies for the design choices DESIGN.md calls out:
@@ -537,59 +573,85 @@ void SummaryTable(const Params& params) {
 //   (2) SUMS acceptance threshold: precision/recall trade-off of the
 //       truth-discovery cell strategy (§4.2's "expert specified threshold");
 //   (3) FDQ-BMC with and without non-minimal (merged) questions (§5).
-Session MakeSessionWithEpsilon(const Params& params, double epsilon) {
-  SessionConfig config;
-  config.candidate_options.relax_threshold = epsilon;
-  return MakeSession(params, Dataset::kHospital, {}, config, 0);
-}
-
 void Ablations(const Params& params) {
-  // (1) relaxation threshold epsilon.
+  // (1) relaxation threshold epsilon. The candidate count is a mean over
+  // the seeds too, printed to the nearest whole candidate.
   std::printf(
       "\n-- (1) relaxation threshold epsilon (FDQ-BMC, budget 300) "
       "--\n");
   std::printf("%-10s %12s %12s %12s\n", "epsilon", "candidates", "true%",
               "false%");
   for (double epsilon : {0.02, 0.05, 0.10, 0.20, 0.30}) {
-    Session session = MakeSessionWithEpsilon(params, epsilon);
-    auto strategy = MakeFdQBudgetedMaxCoverage({});
-    SessionReport report = session.Run(*strategy, 300.0);
-    std::printf("%-10.2f %12zu %12.1f %12.1f\n", epsilon,
-                session.candidates().Size(), report.metrics.TrueViolationPct(),
-                report.metrics.FalseViolationPct());
+    SessionConfig config;
+    config.candidate_options.relax_threshold = epsilon;
+    double candidates = 0, true_pct = 0, false_pct = 0;
+    ForEachSeed(params, Dataset::kHospital, {}, config,
+                [&](const Session& session) {
+                  auto strategy = MakeFdQBudgetedMaxCoverage({});
+                  SessionReport report = session.Run(*strategy, 300.0);
+                  candidates +=
+                      static_cast<double>(session.candidates().Size());
+                  true_pct += report.metrics.TrueViolationPct();
+                  false_pct += report.metrics.FalseViolationPct();
+                });
+    std::printf("%-10.2f %12.0f %12.1f %12.1f\n", epsilon,
+                candidates / params.seeds, true_pct / params.seeds,
+                false_pct / params.seeds);
   }
 
   // (2) SUMS acceptance threshold, at a budget small enough that not every
   // FD can accumulate full evidence -- the threshold then trades precision
-  // for recall.
+  // for recall. (3) merged (non-minimal) FD questions on/off. Both run on
+  // the epsilon = 0.10 sessions; each cell sums {accepted, true%, false%}
+  // or {with-merged, minimal-only} over the seeds.
+  const double thresholds[] = {0.0, 0.25, 0.5, 0.75, 0.9, 0.99};
+  const double budgets[] = {50.0, 100.0, 200.0, 400.0};
+  double sums_threshold[std::size(thresholds)][3] = {};
+  double sums_merged[std::size(budgets)][2] = {};
+  SessionConfig config;
+  config.candidate_options.relax_threshold = 0.10;
+  ForEachSeed(params, Dataset::kHospital, {}, config,
+              [&](const Session& session) {
+                for (size_t i = 0; i < std::size(thresholds); ++i) {
+                  CellStrategyOptions opts;
+                  opts.sums_accept_threshold = thresholds[i];
+                  auto strategy = MakeCellQSums(opts);
+                  SessionReport report = session.Run(*strategy, 120.0);
+                  sums_threshold[i][0] +=
+                      static_cast<double>(report.result.accepted_fds.Size());
+                  sums_threshold[i][1] += report.metrics.TrueViolationPct();
+                  sums_threshold[i][2] += report.metrics.FalseViolationPct();
+                }
+                for (size_t i = 0; i < std::size(budgets); ++i) {
+                  FdStrategyOptions with;
+                  with.allow_non_minimal = true;
+                  FdStrategyOptions without;
+                  without.allow_non_minimal = false;
+                  auto a = MakeFdQBudgetedMaxCoverage(with);
+                  auto b = MakeFdQBudgetedMaxCoverage(without);
+                  sums_merged[i][0] +=
+                      session.Run(*a, budgets[i]).metrics.TrueViolationPct();
+                  sums_merged[i][1] +=
+                      session.Run(*b, budgets[i]).metrics.TrueViolationPct();
+                }
+              });
+
   std::printf("\n-- (2) SUMS acceptance threshold (budget 120) --\n");
   std::printf("%-10s %12s %12s %12s\n", "threshold", "accepted", "true%",
               "false%");
-  Session session = MakeSessionWithEpsilon(params, 0.10);
-  for (double threshold : {0.0, 0.25, 0.5, 0.75, 0.9, 0.99}) {
-    CellStrategyOptions opts;
-    opts.sums_accept_threshold = threshold;
-    auto strategy = MakeCellQSums(opts);
-    SessionReport report = session.Run(*strategy, 120.0);
-    std::printf("%-10.2f %12zu %12.1f %12.1f\n", threshold,
-                report.result.accepted_fds.Size(),
-                report.metrics.TrueViolationPct(),
-                report.metrics.FalseViolationPct());
+  for (size_t i = 0; i < std::size(thresholds); ++i) {
+    const double* sum = sums_threshold[i];
+    std::printf("%-10.2f %12.0f %12.1f %12.1f\n", thresholds[i],
+                sum[0] / params.seeds, sum[1] / params.seeds,
+                sum[2] / params.seeds);
   }
 
-  // (3) merged (non-minimal) FD questions on/off.
   std::printf("\n-- (3) FDQ-BMC merged questions (budget sweep) --\n");
   std::printf("%-10s %14s %14s\n", "budget", "with-merged", "minimal-only");
-  for (double budget : {50.0, 100.0, 200.0, 400.0}) {
-    FdStrategyOptions with;
-    with.allow_non_minimal = true;
-    FdStrategyOptions without;
-    without.allow_non_minimal = false;
-    auto a = MakeFdQBudgetedMaxCoverage(with);
-    auto b = MakeFdQBudgetedMaxCoverage(without);
-    std::printf("%-10.0f %14.1f %14.1f\n", budget,
-                session.Run(*a, budget).metrics.TrueViolationPct(),
-                session.Run(*b, budget).metrics.TrueViolationPct());
+  for (size_t i = 0; i < std::size(budgets); ++i) {
+    std::printf("%-10.0f %14.1f %14.1f\n", budgets[i],
+                sums_merged[i][0] / params.seeds,
+                sums_merged[i][1] / params.seeds);
   }
 }
 
@@ -605,18 +667,24 @@ void VoteTable(const Params& params) {
   std::printf("%-10s %16s %16s %16s %16s\n", "wrong_pct", "FDQ true%",
               "FDQ-3vote true%", "FDQ false%", "FDQ-3vote false%");
   for (double wrong : kWrongPcts) {
-    auto fdq = MakeFdQBudgetedMaxCoverage({});
+    // {true%, false%} summed over the seeds, single ask then 3 votes.
+    double sums[2][2] = {};
     SessionConfig config;
     config.wrong_rate = wrong / 100.0;
-    config.expert_seed = 3000;
-    Session plain = MakeSession(params, Dataset::kHospital, {}, config, 0);
-    config.expert_votes = 3;
-    Session voting = MakeSession(params, Dataset::kHospital, {}, config, 0);
-    SessionReport a = plain.Run(*fdq, kRobustnessBudget);
-    SessionReport b = voting.Run(*fdq, kRobustnessBudget);
+    for (int votes : {1, 3}) {
+      config.expert_votes = votes;
+      double* sum = sums[votes == 1 ? 0 : 1];
+      ForEachSeed(params, Dataset::kHospital, {}, config,
+                  [&](const Session& session) {
+                    auto fdq = MakeFdQBudgetedMaxCoverage({});
+                    SessionReport report = session.Run(*fdq, kRobustnessBudget);
+                    sum[0] += report.metrics.TrueViolationPct();
+                    sum[1] += report.metrics.FalseViolationPct();
+                  });
+    }
     std::printf("%-10.0f %16.1f %16.1f %16.1f %16.1f\n", wrong,
-                a.metrics.TrueViolationPct(), b.metrics.TrueViolationPct(),
-                a.metrics.FalseViolationPct(), b.metrics.FalseViolationPct());
+                sums[0][0] / params.seeds, sums[1][0] / params.seeds,
+                sums[0][1] / params.seeds, sums[1][1] / params.seeds);
   }
 }
 

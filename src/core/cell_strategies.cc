@@ -15,20 +15,18 @@ namespace uguide {
 namespace {
 
 // Shared working state for one cell-strategy run. The graph, its cell
-// classes and the engine come from the dataset's shared artifact (or a
-// private build when the context carries none — bit-identical, the build
-// being deterministic at any thread count). The run's own mutable state is
-// a GraphView over the frozen graph — answers deactivate nodes there — plus
-// the confidences below.
+// classes and the engine come from the context's artifact. The run's own
+// mutable state is a GraphView over the frozen graph — answers deactivate
+// nodes there — plus the confidences below.
 struct CellRun {
   CellRun(const QuestionContext& ctx, const CellStrategyOptions& options)
-      : artifact(ctx.artifact, ctx.dirty, *ctx.candidates, ctx.pool),
-        graph(artifact->graph()),
+      : artifact(RequireArtifact(ctx)),
+        graph(artifact.graph()),
         fd_conf(static_cast<size_t>(graph.NumFds()),
                 options.initial_confidence),
         asked(static_cast<size_t>(graph.NumCells()), false) {}
 
-  ArtifactRef artifact;
+  const ViolationArtifact& artifact;
   GraphView graph;
   std::vector<double> fd_conf;
   std::vector<bool> asked;
@@ -256,7 +254,7 @@ class ClassSelector {
 
 // A selector whose groups are the artifact's classes, one per class.
 ClassSelector ClassesSelector(const CellRun& run) {
-  const CellClasses& classes = run.artifact->classes();
+  const CellClasses& classes = run.artifact.classes();
   std::vector<ConstSpan<CellId>> groups;
   groups.reserve(static_cast<size_t>(classes.NumClasses()));
   for (int k = 0; k < classes.NumClasses(); ++k) {
@@ -371,7 +369,7 @@ class CellQOracle : public Strategy {
     // whether the cell is a true violation, so it is one per group: group
     // 2k holds class k's clean members, group 2k+1 its true violations,
     // each ascending.
-    const CellClasses& classes = run.artifact->classes();
+    const CellClasses& classes = run.artifact.classes();
     std::vector<CellId> split;
     std::vector<uint32_t> offsets{0};
     split.reserve(static_cast<size_t>(run.graph.NumCells()));
@@ -448,7 +446,7 @@ class CellQSums : public Strategy {
     CellRun run(ctx, options_);
     StrategyResult result;
     const double cost = ctx.cost.CellCost();
-    const CellClasses& classes = run.artifact->classes();
+    const CellClasses& classes = run.artifact.classes();
     ClassConfidence state(run.graph, classes, options_.initial_confidence);
 
     // Evidence confidence, separate from the Estimate-Confidence fixpoint

@@ -41,8 +41,8 @@ struct FdQuestions {
 };
 
 FdQuestions BuildQuestions(const QuestionContext& ctx,
-                           const ViolationArtifact& artifact,
                            const FdStrategyOptions& options) {
+  const ViolationArtifact& artifact = RequireArtifact(ctx);
   const ViolationGraph& graph = artifact.graph();
   const std::vector<Fd>& base = ctx.candidates->fds();
   UGUIDE_CHECK_EQ(static_cast<size_t>(graph.NumFds()), base.size())
@@ -142,8 +142,7 @@ class FdQBudgetedMaxCoverage : public Strategy {
   std::string_view name() const override { return "FDQ-BMC"; }
 
   StrategyResult Run(const QuestionContext& ctx) override {
-    ArtifactRef artifact(ctx.artifact, ctx.dirty, *ctx.candidates, ctx.pool);
-    FdQuestions questions = BuildQuestions(ctx, *artifact, options_);
+    FdQuestions questions = BuildQuestions(ctx, options_);
     const double n = std::max<double>(1.0, ctx.dirty->NumRows());
     // Budgeted max coverage: weight of uncovered violations, discounted by
     // an accuracy prior (AFDs whose g3 removal share approaches the
@@ -171,8 +170,7 @@ class FdQGreedy : public Strategy {
   StrategyResult Run(const QuestionContext& ctx) override {
     FdStrategyOptions minimal_only = options_;
     minimal_only.allow_non_minimal = false;
-    ArtifactRef artifact(ctx.artifact, ctx.dirty, *ctx.candidates, ctx.pool);
-    FdQuestions questions = BuildQuestions(ctx, *artifact, minimal_only);
+    FdQuestions questions = BuildQuestions(ctx, minimal_only);
     return RunFdLoop(ctx, questions, [](size_t) { return true; },
                      [](const FdQuestion& q) {
                        return static_cast<double>(q.uncovered);
@@ -192,8 +190,7 @@ class FdQOracle : public Strategy {
   StrategyResult Run(const QuestionContext& ctx) override {
     UGUIDE_CHECK(ctx.true_fds != nullptr)
         << "FDQ-Oracle requires the true FD set";
-    ArtifactRef artifact(ctx.artifact, ctx.dirty, *ctx.candidates, ctx.pool);
-    FdQuestions questions = BuildQuestions(ctx, *artifact, options_);
+    FdQuestions questions = BuildQuestions(ctx, options_);
     // The oracle pre-screens validity against the true FD set and never
     // spends budget on an invalid FD.
     ClosureEngine true_closure(*ctx.true_fds);

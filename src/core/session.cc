@@ -22,17 +22,7 @@ Result<SessionReport> DriveWithExpert(SessionStateMachine& machine,
                                       RetryingExpert* retrying) {
   while (std::optional<SessionQuestion> question = machine.NextQuestion()) {
     AnswerSubmission submission;
-    switch (question->kind) {
-      case QuestionKind::kCell:
-        submission.answer = expert.IsCellErroneous(question->cell);
-        break;
-      case QuestionKind::kTuple:
-        submission.answer = expert.IsTupleClean(question->row);
-        break;
-      case QuestionKind::kFd:
-        submission.answer = expert.IsFdValid(question->fd);
-        break;
-    }
+    submission.answer = AskQuestion(expert, *question);
     if (retrying != nullptr) {
       submission.retry_cost = retrying->last_retry_cost();
       submission.exhausted = retrying->last_exhausted();

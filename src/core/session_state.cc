@@ -9,6 +9,18 @@
 
 namespace uguide {
 
+Answer AskQuestion(Expert& expert, const SessionQuestion& question) {
+  switch (question.kind) {
+    case QuestionKind::kCell:
+      return expert.IsCellErroneous(question.cell);
+    case QuestionKind::kTuple:
+      return expert.IsTupleClean(question.row);
+    case QuestionKind::kFd:
+      return expert.IsFdValid(question.fd);
+  }
+  return Answer::kIdk;
+}
+
 /// \brief The Expert the strategy talks to inside the machine.
 ///
 /// Lives on the strategy fiber. Each question becomes a JournalRecord, is
@@ -211,7 +223,6 @@ void SessionStateMachine::PumpMain() {
   ctx.true_violations = &session_.true_violations();
   ctx.injected = &session_.truth();
   ctx.artifact = artifact_;
-  ctx.pool = options_.pool;
 
   result_ = strategy_.Run(ctx);
   done_ = true;

@@ -34,6 +34,12 @@ struct SessionQuestion {
   double nominal_cost = 0.0;
 };
 
+/// Asks `expert` the question: IsCellErroneous, IsTupleClean or IsFdValid
+/// by `question.kind`. (Not named AskExpert: perfbench defines its own
+/// with this signature, and argument-dependent lookup would make its
+/// calls ambiguous.)
+Answer AskQuestion(Expert& expert, const SessionQuestion& question);
+
 /// \brief What a driver hands back for one question.
 ///
 /// `retry_cost` and `exhausted` carry the resilience surcharge of answering

@@ -5,6 +5,7 @@
 #include <string>
 #include <string_view>
 
+#include "common/check.h"
 #include "errorgen/error_generator.h"
 #include "fd/fd.h"
 #include "oracle/cost_model.h"
@@ -14,7 +15,6 @@
 
 namespace uguide {
 
-class ThreadPool;
 class ViolationArtifact;
 
 /// \brief Everything an interactive strategy needs for one run.
@@ -32,20 +32,11 @@ struct QuestionContext {
   /// The dataset's violation artifact over `dirty` and `candidates`:
   /// engine, frozen graph, cell classes, removal and per-tuple counts and
   /// the FD question pool, shared read-only by every run (a session
-  /// passes its own, Session::artifact). Optional: strategies wrap it in
-  /// an ArtifactRef, which falls back to a private build when this is
-  /// null — bit-identical, since the artifact is a deterministic function
-  /// of `dirty` and `candidates`.
+  /// passes its own, Session::artifact). Required.
   const ViolationArtifact* artifact = nullptr;
 
-  /// Worker pool for a private fallback build. Optional; null (or a
-  /// single-thread pool) means serial. Results are bit-identical at any
-  /// thread count.
-  ThreadPool* pool = nullptr;
-
-  /// Sigma_T, the exact FDs discovered on the dirty table. Optional; the
-  /// saturation-set tuple strategy needs it (Alg. 8) and rediscovers it if
-  /// absent.
+  /// Sigma_T, the exact FDs discovered on the dirty table. Required by the
+  /// saturation-set tuple strategy (Alg. 8).
   const FdSet* exact_fds = nullptr;
 
   /// Sigma_TC, the FD set the simulated expert validates against (oracle
@@ -58,6 +49,13 @@ struct QuestionContext {
   /// The error generator's ledger (oracle baselines only).
   const GroundTruth* injected = nullptr;
 };
+
+/// `*ctx.artifact`, which every strategy run reads; checked non-null.
+inline const ViolationArtifact& RequireArtifact(const QuestionContext& ctx) {
+  UGUIDE_CHECK(ctx.artifact != nullptr)
+      << "QuestionContext::artifact is required";
+  return *ctx.artifact;
+}
 
 /// Outcome of a strategy run.
 struct StrategyResult {

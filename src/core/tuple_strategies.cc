@@ -33,8 +33,8 @@ FdSet DiscoverSampleFds(const Relation& dirty,
 // of candidate FDs whose removal set contains the tuple (the artifact's
 // per-tuple counts), normalized so every tuple keeps a non-negative chance.
 std::vector<double> ViolationWeights(const QuestionContext& ctx) {
-  ArtifactRef artifact(ctx.artifact, ctx.dirty, *ctx.candidates, ctx.pool);
-  const std::vector<int>& counts = artifact->TupleViolationCounts();
+  const std::vector<int>& counts =
+      RequireArtifact(ctx).TupleViolationCounts();
   const double total = static_cast<double>(ctx.candidates->Size());
   std::vector<double> weights(counts.size());
   bool any_positive = false;
@@ -178,17 +178,12 @@ class TupleSamplingSaturationSets : public Strategy {
     // Saturated sets of the FDs discovered on the dirty table (Alg. 8
     // line 2). The full attribute set can never be the agree-set of two
     // distinct tuples, so it is dropped.
-    FdSet exact;
-    if (ctx.exact_fds != nullptr) {
-      exact = *ctx.exact_fds;
-    } else {
-      TaneOptions tane;
-      tane.max_lhs_size = options_.max_lhs_size;
-      exact = DiscoverFds(*ctx.dirty, tane).ValueOrDie();
-    }
+    UGUIDE_CHECK(ctx.exact_fds != nullptr)
+        << "Sampling-Saturation requires the exact FD set";
     std::unordered_set<AttributeSet, AttributeSetHash> saturated;
-    for (const AttributeSet& w : SaturatedSets(
-             exact, m, static_cast<size_t>(options_.max_saturated_sets))) {
+    for (const AttributeSet& w :
+         SaturatedSets(*ctx.exact_fds, m,
+                       static_cast<size_t>(options_.max_saturated_sets))) {
       if (w != AttributeSet::Full(m)) saturated.insert(w);
     }
 

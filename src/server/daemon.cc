@@ -36,10 +36,8 @@ Result<std::unique_ptr<ServingDaemon>> ServingDaemon::StartImpl(
   reactor.pool = daemon->options_.manager.pool;
   // The tick is the daemon's only periodic driver: idle sessions are
   // evicted here even when no client traffic arrives.
-  reactor.on_tick = [manager = daemon->manager_.get(),
-                     extra = daemon->options_.on_tick] {
+  reactor.on_tick = [manager = daemon->manager_.get()] {
     manager->EvictIdle();
-    if (extra) extra();
   };
   reactor.handler = [manager = daemon->manager_.get()](
                         std::string_view line,

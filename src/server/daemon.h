@@ -1,7 +1,6 @@
 #ifndef UGUIDE_SERVER_DAEMON_H_
 #define UGUIDE_SERVER_DAEMON_H_
 
-#include <functional>
 #include <memory>
 
 #include "core/session.h"
@@ -32,8 +31,6 @@ struct DaemonOptions {
   /// Per-connection unread-reply cap before a slow reader is dropped
   /// (`--max-pending-out-kb`). 0 = unlimited.
   size_t max_pending_out_bytes = 4u << 20;
-  /// Extra per-tick work (after eviction), e.g. registry maintenance.
-  std::function<void()> on_tick;
   SessionManagerOptions manager;
 };
 
@@ -71,7 +68,7 @@ class ServingDaemon {
 
   /// As above, serving a DatasetRegistry artifact bundle: every session
   /// shares the bundle's prebuilt violation artifact, and the daemon
-  /// pins the bundle against eviction for its lifetime.
+  /// keeps the bundle alive for its lifetime.
   static Result<std::unique_ptr<ServingDaemon>> Start(
       std::shared_ptr<const DatasetArtifacts> artifacts, DaemonOptions options);
 

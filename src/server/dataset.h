@@ -37,14 +37,15 @@ Result<Session> MakeServedDataset(const ServedDatasetOptions& options);
 /// Hash of what the relation *contains*: schema attribute names plus every
 /// cell value, in row-major order (FNV-1a over length-prefixed strings).
 /// Deliberately independent of dictionary-code assignment order, so two
-/// loads of the same table hash equal however they were built. This is the
-/// DatasetRegistry's cache key for shared artifacts.
+/// loads of the same table hash equal however they were built. This is a
+/// served bundle's DatasetKey, which live data stamps into journals.
 uint64_t RelationContentHash(const Relation& relation);
 
 /// Hash of every artifact-affecting field of the recipe — everything
 /// except `num_threads`, whose outputs are thread-invariant by the
 /// determinism discipline. Two recipes with equal signatures build
-/// byte-identical sessions, engines, and graphs.
+/// byte-identical sessions, engines, and graphs; the DatasetRegistry
+/// memoizes builds by it.
 uint64_t ServedDatasetSignature(const ServedDatasetOptions& options);
 
 }  // namespace uguide

@@ -46,8 +46,8 @@ namespace uguide {
 ///   {"type":"mutated","id":"m1","version":4,"applied":3,"refused":0}
 ///
 /// Error frames carry two machine-readable fields: `code`, a stable slug a
-/// client can branch on ("overloaded", "rate_limited", "quarantined",
-/// "bad_frame", ...), and `status`, the numeric StatusCode. Refusals the
+/// client can branch on ("overloaded", "rate_limited", "bad_frame",
+/// "draining", ...), and `status`, the numeric StatusCode. Refusals the
 /// client should retry additionally carry `retry_after_ms`. The parser
 /// also accepts the pre-slug wire form where `code` was the numeric
 /// status, so old peers and the checked-in fuzz corpus stay parseable.
@@ -164,7 +164,6 @@ enum class ServerFrameType {
 namespace error_code {
 inline constexpr char kOverloaded[] = "overloaded";
 inline constexpr char kRateLimited[] = "rate_limited";
-inline constexpr char kQuarantined[] = "quarantined";
 inline constexpr char kBadFrame[] = "bad_frame";
 inline constexpr char kDraining[] = "draining";
 /// The session's journal can no longer persist answers (failed write or

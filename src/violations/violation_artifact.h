@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <vector>
 
 #include "fd/fd.h"
@@ -176,36 +175,6 @@ class ViolationArtifact {
   std::vector<int> tuple_counts_;
   mutable std::mutex pool_mu_;
   mutable std::shared_ptr<const FdQuestionPool> pool_;  // guarded by pool_mu_
-};
-
-/// \brief Borrows a shared ViolationArtifact or owns a private one.
-///
-/// The EngineRef of whole artifacts: sessions hand strategies their
-/// shared artifact; standalone callers pass null and get a private one
-/// over (relation, candidates), built the same way, so both report the
-/// same bytes.
-class ArtifactRef {
- public:
-  ArtifactRef(const ViolationArtifact* shared, const Relation* relation,
-              const FdSet& candidates, ThreadPool* pool) {
-    if (shared != nullptr) {
-      artifact_ = shared;
-    } else {
-      local_.emplace(std::make_shared<ViolationEngine>(relation), candidates,
-                     pool);
-      artifact_ = &*local_;
-    }
-  }
-
-  ArtifactRef(const ArtifactRef&) = delete;
-  ArtifactRef& operator=(const ArtifactRef&) = delete;
-
-  const ViolationArtifact& operator*() const { return *artifact_; }
-  const ViolationArtifact* operator->() const { return artifact_; }
-
- private:
-  std::optional<ViolationArtifact> local_;
-  const ViolationArtifact* artifact_ = nullptr;
 };
 
 }  // namespace uguide

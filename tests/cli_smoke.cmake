@@ -168,6 +168,29 @@ else()
   message(STATUS "figures_fig6_json: ok")
 endif()
 
+# --seeds averages the tables outside the sweep too: the ablation tables
+# at three seeds differ from one seed's (the banner does not name seeds).
+foreach(seeds 1 3)
+  execute_process(
+    COMMAND "${PAPER_FIGURES}" --figure=ablation --rows=300 --seeds=${seeds}
+            --out=ablation_${seeds}.json
+    TIMEOUT 60
+    WORKING_DIRECTORY "${WORK_DIR}"
+    RESULT_VARIABLE ablation_exit_${seeds}
+    OUTPUT_VARIABLE ablation_out_${seeds}
+    ERROR_VARIABLE ablation_err)
+endforeach()
+if(NOT ablation_exit_1 STREQUAL "0" OR NOT ablation_exit_3 STREQUAL "0" OR
+   ablation_out_1 STREQUAL ablation_out_3)
+  message(WARNING "figures_ablation_seeds: expected two successful runs "
+                  "with different tables, got exits '${ablation_exit_1}' "
+                  "and '${ablation_exit_3}'\n--seeds=1:\n${ablation_out_1}"
+                  "\n--seeds=3:\n${ablation_out_3}")
+  math(EXPR FAILURES "${FAILURES} + 1")
+else()
+  message(STATUS "figures_ablation_seeds: ok")
+endif()
+
 if(FAILURES GREATER 0)
   message(FATAL_ERROR "cli_smoke: ${FAILURES} check(s) failed")
 endif()

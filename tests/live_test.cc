@@ -130,19 +130,6 @@ class LiveTest : public ::testing::Test {
     session_ = nullptr;
   }
 
-  static Answer AnswerQuestion(SimulatedExpert& expert,
-                               const SessionQuestion& question) {
-    switch (question.kind) {
-      case QuestionKind::kCell:
-        return expert.IsCellErroneous(question.cell);
-      case QuestionKind::kTuple:
-        return expert.IsTupleClean(question.row);
-      case QuestionKind::kFd:
-        return expert.IsFdValid(question.fd);
-    }
-    return Answer::kIdk;
-  }
-
   static SimulatedExpert MakeExpert() {
     const SessionConfig& config = session_->config();
     return SimulatedExpert(&session_->true_violations(), &session_->truth(),
@@ -203,7 +190,7 @@ class LiveTest : public ::testing::Test {
     int rounds = 0;
     while (frame.type == ServerFrameType::kQuestion) {
       EXPECT_LT(++rounds, 10000);
-      const Answer answer = AnswerQuestion(expert, frame.question);
+      const Answer answer = AskQuestion(expert, frame.question);
       frame = One(manager.HandleLine(
           AnswerLine(frame.id, frame.question.index, answer)));
     }
@@ -517,7 +504,7 @@ TEST_F(LiveTest, ResumeAgainstEvictedVersionIsRefusedWithVersionMismatch) {
         One(manager.HandleLine(OpenLine("vm", "FDQ-BMC", 8.0)));
     ASSERT_EQ(frame.type, ServerFrameType::kQuestion);
     frame = One(manager.HandleLine(AnswerLine(
-        "vm", frame.question.index, AnswerQuestion(expert, frame.question))));
+        "vm", frame.question.index, AskQuestion(expert, frame.question))));
     ASSERT_EQ(frame.type, ServerFrameType::kQuestion);
   }
 
@@ -543,7 +530,7 @@ TEST_F(LiveTest, ResumeAgainstEvictedVersionIsRefusedWithVersionMismatch) {
     ServerFrame frame = One(m2.HandleLine(OpenLine("ok", "FDQ-BMC", 8.0)));
     ASSERT_EQ(frame.type, ServerFrameType::kQuestion);
     frame = One(m2.HandleLine(AnswerLine(
-        "ok", frame.question.index, AnswerQuestion(expert, frame.question))));
+        "ok", frame.question.index, AskQuestion(expert, frame.question))));
     ASSERT_EQ(frame.type, ServerFrameType::kQuestion);
   }
   MutationBatch one;

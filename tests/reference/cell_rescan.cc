@@ -12,17 +12,17 @@ namespace uguide {
 
 namespace {
 
-// One run's state: the shared (or a private) artifact's graph under a
+// One run's state: the context's artifact's graph under a
 // mutable GraphView, the FD confidences and the asked flags.
 struct CellRun {
   CellRun(const QuestionContext& ctx, const CellStrategyOptions& options)
-      : artifact(ctx.artifact, ctx.dirty, *ctx.candidates, ctx.pool),
-        graph(artifact->graph()),
+      : artifact(*ctx.artifact),
+        graph(artifact.graph()),
         fd_conf(static_cast<size_t>(graph.NumFds()),
                 options.initial_confidence),
         asked(static_cast<size_t>(graph.NumCells()), false) {}
 
-  ArtifactRef artifact;
+  const ViolationArtifact& artifact;
   GraphView graph;
   std::vector<double> fd_conf;
   std::vector<bool> asked;

@@ -142,12 +142,12 @@ class RescanFdQBudgetedMaxCoverage : public Strategy {
   std::string_view name() const override { return "FDQ-BMC"; }
 
   StrategyResult Run(const QuestionContext& ctx) override {
-    ArtifactRef artifact(ctx.artifact, ctx.dirty, *ctx.candidates, ctx.pool);
+    const ViolationArtifact& artifact = *ctx.artifact;
     std::vector<FdQuestion> questions =
-        BuildQuestions(ctx, *artifact, options_);
+        BuildQuestions(ctx, artifact, options_);
     const double n = std::max<double>(1.0, ctx.dirty->NumRows());
     return RunFdLoop(
-        ctx, artifact->graph(), questions, [](size_t) { return true; },
+        ctx, artifact.graph(), questions, [](size_t) { return true; },
         [&](const FdQuestion& q, size_t uncovered) {
           const double prior =
               1.0 - static_cast<double>(q.removal_count) / n;
@@ -169,10 +169,10 @@ class RescanFdQGreedy : public Strategy {
   StrategyResult Run(const QuestionContext& ctx) override {
     FdStrategyOptions minimal_only = options_;
     minimal_only.allow_non_minimal = false;
-    ArtifactRef artifact(ctx.artifact, ctx.dirty, *ctx.candidates, ctx.pool);
+    const ViolationArtifact& artifact = *ctx.artifact;
     std::vector<FdQuestion> questions =
-        BuildQuestions(ctx, *artifact, minimal_only);
-    return RunFdLoop(ctx, artifact->graph(), questions,
+        BuildQuestions(ctx, artifact, minimal_only);
+    return RunFdLoop(ctx, artifact.graph(), questions,
                      [](size_t) { return true; },
                      [](const FdQuestion&, size_t uncovered) {
                        return static_cast<double>(uncovered);
@@ -193,15 +193,15 @@ class RescanFdQOracle : public Strategy {
   StrategyResult Run(const QuestionContext& ctx) override {
     UGUIDE_CHECK(ctx.true_fds != nullptr)
         << "FDQ-Oracle requires the true FD set";
-    ArtifactRef artifact(ctx.artifact, ctx.dirty, *ctx.candidates, ctx.pool);
+    const ViolationArtifact& artifact = *ctx.artifact;
     std::vector<FdQuestion> questions =
-        BuildQuestions(ctx, *artifact, options_);
+        BuildQuestions(ctx, artifact, options_);
     ClosureEngine true_closure(*ctx.true_fds);
     std::vector<bool> valid(questions.size());
     for (size_t i = 0; i < questions.size(); ++i) {
       valid[i] = true_closure.Implies(questions[i].fd);
     }
-    return RunFdLoop(ctx, artifact->graph(), questions,
+    return RunFdLoop(ctx, artifact.graph(), questions,
                      [&](size_t i) { return static_cast<bool>(valid[i]); },
                      [](const FdQuestion& q, size_t uncovered) {
                        return static_cast<double>(uncovered) / q.cost;

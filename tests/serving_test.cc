@@ -217,20 +217,6 @@ class ServingTest : public ::testing::Test {
     return SerializeSessionReport(session_->Run(*strategy, budget));
   }
 
-  // Answers `question` exactly as Session::Run's expert stack would.
-  static Answer AnswerQuestion(SimulatedExpert& expert,
-                               const SessionQuestion& question) {
-    switch (question.kind) {
-      case QuestionKind::kCell:
-        return expert.IsCellErroneous(question.cell);
-      case QuestionKind::kTuple:
-        return expert.IsTupleClean(question.row);
-      case QuestionKind::kFd:
-        return expert.IsFdValid(question.fd);
-    }
-    return Answer::kIdk;
-  }
-
   static SimulatedExpert MakeExpert() {
     const SessionConfig& config = session_->config();
     return SimulatedExpert(&session_->true_violations(), &session_->truth(),
@@ -297,7 +283,7 @@ TEST_F(ServingTest, ManagerServesSessionToByteIdenticalReport) {
   int rounds = 0;
   while (frame.type == ServerFrameType::kQuestion) {
     ASSERT_LT(++rounds, 10000);
-    const Answer answer = AnswerQuestion(expert, frame.question);
+    const Answer answer = AskQuestion(expert, frame.question);
     frame = One(manager.HandleLine(AnswerLine("m1", frame.question.index,
                                               answer)));
   }
@@ -405,7 +391,7 @@ TEST_F(ServingTest, EvictedSessionResumesFromItsJournal) {
     ASSERT_EQ(frame.type, ServerFrameType::kQuestion);
     frame = One(manager.HandleLine(AnswerLine(
         "ev1", frame.question.index,
-        AnswerQuestion(expert, frame.question))));
+        AskQuestion(expert, frame.question))));
   }
   ASSERT_TRUE(
       FaultRegistry::Global().LoadPlan("clock.tick=latency:60000").ok());
@@ -426,7 +412,7 @@ TEST_F(ServingTest, EvictedSessionResumesFromItsJournal) {
     if (frame.question.replayed) ++replayed;
     frame = One(manager.HandleLine(AnswerLine(
         "ev1", frame.question.index,
-        AnswerQuestion(fresh, frame.question))));
+        AskQuestion(fresh, frame.question))));
   }
   ASSERT_EQ(frame.type, ServerFrameType::kReport);
   EXPECT_EQ(replayed, 2);
@@ -518,7 +504,7 @@ TEST_F(ServingTest, DaemonServesOverTcpByteIdentical) {
     ASSERT_LT(++rounds, 10000);
     ASSERT_TRUE(client.WriteLine(AnswerLine(
         "tcp1", frame.question.index,
-        AnswerQuestion(expert, frame.question))));
+        AskQuestion(expert, frame.question))));
     frame = ParseServerFrame(*client.ReadLine()).ValueOrDie();
   }
   ASSERT_EQ(frame.type, ServerFrameType::kReport);
@@ -543,7 +529,7 @@ TEST_F(ServingTest, KilledClientDoesNotKillItsSession) {
     ASSERT_EQ(frame.type, ServerFrameType::kQuestion);
     ASSERT_TRUE(first.WriteLine(AnswerLine(
         "kc1", frame.question.index,
-        AnswerQuestion(expert, frame.question))));
+        AskQuestion(expert, frame.question))));
     frame = ParseServerFrame(*first.ReadLine()).ValueOrDie();
   }
   ASSERT_EQ(frame.type, ServerFrameType::kQuestion);
@@ -566,7 +552,7 @@ TEST_F(ServingTest, KilledClientDoesNotKillItsSession) {
     ASSERT_LT(++rounds, 10000);
     ASSERT_TRUE(second.WriteLine(AnswerLine(
         "kc1", frame.question.index,
-        AnswerQuestion(expert, frame.question))));
+        AskQuestion(expert, frame.question))));
     frame = ParseServerFrame(*second.ReadLine()).ValueOrDie();
   }
   ASSERT_EQ(frame.type, ServerFrameType::kReport);
@@ -648,7 +634,7 @@ TEST_F(ServingTest, WriteFailureDropsConnectionNotSession) {
   ASSERT_TRUE(
       FaultRegistry::Global().LoadPlan("server.write=unavailable@1").ok());
   ASSERT_TRUE(client.WriteLine(AnswerLine(
-      "wf1", frame.question.index, AnswerQuestion(expert, frame.question))));
+      "wf1", frame.question.index, AskQuestion(expert, frame.question))));
   EXPECT_FALSE(client.ReadLine().has_value());
   EXPECT_EQ(daemon->manager().active_sessions(), 1);
   ASSERT_TRUE(FaultRegistry::Global().LoadPlan("").ok());
@@ -664,7 +650,7 @@ TEST_F(ServingTest, WriteFailureDropsConnectionNotSession) {
     ASSERT_LT(++rounds, 10000);
     ASSERT_TRUE(retry.WriteLine(AnswerLine(
         "wf1", frame.question.index,
-        AnswerQuestion(expert, frame.question))));
+        AskQuestion(expert, frame.question))));
     frame = ParseServerFrame(*retry.ReadLine()).ValueOrDie();
   }
   ASSERT_EQ(frame.type, ServerFrameType::kReport);

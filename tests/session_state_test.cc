@@ -54,19 +54,7 @@ Result<SessionReport> StepManually(const Session& session, Strategy& strategy,
       SessionStateMachine::Start(session, strategy, budget,
                                  std::move(options)));
   while (std::optional<SessionQuestion> q = machine->NextQuestion()) {
-    AnswerSubmission submission;
-    switch (q->kind) {
-      case QuestionKind::kCell:
-        submission.answer = expert.IsCellErroneous(q->cell);
-        break;
-      case QuestionKind::kTuple:
-        submission.answer = expert.IsTupleClean(q->row);
-        break;
-      case QuestionKind::kFd:
-        submission.answer = expert.IsFdValid(q->fd);
-        break;
-    }
-    UGUIDE_RETURN_NOT_OK(machine->SubmitAnswer(submission));
+    UGUIDE_RETURN_NOT_OK(machine->SubmitAnswer({AskQuestion(expert, *q)}));
   }
   return machine->Finish();
 }

@@ -454,7 +454,9 @@ void ExpectFindCellMatches(const ViolationGraph& g, const Relation& rel) {
           std::binary_search(interned.begin(), interned.end(), cell);
       const CellId found = g.FindCell(cell);
       ASSERT_EQ(found >= 0, present);
-      if (found >= 0) ASSERT_EQ(g.cell(found), cell);
+      if (found >= 0) {
+        ASSERT_EQ(g.cell(found), cell);
+      }
     }
   }
 }
@@ -872,6 +874,7 @@ TEST(IncrementalSamplingTest, ViolationWeightedDrawSequenceMatchesReference) {
   ctx.candidates = &session.candidates();
   ctx.expert = &recorder;
   ctx.budget = 60.0;
+  ctx.artifact = &session.artifact();
   ctx.exact_fds = &session.exact_fds();
   TupleStrategyOptions options;
   auto strategy = MakeTupleSamplingViolationWeighting(options);

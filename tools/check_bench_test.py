@@ -64,6 +64,12 @@ def debug_build():
     return edit, "build-type mismatch"
 
 
+def unstamped():
+    def edit(report):
+        report.pop("context", None)
+    return edit, "build-type mismatch"
+
+
 # file -> [(case, (edit of the fresh copy, name it breaks), exit status)]
 CASES = {
     "BENCH_questioning.json": [
@@ -94,7 +100,10 @@ CASES = {
         ("30% higher p99", scale("concurrency=64", "rtt_p99_ms", 1.3), 1),
         ("more sessions/s", scale("concurrency=1", "sessions_per_sec", 3), 0),
         ("row removed", drop("concurrency=64"), 1),
+        # The baseline is stamped release: a Debug run, or one from a
+        # binary that stamps nothing, is refused.
         ("build type", debug_build(), 1),
+        ("unstamped", unstamped(), 1),
         ("nan", put("concurrency=1", sessions_per_sec=math.nan), 1),
     ],
     "BENCH_live.json": [
@@ -107,6 +116,7 @@ CASES = {
         ("row removed", drop("batch_rows=64"), 1),
         ("speedup floor breach", put("batch_rows=1", speedup=4.9), 1),
         ("build type", debug_build(), 1),
+        ("unstamped", unstamped(), 1),
         ("nan", put("batch_rows=1", incremental_ms_per_batch=math.nan), 1),
     ],
 }

@@ -15,9 +15,9 @@
 // they agree. Exit status: 0 iff every session finished with a verified
 // report (refusals tolerated only under --allow-refused).
 //
-// Refusal errors carrying retry_after_ms (code overloaded / rate_limited /
-// quarantined) are always retried after the hinted backoff, so an
-// overloaded daemon slows the run down rather than failing it.
+// Refusal errors carrying retry_after_ms (code overloaded / rate_limited)
+// are always retried after the hinted backoff, so an overloaded daemon
+// slows the run down rather than failing it.
 //
 // --chaos turns each session into a deterministic adversary (per-session
 // Rng off --chaos-seed): garbage frames, half-line writes followed by
@@ -594,17 +594,7 @@ bool RunOneSession(SharedState* state, Connection* conn, int index) {
         answer.op = ClientOp::kAnswer;
         answer.id = open.id;
         answer.seq = q.index;
-        switch (q.kind) {
-          case QuestionKind::kCell:
-            answer.answer = head->IsCellErroneous(q.cell);
-            break;
-          case QuestionKind::kTuple:
-            answer.answer = head->IsTupleClean(q.row);
-            break;
-          case QuestionKind::kFd:
-            answer.answer = head->IsFdValid(q.fd);
-            break;
-        }
+        answer.answer = AskQuestion(*head, q);
         to_send = FormatClientFrame(answer);
         break;
       }
@@ -663,8 +653,7 @@ bool RunOneSession(SharedState* state, Connection* conn, int index) {
         const bool backoff_hinted =
             frame->retry_after_ms >= 0 &&
             (frame->error_code == error_code::kOverloaded ||
-             frame->error_code == error_code::kRateLimited ||
-             frame->error_code == error_code::kQuarantined);
+             frame->error_code == error_code::kRateLimited);
         if (backoff_hinted && retries < kMaxRetries) {
           backoff(frame->retry_after_ms);
           to_send = resync_frame();

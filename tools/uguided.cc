@@ -11,16 +11,16 @@
 //           [--rows=R] [--error-rate=E] [--seed=S] [--idk-rate=I]
 //           [--budget=B]
 //
-// The daemon pins one dataset at startup (the hospital benchmark built
-// from --rows/--error-rate/--seed — the recipe in src/server/dataset.h),
-// opened through a DatasetRegistry so the expensive shared artifacts
-// (session, warmed violation engine, prebuilt graph) are built once and
-// shared read-only by every session; every served session runs one
-// strategy against it. Clients choose the strategy, budget, and session
-// id per open. --port=0 binds an ephemeral port, printed on stdout and
-// optionally written to --port-file for scripts. SIGTERM/SIGINT drain
-// gracefully: stop accepting, abandon in-flight sessions (journals
-// synced, resumable), print a summary.
+// The daemon serves one dataset, built once at startup (the hospital
+// benchmark built from --rows/--error-rate/--seed — the recipe in
+// src/server/dataset.h); a failed build exits. Its shared artifacts
+// (session, warmed violation engine, prebuilt graph) come from a
+// DatasetRegistry and are read-only to every session; every served
+// session runs one strategy against them. Clients choose the strategy,
+// budget, and session id per open. --port=0 binds an ephemeral port,
+// printed on stdout and optionally written to --port-file for scripts.
+// SIGTERM/SIGINT drain gracefully: stop accepting, abandon in-flight
+// sessions (journals synced, resumable), print a summary.
 
 #include <signal.h>
 #include <unistd.h>
@@ -90,9 +90,9 @@ void Usage() {
       "\n"
       "overload protection:\n"
       "  --tick-ms=T            maintenance tick period: drives idle session\n"
-      "                         eviction, registry eviction, and connection\n"
-      "                         reaping without client traffic (default 250;\n"
-      "                         0 disables periodic eviction)\n"
+      "                         eviction and connection reaping without\n"
+      "                         client traffic (default 250; 0 disables\n"
+      "                         periodic eviction)\n"
       "  --read-idle-ms=T       reap connections with no complete request\n"
       "                         line for T ms (slow-loris defense; 0=off)\n"
       "  --max-pending-out-kb=K drop a connection holding more than K KiB of\n"
@@ -269,8 +269,6 @@ int main(int argc, char** argv) {
   options.read_idle_ms = args.read_idle_ms;
   options.max_pending_out_bytes =
       static_cast<size_t>(args.max_pending_out_kb) * 1024;
-  // Registry eviction rides the same maintenance tick as session eviction.
-  options.on_tick = [&registry] { registry.EvictIdle(); };
   options.manager.max_sessions = args.max_sessions;
   options.manager.idle_timeout_ms = args.idle_timeout_ms;
   options.manager.journal_dir = args.journal_dir;
