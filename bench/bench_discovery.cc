@@ -42,6 +42,16 @@ void BM_PartitionProduct(benchmark::State& state) {
 }
 BENCHMARK(BM_PartitionProduct)->Arg(1000)->Arg(10000)->Arg(50000);
 
+// Sets the counters that say how a walk decided its checks: `checks` is
+// every (X, A) pair it decided, `g3_scans` those the key-error bounds left
+// open (0 for an exact walk).
+void CountChecks(benchmark::State& state, const DiscoveryOutcome& outcome) {
+  state.counters["checks"] =
+      benchmark::Counter(static_cast<double>(outcome.checks));
+  state.counters["g3_scans"] =
+      benchmark::Counter(static_cast<double>(outcome.g3_scans));
+}
+
 void BM_TaneExact(benchmark::State& state) {
   Relation rel = HospitalAtScale(static_cast<int>(state.range(0)));
   // Unlimited budget: never refuses, but reports the peak working set of
@@ -50,11 +60,14 @@ void BM_TaneExact(benchmark::State& state) {
   TaneOptions opts;
   opts.max_lhs_size = 3;
   opts.memory_budget = &budget;
+  DiscoveryOutcome outcome;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(DiscoverFds(rel, opts).ValueOrDie());
+    outcome = DiscoverFdsDetailed(rel, opts).ValueOrDie();
+    benchmark::DoNotOptimize(outcome.fds);
   }
   state.counters["peak_partition_bytes"] = benchmark::Counter(
       static_cast<double>(budget.high_water()));
+  CountChecks(state, outcome);
 }
 BENCHMARK(BM_TaneExact)->Arg(1000)->Arg(5000)->Arg(10000)
     ->Unit(benchmark::kMillisecond);
@@ -157,7 +170,8 @@ BENCHMARK(BM_CandidateGeneration)->Arg(1000)->Arg(5000)
 // Candidate generation as the offline-tax set-up pays it: the dirty Tax
 // table at 10,000 rows (systematic errors at 20%), LHS bound 3, one
 // worker. `peak_partition_bytes` is the walk's governed working set: both
-// frontiers share one partition store and the last level is never stored.
+// frontiers share one partition store and the last level builds no
+// partition.
 void BM_CandidateGenerationTax(benchmark::State& state) {
   DataGenOptions gen;
   gen.rows = 10000;
@@ -182,6 +196,11 @@ void BM_CandidateGenerationTax(benchmark::State& state) {
   }
   state.counters["peak_partition_bytes"] = benchmark::Counter(
       static_cast<double>(budget.high_water()));
+  // The check counts of the one walk GenerateCandidates runs.
+  CountChecks(state, DiscoverFdFrontiers(dirty.dirty, tane,
+                                         {0.0, opts.relax_threshold})
+                         .ValueOrDie()
+                         .front());
 }
 BENCHMARK(BM_CandidateGenerationTax)->Unit(benchmark::kMillisecond);
 

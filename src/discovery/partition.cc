@@ -159,8 +159,67 @@ double Partition::FdError(const Partition& refined) const {
 
 double Partition::KeyError() const {
   if (num_rows_ == 0) return 0.0;
-  return static_cast<double>(StrippedSize() - NumClasses()) /
-         static_cast<double>(num_rows_);
+  return static_cast<double>(Excess()) / static_cast<double>(num_rows_);
+}
+
+size_t Partition::ProductExcess(const Partition& other,
+                                CountScratch& scratch) const {
+  UGUIDE_CHECK_EQ(num_rows_, other.num_rows_);
+  // Product()'s labelling pass, then per class of `other` one count per
+  // touched label: every member after a group's first adds one to the
+  // excess, so the groups themselves are never laid out.
+  std::vector<int32_t>& label = scratch.label;
+  std::vector<uint32_t>& count = scratch.count;
+  if (label.size() < static_cast<size_t>(num_rows_)) {
+    label.resize(static_cast<size_t>(num_rows_), -1);
+  }
+  if (count.size() < NumClasses()) count.resize(NumClasses(), 0);
+  for (size_t i = 0; i < NumClasses(); ++i) {
+    for (TupleId t : Class(i)) {
+      label[static_cast<size_t>(t)] = static_cast<int32_t>(i);
+    }
+  }
+  size_t excess = 0;
+  for (size_t oc = 0; oc < other.NumClasses(); ++oc) {
+    for (TupleId t : other.Class(oc)) {
+      const int32_t l = label[static_cast<size_t>(t)];
+      if (l < 0) continue;
+      if (count[static_cast<size_t>(l)]++ == 0) {
+        scratch.touched.push_back(static_cast<uint32_t>(l));
+      } else {
+        ++excess;
+      }
+    }
+    for (uint32_t l : scratch.touched) count[l] = 0;
+    scratch.touched.clear();
+  }
+  for (TupleId t : elems_) label[static_cast<size_t>(t)] = -1;
+  return excess;
+}
+
+size_t Partition::Removals(const Relation& relation, int rhs,
+                           CountScratch& scratch) const {
+  UGUIDE_CHECK_EQ(num_rows_, relation.NumRows());
+  const std::vector<ValueCode>& codes = relation.ColumnCodes(rhs);
+  std::vector<uint32_t>& count = scratch.count;
+  if (count.size() < relation.pool().Size()) {
+    count.resize(relation.pool().Size(), 0);
+  }
+  size_t removed = 0;
+  for (size_t i = 0; i < NumClasses(); ++i) {
+    const ClassView cls = Class(i);
+    uint32_t most = 0;
+    for (TupleId t : cls) {
+      const uint32_t code =
+          static_cast<uint32_t>(codes[static_cast<size_t>(t)]);
+      if (count[code] == 0) scratch.touched.push_back(code);
+      most = std::max(most, ++count[code]);
+    }
+    removed += cls.size() - most;
+    for (uint32_t code : scratch.touched) count[code] = 0;
+    scratch.touched.clear();
+  }
+  return removed;
 }
 
 PartitionCache::PartitionCache(const Relation* relation)
@@ -304,15 +363,6 @@ bool PartitionStore::Put(const AttributeSet& attrs, Partition partition,
     EvictUntilLocked([&] { return !budget_->OverSoftLimit(); });
   }
   return true;
-}
-
-std::shared_ptr<const Partition> PartitionStore::Transient(
-    Partition partition) {
-  if (budget_ == nullptr) return Account(std::move(partition));
-  budget_->ForceCharge(partition.ApproxBytes());
-  std::shared_ptr<const Partition> handle = Account(std::move(partition));
-  if (budget_->OverSoftLimit()) EvictToSoftLimit();
-  return handle;
 }
 
 void PartitionStore::PutShared(const AttributeSet& attrs,

@@ -18,6 +18,19 @@
 
 namespace uguide {
 
+/// \brief Reusable buffers for Partition's count-only queries
+/// (ProductExcess, Removals). Each query leaves them as it found them
+/// (labels -1, counts 0, `touched` empty), so only the first query on a
+/// scratch pays an n-sized fill. Not thread-safe: one per thread.
+struct CountScratch {
+  /// Per tuple: its class in the left operand of ProductExcess, or -1.
+  std::vector<int32_t> label;
+  /// Per left class (ProductExcess) or per value code (Removals).
+  std::vector<uint32_t> count;
+  /// The `count` slots the current class set, reset after it.
+  std::vector<uint32_t> touched;
+};
+
 /// \brief A stripped partition (position-list index) over an attribute set.
 ///
 /// Tuples are grouped into equivalence classes by their projection onto the
@@ -105,9 +118,25 @@ class Partition {
   /// hold exactly. Both partitions must be over the same relation.
   double FdError(const Partition& refined) const;
 
-  /// The key error e(X) = (||pi|| - |pi|) / n: fraction of tuples to remove
-  /// to make the attribute set a key.
+  /// The key error e(X) = Excess() / n: fraction of tuples to remove to
+  /// make the attribute set a key.
   double KeyError() const;
+
+  /// ||pi|| - |pi|, the key error's integer numerator. TANE's lemma bounds
+  /// the g3 numerator of X -> A by it: with this = pi_X and the product
+  /// pi_{X+A}, Excess() - pi_{X+A}.Excess() <= Removals(A) <= Excess(), and
+  /// the FD holds exactly iff the two excesses are equal.
+  size_t Excess() const { return StrippedSize() - NumClasses(); }
+
+  /// Product(other).Excess(), counted without building the product.
+  size_t ProductExcess(const Partition& other, CountScratch& scratch) const;
+
+  /// The g3 numerator of X -> `rhs` (this = pi_X) over `relation`: per
+  /// class, its size minus the count of its most frequent `rhs` value,
+  /// read straight from the column. Equals FdError(pi_{X+rhs}) * n without
+  /// the refined partition.
+  size_t Removals(const Relation& relation, int rhs,
+                  CountScratch& scratch) const;
 
   /// Approximate heap footprint in bytes, fixed at construction: the CSR
   /// element payload plus the offset array (sizes, not capacities), plus
@@ -201,14 +230,6 @@ class PartitionStore {
   /// cannot be respected even then — the caller's truncation signal.
   bool Put(const AttributeSet& attrs, Partition partition,
            bool pinned = false);
-
-  /// Force-charges `partition` and returns a handle that releases the
-  /// charge when the last holder drops it; the store never admits it. For
-  /// partitions a caller needs only briefly and must not refuse (TANE's
-  /// streamed last level): charging them unconditionally keeps truncation a
-  /// function of the admitted levels alone, not of how many transients the
-  /// workers happen to hold at once.
-  std::shared_ptr<const Partition> Transient(Partition partition);
 
   /// Admits an externally accounted partition handle without charging the
   /// budget: the bytes stay owned by whoever created the handle (the live

@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <unordered_map>
 #include <utility>
@@ -78,21 +80,25 @@ AttributeSet CplusOf(const AttributeSet& x, const Level& prev,
   return cplus;
 }
 
+// How one walk's g3 threshold judges X\{a} -> a.
+struct Verdict {
+  bool exact = false;  // g3 == 0
+  bool valid = false;  // g3 <= the walk's threshold
+};
+
 // One walk's dependency check of node X, whose C+ was just set from the
 // walk's frozen previous level: emit the FDs X\{a} -> a within the walk's
-// g3 threshold and prune the node's C+ accordingly. `error(a)` is the g3
-// error of X\{a} -> a, a pure function of the two partitions, so walks that
-// share the node share it too. Writes only `node` and `found`.
-template <typename ErrorFn>
+// g3 threshold and prune the node's C+ accordingly. `verdict(a, max_error)`
+// judges X\{a} -> a, a pure function of the partitions, so walks that share
+// the node share its work too. Writes only `node` and `found`.
+template <typename VerdictFn>
 void CheckNode(const AttributeSet& x, Node& node, const Level& prev,
                double max_error, bool prune_on_approximate,
-               const ErrorFn& error, std::vector<Fd>& found) {
+               const VerdictFn& verdict, std::vector<Fd>& found) {
   const AttributeSet candidates = x.Intersect(node.cplus);
   for (int a : candidates) {
     if (prev.find(x.Without(a)) == prev.end()) continue;
-    const double g3 = error(a);
-    const bool exact = g3 == 0.0;
-    const bool valid = g3 <= max_error;
+    const auto [exact, valid] = verdict(a, max_error);
     if (valid) {
       found.emplace_back(x.Without(a), a);
     }
@@ -144,18 +150,70 @@ bool Closed(const AttributeSet& z, const Level& level) {
   return true;
 }
 
-// Checks node X for every walk holding it: one refined partition and at
-// most one g3 error per RHS, shared across the walks. Walks read their
-// frozen `prev` and write only their own node and FD shard
-// (`found[w][node.shard]`), so jobs of one level run concurrently; the
-// level maps are only searched, and the store is internally synchronized.
-// On a streamed level the node's partition was never stored: it is built
-// here from the same two operands the materializing walk would use,
-// charged while alive, and dropped on return.
+// Count scratch for the check jobs of one walk, one per pool strand: a job
+// borrows one and gives it back. Each is sized for the relation up front,
+// before the walk allocates its levels, so no job grows one in the middle
+// of them. Like Product()'s label array, scratch is not charged to the
+// memory budget.
+class ScratchShelf {
+ public:
+  ScratchShelf(const Relation& relation, int strands)
+      : rows_(static_cast<size_t>(relation.NumRows())),
+        codes_(relation.pool().Size()) {
+    for (int i = 0; i < strands; ++i) free_.push_back(Make());
+  }
+  std::unique_ptr<CountScratch> Take() {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (free_.empty()) return Make();
+    std::unique_ptr<CountScratch> scratch = std::move(free_.back());
+    free_.pop_back();
+    return scratch;
+  }
+  void Give(std::unique_ptr<CountScratch> scratch) {
+    std::lock_guard<std::mutex> lock(mu_);
+    free_.push_back(std::move(scratch));
+  }
+
+ private:
+  // Labels per tuple; counts per class (at most rows / 2) or value code.
+  std::unique_ptr<CountScratch> Make() const {
+    auto scratch = std::make_unique<CountScratch>();
+    scratch->label.assign(rows_, -1);
+    scratch->count.assign(std::max(rows_, codes_), 0);
+    return scratch;
+  }
+
+  const size_t rows_;
+  const size_t codes_;
+  std::mutex mu_;
+  std::vector<std::unique_ptr<CountScratch>> free_;
+};
+
+// The g3 error of a numerator, divided exactly as Partition::FdError
+// divides it, so every comparison below is bit-for-bit the old one.
+double G3(size_t removed, TupleId num_rows) {
+  return static_cast<double>(removed) / static_cast<double>(num_rows);
+}
+
+// Checks node X for every walk holding it. Each X\{a} -> a is decided by
+// the cheapest exact test (TANE's lemma, see Partition::Excess):
+//   exact   iff excess(X\{a}) == excess(X);
+//   refused if  (excess(X\{a}) - excess(X)) / n > threshold;
+//   valid   if  excess(X\{a}) / n <= threshold;
+// and only a threshold strictly between the bounds pays a g3 scan, at most
+// one per (X, a), shared across the walks. Walks read their frozen `prev`
+// and write only their own node and FD shard (`found[w][node.shard]`), so
+// jobs of one level run concurrently; the level maps are only searched, and
+// the store is internally synchronized. On a streamed level the node's
+// partition was never stored: only its excess is needed, counted from the
+// same two operands the materializing walk would multiply. Adds the pairs
+// decided and the scans run to `checks` and `scans`.
 void CheckJob(const AttributeSet& x, const std::vector<Walk*>& walks,
               std::vector<std::vector<std::vector<Fd>>>& found, bool streamed,
-              PartitionStore& store, const AttributeSet& all_attrs,
-              bool prune_on_approximate) {
+              const Relation& relation, PartitionStore& store,
+              ScratchShelf& shelf, const AttributeSet& all_attrs,
+              bool prune_on_approximate, std::atomic<size_t>& checks,
+              std::atomic<size_t>& scans) {
   bool any_candidate = false;
   for (Walk* walk : walks) {
     auto it = walk->current.find(x);
@@ -165,30 +223,55 @@ void CheckJob(const AttributeSet& x, const std::vector<Walk*>& walks,
   }
   if (!any_candidate) return;
 
-  std::shared_ptr<const Partition> refined;
+  std::unique_ptr<CountScratch> scratch;
+  const auto borrow = [&]() -> CountScratch& {
+    if (scratch == nullptr) scratch = shelf.Take();
+    return *scratch;
+  };
+  size_t excess = 0;
   if (streamed) {
     const auto [left, right] = Operands(x);
-    refined = store.Transient(store.Get(left)->Product(*store.Get(right)));
+    excess = store.Get(left)->ProductExcess(*store.Get(right), borrow());
   } else {
-    refined = store.Get(x);
+    excess = store.Get(x)->Excess();
   }
-  std::array<double, AttributeSet::kMaxAttributes> errors;
+  // Per RHS a: excess(X\{a}) and, once scanned, the g3 numerator.
+  constexpr size_t kUnscanned = static_cast<size_t>(-1);
+  std::array<size_t, AttributeSet::kMaxAttributes> upper;
+  std::array<size_t, AttributeSet::kMaxAttributes> removed;
   uint64_t known = 0;
-  const auto error = [&](int a) {
+  size_t job_checks = 0;
+  size_t job_scans = 0;
+  const TupleId n = relation.NumRows();
+  const auto verdict = [&](int a, double max_error) {
+    const size_t i = static_cast<size_t>(a);
     const uint64_t bit = uint64_t{1} << a;
     if ((known & bit) == 0) {
-      errors[static_cast<size_t>(a)] =
-          store.Get(x.Without(a))->FdError(*refined);
+      upper[i] = store.Get(x.Without(a))->Excess();
+      UGUIDE_DCHECK(upper[i] >= excess);
+      removed[i] = kUnscanned;
       known |= bit;
+      ++job_checks;
     }
-    return errors[static_cast<size_t>(a)];
+    const size_t lower = upper[i] - excess;
+    if (lower == 0) return Verdict{true, true};
+    if (G3(lower, n) > max_error) return Verdict{false, false};
+    if (G3(upper[i], n) <= max_error) return Verdict{false, true};
+    if (removed[i] == kUnscanned) {
+      removed[i] = store.Get(x.Without(a))->Removals(relation, a, borrow());
+      ++job_scans;
+    }
+    return Verdict{false, G3(removed[i], n) <= max_error};
   };
   for (size_t w = 0; w < walks.size(); ++w) {
     auto it = walks[w]->current.find(x);
     if (it == walks[w]->current.end()) continue;
     CheckNode(x, it->second, walks[w]->prev, walks[w]->max_error,
-              prune_on_approximate, error, found[w][it->second.shard]);
+              prune_on_approximate, verdict, found[w][it->second.shard]);
   }
+  if (scratch != nullptr) shelf.Give(std::move(scratch));
+  checks.fetch_add(job_checks, std::memory_order_relaxed);
+  scans.fetch_add(job_scans, std::memory_order_relaxed);
 }
 
 }  // namespace
@@ -234,6 +317,8 @@ Result<std::vector<DiscoveryOutcome>> DiscoverFdFrontiers(
   }
   MemoryBudget* budget = options.memory_budget;
   PartitionStore store(&relation, budget);
+  std::atomic<size_t> checks{0};
+  std::atomic<size_t> scans{0};
   const auto finish = [&] {
     std::vector<DiscoveryOutcome> outcomes;
     outcomes.reserve(walks.size());
@@ -243,6 +328,8 @@ Result<std::vector<DiscoveryOutcome>> DiscoverFdFrontiers(
       if (budget != nullptr) done.peak_memory_bytes = budget->high_water();
       done.partitions_evicted = store.evictions();
       done.partitions_recomputed = store.recomputes();
+      done.checks = checks.load(std::memory_order_relaxed);
+      done.g3_scans = scans.load(std::memory_order_relaxed);
       outcomes.push_back(std::move(done));
     }
     return outcomes;
@@ -262,6 +349,7 @@ Result<std::vector<DiscoveryOutcome>> DiscoverFdFrontiers(
   // Shared worker pool for the whole traversal; with num_threads <= 1 this
   // spawns nothing and every ParallelFor below runs inline, serially.
   ThreadPool pool(options.num_threads);
+  ScratchShelf shelf(relation, pool.num_threads());
 
   // Levels 0 and 1 are the recompute base for every eviction rebuild, so
   // they are pinned (never evicted) — but still charged: a hard limit too
@@ -317,7 +405,7 @@ Result<std::vector<DiscoveryOutcome>> DiscoverFdFrontiers(
     // sequence is bit-identical to the serial solo traversal (which
     // downstream question-selection heuristics are sensitive to).
     // The last level (LHS size max_lhs_size) is streamed: its products
-    // were never stored, each job builds and drops its own.
+    // were never built, each job counts its node's excess instead.
     const bool streamed = level_size > 1 && level_size > options.max_lhs_size;
     std::vector<AttributeSet> jobs;  // distinct nodes, first walk first
     std::vector<std::vector<std::vector<Fd>>> found(active.size());
@@ -335,8 +423,8 @@ Result<std::vector<DiscoveryOutcome>> DiscoverFdFrontiers(
       }
     }
     pool.ParallelFor(jobs.size(), [&](size_t j) {
-      CheckJob(jobs[j], active, found, streamed, store, all_attrs,
-               options.prune_on_approximate);
+      CheckJob(jobs[j], active, found, streamed, relation, store, shelf,
+               all_attrs, options.prune_on_approximate, checks, scans);
     });
     for (size_t w = 0; w < active.size(); ++w) {
       for (const std::vector<Fd>& shard : found[w]) {
@@ -417,8 +505,9 @@ Result<std::vector<DiscoveryOutcome>> DiscoverFdFrontiers(
     }
 
     // The last level is streamed, not stored: its nodes are checked once
-    // and never extended, so each check job builds its product, uses it
-    // and drops it (see CheckJob). Earlier levels are materialized.
+    // and never extended, and a check needs only the node's excess, which
+    // its job counts without building the product (see CheckJob). Earlier
+    // levels are materialized.
     // Products are computed in bounded batches when a budget governs the
     // run: only the current batch's operands are pinned, so partitions
     // outside it stay evictable and the working set is capped at

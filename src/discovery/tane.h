@@ -49,10 +49,10 @@ struct TaneOptions {
   /// Crossing the budget's soft limit evicts recomputable partitions (LRU,
   /// recompute-on-miss); hitting the hard limit stops lattice growth at a
   /// level boundary and flags DiscoveryOutcome::memory_truncated — the
-  /// memory analogue of the deadline above. The last level's products are
-  /// never stored: each is force-charged while its check runs, so it can
-  /// overshoot the hard limit transiently but never truncates. Must
-  /// outlive the call.
+  /// memory analogue of the deadline above. The last level builds no
+  /// partition at all: its checks count in per-worker scratch, which is
+  /// not charged (like Partition::Product's label array), so it never
+  /// truncates. Must outlive the call.
   MemoryBudget* memory_budget = nullptr;
 };
 
@@ -76,6 +76,12 @@ struct DiscoveryOutcome {
   /// Partitions evicted / rebuilt by the budget-governed store.
   size_t partitions_evicted = 0;
   size_t partitions_recomputed = 0;
+  /// Dependency checks X\{A} -> A decided, counting each (X, A) once per
+  /// call; shared by the walks of one call like the counts above.
+  size_t checks = 0;
+  /// Those checks the key-error bounds could not decide, so that they ran
+  /// a g3 scan. 0 for an exact walk (max_error = 0).
+  size_t g3_scans = 0;
 
   /// True iff the traversal was cut short for any reason.
   bool Truncated() const { return truncated || memory_truncated; }
@@ -110,11 +116,15 @@ Result<DiscoveryOutcome> DiscoverFdsDetailed(const Relation& relation,
 ///
 /// Each threshold keeps its own C+ level maps (so its emission order is
 /// exactly its solo walk's), while everything else is shared: one
-/// PartitionStore, one product per distinct lattice node, and one g3 error
-/// per (X, A) pair, checked on the pool once per distinct node. The last
-/// level (LHS size max_lhs_size) is streamed, never stored. The deadline
-/// and the "discovery.level" fault site apply once per level of the shared
-/// walk, so fault plans can inject latency or failure into the traversal.
+/// PartitionStore, one product per distinct lattice node, and the work of
+/// each (X, A) check, done on the pool once per distinct node. A check is
+/// decided from the key-error bounds of TANE's lemma (see
+/// Partition::Excess) and runs a g3 scan only for a threshold between
+/// them, at most once per (X, A). The last level (LHS size max_lhs_size)
+/// is streamed: it only counts each node's excess, building nothing. The
+/// deadline and the "discovery.level" fault site apply once per level of
+/// the shared walk, so fault plans can inject latency or failure into the
+/// traversal.
 /// (Wan & Han's top-k AFD discovery evaluates several error bounds in one
 /// walk the same way.)
 Result<std::vector<DiscoveryOutcome>> DiscoverFdFrontiers(

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <set>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -170,6 +171,69 @@ TEST(PartitionTest, FdErrorZeroForHoldingFd) {
   PartitionCache cache(&rel);
   EXPECT_EQ(cache.FdError(Fd({0}, 1)), 0.0);
 }
+
+// TANE's lemma on seeded random relations, for every X with |X| <= 2 and
+// every A outside X: excess(X) - excess(XA) <= removed(X -> A) <=
+// excess(X), removed == 0 exactly when the two excesses agree, and the
+// column-direct removal count is FdError's and NaiveG3's numerator. One
+// scratch serves every count-only query, so a query that leaves it dirty
+// breaks a later one.
+class ExcessBoundsTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(ExcessBoundsTest, BoundRemovalsAndMatchG3) {
+  Rng rng(GetParam());
+  const int m = 5;
+  Relation rel(Schema::Make({"a", "b", "c", "d", "e"}).ValueOrDie());
+  const int rows = 30 + static_cast<int>(rng.NextBounded(90));
+  std::vector<uint64_t> domain;
+  for (int c = 0; c < m; ++c) domain.push_back(1 + rng.NextBounded(12));
+  for (int i = 0; i < rows; ++i) {
+    std::vector<std::string> row;
+    for (int c = 0; c + 1 < m; ++c) {
+      row.push_back(std::to_string(rng.NextBounded(domain[c])));
+    }
+    // e is a function of a, so a -> e and every widening of it hold.
+    row.push_back(std::to_string(std::stoi(row[0]) % 3));
+    rel.AddRow(row);
+  }
+  const double n = static_cast<double>(rel.NumRows());
+  CountScratch scratch;
+  size_t holding = 0;
+  size_t violated = 0;
+  for (uint64_t mask = 0; mask < (uint64_t{1} << m); ++mask) {
+    const AttributeSet x(mask);
+    if (x.Size() > 2) continue;
+    const Partition px = Partition::ForAttributes(rel, x);
+    for (int a = 0; a < m; ++a) {
+      if (x.Contains(a)) continue;
+      const Fd fd(x, a);
+      const Partition pa = Partition::ForColumn(rel, a);
+      const Partition pxa = px.Product(pa);
+      EXPECT_EQ(px.ProductExcess(pa, scratch), pxa.Excess()) << fd.ToString();
+      EXPECT_EQ(pa.ProductExcess(px, scratch), pxa.Excess()) << fd.ToString();
+      const size_t removed = px.Removals(rel, a, scratch);
+      ASSERT_GE(px.Excess(), pxa.Excess()) << fd.ToString();
+      EXPECT_LE(px.Excess() - pxa.Excess(), removed) << fd.ToString();
+      EXPECT_LE(removed, px.Excess()) << fd.ToString();
+      EXPECT_EQ(removed == 0, px.Excess() == pxa.Excess()) << fd.ToString();
+      EXPECT_EQ(static_cast<double>(removed) / n, px.FdError(pxa))
+          << fd.ToString();
+      EXPECT_EQ(static_cast<double>(removed) / n, NaiveG3(rel, fd))
+          << fd.ToString();
+      ++(removed == 0 ? holding : violated);
+    }
+  }
+  EXPECT_GT(holding, 0u);
+  EXPECT_GT(violated, 0u);
+  EXPECT_EQ(scratch.touched.size(), 0u);
+  EXPECT_TRUE(std::all_of(scratch.label.begin(), scratch.label.end(),
+                          [](int32_t l) { return l == -1; }));
+  EXPECT_TRUE(std::all_of(scratch.count.begin(), scratch.count.end(),
+                          [](uint32_t c) { return c == 0; }));
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ExcessBoundsTest,
+                         ::testing::Range<uint64_t>(1, 21));
 
 TEST(PartitionTest, CacheMemoizes) {
   Relation rel = MakeRelation({"a", "b", "c"},
@@ -400,8 +464,36 @@ TEST(TaneTest, RejectsNegativeThreads) {
 }
 
 // Property sweep: TANE output equals brute force on random small tables,
-// both exact and approximate.
+// both exact and approximate. Besides two round thresholds, every
+// threshold k / rows that a key-error bound of some check takes is swept
+// (k = 0 included), so a bound compared with < where <= is meant, or the
+// wrong bound, changes some output.
 class TaneBruteForceTest : public ::testing::TestWithParam<uint64_t> {};
+
+// The thresholds k / rows for every k that excess(X) - excess(XA) or
+// excess(X) takes over the (X, A) pairs of `rel`, below 1.
+std::set<double> BoundThresholds(const Relation& rel) {
+  const int m = rel.NumAttributes();
+  std::set<size_t> ks;
+  for (uint64_t mask = 0; mask < (uint64_t{1} << m); ++mask) {
+    const AttributeSet x(mask);
+    const Partition px = Partition::ForAttributes(rel, x);
+    for (int a = 0; a < m; ++a) {
+      if (x.Contains(a)) continue;
+      ks.insert(px.Excess());
+      ks.insert(px.Excess() -
+                Partition::ForAttributes(rel, x.With(a)).Excess());
+    }
+  }
+  std::set<double> thresholds;
+  for (size_t k : ks) {
+    if (k < static_cast<size_t>(rel.NumRows())) {
+      thresholds.insert(static_cast<double>(k) /
+                        static_cast<double>(rel.NumRows()));
+    }
+  }
+  return thresholds;
+}
 
 TEST_P(TaneBruteForceTest, MatchesBruteForce) {
   Rng rng(GetParam());
@@ -415,15 +507,28 @@ TEST_P(TaneBruteForceTest, MatchesBruteForce) {
     }
     rel.AddRow(row);
   }
-  for (double max_error : {0.0, 0.15}) {
-    TaneOptions opts;
-    opts.max_error = max_error;
-    FdSet tane = DiscoverFds(rel, opts).ValueOrDie();
-    FdSet brute = BruteForceFds(rel, max_error);
-    EXPECT_EQ(tane.Size(), brute.Size()) << "max_error=" << max_error;
-    for (const Fd& fd : brute) {
-      EXPECT_TRUE(tane.Contains(fd))
-          << fd.ToString() << " missing, max_error=" << max_error;
+  std::set<double> thresholds = BoundThresholds(rel);
+  EXPECT_GT(thresholds.size(), 2u);
+  thresholds.insert({0.0, 0.15});
+  for (double max_error : thresholds) {
+    const FdSet brute = BruteForceFds(rel, max_error);
+    // Unbounded, and bounded at LHS size 2: that walk's last level is
+    // streamed, so its checks see only the count-only excess.
+    for (int max_lhs : {TaneOptions().max_lhs_size, 2}) {
+      TaneOptions opts;
+      opts.max_error = max_error;
+      opts.max_lhs_size = max_lhs;
+      const FdSet tane = DiscoverFds(rel, opts).ValueOrDie();
+      const std::string what = "max_error=" + std::to_string(max_error) +
+                               ", max_lhs_size=" + std::to_string(max_lhs);
+      size_t expected = 0;
+      for (const Fd& fd : brute) {
+        if (fd.lhs.Size() > max_lhs) continue;
+        ++expected;
+        EXPECT_TRUE(tane.Contains(fd)) << fd.ToString() << " missing, "
+                                       << what;
+      }
+      EXPECT_EQ(tane.Size(), expected) << what;
     }
   }
 }
@@ -739,12 +844,12 @@ TEST(TaneBudgetTest, TinyHardLimitStillReturnsCleanly) {
   EXPECT_EQ(budget.charged(), 0u);
 }
 
-TEST(TaneBudgetTest, StreamedLastLevelIsChargedButNeverRefused) {
+TEST(TaneBudgetTest, StreamedLastLevelMaterializesNothing) {
   // With max_lhs_size = 1 the only product level (LHS size 1, lattice
-  // level 2) is the streamed last level: its products are never stored,
-  // only force-charged while their check runs. A hard limit that admits
-  // just the pinned base therefore does not truncate, and the charge shows
-  // in the high-water mark at every thread count.
+  // level 2) is the streamed last level: its checks only count each node's
+  // excess, building no partition. A hard limit of exactly the pinned base
+  // therefore neither truncates nor is ever exceeded, at every thread
+  // count.
   const Relation rel = BudgetRelation();
   size_t base_bytes = Partition::ForEmptySet(rel.NumRows()).ApproxBytes();
   for (int c = 0; c < rel.NumAttributes(); ++c) {
@@ -756,17 +861,99 @@ TEST(TaneBudgetTest, StreamedLastLevelIsChargedButNeverRefused) {
       DiscoverFdsDetailed(rel, plain).ValueOrDie();
   for (int threads : {1, 4}) {
     MemoryBudget budget(/*soft_limit_bytes=*/0,
-                        /*hard_limit_bytes=*/base_bytes + 256);
+                        /*hard_limit_bytes=*/base_bytes);
     TaneOptions governed = plain;
     governed.num_threads = threads;
     governed.memory_budget = &budget;
     const DiscoveryOutcome outcome =
         DiscoverFdsDetailed(rel, governed).ValueOrDie();
-    EXPECT_FALSE(outcome.memory_truncated) << threads;
+    EXPECT_FALSE(outcome.Truncated()) << threads;
     EXPECT_EQ(outcome.levels_completed, 2) << threads;
     EXPECT_EQ(outcome.fds.fds(), ungoverned.fds.fds()) << threads;
-    EXPECT_GT(budget.high_water(), base_bytes) << threads;
+    EXPECT_EQ(budget.high_water(), base_bytes) << threads;
     EXPECT_EQ(budget.charged(), 0u) << threads;
+  }
+}
+
+// --- Key-error bounds --------------------------------------------------------
+
+// Wide domains: no column is anywhere near constant, so at LHS size <= 1 a
+// walk with a threshold below every {} -> a error checks all m * m pairs.
+Relation WideRelation(uint64_t seed) {
+  Rng rng(seed);
+  Relation rel(Schema::Make({"a", "b", "c", "d", "e"}).ValueOrDie());
+  for (int i = 0; i < 80; ++i) {
+    std::vector<std::string> row;
+    for (int c = 0; c < 5; ++c) {
+      row.push_back(std::to_string(rng.NextBounded(20 + 15 * c)));
+    }
+    rel.AddRow(row);
+  }
+  return rel;
+}
+
+TEST(TaneScanTest, ScansExactlyTheChecksBetweenTheBounds) {
+  for (uint64_t seed : {1u, 2u, 3u}) {
+    const Relation rel = WideRelation(seed);
+    const int m = rel.NumAttributes();
+    const double n = static_cast<double>(rel.NumRows());
+    // Every check of the walk: {} -> a at level 1, b -> a at level 2.
+    std::vector<std::pair<size_t, size_t>> bounds;  // (lower, upper)
+    size_t min_constant_removals = static_cast<size_t>(rel.NumRows());
+    CountScratch scratch;
+    for (int a = 0; a < m; ++a) {
+      for (int b = -1; b < m; ++b) {
+        if (b == a) continue;
+        const AttributeSet x = b < 0 ? AttributeSet() : AttributeSet::Single(b);
+        const Partition px = Partition::ForAttributes(rel, x);
+        const size_t upper = px.Excess();
+        bounds.emplace_back(
+            upper - Partition::ForAttributes(rel, x.With(a)).Excess(), upper);
+        if (b < 0) {
+          min_constant_removals =
+              std::min(min_constant_removals, px.Removals(rel, a, scratch));
+        }
+      }
+    }
+    std::set<size_t> ks;
+    for (const auto& [lower, upper] : bounds) ks.insert({lower, upper});
+    size_t swept = 0;
+    for (size_t k : ks) {
+      // At or above this no {} -> a fails, and the walk checks less.
+      if (k >= min_constant_removals) continue;
+      const double threshold = static_cast<double>(k) / n;
+      size_t between = 0;
+      for (const auto& [lower, upper] : bounds) {
+        between += lower > 0 && static_cast<double>(lower) / n <= threshold &&
+                   static_cast<double>(upper) / n > threshold;
+      }
+      TaneOptions options;
+      options.max_lhs_size = 1;
+      options.max_error = threshold;
+      const DiscoveryOutcome outcome =
+          DiscoverFdsDetailed(rel, options).ValueOrDie();
+      ASSERT_EQ(outcome.checks, bounds.size()) << seed << " " << threshold;
+      EXPECT_EQ(outcome.g3_scans, between) << seed << " " << threshold;
+      ++swept;
+    }
+    EXPECT_GT(swept, 10u) << seed;
+  }
+}
+
+TEST(TaneScanTest, ExactWalkNeverScansAndFrontierScansLess) {
+  DataGenOptions gen;
+  gen.rows = 2000;
+  const Relation rel = GenerateTax(gen);
+  TaneOptions options;
+  options.max_lhs_size = 2;
+  const DiscoveryOutcome exact = DiscoverFdsDetailed(rel, options).ValueOrDie();
+  EXPECT_GT(exact.checks, 0u);
+  EXPECT_EQ(exact.g3_scans, 0u);
+  const std::vector<DiscoveryOutcome> frontiers =
+      DiscoverFdFrontiers(rel, options, {0.0, 0.1}).ValueOrDie();
+  for (const DiscoveryOutcome& outcome : frontiers) {
+    EXPECT_GT(outcome.g3_scans, 0u);
+    EXPECT_LT(outcome.g3_scans, outcome.checks);
   }
 }
 
