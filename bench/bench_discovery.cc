@@ -52,21 +52,22 @@ void CountChecks(benchmark::State& state, const DiscoveryOutcome& outcome) {
       benchmark::Counter(static_cast<double>(outcome.g3_scans));
 }
 
+// Reports the peak bytes of partitions a walk held into the BENCH json.
+void CountPeak(benchmark::State& state, size_t peak_memory_bytes) {
+  state.counters["peak_partition_bytes"] =
+      benchmark::Counter(static_cast<double>(peak_memory_bytes));
+}
+
 void BM_TaneExact(benchmark::State& state) {
   Relation rel = HospitalAtScale(static_cast<int>(state.range(0)));
-  // Unlimited budget: never refuses, but reports the peak working set of
-  // governed state into the BENCH json (counter `peak_partition_bytes`).
-  MemoryBudget budget;
   TaneOptions opts;
   opts.max_lhs_size = 3;
-  opts.memory_budget = &budget;
   DiscoveryOutcome outcome;
   for (auto _ : state) {
     outcome = DiscoverFdsDetailed(rel, opts).ValueOrDie();
     benchmark::DoNotOptimize(outcome.fds);
   }
-  state.counters["peak_partition_bytes"] = benchmark::Counter(
-      static_cast<double>(budget.high_water()));
+  CountPeak(state, outcome.peak_memory_bytes);
   CountChecks(state, outcome);
 }
 BENCHMARK(BM_TaneExact)->Arg(1000)->Arg(5000)->Arg(10000)
@@ -74,49 +75,17 @@ BENCHMARK(BM_TaneExact)->Arg(1000)->Arg(5000)->Arg(10000)
 
 void BM_TaneApproximate(benchmark::State& state) {
   Relation rel = HospitalAtScale(static_cast<int>(state.range(0)));
-  MemoryBudget budget;
   TaneOptions opts;
   opts.max_lhs_size = 3;
   opts.max_error = 0.10;
-  opts.memory_budget = &budget;
+  DiscoveryOutcome outcome;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(DiscoverFds(rel, opts).ValueOrDie());
+    outcome = DiscoverFdsDetailed(rel, opts).ValueOrDie();
+    benchmark::DoNotOptimize(outcome.fds);
   }
-  state.counters["peak_partition_bytes"] = benchmark::Counter(
-      static_cast<double>(budget.high_water()));
+  CountPeak(state, outcome.peak_memory_bytes);
 }
 BENCHMARK(BM_TaneApproximate)->Arg(1000)->Arg(5000)->Arg(10000)
-    ->Unit(benchmark::kMillisecond);
-
-// Discovery under a binding soft limit: the partition store spills and
-// recomputes instead of holding the whole level set resident. The counters
-// quantify the memory/CPU trade: peak stays near the limit while evictions
-// and recomputes pay for it.
-void BM_TaneExactSoftBudget(benchmark::State& state) {
-  Relation rel = HospitalAtScale(5000);
-  const size_t soft = static_cast<size_t>(state.range(0)) * 1024;
-  size_t evicted = 0;
-  size_t recomputed = 0;
-  size_t peak = 0;
-  for (auto _ : state) {
-    MemoryBudget budget(soft, /*hard_limit_bytes=*/0);
-    TaneOptions opts;
-    opts.max_lhs_size = 3;
-    opts.memory_budget = &budget;
-    DiscoveryOutcome outcome = DiscoverFdsDetailed(rel, opts).ValueOrDie();
-    benchmark::DoNotOptimize(outcome.fds);
-    evicted = outcome.partitions_evicted;
-    recomputed = outcome.partitions_recomputed;
-    peak = outcome.peak_memory_bytes;
-  }
-  state.counters["peak_partition_bytes"] =
-      benchmark::Counter(static_cast<double>(peak));
-  state.counters["partitions_evicted"] =
-      benchmark::Counter(static_cast<double>(evicted));
-  state.counters["partitions_recomputed"] =
-      benchmark::Counter(static_cast<double>(recomputed));
-}
-BENCHMARK(BM_TaneExactSoftBudget)->Arg(256)->Arg(1024)->Arg(4096)
     ->Unit(benchmark::kMillisecond);
 
 // Thread-scaling sweep on the widest relation (Tax, 15 attributes): the
@@ -154,22 +123,21 @@ BENCHMARK(BM_TaneApproximateThreads)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
 
 void BM_CandidateGeneration(benchmark::State& state) {
   Relation rel = HospitalAtScale(static_cast<int>(state.range(0)));
-  MemoryBudget budget;
   CandidateGenOptions opts;
   opts.max_lhs_size = 3;
-  opts.memory_budget = &budget;
+  CandidateSet candidates;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(GenerateCandidates(rel, opts).ValueOrDie());
+    candidates = GenerateCandidates(rel, opts).ValueOrDie();
+    benchmark::DoNotOptimize(candidates.candidates);
   }
-  state.counters["peak_partition_bytes"] = benchmark::Counter(
-      static_cast<double>(budget.high_water()));
+  CountPeak(state, candidates.peak_memory_bytes);
 }
 BENCHMARK(BM_CandidateGeneration)->Arg(1000)->Arg(5000)
     ->Unit(benchmark::kMillisecond);
 
 // Candidate generation as the offline-tax set-up pays it: the dirty Tax
 // table at 10,000 rows (systematic errors at 20%), LHS bound 3, one
-// worker. `peak_partition_bytes` is the walk's governed working set: both
+// worker. `peak_partition_bytes` is the walk's partition working set: both
 // frontiers share one partition store and the last level builds no
 // partition.
 void BM_CandidateGenerationTax(benchmark::State& state) {
@@ -186,16 +154,14 @@ void BM_CandidateGenerationTax(benchmark::State& state) {
   const DirtyDataset dirty =
       InjectErrors(clean, DiscoverFds(clean, tane).ValueOrDie(), errors)
           .ValueOrDie();
-  MemoryBudget budget;
   CandidateGenOptions opts;
   opts.max_lhs_size = 3;
-  opts.memory_budget = &budget;
+  CandidateSet candidates;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        GenerateCandidates(dirty.dirty, opts).ValueOrDie());
+    candidates = GenerateCandidates(dirty.dirty, opts).ValueOrDie();
+    benchmark::DoNotOptimize(candidates.candidates);
   }
-  state.counters["peak_partition_bytes"] = benchmark::Counter(
-      static_cast<double>(budget.high_water()));
+  CountPeak(state, candidates.peak_memory_bytes);
   // The check counts of the one walk GenerateCandidates runs.
   CountChecks(state, DiscoverFdFrontiers(dirty.dirty, tane,
                                          {0.0, opts.relax_threshold})

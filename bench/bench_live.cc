@@ -105,17 +105,15 @@ SizeResult RunSize(const Relation& dirty, const FdSet& fds, ThreadPool* pool,
   const int m = dirty.NumAttributes();
   const std::vector<Fd> fd_list(fds.begin(), fds.end());
 
-  // The cross-epoch store with pinned canonical singles, exactly as
-  // LiveDataset seeds it.
-  PartitionStore store(&live.relation(), /*budget=*/nullptr);
+  // The cross-epoch store with canonical singles, exactly as LiveDataset
+  // seeds it.
+  PartitionStore store(&live.relation());
   for (int c = 0; c < m; ++c) {
     store.PutShared(AttributeSet::Single(c),
                     std::make_shared<const Partition>(
-                        Partition::ForColumn(live.relation(), c)),
-                    /*pinned=*/true);
+                        Partition::ForColumn(live.relation(), c)));
   }
-  auto engine =
-      std::make_unique<ViolationEngine>(&live.relation(), /*budget=*/nullptr);
+  auto engine = std::make_unique<ViolationEngine>(&live.relation());
   for (auto& [attrs, handle] : store.Snapshot()) {
     engine->SeedPartition(attrs, std::move(handle));
   }
@@ -131,14 +129,13 @@ SizeResult RunSize(const Relation& dirty, const FdSet& fds, ThreadPool* pool,
     const auto inc_start = std::chrono::steady_clock::now();
     for (auto& [attrs, handle] : engine->StorePartitions()) {
       if (attrs.Empty()) continue;
-      store.PutShared(attrs, std::move(handle), /*pinned=*/attrs.Size() == 1);
+      store.PutShared(attrs, std::move(handle));
     }
     const MutationReceipt receipt = live.Apply(batch);
     store.AdvanceTo(receipt.version, receipt.scope.attrs, [&](int col) {
       return std::make_shared<const Partition>(live.ColumnPartition(col));
     });
-    engine = std::make_unique<ViolationEngine>(&live.relation(),
-                                               /*budget=*/nullptr);
+    engine = std::make_unique<ViolationEngine>(&live.relation());
     for (auto& [attrs, handle] : store.Snapshot()) {
       engine->SeedPartition(attrs, std::move(handle));
     }
@@ -147,7 +144,7 @@ SizeResult RunSize(const Relation& dirty, const FdSet& fds, ThreadPool* pool,
 
     // --- rebuild arm: everything from the mutated bytes -------------------
     const auto full_start = std::chrono::steady_clock::now();
-    ViolationEngine fresh(&live.relation(), /*budget=*/nullptr);
+    ViolationEngine fresh(&live.relation());
     const std::vector<std::vector<Cell>> rebuilt_vectors =
         RebuildVectors(fd_list, fresh, pool);
     result.rebuild_ms_per_batch += MsSince(full_start);

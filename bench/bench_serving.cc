@@ -309,8 +309,7 @@ int main(int argc, char** argv) {
                "  \"counters\": {\n"
                "    \"opened\": %d, \"finished\": %d, \"evicted\": %d, "
                "\"refused\": %d,\n"
-               "    \"rate_limited\": %lld, \"deadline_shed\": %lld, "
-               "\"brownout_refused\": %lld, \"brownout_shed\": %lld,\n"
+               "    \"rate_limited\": %lld, \"deadline_shed\": %lld,\n"
                "    \"accepted\": %lld, \"dropped\": %lld, "
                "\"dropped_slow_reader\": %lld, \"reaped_idle\": %lld\n"
                "  }\n}\n",
@@ -318,8 +317,6 @@ int main(int argc, char** argv) {
                manager_stats.evicted, manager_stats.refused,
                static_cast<long long>(admission.rate_limited),
                static_cast<long long>(admission.deadline_shed),
-               static_cast<long long>(admission.brownout_refused),
-               static_cast<long long>(admission.brownout_shed),
                static_cast<long long>(reactor.accepted),
                static_cast<long long>(reactor.dropped),
                static_cast<long long>(reactor.dropped_slow_reader),

@@ -52,8 +52,10 @@ int main(int argc, char** argv) {
   std::printf("  zip->city as 10%% AFD?   %s\n",
               afds.Contains(zip_city) ? "yes" : "no");
 
-  PartitionCache cache(&dirty);
-  std::printf("  g3 error of zip->city:  %.5f\n\n", cache.FdError(zip_city));
+  PartitionStore store(&dirty);
+  std::printf("  g3 error of zip->city:  %.5f\n\n",
+              store.Get(zip_city.lhs)->FdError(
+                  *store.Get(zip_city.lhs.With(zip_city.rhs))));
 
   // Saturated sets over a compact sub-schema. (Over the full 16
   // attributes the closed-set family explodes; a sub-schema keeps it

@@ -67,7 +67,7 @@ class IdBitmap {
     }
   }
 
-  /// Payload bytes (the MemoryBudget accounting convention).
+  /// Payload bytes (the Partition::ApproxBytes convention).
   size_t ApproxBytes() const { return words_.size() * sizeof(uint64_t); }
 
  private:

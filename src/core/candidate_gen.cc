@@ -11,7 +11,7 @@ Result<CandidateSet> GenerateCandidates(const Relation& dirty,
   tane.max_lhs_size = options.max_lhs_size;
   tane.num_threads = options.num_threads;
   tane.deadline_ms = options.discovery_deadline_ms;
-  tane.memory_budget = options.memory_budget;
+  tane.memory_limit_bytes = options.memory_limit_bytes;
   // One walk, two frontiers: the exact FDs (g3 = 0) and the candidate AFDs,
   // all minimal FDs with g3 error within the relaxation threshold. The
   // latter is the complete frontier the paper's §3.1 relaxation walk aims

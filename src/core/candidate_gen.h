@@ -28,12 +28,12 @@ struct CandidateGenOptions {
   /// candidate set, flagged via CandidateSet::truncated.
   double discovery_deadline_ms = 0.0;
 
-  /// Memory budget of the discovery walk (see TaneOptions::memory_budget);
-  /// null = ungoverned. Both frontiers come from one partition store
-  /// charged to this budget, so the reported peak covers the whole
-  /// pipeline. A walk stopped by the hard limit yields a sound but
+  /// Memory cap of the discovery walk in bytes (see
+  /// TaneOptions::memory_limit_bytes); 0 = uncapped. Both frontiers come
+  /// from one partition store, so the cap and the reported peak cover the
+  /// whole pipeline. A walk stopped by the cap yields a sound but
   /// incomplete candidate set, flagged via CandidateSet::memory_truncated.
-  MemoryBudget* memory_budget = nullptr;
+  size_t memory_limit_bytes = 0;
 };
 
 /// Output of candidate generation: the exact FDs of the dirty table and
@@ -44,10 +44,10 @@ struct CandidateSet {
   /// True iff the discovery walk hit the deadline; the sets above then
   /// under-approximate the full candidate frontier.
   bool truncated = false;
-  /// True iff the discovery walk hit its memory budget's hard limit; same
+  /// True iff the discovery walk hit its memory cap; same
   /// under-approximation contract as `truncated`.
   bool memory_truncated = false;
-  /// Peak bytes charged by the walk (0 when ungoverned).
+  /// Peak partition bytes the walk held (DiscoveryOutcome's).
   size_t peak_memory_bytes = 0;
 };
 

@@ -71,12 +71,9 @@ Session Session::Rebase(const Session& base, Relation mutated) {
                  base.candidates_, base.config_);
 }
 
-const ViolationArtifact& Session::artifact(ThreadPool* pool,
-                                           MemoryBudget* budget) const {
+const ViolationArtifact& Session::artifact(ThreadPool* pool) const {
   return artifact_.Get([&] {
-    MemoryBudget* charged =
-        budget != nullptr ? budget : config_.candidate_options.memory_budget;
-    auto engine = std::make_shared<ViolationEngine>(&dirty_, charged);
+    auto engine = std::make_shared<ViolationEngine>(&dirty_);
     if (pool != nullptr) {
       return std::make_unique<const ViolationArtifact>(
           std::move(engine), candidates(), pool);

@@ -17,7 +17,6 @@
 
 namespace uguide {
 
-class MemoryBudget;
 class ThreadPool;
 
 /// Configuration of one experimental session.
@@ -127,11 +126,15 @@ class Session {
   const FdSet& candidates() const { return candidates_.candidates; }
   /// True iff candidate generation was cut short by a discovery deadline.
   bool discovery_truncated() const { return candidates_.truncated; }
-  /// True iff candidate generation was cut short by its memory budget's
-  /// hard limit. The session consumes the partial lattice identically in
-  /// both truncation cases — strategies only ever see the candidate set.
+  /// True iff candidate generation was cut short by its memory cap. The
+  /// session consumes the partial lattice identically in both truncation
+  /// cases — strategies only ever see the candidate set.
   bool discovery_memory_truncated() const {
     return candidates_.memory_truncated;
+  }
+  /// Peak partition bytes candidate generation held (CandidateSet's).
+  size_t discovery_peak_memory_bytes() const {
+    return candidates_.peak_memory_bytes;
   }
   const SessionConfig& config() const { return config_; }
 
@@ -139,13 +142,10 @@ class Session {
   /// by the first call and shared by every later run (thread-safe: racing
   /// first calls build it once). The first call builds through `pool`
   /// (null = serial, or a temporary pool of candidate_options.num_threads
-  /// workers) and binds the engine to `budget` (null =
-  /// candidate_options.memory_budget), which must then outlive the
-  /// session; later calls ignore both. Neither changes a byte of the
+  /// workers); later calls ignore it. It does not change a byte of the
   /// artifact. A copied or moved Session builds its own on first use: the
   /// artifact reads this session's relation.
-  const ViolationArtifact& artifact(ThreadPool* pool = nullptr,
-                                    MemoryBudget* budget = nullptr) const;
+  const ViolationArtifact& artifact(ThreadPool* pool = nullptr) const;
 
  private:
   /// The lazily built artifact. Copying or assigning a Session never

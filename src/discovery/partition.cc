@@ -222,84 +222,9 @@ size_t Partition::Removals(const Relation& relation, int rhs,
   return removed;
 }
 
-PartitionCache::PartitionCache(const Relation* relation)
+PartitionStore::PartitionStore(const Relation* relation)
     : relation_(relation) {
   UGUIDE_CHECK(relation != nullptr);
-}
-
-const Partition& PartitionCache::Get(const AttributeSet& attrs) {
-  auto it = cache_.find(attrs);
-  if (it != cache_.end()) return it->second;
-  Partition p = [&] {
-    if (attrs.Empty()) return Partition::ForEmptySet(relation_->NumRows());
-    if (attrs.Size() == 1) {
-      return Partition::ForColumn(*relation_, attrs.Lowest());
-    }
-    // Split off the lowest attribute and recurse; memoization makes related
-    // lookups (as produced by relaxation's subset walks) cheap.
-    int low = attrs.Lowest();
-    const Partition& rest = Get(attrs.Without(low));
-    // Get() may rehash the cache; take the column partition afterwards.
-    Partition col = Partition::ForColumn(*relation_, low);
-    return rest.Product(col);
-  }();
-  auto [inserted, ok] = cache_.emplace(attrs, std::move(p));
-  return inserted->second;
-}
-
-double PartitionCache::FdError(const Fd& fd) {
-  UGUIDE_CHECK(fd.IsValidShape());
-  // Note: Get() can rehash, so the lhs reference must not be held across
-  // the second Get() call. Copy-free solution: look up in order and
-  // re-fetch.
-  Get(fd.lhs);
-  Get(fd.lhs.With(fd.rhs));
-  const Partition& lhs = cache_.at(fd.lhs);
-  const Partition& both = cache_.at(fd.lhs.With(fd.rhs));
-  return lhs.FdError(both);
-}
-
-PartitionStore::PartitionStore(const Relation* relation, MemoryBudget* budget)
-    : relation_(relation), budget_(budget) {
-  UGUIDE_CHECK(relation != nullptr);
-}
-
-std::shared_ptr<const Partition> PartitionStore::Account(
-    Partition partition) const {
-  // The caller has already charged ApproxBytes(); the deleter returns them
-  // when the last holder (store entry or pinned Get handle) lets go, so
-  // eviction can never under-release and an in-use partition stays
-  // accounted for.
-  if (budget_ == nullptr) {
-    return std::make_shared<const Partition>(std::move(partition));
-  }
-  const size_t bytes = partition.ApproxBytes();
-  MemoryBudget* budget = budget_;
-  return std::shared_ptr<const Partition>(
-      new Partition(std::move(partition)), [budget, bytes](const Partition* p) {
-        budget->Release(bytes);
-        delete p;
-      });
-}
-
-template <typename Fits>
-bool PartitionStore::EvictUntilLocked(const Fits& fits) {
-  if (fits()) return true;
-  // Walk the LRU list from cold to hot. Entries still held by a caller
-  // (use_count > 1) are skipped: evicting them would free nothing until the
-  // pin drops, so they cannot help this caller fit.
-  auto victim = lru_.end();
-  while (victim != lru_.begin()) {
-    --victim;
-    auto it = entries_.find(*victim);
-    UGUIDE_DCHECK(it != entries_.end());
-    if (it->second.partition.use_count() > 1) continue;
-    entries_.erase(it);
-    victim = lru_.erase(victim);
-    ++evictions_;
-    if (fits()) return true;
-  }
-  return fits();
 }
 
 std::shared_ptr<const Partition> PartitionStore::Get(
@@ -313,82 +238,34 @@ std::shared_ptr<const Partition> PartitionStore::Get(
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = entries_.find(attrs);
-    if (it != entries_.end()) {
-      if (!it->second.pinned) {
-        lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
-      }
-      return it->second.partition;
-    }
-    ++recomputes_;
+    if (it != entries_.end()) return it->second;
+    ++misses_;
   }
-  // Evicted (or never admitted): rebuild outside the lock — by default
-  // products of column partitions, the same computation that produced it
-  // originally. The rebuild is force-charged: the caller depends on it
-  // existing, so the budget absorbs a transient overshoot rather than fail;
-  // re-admission below restores the soft limit by evicting colder entries.
-  Partition rebuilt = build();
-  if (budget_ != nullptr) budget_->ForceCharge(rebuilt.ApproxBytes());
-  std::shared_ptr<const Partition> handle = Account(std::move(rebuilt));
-
+  // Build outside the lock: `build` may Get() other sets.
+  auto built = std::make_shared<const Partition>(build());
   std::lock_guard<std::mutex> lock(mu_);
-  auto [it, inserted] = entries_.try_emplace(attrs);
-  if (!inserted) return it->second.partition;  // lost a rebuild race
-  it->second.partition = handle;
-  lru_.push_front(attrs);
-  it->second.lru_pos = lru_.begin();
-  if (budget_ != nullptr && budget_->OverSoftLimit()) {
-    EvictUntilLocked([&] { return !budget_->OverSoftLimit(); });
-  }
-  return handle;
+  auto [it, inserted] = entries_.try_emplace(attrs, std::move(built));
+  return it->second;  // a racing build that landed first wins
 }
 
-bool PartitionStore::Put(const AttributeSet& attrs, Partition partition,
-                         bool pinned) {
-  const size_t bytes = partition.ApproxBytes();
+void PartitionStore::Put(const AttributeSet& attrs, Partition partition) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (entries_.count(attrs) != 0) return true;  // already resident
-  if (budget_ != nullptr &&
-      !EvictUntilLocked([&] { return budget_->TryCharge(bytes); })) {
-    return false;
-  }
-  auto [it, inserted] = entries_.try_emplace(attrs);
-  UGUIDE_DCHECK(inserted);
-  it->second.partition = Account(std::move(partition));
-  it->second.pinned = pinned;
-  if (!pinned) {
-    lru_.push_front(attrs);
-    it->second.lru_pos = lru_.begin();
-  }
-  if (budget_ != nullptr && budget_->OverSoftLimit()) {
-    EvictUntilLocked([&] { return !budget_->OverSoftLimit(); });
-  }
-  return true;
+  if (entries_.count(attrs) != 0) return;
+  entries_.emplace(attrs,
+                   std::make_shared<const Partition>(std::move(partition)));
 }
 
 void PartitionStore::PutShared(const AttributeSet& attrs,
-                               std::shared_ptr<const Partition> partition,
-                               bool pinned) {
+                               std::shared_ptr<const Partition> partition) {
   UGUIDE_CHECK(partition != nullptr);
   std::lock_guard<std::mutex> lock(mu_);
-  auto [it, inserted] = entries_.try_emplace(attrs);
-  if (!inserted) return;  // already resident
-  it->second.partition = std::move(partition);
-  it->second.pinned = pinned;
-  if (!pinned) {
-    lru_.push_front(attrs);
-    it->second.lru_pos = lru_.begin();
-  }
+  entries_.try_emplace(attrs, std::move(partition));
 }
 
 std::vector<std::pair<AttributeSet, std::shared_ptr<const Partition>>>
 PartitionStore::Snapshot() const {
   std::lock_guard<std::mutex> lock(mu_);
-  std::vector<std::pair<AttributeSet, std::shared_ptr<const Partition>>> out;
-  out.reserve(entries_.size());
-  for (const auto& [attrs, entry] : entries_) {
-    out.emplace_back(attrs, entry.partition);
-  }
-  return out;
+  return {entries_.begin(), entries_.end()};
 }
 
 void PartitionStore::AdvanceTo(
@@ -400,24 +277,19 @@ void PartitionStore::AdvanceTo(
   // empty set (appends change its single class). Clean entries survive
   // verbatim — safe because NumRows only changes on appends, which dirty
   // every attribute.
-  std::vector<AttributeSet> stale;
-  for (auto& [attrs, entry] : entries_) {
-    if (attrs.Empty()) {
-      if (!dirty.Empty()) stale.push_back(attrs);
-      continue;
-    }
-    if (!attrs.Intersects(dirty)) continue;
-    if (attrs.Size() == 1) {
-      entry.partition = patch(attrs.Lowest());
-      UGUIDE_CHECK(entry.partition != nullptr);
+  for (auto it = entries_.begin(); it != entries_.end();) {
+    const AttributeSet& attrs = it->first;
+    const bool clean =
+        attrs.Empty() ? dirty.Empty() : !attrs.Intersects(dirty);
+    if (clean) {
+      ++it;
+    } else if (attrs.Size() == 1) {
+      it->second = patch(attrs.Lowest());
+      UGUIDE_CHECK(it->second != nullptr);
+      ++it;
     } else {
-      stale.push_back(attrs);
+      it = entries_.erase(it);
     }
-  }
-  for (const AttributeSet& attrs : stale) {
-    auto it = entries_.find(attrs);
-    if (!it->second.pinned) lru_.erase(it->second.lru_pos);
-    entries_.erase(it);
   }
   version_ = version;
 }
@@ -427,18 +299,13 @@ uint64_t PartitionStore::version() const {
   return version_;
 }
 
-void PartitionStore::Erase(const AttributeSet& attrs) {
+size_t PartitionStore::Erase(const AttributeSet& attrs) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = entries_.find(attrs);
-  if (it == entries_.end()) return;
-  if (!it->second.pinned) lru_.erase(it->second.lru_pos);
+  if (it == entries_.end()) return 0;
+  const size_t bytes = it->second->ApproxBytes();
   entries_.erase(it);
-}
-
-void PartitionStore::EvictToSoftLimit() {
-  if (budget_ == nullptr) return;
-  std::lock_guard<std::mutex> lock(mu_);
-  EvictUntilLocked([&] { return !budget_->OverSoftLimit(); });
+  return bytes;
 }
 
 size_t PartitionStore::Size() const {
@@ -446,14 +313,9 @@ size_t PartitionStore::Size() const {
   return entries_.size();
 }
 
-size_t PartitionStore::evictions() const {
+size_t PartitionStore::misses() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return evictions_;
-}
-
-size_t PartitionStore::recomputes() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return recomputes_;
+  return misses_;
 }
 
 }  // namespace uguide

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
@@ -11,9 +10,7 @@
 #include <vector>
 
 #include "common/attribute_set.h"
-#include "common/memory_budget.h"
 #include "common/span.h"
-#include "fd/fd.h"
 #include "relation/relation.h"
 
 namespace uguide {
@@ -65,7 +62,7 @@ class Partition {
   static Partition ForColumn(const Relation& relation, int col);
 
   /// Builds the partition of an arbitrary attribute set via products.
-  /// Prefer PartitionCache when computing many related partitions.
+  /// Prefer a PartitionStore when computing many related partitions.
   static Partition ForAttributes(const Relation& relation,
                                  const AttributeSet& attrs);
 
@@ -142,7 +139,7 @@ class Partition {
   /// element payload plus the offset array (sizes, not capacities), plus
   /// the object header. Deliberately size-based so the figure is identical
   /// for mathematically equal partitions regardless of how they were
-  /// produced — memory-budget truncation decisions must not depend on
+  /// produced — memory-cap truncation decisions must not depend on
   /// allocator growth policy. The constant differs from the nested-vector
   /// layout's (a 4-byte offset replaces a 24-byte vector header per class;
   /// see DESIGN.md §14) but is equally deterministic.
@@ -161,83 +158,41 @@ class Partition {
   std::vector<uint32_t> offsets_;
 };
 
-/// \brief Memoizing provider of partitions for one relation.
+/// \brief Thread-safe memo of partitions for one relation, keyed by
+/// attribute set.
 ///
-/// Caches every requested attribute-set partition; composite sets are built
-/// by recursive products. Also answers g3 error queries for arbitrary FDs,
-/// which is the workhorse of candidate-FD relaxation (§3.1).
-///
-/// NOT thread-safe: Get() mutates the cache. Use one PartitionCache per
-/// thread, or the shared immutable Partition API above, when parallelizing.
-class PartitionCache {
- public:
-  explicit PartitionCache(const Relation* relation);
-
-  /// The (cached) partition of `attrs`.
-  const Partition& Get(const AttributeSet& attrs);
-
-  /// g3 error of `fd` on the relation.
-  double FdError(const Fd& fd);
-
-  /// Number of partitions currently cached (observability/testing).
-  size_t CacheSize() const { return cache_.size(); }
-
- private:
-  const Relation* relation_;
-  std::unordered_map<AttributeSet, Partition, AttributeSetHash> cache_;
-};
-
-/// \brief Budget-governed, thread-safe partition store with LRU eviction
-/// and recompute-on-miss.
-///
-/// The resource-governance substrate of FD discovery (DESIGN.md §8): every
-/// admitted partition is charged against a shared MemoryBudget, and when
-/// the soft limit is exceeded the least-recently-used *unpinned* entries
-/// are evicted — they are recomputable from the relation, so eviction
-/// trades recompute time for memory instead of failing. A later Get of an
-/// evicted set transparently rebuilds it from column partitions.
-///
-/// Ownership is by shared_ptr: Get pins the partition for the caller, so
-/// eviction can never dangle a reference — an entry's bytes are released
-/// when the last holder (store or caller) drops it. Entries inserted with
-/// `pinned = true` (the empty set and the singleton columns, i.e. the
-/// recompute base) are never evicted.
-///
-/// With a null budget the store is a plain memoizing cache: nothing is
-/// charged and nothing is ever evicted, so governed and ungoverned
-/// discovery traverse identical state.
+/// The shared partition cache of FD discovery and the violation engine:
+/// TANE puts each level's products here and erases them when the walk
+/// moves past them; the engine builds LHS partitions on a miss. Handles
+/// are shared_ptrs, so an erased entry stays valid for whoever still holds
+/// it. The store itself bounds nothing: TANE's memory cap
+/// (TaneOptions::memory_limit_bytes) sums Partition::ApproxBytes over its
+/// own puts and erases.
 class PartitionStore {
  public:
-  /// `relation` must outlive the store; `budget` may be null (ungoverned).
-  PartitionStore(const Relation* relation, MemoryBudget* budget);
+  /// `relation` must outlive the store.
+  explicit PartitionStore(const Relation* relation);
 
-  /// The partition of `attrs`, recomputing it if it was evicted (or never
-  /// admitted). Never fails: a partition that no longer fits the budget is
-  /// force-charged while alive and simply not re-admitted to the cache.
+  /// The partition of `attrs`, built by Partition::ForAttributes and
+  /// memoized on a miss.
   std::shared_ptr<const Partition> Get(const AttributeSet& attrs);
 
   /// As Get(), but a missing partition is produced by `build` instead of
-  /// Partition::ForAttributes. Callers with a cheaper recompute path (e.g.
-  /// the violation engine, which composes from cached sub-partitions)
-  /// inject it here; `build` runs outside the store lock and may itself
-  /// call Get() on other attribute sets.
+  /// Partition::ForAttributes. Callers with a cheaper path (e.g. the
+  /// violation engine, which composes from cached sub-partitions) inject
+  /// it here; `build` runs outside the store lock and may itself call
+  /// Get() on other attribute sets.
   std::shared_ptr<const Partition> Get(const AttributeSet& attrs,
                                        const std::function<Partition()>& build);
 
-  /// Admits a freshly computed partition, charging its footprint. When the
-  /// charge would cross the hard limit, unpinned LRU entries are evicted to
-  /// make room; returns false (and drops `partition`) iff the hard limit
-  /// cannot be respected even then — the caller's truncation signal.
-  bool Put(const AttributeSet& attrs, Partition partition,
-           bool pinned = false);
+  /// Stores a computed partition. No-op when `attrs` is already resident.
+  void Put(const AttributeSet& attrs, Partition partition);
 
-  /// Admits an externally accounted partition handle without charging the
-  /// budget: the bytes stay owned by whoever created the handle (the live
-  /// dataset shares one handle across epoch stores, so charging each store
-  /// would double-count). No-op when `attrs` is already resident.
+  /// Stores a partition handle shared with other owners (the live dataset
+  /// shares one handle across epoch stores). No-op when `attrs` is already
+  /// resident.
   void PutShared(const AttributeSet& attrs,
-                 std::shared_ptr<const Partition> partition,
-                 bool pinned = true);
+                 std::shared_ptr<const Partition> partition);
 
   /// All resident entries (attribute set + handle), unspecified order. The
   /// live dataset harvests surviving partitions from an outgoing epoch's
@@ -258,46 +213,23 @@ class PartitionStore {
   /// Data version last passed to AdvanceTo (0 for a never-advanced store).
   uint64_t version() const;
 
-  /// Drops the entry for `attrs` if present, pinned or not (levels that
-  /// fall out of the TANE traversal release their memory here). Bytes are
-  /// released once the last outstanding Get handle dies.
-  void Erase(const AttributeSet& attrs);
+  /// Drops the entry for `attrs` if present and returns its
+  /// Partition::ApproxBytes (0 when absent). Levels that fall out of the
+  /// TANE traversal release their memory here.
+  size_t Erase(const AttributeSet& attrs);
 
-  /// Evicts unpinned LRU entries until the budget's soft limit is met or
-  /// nothing evictable remains. Called between traversal phases, when
-  /// transient pins have been dropped.
-  void EvictToSoftLimit();
-
-  /// Entries currently resident (pinned + unpinned).
+  /// Entries currently resident.
   size_t Size() const;
-  /// Entries evicted by budget pressure since construction.
-  size_t evictions() const;
-  /// Get() calls that had to rebuild an absent/evicted partition.
-  size_t recomputes() const;
+  /// Get() calls that had to build an absent partition.
+  size_t misses() const;
 
  private:
-  struct Entry {
-    std::shared_ptr<const Partition> partition;
-    bool pinned = false;
-    /// Position in lru_ (unpinned entries only).
-    std::list<AttributeSet>::iterator lru_pos;
-  };
-
-  /// Wraps `partition` in a shared_ptr whose deleter releases the charge.
-  std::shared_ptr<const Partition> Account(Partition partition) const;
-  /// Evicts LRU entries (unpinned, not externally held) until `fits()`
-  /// returns true or no victim remains. Caller holds mu_.
-  template <typename Fits>
-  bool EvictUntilLocked(const Fits& fits);
-
   const Relation* relation_;
-  MemoryBudget* budget_;
   mutable std::mutex mu_;
-  std::unordered_map<AttributeSet, Entry, AttributeSetHash> entries_;
-  /// Front = most recently used. Unpinned entries only.
-  std::list<AttributeSet> lru_;
-  size_t evictions_ = 0;
-  size_t recomputes_ = 0;
+  std::unordered_map<AttributeSet, std::shared_ptr<const Partition>,
+                     AttributeSetHash>
+      entries_;
+  size_t misses_ = 0;
   uint64_t version_ = 0;
 };
 

@@ -21,8 +21,8 @@ namespace uguide {
 namespace {
 
 // A lattice node carries only its RHS-candidate set; partitions live in the
-// budget-governed PartitionStore, keyed by the node's attribute set, so the
-// store can evict and rebuild them without the traversal noticing.
+// walk's PartitionStore, keyed by the node's attribute set, so walks that
+// share a node share its partition.
 struct Node {
   AttributeSet cplus;
   /// The node's position in its level map's iteration order, i.e. which FD
@@ -153,8 +153,8 @@ bool Closed(const AttributeSet& z, const Level& level) {
 // Count scratch for the check jobs of one walk, one per pool strand: a job
 // borrows one and gives it back. Each is sized for the relation up front,
 // before the walk allocates its levels, so no job grows one in the middle
-// of them. Like Product()'s label array, scratch is not charged to the
-// memory budget.
+// of them. Like Product()'s label array, scratch is not counted against
+// the memory cap.
 class ScratchShelf {
  public:
   ScratchShelf(const Relation& relation, int strands)
@@ -315,8 +315,25 @@ Result<std::vector<DiscoveryOutcome>> DiscoverFdFrontiers(
   for (size_t w = 0; w < walks.size(); ++w) {
     walks[w].max_error = max_errors[w];
   }
-  MemoryBudget* budget = options.memory_budget;
-  PartitionStore store(&relation, budget);
+  PartitionStore store(&relation);
+  // The bytes of the partitions the store holds, summed on admission and
+  // erasure (both serial), against options.memory_limit_bytes.
+  size_t resident_bytes = 0;
+  size_t peak_bytes = 0;
+  const auto admit = [&](const AttributeSet& attrs, Partition partition) {
+    const size_t bytes = partition.ApproxBytes();
+    if (options.memory_limit_bytes != 0 &&
+        resident_bytes + bytes > options.memory_limit_bytes) {
+      return false;
+    }
+    store.Put(attrs, std::move(partition));
+    resident_bytes += bytes;
+    peak_bytes = std::max(peak_bytes, resident_bytes);
+    return true;
+  };
+  const auto erase = [&](const AttributeSet& attrs) {
+    resident_bytes -= store.Erase(attrs);
+  };
   std::atomic<size_t> checks{0};
   std::atomic<size_t> scans{0};
   const auto finish = [&] {
@@ -325,9 +342,7 @@ Result<std::vector<DiscoveryOutcome>> DiscoverFdFrontiers(
     for (Walk& walk : walks) {
       DiscoveryOutcome& done = walk.outcome;
       done.fds = FilterMinimal(walk.emitted);
-      if (budget != nullptr) done.peak_memory_bytes = budget->high_water();
-      done.partitions_evicted = store.evictions();
-      done.partitions_recomputed = store.recomputes();
+      done.peak_memory_bytes = peak_bytes;
       done.checks = checks.load(std::memory_order_relaxed);
       done.g3_scans = scans.load(std::memory_order_relaxed);
       outcomes.push_back(std::move(done));
@@ -351,21 +366,18 @@ Result<std::vector<DiscoveryOutcome>> DiscoverFdFrontiers(
   ThreadPool pool(options.num_threads);
   ScratchShelf shelf(relation, pool.num_threads());
 
-  // Levels 0 and 1 are the recompute base for every eviction rebuild, so
-  // they are pinned (never evicted) — but still charged: a hard limit too
-  // small for even the column partitions truncates discovery at level 0,
-  // the graceful floor of the degradation contract.
+  // Levels 0 and 1 stay for the whole walk, and count against the cap: a
+  // cap too small for even the column partitions truncates discovery at
+  // level 0, the graceful floor of the degradation contract.
   const auto truncate_all = [&] {
     for (Walk& walk : walks) walk.outcome.memory_truncated = true;
     return finish();
   };
-  if (!store.Put(AttributeSet(), Partition::ForEmptySet(relation.NumRows()),
-                 /*pinned=*/true)) {
+  if (!admit(AttributeSet(), Partition::ForEmptySet(relation.NumRows()))) {
     return truncate_all();
   }
   for (int a = 0; a < m; ++a) {
-    if (!store.Put(AttributeSet::Single(a), Partition::ForColumn(relation, a),
-                   /*pinned=*/true)) {
+    if (!admit(AttributeSet::Single(a), Partition::ForColumn(relation, a))) {
       return truncate_all();
     }
   }
@@ -435,12 +447,12 @@ Result<std::vector<DiscoveryOutcome>> DiscoverFdFrontiers(
     }
 
     // The previous level's partitions were last touched by the checks
-    // above, whichever walk held them; drop them now. The pinned recompute
-    // base (empty set, singletons) stays. A finished walk's leftover level
-    // is released here once and forgotten.
+    // above, whichever walk held them; drop them now. The empty set and the
+    // singletons stay. A finished walk's leftover level is released here
+    // once and forgotten.
     for (Walk& walk : walks) {
       for (const auto& [x, node] : walk.prev) {
-        if (x.Size() > 1) store.Erase(x);
+        if (x.Size() > 1) erase(x);
       }
       if (walk.current.empty()) walk.prev.clear();
     }
@@ -471,7 +483,7 @@ Result<std::vector<DiscoveryOutcome>> DiscoverFdFrontiers(
       const bool held = std::any_of(
           active.begin(), active.end(),
           [&x](const Walk* walk) { return walk->current.count(x) != 0; });
-      if (!held) store.Erase(x);
+      if (!held) erase(x);
     }
 
     if (level_size > options.max_lhs_size) break;
@@ -507,51 +519,32 @@ Result<std::vector<DiscoveryOutcome>> DiscoverFdFrontiers(
     // The last level is streamed, not stored: its nodes are checked once
     // and never extended, and a check needs only the node's excess, which
     // its job counts without building the product (see CheckJob). Earlier
-    // levels are materialized.
-    // Products are computed in bounded batches when a budget governs the
-    // run: only the current batch's operands are pinned, so partitions
-    // outside it stay evictable and the working set is capped at
-    // (admitted-under-soft-limit + one batch). Ungoverned runs use a
-    // single batch — no extra barriers.
-    const bool stream_next = level_size + 1 > options.max_lhs_size;
-    const size_t batch_size =
-        budget != nullptr ? size_t{64} : std::max<size_t>(cands.size(), 1);
-    bool exhausted = false;
-    std::vector<AttributeSet> admitted;
-    for (size_t begin = 0; !stream_next && !exhausted && begin < cands.size();
-         begin += batch_size) {
-      const size_t end = std::min(begin + batch_size, cands.size());
-      // Pin the batch operands (rebuilding any evicted ones), serially.
-      std::vector<std::pair<std::shared_ptr<const Partition>,
-                            std::shared_ptr<const Partition>>>
-          operands(end - begin);
-      for (size_t i = begin; i < end; ++i) {
+    // levels are materialized, then admitted serially in `cands` order, so
+    // where the memory cap stops the walk does not depend on the thread
+    // count.
+    if (level_size + 1 <= options.max_lhs_size) {
+      std::vector<std::optional<Partition>> products(cands.size());
+      pool.ParallelFor(cands.size(), [&](size_t i) {
         const auto [left, right] = Operands(cands[i]);
-        operands[i - begin] = {store.Get(left), store.Get(right)};
-      }
-      std::vector<std::optional<Partition>> products(end - begin);
-      pool.ParallelFor(end - begin, [&](size_t i) {
-        products[i] = operands[i].first->Product(*operands[i].second);
+        products[i] = store.Get(left)->Product(*store.Get(right));
       });
-      operands.clear();  // unpin before admission so eviction can help
-      for (size_t i = begin; i < end; ++i) {
-        if (!store.Put(cands[i], std::move(*products[i - begin]))) {
-          exhausted = true;
-          break;
+      size_t admitted = 0;
+      while (admitted < cands.size() &&
+             admit(cands[admitted], std::move(*products[admitted]))) {
+        ++admitted;
+      }
+      if (admitted < cands.size()) {
+        // Abandon the half-built level so every result is exactly the
+        // lattice through `levels_completed` — the same contract as the
+        // deadline, discovered and consumed identically downstream.
+        for (size_t i = 0; i < admitted; ++i) erase(cands[i]);
+        for (size_t w = 0; w < active.size(); ++w) {
+          if (!walk_next[w].empty()) {
+            active[w]->outcome.memory_truncated = true;
+          }
         }
-        admitted.push_back(cands[i]);
+        break;
       }
-      store.EvictToSoftLimit();
-    }
-    if (exhausted) {
-      // Hard limit: abandon the half-built level so every result is
-      // exactly the lattice through `levels_completed` — the same contract
-      // as the deadline, discovered and consumed identically downstream.
-      for (const AttributeSet& z : admitted) store.Erase(z);
-      for (size_t w = 0; w < active.size(); ++w) {
-        if (!walk_next[w].empty()) active[w]->outcome.memory_truncated = true;
-      }
-      break;
     }
     for (size_t w = 0; w < active.size(); ++w) {
       Level next;

@@ -5,7 +5,6 @@
 #include <limits>
 #include <vector>
 
-#include "common/memory_budget.h"
 #include "common/result.h"
 #include "fd/fd.h"
 #include "relation/relation.h"
@@ -44,16 +43,17 @@ struct TaneOptions {
   /// deterministically.
   double deadline_ms = 0.0;
 
-  /// Memory budget charged for every stripped partition and partition
-  /// product of the traversal; null = ungoverned (bit-identical output).
-  /// Crossing the budget's soft limit evicts recomputable partitions (LRU,
-  /// recompute-on-miss); hitting the hard limit stops lattice growth at a
-  /// level boundary and flags DiscoveryOutcome::memory_truncated — the
-  /// memory analogue of the deadline above. The last level builds no
-  /// partition at all: its checks count in per-worker scratch, which is
-  /// not charged (like Partition::Product's label array), so it never
-  /// truncates. Must outlive the call.
-  MemoryBudget* memory_budget = nullptr;
+  /// Cap on the bytes of partitions the walk holds at once (the sum of
+  /// their Partition::ApproxBytes); 0 = uncapped. The walk admits each
+  /// level's products one by one in a fixed order; when one would cross
+  /// the cap it drops that level and stops at the level boundary, flagging
+  /// DiscoveryOutcome::memory_truncated — the memory analogue of the
+  /// deadline above, and deterministic at any thread count. A cap below
+  /// the empty-set and column partitions stops the walk at level 0. The
+  /// last level builds no partition at all (its checks count in per-worker
+  /// scratch, which is not counted, like Partition::Product's label
+  /// array), so it never truncates.
+  size_t memory_limit_bytes = 0;
 };
 
 /// \brief What one discovery walk produced, plus how far it got.
@@ -62,22 +62,19 @@ struct DiscoveryOutcome {
   /// True iff the deadline cut the traversal short; `fds` then covers only
   /// LHS sizes up to `levels_completed`.
   bool truncated = false;
-  /// True iff the memory budget's hard limit cut the traversal short; same
+  /// True iff the memory cap cut the traversal short; same
   /// partial-lattice contract as `truncated`.
   bool memory_truncated = false;
   /// Lattice levels fully processed (level k checks LHS candidates of
   /// size k).
   int levels_completed = 0;
-  /// Peak bytes charged to the memory budget during this call (0 when no
-  /// budget was supplied). Cumulative high-water if the budget is shared;
-  /// walks of one DiscoverFdFrontiers call share it, so they all report
-  /// the same peak, and the same eviction and recompute counts below.
+  /// Peak bytes of the partitions the walk held at once, as counted
+  /// against TaneOptions::memory_limit_bytes (reported with or without a
+  /// cap). Walks of one DiscoverFdFrontiers call share one store, so they
+  /// all report the same peak.
   size_t peak_memory_bytes = 0;
-  /// Partitions evicted / rebuilt by the budget-governed store.
-  size_t partitions_evicted = 0;
-  size_t partitions_recomputed = 0;
   /// Dependency checks X\{A} -> A decided, counting each (X, A) once per
-  /// call; shared by the walks of one call like the counts above.
+  /// call; shared by the walks of one call like the peak above.
   size_t checks = 0;
   /// Those checks the key-error bounds could not decide, so that they ran
   /// a g3 scan. 0 for an exact walk (max_error = 0).
@@ -111,7 +108,7 @@ Result<DiscoveryOutcome> DiscoverFdsDetailed(const Relation& relation,
 /// Returns one outcome per entry of `max_errors`, in order; each equals
 /// DiscoverFdsDetailed with `options.max_error` set to that entry — the
 /// same FDs in the same order, the same levels — except that under a
-/// binding memory budget the shared store can truncate earlier than a solo
+/// binding memory cap the shared store can truncate earlier than a solo
 /// walk would. `options.max_error` itself is ignored.
 ///
 /// Each threshold keeps its own C+ level maps (so its emission order is

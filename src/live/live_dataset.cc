@@ -42,18 +42,16 @@ LiveDataset::LiveDataset(const Session* base, uint64_t content_hash,
       pool_(pool),
       options_(options),
       relation_(base->dirty()),
-      store_(&relation_.relation(), /*budget=*/nullptr),
+      store_(&relation_.relation()),
       index_(base->artifact(pool).graph()) {
   UGUIDE_CHECK(options_.epoch_ring >= 1);
   // Seed the cross-epoch store with the canonical column partitions; they
-  // are pinned and patched in place by AdvanceTo, never recomputed from
-  // scratch. Products arrive later, harvested from outgoing epochs.
+  // are patched in place by AdvanceTo, never recomputed from scratch. Products arrive later, harvested from outgoing epochs.
   for (int c = 0; c < relation_.relation().NumAttributes(); ++c) {
     store_.PutShared(
         AttributeSet::Single(c),
         std::make_shared<const Partition>(
-            Partition::ForColumn(relation_.relation(), c)),
-        /*pinned=*/true);
+            Partition::ForColumn(relation_.relation(), c)));
   }
   auto epoch = std::make_shared<LiveEpoch>();
   epoch->version = 0;
@@ -96,7 +94,7 @@ MutationReceipt LiveDataset::Apply(const MutationBatch& batch) {
   // clean. (PutShared no-ops on the already-resident singles.)
   for (auto& [attrs, handle] : ring_.back()->engine->StorePartitions()) {
     if (attrs.Empty()) continue;  // trivial to rebuild; row census may move
-    store_.PutShared(attrs, std::move(handle), /*pinned=*/attrs.Size() == 1);
+    store_.PutShared(attrs, std::move(handle));
   }
 
   MutationReceipt receipt = relation_.Apply(batch);
@@ -119,8 +117,7 @@ MutationReceipt LiveDataset::Apply(const MutationBatch& batch) {
   // rebuild when (and only if) a session materializes it.
   auto session = std::make_shared<const Session>(
       Session::Rebase(*base_, relation_.relation()));
-  auto engine = std::make_shared<ViolationEngine>(&session->dirty(),
-                                                  /*budget=*/nullptr);
+  auto engine = std::make_shared<ViolationEngine>(&session->dirty());
   for (auto& [attrs, handle] : store_.Snapshot()) {
     engine->SeedPartition(attrs, std::move(handle));
   }

@@ -135,7 +135,7 @@ class LiveDataset {
   mutable std::mutex mu_;
   LiveRelation relation_;
   /// The long-lived store carrying partitions across epochs: canonical
-  /// column singles (pinned, patched in place by AdvanceTo) plus products
+  /// column singles (patched in place by AdvanceTo) plus products
   /// harvested back from outgoing epoch engines (dropped when dirty).
   PartitionStore store_;
   LiveViolationIndex index_;

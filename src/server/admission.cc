@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/fault_injection.h"
-#include "common/memory_budget.h"
 
 namespace uguide {
 
@@ -21,20 +20,8 @@ double MsBetween(std::chrono::steady_clock::time_point from,
 
 }  // namespace
 
-AdmissionController::AdmissionController(AdmissionOptions options,
-                                         const MemoryBudget* budget)
-    : options_(options), budget_(budget) {}
-
-BrownoutLevel AdmissionController::brownout() const {
-  if (budget_ == nullptr) return BrownoutLevel::kNormal;
-  const size_t hard = budget_->hard_limit();
-  if (hard != 0 && static_cast<double>(budget_->charged()) >
-                       options_.hard_fraction * static_cast<double>(hard)) {
-    return BrownoutLevel::kShedding;
-  }
-  if (budget_->OverSoftLimit()) return BrownoutLevel::kBrownout;
-  return BrownoutLevel::kNormal;
-}
+AdmissionController::AdmissionController(AdmissionOptions options)
+    : options_(options) {}
 
 AdmissionVerdict AdmissionController::Admit(
     ClientOp op, const std::string& id,
@@ -57,36 +44,9 @@ AdmissionVerdict AdmissionController::Admit(
     }
   }
 
-  // 2. Brownout ladder: memory pressure refuses opens first, then sheds
-  // every non-answer op. `answer` always lands (served expert attention
-  // must never be lost), `close` always lands (it frees memory), and
-  // `mutate` lands answer-style: the data keeps moving regardless of how
-  // loaded the question-serving side is, and dropping a mutation would
-  // silently fork the client's view of the relation.
-  const BrownoutLevel level = brownout();
-  if (level >= BrownoutLevel::kBrownout && op == ClientOp::kOpen) {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.brownout_refused;
-    verdict.status =
-        Status::ResourceExhausted("memory brownout: refusing new sessions");
-    verdict.code = error_code::kOverloaded;
-    verdict.retry_after_ms = options_.retry_after_ms;
-    return verdict;
-  }
-  if (level >= BrownoutLevel::kShedding && op != ClientOp::kAnswer &&
-      op != ClientOp::kClose && op != ClientOp::kMutate) {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.brownout_shed;
-    verdict.status =
-        Status::ResourceExhausted("memory brownout: shedding non-answer ops");
-    verdict.code = error_code::kOverloaded;
-    verdict.retry_after_ms = options_.retry_after_ms;
-    return verdict;
-  }
-
-  // 3. Per-client token bucket — last, so refused ops cost no tokens.
+  // 2. Per-client token bucket — last, so shed ops cost no tokens.
   // `close` is exempt: throttling the op that releases resources would
-  // work against the ladder above.
+  // only keep them held longer.
   if (options_.rate_limit_per_sec > 0.0 && !id.empty() &&
       op != ClientOp::kClose) {
     std::lock_guard<std::mutex> lock(mu_);

@@ -12,8 +12,6 @@
 
 namespace uguide {
 
-class MemoryBudget;
-
 /// Knobs of the AdmissionController. All limits default to off so a
 /// manager embedded in tests behaves exactly as before PR 7 unless a knob
 /// is turned.
@@ -28,23 +26,11 @@ struct AdmissionOptions {
   /// would do is stale: the client has likely timed out or resent). 0 =
   /// off.
   double queue_deadline_ms = 0.0;
-  /// The retry hint attached to overload refusals (session limit,
-  /// brownout); rate-limit refusals compute their own from the bucket
+  /// The retry hint attached to overload refusals (session limit, queue
+  /// deadline); rate-limit refusals compute their own from the bucket
   /// deficit.
   int retry_after_ms = 200;
-  /// Fraction of the memory budget's hard limit at which the brownout
-  /// ladder reaches level 2 (shed non-answer ops).
-  double hard_fraction = 0.9375;
 };
-
-/// The memory-pressure brownout ladder, driven by the shared MemoryBudget:
-///  - kNormal: admit everything.
-///  - kBrownout (over the soft limit): refuse new opens, tighten idle
-///    eviction; existing sessions keep stepping.
-///  - kShedding (past hard_fraction of the hard limit): additionally shed
-///    non-`answer` ops. `answer` still lands (expert work is the scarce
-///    resource) and `close` still lands (it releases memory).
-enum class BrownoutLevel { kNormal = 0, kBrownout = 1, kShedding = 2 };
 
 /// The outcome of one admission check. When refused, `code` is the
 /// machine-readable error slug and `retry_after_ms` the hint both destined
@@ -61,19 +47,14 @@ struct AdmissionStats {
   int64_t admitted = 0;
   int64_t rate_limited = 0;
   int64_t deadline_shed = 0;
-  /// Opens refused at brownout level >= 1.
-  int64_t brownout_refused = 0;
-  /// Non-answer ops shed at brownout level 2.
-  int64_t brownout_shed = 0;
 };
 
 /// \brief The overload gate in front of every SessionManager step.
 ///
 /// Consulted by SessionManager::HandleLine before an op touches a session:
 /// first the queue deadline (stale work is shed, not executed), then the
-/// brownout ladder (memory pressure degrades predictably: opens first,
-/// then non-answer ops), then the per-client token bucket. Checks run in
-/// that order so a refused op never consumes rate-limit tokens.
+/// per-client token bucket, so a shed op never consumes rate-limit
+/// tokens.
 ///
 /// Every clock read is FaultRegistry::Global().Now(), so latency fault
 /// plans drive deadline and refill arithmetic deterministically in tests.
@@ -81,16 +62,11 @@ struct AdmissionStats {
 /// Thread safety: all methods are safe to call concurrently.
 class AdmissionController {
  public:
-  /// `budget` may be null (brownout ladder off); it must outlive the
-  /// controller.
-  AdmissionController(AdmissionOptions options, const MemoryBudget* budget);
+  explicit AdmissionController(AdmissionOptions options);
 
   /// Checks one op for client `id`, framed by the reactor at `enqueued`.
   AdmissionVerdict Admit(ClientOp op, const std::string& id,
                          std::chrono::steady_clock::time_point enqueued);
-
-  /// The current rung of the brownout ladder.
-  BrownoutLevel brownout() const;
 
   AdmissionStats stats() const;
 
@@ -111,7 +87,6 @@ class AdmissionController {
   void PruneBucketsLocked(std::chrono::steady_clock::time_point now);
 
   const AdmissionOptions options_;
-  const MemoryBudget* const budget_;
 
   mutable std::mutex mu_;
   std::unordered_map<std::string, Bucket> buckets_;

@@ -13,7 +13,6 @@
 
 namespace uguide {
 
-class MemoryBudget;
 class ThreadPool;
 
 /// Identity of a bundle's data: what the dirty relation *contains*
@@ -29,28 +28,22 @@ struct DatasetKey {
 /// graph, its cell classes and the candidates' removal counts.
 ///
 /// The violation artifact is the session's own (Session::artifact): the
-/// bundle builds it eagerly through the registry's pool and binds its
-/// engine to the registry's budget, and every run over `session` — served
-/// or local — reads that one artifact, so nothing here is built twice.
+/// bundle builds it eagerly through the registry's pool, and every run
+/// over `session` — served or local — reads that one artifact, so nothing
+/// here is built twice.
 ///
 /// Immutability contract: nothing here changes after construction.
 /// The engine is internally locked and its cached partitions are
 /// recomputable, so concurrent readers are safe; runs keep their mutable
 /// state in a per-run GraphView over the frozen graph.
-/// Consumers hold `shared_ptr<const DatasetArtifacts>`; the bundle, and
-/// with it its budget charge, dies with the last reference.
+/// Consumers hold `shared_ptr<const DatasetArtifacts>`; the bundle dies
+/// with the last reference.
 struct DatasetArtifacts {
   /// Moves the built session in, then builds the session's artifact
   /// against the *member* session (members initialize in declaration
   /// order), so the engine's relation pointer is valid for the bundle's
-  /// whole life. ForceCharges the artifact + relation payload bytes
-  /// against `budget`: shared artifacts must materialize, and over the
-  /// soft limit admission's brownout refuses new opens instead.
-  DatasetArtifacts(DatasetKey k, Session s, ThreadPool* pool,
-                   MemoryBudget* budget);
-  /// Releases `charged_bytes` back to the budget (the engine's partitions
-  /// release their own charges when the store dies).
-  ~DatasetArtifacts();
+  /// whole life.
+  DatasetArtifacts(DatasetKey k, Session s, ThreadPool* pool);
 
   DatasetArtifacts(const DatasetArtifacts&) = delete;
   DatasetArtifacts& operator=(const DatasetArtifacts&) = delete;
@@ -63,20 +56,12 @@ struct DatasetArtifacts {
   /// them apart: LiveDataset's and SessionManagerOptions' engine/graph.
   const std::shared_ptr<ViolationEngine> engine;
   const ViolationGraph& graph;
-  /// Bytes ForceCharged at build (artifact + relation payloads).
-  const size_t charged_bytes;
-
- private:
-  MemoryBudget* const budget_;
 };
 
 struct DatasetRegistryOptions {
   /// Worker pool for artifact builds (parallel graph construction).
   /// Null = serial. Results are bit-identical at any thread count.
   ThreadPool* pool = nullptr;
-  /// Budget charged for shared artifacts and the engines' partition
-  /// stores; admission's brownout reads it. Null = ungoverned.
-  MemoryBudget* memory_budget = nullptr;
 };
 
 struct DatasetRegistryStats {

@@ -621,15 +621,13 @@ std::string FormatMutatedFrame(const std::string& id, DataVersion version,
 
 std::string FormatHealthFrame(const HealthInfo& health) {
   std::ostringstream out;
-  out << "{\"type\":\"health\",\"brownout\":" << health.brownout
-      << ",\"active_sessions\":" << health.active_sessions
+  out << "{\"type\":\"health\",\"active_sessions\":"
+      << health.active_sessions
       << ",\"active_connections\":" << health.active_connections
       << ",\"opened\":" << health.opened << ",\"finished\":" << health.finished
       << ",\"evicted\":" << health.evicted << ",\"refused\":" << health.refused
       << ",\"rate_limited\":" << health.rate_limited
       << ",\"deadline_shed\":" << health.deadline_shed
-      << ",\"brownout_refused\":" << health.brownout_refused
-      << ",\"brownout_shed\":" << health.brownout_shed
       << ",\"accepted\":" << health.accepted
       << ",\"dropped\":" << health.dropped
       << ",\"dropped_slow_reader\":" << health.dropped_slow_reader
@@ -680,7 +678,6 @@ Result<ServerFrame> ParseServerFrame(std::string_view line) {
   if (type == "health") {
     frame.type = ServerFrameType::kHealth;
     HealthInfo& h = frame.health;
-    UGUIDE_ASSIGN_OR_RETURN(h.brownout, root.GetInt("brownout", 0));
     UGUIDE_ASSIGN_OR_RETURN(h.active_sessions,
                             root.GetInt("active_sessions", 0));
     UGUIDE_ASSIGN_OR_RETURN(h.active_connections,
@@ -692,8 +689,6 @@ Result<ServerFrame> ParseServerFrame(std::string_view line) {
         {"refused", &h.refused},
         {"rate_limited", &h.rate_limited},
         {"deadline_shed", &h.deadline_shed},
-        {"brownout_refused", &h.brownout_refused},
-        {"brownout_shed", &h.brownout_shed},
         {"accepted", &h.accepted},
         {"dropped", &h.dropped},
         {"dropped_slow_reader", &h.dropped_slow_reader},

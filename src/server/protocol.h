@@ -42,7 +42,7 @@ namespace uguide {
 ///    "retry_after_ms":200,"message":"..."}        // retry_after_ms optional
 ///   {"type":"closed","id":"s1"}
 ///   {"type":"pong"}
-///   {"type":"health","brownout":0,"active_sessions":3,...}
+///   {"type":"health","active_sessions":3,"active_connections":5,...}
 ///   {"type":"mutated","id":"m1","version":4,"applied":3,"refused":0}
 ///
 /// Error frames carry two machine-readable fields: `code`, a stable slug a
@@ -189,7 +189,6 @@ const char* DefaultErrorCode(StatusCode code);
 /// fields are filled by the daemon's reactor (zero when the manager is
 /// driven without one, as in unit tests).
 struct HealthInfo {
-  int brownout = 0;  ///< 0 normal, 1 over soft limit, 2 near hard limit.
   int active_sessions = 0;
   int active_connections = 0;
   // SessionManager counters.
@@ -200,6 +199,9 @@ struct HealthInfo {
   // AdmissionController counters.
   int64_t rate_limited = 0;
   int64_t deadline_shed = 0;
+  /// Always 0 and not on the wire: nothing refuses or sheds for memory.
+  /// perfbench/driver/serve.cc still sums them; they go with the next
+  /// change to that benchmark.
   int64_t brownout_refused = 0;
   int64_t brownout_shed = 0;
   // Reactor counters.

@@ -38,7 +38,7 @@ SessionManager::SessionManager(const Session* session,
                                SessionManagerOptions options)
     : session_(session),
       options_(std::move(options)),
-      admission_(options_.admission, options_.memory_budget) {
+      admission_(options_.admission) {
   UGUIDE_CHECK(options_.engine == nullptr ||
                options_.engine == &session_->artifact().engine())
       << "the manager serves the session's own violation engine";
@@ -170,12 +170,9 @@ std::vector<std::string> SessionManager::HandleLine(
 
 std::vector<std::string> SessionManager::HandleHealth() {
   HealthInfo health;
-  health.brownout = static_cast<int>(admission_.brownout());
   const AdmissionStats admission = admission_.stats();
   health.rate_limited = admission.rate_limited;
   health.deadline_shed = admission.deadline_shed;
-  health.brownout_refused = admission.brownout_refused;
-  health.brownout_shed = admission.brownout_shed;
   std::function<void(HealthInfo*)> augmenter;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -445,12 +442,6 @@ void SessionManager::BeginDrain() {
 
 int SessionManager::EvictIdle() {
   if (options_.idle_timeout_ms <= 0.0) return 0;
-  // Under memory pressure an idle session holds exactly the resource the
-  // brownout ladder is protecting, so the timeout tightens to a quarter.
-  const double timeout_ms =
-      admission_.brownout() >= BrownoutLevel::kBrownout
-          ? options_.idle_timeout_ms / 4.0
-          : options_.idle_timeout_ms;
   const auto now = FaultRegistry::Global().Now();
   std::vector<std::shared_ptr<Served>> idle;
   {
@@ -459,7 +450,7 @@ int SessionManager::EvictIdle() {
       const double idle_ms = std::chrono::duration<double, std::milli>(
                                  now - it->second->last_active)
                                  .count();
-      if (idle_ms > timeout_ms) {
+      if (idle_ms > options_.idle_timeout_ms) {
         idle.push_back(it->second);
         it = sessions_.erase(it);
       } else {

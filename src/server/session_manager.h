@@ -49,9 +49,6 @@ struct SessionManagerOptions {
   /// fallback. Registry datasets arrive with the artifact already built.
   ThreadPool* pool = nullptr;
 
-  /// Shared process memory budget; drives admission's brownout ladder.
-  MemoryBudget* memory_budget = nullptr;
-
   /// The served session's artifact engine and graph, as DatasetArtifacts
   /// exposes them. Optional and never needed: every run reads the served
   /// session's own artifact (or its live epoch's). When set, they must be
@@ -66,8 +63,7 @@ struct SessionManagerOptions {
   /// refused. Must outlive the manager.
   LiveDataset* live = nullptr;
 
-  /// Overload-protection knobs, all off by default. The brownout ladder
-  /// additionally needs `memory_budget` to be set.
+  /// Overload-protection knobs, all off by default.
   AdmissionOptions admission;
 };
 
@@ -111,7 +107,7 @@ struct JournalRecoveryStats {
 class SessionManager {
  public:
   /// `session` (the dataset/config) must outlive the manager, as must the
-  /// pool and memory budget in `options`.
+  /// pool in `options`.
   SessionManager(const Session* session, SessionManagerOptions options);
   ~SessionManager();
 
@@ -140,7 +136,6 @@ class SessionManager {
   /// The recovery index built at construction, plus quarantines since.
   JournalRecoveryStats recovery_stats() const;
   AdmissionStats admission_stats() const { return admission_.stats(); }
-  BrownoutLevel brownout() const { return admission_.brownout(); }
 
   /// Installed by the daemon to add reactor/connection fields to op=health
   /// replies; called (outside the manager lock) with the frame the manager

@@ -110,8 +110,8 @@ class ViolationGraph {
   CellId FindCell(const Cell& cell) const;
 
   /// Approximate heap footprint in bytes (container payloads at their
-  /// logical sizes, not allocator metadata — the MemoryBudget accounting
-  /// convention of DESIGN.md §8), the all-active template included. A
+  /// logical sizes, not allocator metadata — Partition::ApproxBytes'
+  /// convention, DESIGN.md §8), the all-active template included. A
   /// pure function of the graph content: every array, including the
   /// right-sized probe table, is fully determined by the merged input, so
   /// the figure is identical across build paths and thread counts.

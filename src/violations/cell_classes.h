@@ -51,7 +51,7 @@ class CellClasses {
     return Slice(class_offsets_, classes_, f);
   }
 
-  /// Payload bytes (the MemoryBudget convention of ViolationGraph).
+  /// Payload bytes (ViolationGraph's convention).
   size_t ApproxMemoryBytes() const {
     return (class_of_.size() + fd_edges_.size() + members_.size() +
             classes_.size()) *

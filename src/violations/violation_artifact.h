@@ -76,7 +76,7 @@ class FdQuestionPool {
                           merged_offsets_[i + 1] - merged_offsets_[i]);
   }
 
-  /// Payload bytes (the MemoryBudget convention).
+  /// Payload bytes (the Partition::ApproxBytes convention).
   size_t ApproxMemoryBytes() const;
 
  private:
@@ -163,8 +163,8 @@ class ViolationArtifact {
   std::shared_ptr<const FdQuestionPool> FdQuestions(int max_merged) const;
 
   /// Payload bytes of the graph, the classes, both count arrays and the
-  /// question pool once built (the MemoryBudget convention; the engine's
-  /// partitions charge themselves).
+  /// question pool once built (the Partition::ApproxBytes convention; the
+  /// engine's partitions are not included).
   size_t ApproxMemoryBytes() const;
 
  private:

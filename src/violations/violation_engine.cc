@@ -58,9 +58,8 @@ void CollectMinorityRows(const std::vector<ValueCode>& codes,
 
 }  // namespace
 
-ViolationEngine::ViolationEngine(const Relation* relation,
-                                 MemoryBudget* budget)
-    : relation_(relation), store_(relation, budget) {
+ViolationEngine::ViolationEngine(const Relation* relation)
+    : relation_(relation), store_(relation) {
   UGUIDE_CHECK(relation != nullptr);
 }
 
@@ -73,10 +72,9 @@ std::shared_ptr<const Partition> ViolationEngine::LhsPartition(
       return Partition::ForColumn(*relation_, attrs.Lowest());
     }
     // Compose from cached sub-partitions: split off the lowest attribute
-    // and recurse, the same suffix decomposition as PartitionCache, so
-    // candidates sharing LHS suffixes reuse each other's work. The store
-    // releases its lock before invoking this builder, making the recursive
-    // Get safe.
+    // and recurse, so candidates sharing LHS suffixes reuse each other's
+    // work. The store releases its lock before invoking this builder,
+    // making the recursive Get safe.
     const int low = attrs.Lowest();
     std::shared_ptr<const Partition> rest = LhsPartition(attrs.Without(low));
     std::shared_ptr<const Partition> col =
@@ -216,7 +214,7 @@ bool ViolationEngine::HasViolations(const Fd& fd) {
 
 void ViolationEngine::SeedPartition(const AttributeSet& attrs,
                                     std::shared_ptr<const Partition> partition) {
-  store_.PutShared(attrs, std::move(partition), /*pinned=*/true);
+  store_.PutShared(attrs, std::move(partition));
 }
 
 std::vector<std::pair<AttributeSet, std::shared_ptr<const Partition>>>
@@ -226,12 +224,12 @@ ViolationEngine::StorePartitions() const {
 
 size_t ViolationEngine::partition_hits() const {
   const size_t lookups = lookups_.load(std::memory_order_relaxed);
-  const size_t misses = store_.recomputes();
+  const size_t misses = store_.misses();
   return lookups >= misses ? lookups - misses : 0;
 }
 
 size_t ViolationEngine::partition_misses() const {
-  return store_.recomputes();
+  return store_.misses();
 }
 
 }  // namespace uguide

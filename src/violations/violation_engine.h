@@ -6,7 +6,6 @@
 #include <optional>
 #include <vector>
 
-#include "common/memory_budget.h"
 #include "discovery/partition.h"
 #include "fd/fd.h"
 #include "relation/cell_bitmap.h"
@@ -24,9 +23,9 @@ namespace uguide {
 /// from stripped partitions instead: the violating rows of X -> A are the
 /// rows of non-singleton classes of pi_X that are impure on A's column
 /// codes, and the g3-minority rows fall out of the same class scan. pi_X is obtained
-/// from an LRU, MemoryBudget-charged PartitionStore keyed by LHS, so the
-/// many candidate AFDs sharing LHS (prefixes) after relaxation pay for each
-/// partition once across *all* call sites in a session (see DESIGN.md §9).
+/// from a PartitionStore memo keyed by LHS, so the many candidate AFDs
+/// sharing LHS (prefixes) after relaxation pay for each partition once
+/// across *all* call sites in a session (see DESIGN.md §9).
 ///
 /// Output contract: every query returns results byte-identical to the
 /// reference detector. Stripped classes list rows in ascending order and
@@ -40,10 +39,8 @@ namespace uguide {
 /// ViolationGraph::Build relies on this.
 class ViolationEngine {
  public:
-  /// `relation` must outlive the engine; `budget` may be null (partitions
-  /// are then cached without eviction, exactly like ungoverned discovery).
-  explicit ViolationEngine(const Relation* relation,
-                           MemoryBudget* budget = nullptr);
+  /// `relation` must outlive the engine.
+  explicit ViolationEngine(const Relation* relation);
 
   const Relation& relation() const { return *relation_; }
 
@@ -88,10 +85,10 @@ class ViolationEngine {
   /// cached sub-partitions on a miss.
   std::shared_ptr<const Partition> LhsPartition(const AttributeSet& attrs);
 
-  /// Seeds the store with an externally owned partition handle (pinned, not
-  /// charged to this engine's budget). The live dataset injects patched
-  /// column partitions and surviving products here so a fresh epoch engine
-  /// starts warm instead of rebuilding from the relation.
+  /// Seeds the store with an externally owned partition handle. The live
+  /// dataset injects patched column partitions and surviving products here
+  /// so a fresh epoch engine starts warm instead of rebuilding from the
+  /// relation.
   void SeedPartition(const AttributeSet& attrs,
                      std::shared_ptr<const Partition> partition);
 
@@ -101,9 +98,9 @@ class ViolationEngine {
   std::vector<std::pair<AttributeSet, std::shared_ptr<const Partition>>>
   StorePartitions() const;
 
-  /// Partition lookups served from the store without recomputation.
+  /// Partition lookups served from the store without a build.
   size_t partition_hits() const;
-  /// Partition lookups that had to (re)build the partition.
+  /// Partition lookups that had to build the partition.
   size_t partition_misses() const;
 
  private:

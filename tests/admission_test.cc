@@ -1,6 +1,5 @@
 // The admission gate in front of the serving path: per-client token
-// bucket, queue-time deadline, and the memory-pressure brownout ladder —
-// first at the controller level (pure verdict arithmetic on the virtual
+// bucket and queue-time deadline — first at the controller level (pure verdict arithmetic on the virtual
 // clock), then through SessionManager::HandleLine, where refusals must
 // surface as structured error frames with a machine-readable code and a
 // retry hint.
@@ -11,7 +10,6 @@
 #include <string>
 
 #include "common/fault_injection.h"
-#include "common/memory_budget.h"
 #include "server/admission.h"
 #include "server/protocol.h"
 #include "server/session_manager.h"
@@ -47,7 +45,7 @@ TEST_F(AdmissionTest, TokenBucketRefusesBurstsAndRefillsOnTheVirtualClock) {
   AdmissionOptions options;
   options.rate_limit_per_sec = 10.0;
   options.rate_burst = 2.0;
-  AdmissionController gate(options, nullptr);
+  AdmissionController gate(options);
 
   EXPECT_TRUE(gate.Admit(ClientOp::kNext, "c1", Now()).admitted());
   EXPECT_TRUE(gate.Admit(ClientOp::kNext, "c1", Now()).admitted());
@@ -82,7 +80,7 @@ TEST_F(AdmissionTest, QueueDeadlineShedsStaleWork) {
   AdmissionOptions options;
   options.queue_deadline_ms = 50.0;
   options.retry_after_ms = 123;
-  AdmissionController gate(options, nullptr);
+  AdmissionController gate(options);
 
   const auto enqueued = Now();
   EXPECT_TRUE(gate.Admit(ClientOp::kNext, "c", enqueued).admitted());
@@ -100,47 +98,6 @@ TEST_F(AdmissionTest, QueueDeadlineShedsStaleWork) {
   // Freshly-enqueued work is unaffected.
   EXPECT_TRUE(gate.Admit(ClientOp::kNext, "c", Now()).admitted());
   EXPECT_EQ(gate.stats().deadline_shed, 1);
-}
-
-// --- Brownout ladder --------------------------------------------------------
-
-TEST_F(AdmissionTest, BrownoutLadderRefusesThenRecovers) {
-  MemoryBudget budget(/*soft_limit_bytes=*/1000, /*hard_limit_bytes=*/2000);
-  AdmissionOptions options;  // hard_fraction 0.9375 -> shedding above 1875.
-  AdmissionController gate(options, &budget);
-
-  EXPECT_EQ(gate.brownout(), BrownoutLevel::kNormal);
-  EXPECT_TRUE(gate.Admit(ClientOp::kOpen, "c", Now()).admitted());
-
-  // Over the soft limit: new opens are refused, existing sessions step.
-  budget.ForceCharge(1500);
-  EXPECT_EQ(gate.brownout(), BrownoutLevel::kBrownout);
-  AdmissionVerdict open = gate.Admit(ClientOp::kOpen, "c", Now());
-  ASSERT_FALSE(open.admitted());
-  EXPECT_EQ(open.status.code(), StatusCode::kResourceExhausted);
-  EXPECT_EQ(open.code, error_code::kOverloaded);
-  EXPECT_GE(open.retry_after_ms, 0);
-  EXPECT_TRUE(gate.Admit(ClientOp::kNext, "c", Now()).admitted());
-
-  // Near the hard limit: non-answer ops shed too; answer still lands
-  // (the expert's work is the scarce resource) and close still lands
-  // (it releases memory).
-  budget.ForceCharge(500);
-  EXPECT_EQ(gate.brownout(), BrownoutLevel::kShedding);
-  AdmissionVerdict next = gate.Admit(ClientOp::kNext, "c", Now());
-  ASSERT_FALSE(next.admitted());
-  EXPECT_EQ(next.code, error_code::kOverloaded);
-  EXPECT_TRUE(gate.Admit(ClientOp::kAnswer, "c", Now()).admitted());
-  EXPECT_TRUE(gate.Admit(ClientOp::kClose, "c", Now()).admitted());
-
-  // Pressure released: the ladder steps back down and opens land again.
-  budget.Release(2000);
-  EXPECT_EQ(gate.brownout(), BrownoutLevel::kNormal);
-  EXPECT_TRUE(gate.Admit(ClientOp::kOpen, "c", Now()).admitted());
-
-  const AdmissionStats stats = gate.stats();
-  EXPECT_EQ(stats.brownout_refused, 1);
-  EXPECT_EQ(stats.brownout_shed, 1);
 }
 
 // --- Through the SessionManager --------------------------------------------
@@ -207,7 +164,6 @@ TEST_F(AdmissionManagerTest, RefusalFramesCarryCodeAndRetryHint) {
             ServerFrameType::kPong);
   ServerFrame health = One(manager.HandleLine("{\"op\":\"health\"}"));
   ASSERT_EQ(health.type, ServerFrameType::kHealth);
-  EXPECT_EQ(health.health.brownout, 0);
   EXPECT_EQ(health.health.active_sessions, 1);
   EXPECT_EQ(health.health.rate_limited, 1);
   EXPECT_EQ(health.health.opened, 1);
@@ -233,35 +189,6 @@ TEST_F(AdmissionManagerTest, StaleEnqueueTimestampIsShedBeforeExecution) {
   ServerFrame fresh = One(manager.HandleLine(NextLine("qd1"), Now()));
   ASSERT_EQ(fresh.type, ServerFrameType::kError);
   EXPECT_EQ(fresh.error_code, "not_found");
-}
-
-TEST_F(AdmissionManagerTest, ManagerBrownoutRefusesOpensAndTightensEviction) {
-  MemoryBudget budget(/*soft_limit_bytes=*/1 << 20,
-                      /*hard_limit_bytes=*/4 << 20);
-  SessionManagerOptions options;
-  options.memory_budget = &budget;
-  SessionManager manager(session_, options);
-
-  ServerFrame q = One(manager.HandleLine(OpenLine("bo1")));
-  ASSERT_EQ(q.type, ServerFrameType::kQuestion);
-
-  budget.ForceCharge(2 << 20);  // over soft: brownout level 1
-  EXPECT_EQ(manager.brownout(), BrownoutLevel::kBrownout);
-  ServerFrame refused = One(manager.HandleLine(OpenLine("bo2")));
-  ASSERT_EQ(refused.type, ServerFrameType::kError);
-  EXPECT_EQ(refused.error_code, error_code::kOverloaded);
-  EXPECT_GE(refused.retry_after_ms, 0);
-
-  ServerFrame health = One(manager.HandleLine("{\"op\":\"health\"}"));
-  ASSERT_EQ(health.type, ServerFrameType::kHealth);
-  EXPECT_EQ(health.health.brownout, 1);
-  EXPECT_EQ(health.health.brownout_refused, 1);
-
-  // Recovery: release the pressure and the same open lands.
-  budget.Release(2 << 20);
-  EXPECT_EQ(manager.brownout(), BrownoutLevel::kNormal);
-  EXPECT_EQ(One(manager.HandleLine(OpenLine("bo2"))).type,
-            ServerFrameType::kQuestion);
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include "discovery/partition.h"
 #include "discovery/tane.h"
 #include "fd/closure.h"
+#include "reference/relaxation.h"
 
 namespace uguide {
 namespace {
@@ -37,9 +38,9 @@ TEST(CandidateGenTest, CandidatesRespectThreshold) {
   opts.max_lhs_size = 2;
   opts.relax_threshold = 0.15;
   CandidateSet result = GenerateCandidates(dirty, opts).ValueOrDie();
-  PartitionCache cache(&dirty);
+  PartitionStore store(&dirty);
   for (const Fd& fd : result.candidates) {
-    EXPECT_LE(cache.FdError(fd), 0.15) << fd.ToString();
+    EXPECT_LE(G3Error(store, fd), 0.15) << fd.ToString();
     EXPECT_LE(fd.lhs.Size(), 2);
   }
 }
@@ -83,7 +84,7 @@ TEST(CandidateGenTest, ThresholdZeroEqualsExactDiscovery) {
 TEST(CandidateGenTest, OneWalkEqualsTwoSoloPasses) {
   // The exact and candidate frontiers come from one shared lattice walk;
   // each must equal its own solo discovery pass, FD for FD in order, at
-  // every thread count and under soft-limit spill.
+  // every thread count and under a cap at the walk's own peak.
   DataGenOptions data;
   data.rows = 2000;
   const Relation dirty = GenerateTax(data);
@@ -107,18 +108,13 @@ TEST(CandidateGenTest, OneWalkEqualsTwoSoloPasses) {
     opts.num_threads = threads;
     check("threads=" + std::to_string(threads));
   }
-  // Spill: a soft limit at a quarter of the walk's natural peak.
-  MemoryBudget probe;
+  // A cap at the walk's peak binds nothing.
   opts.num_threads = 1;
-  opts.memory_budget = &probe;
-  const size_t peak = check("probe").peak_memory_bytes;
-  EXPECT_EQ(peak, probe.high_water());
-  MemoryBudget budget(/*soft_limit_bytes=*/probe.high_water() / 4,
-                      /*hard_limit_bytes=*/0);
+  const size_t peak = check("threads=1").peak_memory_bytes;
+  EXPECT_GT(peak, 0u);
   opts.num_threads = 4;
-  opts.memory_budget = &budget;
-  check("threads=4, spilled");
-  EXPECT_EQ(budget.charged(), 0u);
+  opts.memory_limit_bytes = peak;
+  EXPECT_EQ(check("threads=4, capped at the peak").peak_memory_bytes, peak);
 }
 
 }  // namespace

@@ -25,10 +25,7 @@ file(REMOVE_RECURSE "${WORK_DIR}")
 file(MAKE_DIRECTORY "${WORK_DIR}")
 file(MAKE_DIRECTORY "${WORK_DIR}/journals")
 
-# $1 = uguided, $2 = uguide_loadgen. No --memory-budget-mb here: the shared
-# artifacts would pin the budget over its soft limit and brownout would
-# (correctly) refuse every open forever — the brownout path has its own
-# unit tests against an explicit MemoryBudget.
+# $1 = uguided, $2 = uguide_loadgen.
 file(WRITE "${WORK_DIR}/chaos.sh" [=[
 uguided="$1"
 loadgen="$2"

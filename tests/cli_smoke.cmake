@@ -110,6 +110,9 @@ run(uguided_nan_tick 2 "invalid value 'nan' for --tick-ms" ERR
     --port=0 --tick-ms=nan)
 run(uguided_negative_seed 2 "invalid value '-1' for --seed" ERR
     --port=0 --seed=-1)
+# Removed surface: the daemon has no memory budget flag.
+run(uguided_removed_memory_budget 2 "unknown flag" ERR
+    --port=0 --memory-budget-mb=64)
 
 set(tool "${LOADGEN}")
 run(loadgen_nan_error_rate 2 "invalid value 'nan' for --error-rate" ERR

@@ -13,8 +13,6 @@
 #include <vector>
 
 #include "common/fault_injection.h"
-#include "common/memory_budget.h"
-#include "common/thread_pool.h"
 #include "oracle/simulated_expert.h"
 #include "server/dataset.h"
 #include "server/dataset_registry.h"
@@ -163,25 +161,6 @@ TEST(DatasetRegistryTest, SeparateBuildsServeIdenticalReports) {
   ASSERT_NE(a, b);
   EXPECT_EQ(a->key.content_hash, b->key.content_hash);
   EXPECT_EQ(ServeReport(*a, /*budget=*/16.0), ServeReport(*b, /*budget=*/16.0));
-}
-
-TEST(DatasetRegistryTest, LastReferenceReturnsTheCharge) {
-  MemoryBudget budget;
-  ThreadPool pool(2);
-  const size_t before = budget.charged();
-  {
-    DatasetRegistryOptions options;
-    options.pool = &pool;
-    options.memory_budget = &budget;
-    DatasetRegistry registry(options);
-    auto artifacts = registry.Open(SmallDataset()).ValueOrDie();
-    EXPECT_GT(artifacts->charged_bytes, 0u);
-    EXPECT_GE(budget.charged(), before + artifacts->charged_bytes);
-    ServeReport(*artifacts, /*budget=*/16.0);
-  }
-  // The registry and the caller held the only references; with them goes
-  // the bundle's charge and its engine's partition charges.
-  EXPECT_EQ(budget.charged(), before);
 }
 
 }  // namespace

@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <memory>
 #include <set>
 #include <string>
+#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -151,25 +153,25 @@ TEST(PartitionTest, FdErrorMatchesNaiveG3) {
                 std::to_string(rng.NextBounded(3)),
                 std::to_string(rng.NextBounded(4))});
   }
-  PartitionCache cache(&rel);
+  PartitionStore store(&rel);
   for (int lhs = 0; lhs < 3; ++lhs) {
     for (int rhs = 0; rhs < 3; ++rhs) {
       if (lhs == rhs) continue;
       Fd fd(AttributeSet::Single(lhs), rhs);
-      EXPECT_NEAR(cache.FdError(fd), NaiveG3(rel, fd), 1e-12)
+      EXPECT_NEAR(G3Error(store, fd), NaiveG3(rel, fd), 1e-12)
           << fd.ToString();
     }
   }
   Fd two(AttributeSet({0, 1}), 2);
-  EXPECT_NEAR(cache.FdError(two), NaiveG3(rel, two), 1e-12);
+  EXPECT_NEAR(G3Error(store, two), NaiveG3(rel, two), 1e-12);
 }
 
 TEST(PartitionTest, FdErrorZeroForHoldingFd) {
   Relation rel = MakeRelation(
       {"zip", "city"},
       {{"1", "ny"}, {"1", "ny"}, {"2", "la"}, {"2", "la"}});
-  PartitionCache cache(&rel);
-  EXPECT_EQ(cache.FdError(Fd({0}, 1)), 0.0);
+  PartitionStore store(&rel);
+  EXPECT_EQ(G3Error(store, Fd({0}, 1)), 0.0);
 }
 
 // TANE's lemma on seeded random relations, for every X with |X| <= 2 and
@@ -235,14 +237,104 @@ TEST_P(ExcessBoundsTest, BoundRemovalsAndMatchG3) {
 INSTANTIATE_TEST_SUITE_P(Seeds, ExcessBoundsTest,
                          ::testing::Range<uint64_t>(1, 21));
 
-TEST(PartitionTest, CacheMemoizes) {
-  Relation rel = MakeRelation({"a", "b", "c"},
-                              {{"1", "x", "p"}, {"1", "x", "q"}});
-  PartitionCache cache(&rel);
-  cache.Get(AttributeSet({0, 1}));
-  size_t size_after_first = cache.CacheSize();
-  cache.Get(AttributeSet({0, 1}));
-  EXPECT_EQ(cache.CacheSize(), size_after_first);
+// --- PartitionStore ---------------------------------------------------------
+
+void ExpectSamePartition(const Partition& got, const Partition& want,
+                         const std::string& what) {
+  EXPECT_EQ(got.elements(), want.elements()) << what;
+  EXPECT_EQ(got.offsets(), want.offsets()) << what;
+}
+
+Relation TinyRelation() {
+  return MakeRelation({"a", "b", "c"}, {{"1", "x", "p"},
+                                        {"1", "x", "q"},
+                                        {"2", "y", "p"},
+                                        {"2", "z", "q"},
+                                        {"3", "z", "p"}});
+}
+
+TEST(PartitionStoreTest, PutGetRoundTrip) {
+  const Relation rel = TinyRelation();
+  PartitionStore store(&rel);
+  const AttributeSet a({0});
+  const Partition column = Partition::ForColumn(rel, 0);
+  store.Put(a, Partition::ForColumn(rel, 0));
+  std::shared_ptr<const Partition> p = store.Get(a);
+  ASSERT_NE(p, nullptr);
+  ExpectSamePartition(*p, column, "put");
+  EXPECT_EQ(store.misses(), 0u);
+  // Erase reports the entry's bytes once; a held handle stays valid.
+  EXPECT_EQ(store.Erase(a), column.ApproxBytes());
+  EXPECT_EQ(store.Erase(a), 0u);
+  EXPECT_EQ(store.Size(), 0u);
+  ExpectSamePartition(*p, column, "erased");
+}
+
+TEST(PartitionStoreTest, BuildsOnMissThroughTheBuilder) {
+  const Relation rel = TinyRelation();
+  PartitionStore store(&rel);
+  const AttributeSet ab({0, 1});
+  int builds = 0;
+  const auto build = [&] {
+    ++builds;
+    return Partition::ForAttributes(rel, ab);
+  };
+  std::shared_ptr<const Partition> first = store.Get(ab, build);
+  EXPECT_EQ(store.Get(ab, build), first);
+  EXPECT_EQ(builds, 1);
+  EXPECT_EQ(store.misses(), 1u);
+  ExpectSamePartition(*first, Partition::ForAttributes(rel, ab), "built");
+  // An erased set is built again on the next Get.
+  store.Erase(ab);
+  ExpectSamePartition(*store.Get(ab, build), *first, "rebuilt");
+  EXPECT_EQ(builds, 2);
+  EXPECT_EQ(store.misses(), 2u);
+}
+
+TEST(PartitionStoreTest, ConcurrentGetsShareOneEntryPerSet) {
+  Rng rng(3);
+  Relation rel(Schema::Make({"a", "b", "c", "d", "e"}).ValueOrDie());
+  for (int i = 0; i < 300; ++i) {
+    std::vector<std::string> row;
+    for (int c = 0; c < 5; ++c) {
+      row.push_back(std::to_string(rng.NextBounded(3 + c)));
+    }
+    rel.AddRow(row);
+  }
+  // Every LHS of up to three attributes; each thread walks the list from
+  // its own offset, so all four overlap on every set.
+  std::vector<AttributeSet> sets;
+  for (uint64_t mask = 0; mask < 32; ++mask) {
+    if (AttributeSet(mask).Size() <= 3) sets.push_back(AttributeSet(mask));
+  }
+  PartitionStore store(&rel);
+  constexpr int kThreads = 4;
+  std::vector<std::vector<std::shared_ptr<const Partition>>> got(
+      kThreads, std::vector<std::shared_ptr<const Partition>>(sets.size()));
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (size_t k = 0; k < sets.size(); ++k) {
+        const size_t i = (k + static_cast<size_t>(t) * 7) % sets.size();
+        got[static_cast<size_t>(t)][i] = store.Get(sets[i]);
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (size_t i = 0; i < sets.size(); ++i) {
+    const Partition want = Partition::ForAttributes(rel, sets[i]);
+    for (int t = 0; t < kThreads; ++t) {
+      const std::shared_ptr<const Partition>& handle =
+          got[static_cast<size_t>(t)][i];
+      const std::string what =
+          sets[i].ToString() + " on thread " + std::to_string(t);
+      ASSERT_NE(handle, nullptr) << what;
+      ExpectSamePartition(*handle, want, what);
+      // A build that lost a race hands out the winner's entry.
+      EXPECT_EQ(handle, got[0][i]) << what;
+    }
+  }
+  EXPECT_EQ(store.Size(), sets.size());
 }
 
 // --- TANE -------------------------------------------------------------------
@@ -250,14 +342,14 @@ TEST(PartitionTest, CacheMemoizes) {
 // Brute-force minimal FD discovery for cross-checking.
 FdSet BruteForceFds(const Relation& rel, double max_error) {
   const int m = rel.NumAttributes();
-  PartitionCache cache(&rel);
+  PartitionStore store(&rel);
   std::vector<Fd> valid;
   for (uint64_t mask = 0; mask < (uint64_t{1} << m); ++mask) {
     AttributeSet lhs(mask);
     for (int a = 0; a < m; ++a) {
       if (lhs.Contains(a)) continue;
       Fd fd(lhs, a);
-      if (cache.FdError(fd) <= max_error) valid.push_back(fd);
+      if (G3Error(store, fd) <= max_error) valid.push_back(fd);
     }
   }
   FdSet minimal;
@@ -575,9 +667,9 @@ TEST(RelaxationTest, CandidatesRespectThreshold) {
   RelaxationOptions opts;
   opts.max_error = 0.2;
   FdSet candidates = RelaxFds(rel, exact, opts).ValueOrDie();
-  PartitionCache cache(&rel);
+  PartitionStore store(&rel);
   for (const Fd& fd : candidates) {
-    EXPECT_LE(cache.FdError(fd), 0.2) << fd.ToString();
+    EXPECT_LE(G3Error(store, fd), 0.2) << fd.ToString();
   }
 }
 
@@ -712,7 +804,7 @@ TEST(RelaxationTest, TrueFdCoverageProperty) {
   }
 }
 
-// --- Memory-governed discovery (DESIGN.md §8) -------------------------------
+// --- Memory-capped discovery (DESIGN.md §8) ---------------------------------
 
 Relation BudgetRelation() {
   // Wide enough that the lattice materializes many partition products.
@@ -729,48 +821,33 @@ Relation BudgetRelation() {
   return rel;
 }
 
-TEST(TaneBudgetTest, UnlimitedBudgetMatchesUngovernedExactly) {
-  const Relation rel = BudgetRelation();
-  TaneOptions plain;
-  plain.max_lhs_size = 4;
-  DiscoveryOutcome ungoverned = DiscoverFdsDetailed(rel, plain).ValueOrDie();
-
-  MemoryBudget budget;  // unlimited: tracks, never refuses
-  TaneOptions governed = plain;
-  governed.memory_budget = &budget;
-  DiscoveryOutcome outcome = DiscoverFdsDetailed(rel, governed).ValueOrDie();
-
-  EXPECT_EQ(outcome.fds.fds(), ungoverned.fds.fds());
-  EXPECT_FALSE(outcome.memory_truncated);
-  EXPECT_EQ(outcome.partitions_recomputed, 0u);
-  EXPECT_GT(outcome.peak_memory_bytes, 0u);
-  EXPECT_EQ(budget.charged(), 0u);  // everything released on return
+// The bytes of the partitions every walk keeps: the empty set's and the
+// columns'.
+size_t BaseBytes(const Relation& rel) {
+  size_t bytes = Partition::ForEmptySet(rel.NumRows()).ApproxBytes();
+  for (int c = 0; c < rel.NumAttributes(); ++c) {
+    bytes += Partition::ForColumn(rel, c).ApproxBytes();
+  }
+  return bytes;
 }
 
-TEST(TaneBudgetTest, SoftLimitEvictsButStaysExact) {
+TEST(TaneBudgetTest, CapAtThePeakMatchesUncappedExactly) {
   const Relation rel = BudgetRelation();
   TaneOptions plain;
   plain.max_lhs_size = 4;
-  DiscoveryOutcome ungoverned = DiscoverFdsDetailed(rel, plain).ValueOrDie();
+  DiscoveryOutcome uncapped = DiscoverFdsDetailed(rel, plain).ValueOrDie();
+  EXPECT_GT(uncapped.peak_memory_bytes, BaseBytes(rel));
 
-  // Measure the natural high-water with an unlimited budget, then rerun
-  // with a soft limit far below it (no hard limit): the store spills and
-  // recomputes, but the result is exact.
-  MemoryBudget probe;
-  TaneOptions governed = plain;
-  governed.memory_budget = &probe;
-  DiscoverFdsDetailed(rel, governed).ValueOrDie();
-  ASSERT_GT(probe.high_water(), 0u);
-
-  MemoryBudget budget(/*soft_limit_bytes=*/probe.high_water() / 4,
-                      /*hard_limit_bytes=*/0);
-  governed.memory_budget = &budget;
-  DiscoveryOutcome outcome = DiscoverFdsDetailed(rel, governed).ValueOrDie();
-
-  EXPECT_EQ(outcome.fds.fds(), ungoverned.fds.fds());
+  TaneOptions capped = plain;
+  capped.memory_limit_bytes = uncapped.peak_memory_bytes;
+  DiscoveryOutcome outcome = DiscoverFdsDetailed(rel, capped).ValueOrDie();
+  EXPECT_EQ(outcome.fds.fds(), uncapped.fds.fds());
   EXPECT_FALSE(outcome.memory_truncated);
-  EXPECT_GT(outcome.partitions_evicted, 0u);
-  EXPECT_EQ(budget.charged(), 0u);
+  EXPECT_EQ(outcome.peak_memory_bytes, uncapped.peak_memory_bytes);
+
+  // One byte less binds.
+  capped.memory_limit_bytes = uncapped.peak_memory_bytes - 1;
+  EXPECT_TRUE(DiscoverFdsDetailed(rel, capped).ValueOrDie().memory_truncated);
 }
 
 TEST(TaneBudgetTest, HardLimitTruncatesGracefully) {
@@ -779,48 +856,34 @@ TEST(TaneBudgetTest, HardLimitTruncatesGracefully) {
   plain.max_lhs_size = 4;
   DiscoveryOutcome full = DiscoverFdsDetailed(rel, plain).ValueOrDie();
 
-  // Hard limit sized to admit exactly the pinned recompute base (empty-set
-  // partition plus singletons) with a slack smaller than any level-2
-  // product: the product phase cannot evict its way to a fit (the base is
-  // pinned), so discovery must stop at the level boundary, not crash.
-  size_t base_bytes = Partition::ForEmptySet(rel.NumRows()).ApproxBytes();
-  for (int c = 0; c < rel.NumAttributes(); ++c) {
-    base_bytes += Partition::ForColumn(rel, c).ApproxBytes();
-  }
-  MemoryBudget budget(/*soft_limit_bytes=*/0,
-                      /*hard_limit_bytes=*/base_bytes + 256);
-  TaneOptions governed = plain;
-  governed.memory_budget = &budget;
-  DiscoveryOutcome outcome = DiscoverFdsDetailed(rel, governed).ValueOrDie();
+  // A cap that admits the empty-set and column partitions with a slack
+  // smaller than any level-2 product: discovery must stop at the level
+  // boundary, not crash.
+  TaneOptions capped = plain;
+  capped.memory_limit_bytes = BaseBytes(rel) + 256;
+  DiscoveryOutcome outcome = DiscoverFdsDetailed(rel, capped).ValueOrDie();
 
   EXPECT_TRUE(outcome.memory_truncated);
   EXPECT_TRUE(outcome.Truncated());
   EXPECT_LT(outcome.levels_completed, 4);
+  EXPECT_LE(outcome.peak_memory_bytes, capped.memory_limit_bytes);
   // Sound: every reported FD is one the full run found.
   for (const Fd& fd : outcome.fds) {
     EXPECT_TRUE(full.fds.Contains(fd)) << fd.ToString();
   }
   EXPECT_LE(outcome.fds.Size(), full.fds.Size());
-  EXPECT_EQ(budget.charged(), 0u);
 }
 
 TEST(TaneBudgetTest, TruncationIsDeterministicAcrossThreadCounts) {
   const Relation rel = BudgetRelation();
-  // A binding hard limit (pinned base + part of one level); charging runs
-  // in the serial admission loop, so where discovery stops must not depend
-  // on the worker count.
-  size_t base_bytes = Partition::ForEmptySet(rel.NumRows()).ApproxBytes();
-  for (int c = 0; c < rel.NumAttributes(); ++c) {
-    base_bytes += Partition::ForColumn(rel, c).ApproxBytes();
-  }
-  auto run = [&rel, base_bytes](int threads) {
-    // Fresh budget per run: truncation depends on the charge sequence.
-    MemoryBudget budget(/*soft_limit_bytes=*/0,
-                        /*hard_limit_bytes=*/base_bytes + 256);
+  // A binding cap (the base + part of one level); products are admitted
+  // in the serial admission loop, so where discovery stops must not
+  // depend on the worker count.
+  auto run = [&rel](int threads) {
     TaneOptions options;
     options.max_lhs_size = 4;
     options.num_threads = threads;
-    options.memory_budget = &budget;
+    options.memory_limit_bytes = BaseBytes(rel) + 256;
     return DiscoverFdsDetailed(rel, options).ValueOrDie();
   };
   const DiscoveryOutcome serial = run(1);
@@ -829,49 +892,41 @@ TEST(TaneBudgetTest, TruncationIsDeterministicAcrossThreadCounts) {
   EXPECT_EQ(serial.memory_truncated, parallel.memory_truncated);
   EXPECT_EQ(serial.levels_completed, parallel.levels_completed);
   EXPECT_EQ(serial.fds.fds(), parallel.fds.fds());
+  EXPECT_EQ(serial.peak_memory_bytes, parallel.peak_memory_bytes);
 }
 
 TEST(TaneBudgetTest, TinyHardLimitStillReturnsCleanly) {
-  // Even the singleton column partitions exceed this budget: the graceful
+  // Even the singleton column partitions exceed this cap: the graceful
   // floor is an empty, memory-truncated outcome — never a crash.
   const Relation rel = BudgetRelation();
-  MemoryBudget budget(/*soft_limit_bytes=*/0, /*hard_limit_bytes=*/64);
   TaneOptions options;
-  options.memory_budget = &budget;
+  options.memory_limit_bytes = 64;
   DiscoveryOutcome outcome = DiscoverFdsDetailed(rel, options).ValueOrDie();
   EXPECT_TRUE(outcome.memory_truncated);
   EXPECT_EQ(outcome.levels_completed, 0);
-  EXPECT_EQ(budget.charged(), 0u);
 }
 
 TEST(TaneBudgetTest, StreamedLastLevelMaterializesNothing) {
   // With max_lhs_size = 1 the only product level (LHS size 1, lattice
   // level 2) is the streamed last level: its checks only count each node's
-  // excess, building no partition. A hard limit of exactly the pinned base
-  // therefore neither truncates nor is ever exceeded, at every thread
-  // count.
+  // excess, building no partition. A cap of exactly the base therefore
+  // neither truncates nor is ever exceeded, at every thread count.
   const Relation rel = BudgetRelation();
-  size_t base_bytes = Partition::ForEmptySet(rel.NumRows()).ApproxBytes();
-  for (int c = 0; c < rel.NumAttributes(); ++c) {
-    base_bytes += Partition::ForColumn(rel, c).ApproxBytes();
-  }
+  const size_t base_bytes = BaseBytes(rel);
   TaneOptions plain;
   plain.max_lhs_size = 1;
-  const DiscoveryOutcome ungoverned =
+  const DiscoveryOutcome uncapped =
       DiscoverFdsDetailed(rel, plain).ValueOrDie();
   for (int threads : {1, 4}) {
-    MemoryBudget budget(/*soft_limit_bytes=*/0,
-                        /*hard_limit_bytes=*/base_bytes);
-    TaneOptions governed = plain;
-    governed.num_threads = threads;
-    governed.memory_budget = &budget;
+    TaneOptions capped = plain;
+    capped.num_threads = threads;
+    capped.memory_limit_bytes = base_bytes;
     const DiscoveryOutcome outcome =
-        DiscoverFdsDetailed(rel, governed).ValueOrDie();
+        DiscoverFdsDetailed(rel, capped).ValueOrDie();
     EXPECT_FALSE(outcome.Truncated()) << threads;
     EXPECT_EQ(outcome.levels_completed, 2) << threads;
-    EXPECT_EQ(outcome.fds.fds(), ungoverned.fds.fds()) << threads;
-    EXPECT_EQ(budget.high_water(), base_bytes) << threads;
-    EXPECT_EQ(budget.charged(), 0u) << threads;
+    EXPECT_EQ(outcome.fds.fds(), uncapped.fds.fds()) << threads;
+    EXPECT_EQ(outcome.peak_memory_bytes, base_bytes) << threads;
   }
 }
 
@@ -970,9 +1025,9 @@ void ExpectSameOutcome(const DiscoveryOutcome& got,
 }
 
 // Runs every threshold list at 1, 2, 4 and 8 threads, and at 4 threads
-// under soft-limit spill, against ungoverned serial solo walks. Returns the
-// number of FDs the solo walks found, so callers can check the comparison
-// was not vacuous.
+// under a cap at the walk's own peak, against uncapped serial solo walks.
+// Returns the number of FDs the solo walks found, so callers can check the
+// comparison was not vacuous.
 size_t ExpectFrontiersMatchSolo(const Relation& rel,
                                 const TaneOptions& options,
                                 const std::string& name) {
@@ -993,29 +1048,30 @@ size_t ExpectFrontiersMatchSolo(const Relation& rel,
                                std::to_string(thresholds[i]) + " of " +
                                std::to_string(thresholds.size()) + ", " + how;
       ExpectSameOutcome(got[i], solo[thresholds[i]], what);
-      if (shared.memory_budget != nullptr) {
-        EXPECT_GT(got[i].partitions_evicted, 0u) << what;
-      }
+      EXPECT_EQ(got[i].peak_memory_bytes, got.front().peak_memory_bytes)
+          << what;
     }
+    return got.empty() ? size_t{0} : got.front().peak_memory_bytes;
   };
   for (const std::vector<double>& thresholds :
        std::vector<std::vector<double>>{{0.0, 0.1}, {0.1}, {0.0, 0.0}}) {
     TaneOptions shared = options;
+    size_t peak = 0;
     for (int threads : {1, 2, 4, 8}) {
       shared.num_threads = threads;
-      check(thresholds, shared, "threads=" + std::to_string(threads));
+      const size_t got = check(thresholds, shared,
+                               "threads=" + std::to_string(threads));
+      if (threads > 1) {
+        EXPECT_EQ(got, peak) << name << " threads=" << threads;
+      }
+      peak = got;
     }
-    // Spill: a soft limit at a quarter of this walk's natural peak.
-    MemoryBudget probe;
-    shared.num_threads = 1;
-    shared.memory_budget = &probe;
-    DiscoverFdFrontiers(rel, shared, thresholds).ValueOrDie();
-    MemoryBudget budget(/*soft_limit_bytes=*/probe.high_water() / 4,
-                        /*hard_limit_bytes=*/0);
+    // A cap at the shared walk's own peak binds nothing.
     shared.num_threads = 4;
-    shared.memory_budget = &budget;
-    check(thresholds, shared, "threads=4, spilled");
-    EXPECT_EQ(budget.charged(), 0u) << name;
+    shared.memory_limit_bytes = peak;
+    EXPECT_EQ(check(thresholds, shared, "threads=4, capped at the peak"),
+              peak)
+        << name;
   }
   return solo[0.0].fds.Size() + solo[0.1].fds.Size();
 }
@@ -1090,20 +1146,12 @@ TEST(TaneFrontiersTest, MatchSoloWalksWithoutApproximatePruning) {
 
 TEST(TaneFrontiersTest, HardLimitTruncationIsDeterministicAcrossThreadCounts) {
   const Relation rel = BudgetRelation();
-  size_t base_bytes = Partition::ForEmptySet(rel.NumRows()).ApproxBytes();
-  for (int c = 0; c < rel.NumAttributes(); ++c) {
-    base_bytes += Partition::ForColumn(rel, c).ApproxBytes();
-  }
-  auto run = [&rel, base_bytes](int threads) {
-    MemoryBudget budget(/*soft_limit_bytes=*/0,
-                        /*hard_limit_bytes=*/base_bytes + 256);
+  auto run = [&rel](int threads) {
     TaneOptions options;
     options.max_lhs_size = 4;
     options.num_threads = threads;
-    options.memory_budget = &budget;
-    auto outcomes = DiscoverFdFrontiers(rel, options, {0.0, 0.1}).ValueOrDie();
-    EXPECT_EQ(budget.charged(), 0u);
-    return outcomes;
+    options.memory_limit_bytes = BaseBytes(rel) + 256;
+    return DiscoverFdFrontiers(rel, options, {0.0, 0.1}).ValueOrDie();
   };
   const std::vector<DiscoveryOutcome> serial = run(1);
   const std::vector<DiscoveryOutcome> parallel = run(4);
@@ -1112,6 +1160,7 @@ TEST(TaneFrontiersTest, HardLimitTruncationIsDeterministicAcrossThreadCounts) {
   for (size_t i = 0; i < serial.size(); ++i) {
     ExpectSameOutcome(parallel[i], serial[i],
                       "threshold " + std::to_string(i));
+    EXPECT_EQ(parallel[i].peak_memory_bytes, serial[i].peak_memory_bytes);
   }
 }
 

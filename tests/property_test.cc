@@ -126,19 +126,19 @@ TEST_P(SeededPropertyTest, PartitionProductLaws) {
 TEST_P(SeededPropertyTest, FdErrorBoundsAndMonotonicity) {
   Rng rng(GetParam());
   Relation rel = RandomRelation(rng, 4, 100, 5);
-  PartitionCache cache(&rel);
+  PartitionStore store(&rel);
   for (int a = 0; a < 4; ++a) {
     for (int b = 0; b < 4; ++b) {
       if (a == b) continue;
       Fd single(AttributeSet::Single(a), b);
-      const double e1 = cache.FdError(single);
+      const double e1 = G3Error(store, single);
       EXPECT_GE(e1, 0.0);
       EXPECT_LT(e1, 1.0);
       // Adding LHS attributes never increases the g3 error.
       for (int c = 0; c < 4; ++c) {
         if (c == a || c == b) continue;
         Fd wider(AttributeSet({a, c}), b);
-        EXPECT_LE(cache.FdError(wider), e1 + 1e-12)
+        EXPECT_LE(G3Error(store, wider), e1 + 1e-12)
             << wider.ToString() << " vs " << single.ToString();
       }
     }
@@ -148,14 +148,14 @@ TEST_P(SeededPropertyTest, FdErrorBoundsAndMonotonicity) {
 TEST_P(SeededPropertyTest, G3RemovalMatchesPartitionError) {
   Rng rng(GetParam());
   Relation rel = RandomRelation(rng, 4, 80, 4);
-  PartitionCache cache(&rel);
+  PartitionStore store(&rel);
   for (int a = 0; a < 4; ++a) {
     for (int b = 0; b < 4; ++b) {
       if (a == b) continue;
       Fd fd(AttributeSet::Single(a), b);
       EXPECT_NEAR(static_cast<double>(G3RemovalTuples(rel, fd).size()) /
                       rel.NumRows(),
-                  cache.FdError(fd), 1e-12);
+                  G3Error(store, fd), 1e-12);
     }
   }
 }

@@ -11,7 +11,7 @@ Result<FdSet> RelaxFds(const Relation& relation, const FdSet& exact_fds,
   if (options.max_error < 0.0 || options.max_error >= 1.0) {
     return Status::InvalidArgument("max_error must be in [0, 1)");
   }
-  PartitionCache cache(&relation);
+  PartitionStore store(&relation);
 
   // Memoized threshold test; shared across all exact FDs so overlapping
   // subset walks are paid for once.
@@ -19,7 +19,7 @@ Result<FdSet> RelaxFds(const Relation& relation, const FdSet& exact_fds,
   auto passes = [&](const Fd& fd) {
     auto it = verdict.find(fd);
     if (it != verdict.end()) return it->second;
-    bool ok = cache.FdError(fd) <= options.max_error;
+    bool ok = G3Error(store, fd) <= options.max_error;
     verdict.emplace(fd, ok);
     return ok;
   };
@@ -78,6 +78,11 @@ Result<FdSet> RelaxFds(const Relation& relation, const FdSet& exact_fds,
     if (minimal) out.Add(fd);
   }
   return out;
+}
+
+double G3Error(PartitionStore& store, const Fd& fd) {
+  UGUIDE_CHECK(fd.IsValidShape());
+  return store.Get(fd.lhs)->FdError(*store.Get(fd.lhs.With(fd.rhs)));
 }
 
 }  // namespace uguide

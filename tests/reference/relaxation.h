@@ -43,6 +43,10 @@ struct RelaxationOptions {
 Result<FdSet> RelaxFds(const Relation& relation, const FdSet& exact_fds,
                        const RelaxationOptions& options = {});
 
+/// The g3 error of `fd` (Partition::FdError) from the partitions of its LHS
+/// and of LHS + RHS, memoized in `store`.
+double G3Error(PartitionStore& store, const Fd& fd);
+
 }  // namespace uguide
 
 #endif  // UGUIDE_TESTS_REFERENCE_RELAXATION_H_

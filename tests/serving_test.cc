@@ -573,7 +573,6 @@ TEST_F(ServingTest, HealthOpReportsDaemonPosture) {
   ASSERT_TRUE(client.WriteLine("{\"op\":\"health\"}"));
   ServerFrame health = ParseServerFrame(*client.ReadLine()).ValueOrDie();
   ASSERT_EQ(health.type, ServerFrameType::kHealth);
-  EXPECT_EQ(health.health.brownout, 0);
   EXPECT_EQ(health.health.active_sessions, 1);
   // The daemon's augmenter fills the reactor-side fields.
   EXPECT_EQ(health.health.active_connections, 1);

@@ -205,7 +205,7 @@ TEST(SessionTest, NoisyExpertDegradesDetection) {
 }
 
 TEST(SessionTest, CompletesOnMemoryTruncatedCandidates) {
-  // A hard memory limit cuts candidate generation short; the session must
+  // A memory cap cuts candidate generation short; the session must
   // consume the partial lattice exactly as it does a deadline-truncated
   // one: run to completion, produce a coherent report, flag the truncation.
   DataGenOptions data;
@@ -219,10 +219,9 @@ TEST(SessionTest, CompletesOnMemoryTruncatedCandidates) {
   errors.seed = 6;
   DirtyDataset dirty = InjectErrors(clean, true_fds, errors).ValueOrDie();
 
-  MemoryBudget budget(/*soft_limit_bytes=*/0, /*hard_limit_bytes=*/48 * 1024);
   SessionConfig config;
   config.candidate_options.max_lhs_size = 3;
-  config.candidate_options.memory_budget = &budget;
+  config.candidate_options.memory_limit_bytes = 48 * 1024;
   Session session =
       Session::Create(clean, std::move(dirty), config).ValueOrDie();
   ASSERT_TRUE(session.discovery_memory_truncated());

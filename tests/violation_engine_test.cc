@@ -14,7 +14,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/memory_budget.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "core/candidate_gen.h"
@@ -181,20 +180,6 @@ TEST(ViolationEngineTest, MatchesReferenceOnTaxCandidates) {
     ExpectEngineMatchesReference(engine, dataset.dirty, fd);
   }
   EXPECT_GT(engine.partition_hits(), 0u);
-}
-
-TEST(ViolationEngineTest, MatchesReferenceUnderTinyMemoryBudget) {
-  // A budget far below the partition working set forces LRU eviction and
-  // recompute-on-miss; results must not change.
-  Relation rel = MakeRandomRelation(11, 200);
-  MemoryBudget budget(/*soft_limit_bytes=*/4 << 10, /*hard_limit_bytes=*/0);
-  ViolationEngine engine(&rel, &budget);
-  for (int pass = 0; pass < 2; ++pass) {
-    for (const Fd& fd : EnumerateFds(rel.NumAttributes())) {
-      ExpectEngineMatchesReference(engine, rel, fd);
-    }
-  }
-  EXPECT_GT(budget.high_water(), 0u);
 }
 
 TEST(ViolationEngineTest, TrueViolationSetBitmapMatchesCellProbe) {

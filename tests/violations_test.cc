@@ -4,6 +4,7 @@
 #include "discovery/partition.h"
 #include "violations/bipartite_graph.h"
 #include "reference/hash_detector.h"
+#include "reference/relaxation.h"
 
 namespace uguide {
 namespace {
@@ -70,12 +71,12 @@ TEST(ViolationDetectorTest, ViolationCountMatchesG3) {
                 std::to_string(rng.NextBounded(5)),
                 std::to_string(rng.NextBounded(2))});
   }
-  PartitionCache cache(&rel);
+  PartitionStore store(&rel);
   for (int lhs = 0; lhs < 3; ++lhs) {
     for (int rhs = 0; rhs < 3; ++rhs) {
       if (lhs == rhs) continue;
       Fd fd(AttributeSet::Single(lhs), rhs);
-      const double g3 = cache.FdError(fd);
+      const double g3 = G3Error(store, fd);
       const double ratio =
           static_cast<double>(G3RemovalTuples(rel, fd).size()) /
           rel.NumRows();

@@ -26,10 +26,10 @@
 // Every subcommand prints a short human-readable summary to stdout; --out
 // writes machine-readable CSV.
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <optional>
 #include <string>
 
 #include "core/uguide.h"
@@ -48,7 +48,7 @@ struct Args {
   int max_lhs = 3;
   double max_error = 0.0;
   int threads = 1;  // 0 = all hardware threads
-  int memory_budget_mb = 0;  // 0 = ungoverned
+  int memory_limit_mb = 0;  // 0 = uncapped
   // Fault tolerance / session flags.
   std::string fault_plan;
   double discovery_deadline_ms = 0.0;
@@ -59,8 +59,6 @@ struct Args {
   bool resume = false;
   JournalFsyncMode journal_fsync = JournalFsyncMode::kEvery;
   uint64_t seed = 11;
-  // Owned by main; null when --memory-budget-mb is absent.
-  MemoryBudget* memory_budget = nullptr;
 };
 
 void Usage() {
@@ -80,10 +78,10 @@ void Usage() {
                "                graph build (default 1; 0 = all cores); "
                "results are identical\n"
                "                at any thread count\n"
-               "  --memory-budget-mb=M         cap partition memory at M MiB "
-               "(0 = unlimited);\n"
-               "                               discovery evicts, then "
-               "truncates, instead of OOMing\n"
+               "  --memory-budget-mb=M         cap discovery's partition "
+               "memory at M MiB (0 =\n"
+               "                               unlimited); discovery "
+               "truncates instead of OOMing\n"
                "  --fault-plan=PLAN            deterministic fault injection "
                "(see fault_injection.h)\n"
                "  --discovery-deadline-ms=D    bound FD discovery; results "
@@ -128,7 +126,7 @@ bool ParseArgs(int argc, char** argv, Args* args) {
       }
     } else if (arg.rfind("--memory-budget-mb=", 0) == 0) {
       if (!flags.Int("--memory-budget-mb", value_of(19), 0,
-                     &args->memory_budget_mb)) {
+                     &args->memory_limit_mb)) {
         return false;
       }
     } else if (arg.rfind("--fault-plan=", 0) == 0) {
@@ -186,6 +184,18 @@ T Unwrap(Result<T> result, const char* what) {
   return std::move(result).ValueOrDie();
 }
 
+size_t MemoryLimitBytes(const Args& args) {
+  return static_cast<size_t>(args.memory_limit_mb) << 20;
+}
+
+// Under --memory-budget-mb, reports the partition memory discovery held.
+void PrintPeakMemory(const Args& args, size_t peak_bytes) {
+  if (args.memory_limit_mb == 0) return;
+  std::printf("peak partition memory: %.1f MiB of %d MiB budget\n",
+              static_cast<double>(peak_bytes) / (1 << 20),
+              args.memory_limit_mb);
+}
+
 FdSet LoadOrDiscoverFds(const Args& args, const Relation& rel) {
   if (!args.fds_path.empty()) {
     std::FILE* f = std::fopen(args.fds_path.c_str(), "rb");
@@ -208,7 +218,7 @@ FdSet LoadOrDiscoverFds(const Args& args, const Relation& rel) {
   opts.max_lhs_size = args.max_lhs;
   opts.num_threads = args.threads;
   opts.discovery_deadline_ms = args.discovery_deadline_ms;
-  opts.memory_budget = args.memory_budget;
+  opts.memory_limit_bytes = MemoryLimitBytes(args);
   CandidateSet candidates =
       Unwrap(GenerateCandidates(rel, opts), "discovering candidates");
   if (candidates.truncated) {
@@ -219,8 +229,9 @@ FdSet LoadOrDiscoverFds(const Args& args, const Relation& rel) {
   if (candidates.memory_truncated) {
     std::printf("warning: discovery hit the %dMiB memory budget; candidate "
                 "set is truncated\n",
-                args.memory_budget_mb);
+                args.memory_limit_mb);
   }
+  PrintPeakMemory(args, candidates.peak_memory_bytes);
   return candidates.candidates;
 }
 
@@ -230,7 +241,7 @@ int RunProfile(const Args& args, const Relation& rel) {
   opts.max_error = args.max_error;
   opts.num_threads = args.threads;
   opts.deadline_ms = args.discovery_deadline_ms;
-  opts.memory_budget = args.memory_budget;
+  opts.memory_limit_bytes = MemoryLimitBytes(args);
   DiscoveryOutcome outcome =
       Unwrap(DiscoverFdsDetailed(rel, opts), "profiling");
   const FdSet& fds = outcome.fds;
@@ -242,8 +253,9 @@ int RunProfile(const Args& args, const Relation& rel) {
   if (outcome.memory_truncated) {
     std::printf("warning: discovery hit the %dMiB memory budget after %d "
                 "level(s); FD set is truncated\n",
-                args.memory_budget_mb, outcome.levels_completed);
+                args.memory_limit_mb, outcome.levels_completed);
   }
+  PrintPeakMemory(args, outcome.peak_memory_bytes);
   std::printf("# %zu minimal %sFDs (max LHS %d%s)\n", fds.Size(),
               args.max_error > 0 ? "approximate " : "", args.max_lhs,
               args.max_error > 0
@@ -329,8 +341,10 @@ int RunSession(const Args& args, const Relation& clean) {
   TaneOptions tane;
   tane.max_lhs_size = args.max_lhs;
   tane.num_threads = args.threads;
-  tane.memory_budget = args.memory_budget;
-  FdSet true_fds = Unwrap(DiscoverFds(clean, tane), "discovering true FDs");
+  tane.memory_limit_bytes = MemoryLimitBytes(args);
+  DiscoveryOutcome true_walk =
+      Unwrap(DiscoverFdsDetailed(clean, tane), "discovering true FDs");
+  FdSet true_fds = std::move(true_walk.fds);
 
   ErrorGenOptions errors;
   errors.error_rate = args.error_rate;
@@ -342,7 +356,7 @@ int RunSession(const Args& args, const Relation& clean) {
   config.candidate_options.max_lhs_size = args.max_lhs;
   config.candidate_options.num_threads = args.threads;
   config.candidate_options.discovery_deadline_ms = args.discovery_deadline_ms;
-  config.candidate_options.memory_budget = args.memory_budget;
+  config.candidate_options.memory_limit_bytes = MemoryLimitBytes(args);
   config.budget = args.budget;
   config.expert_seed = args.seed;
   Session session = Unwrap(
@@ -355,8 +369,10 @@ int RunSession(const Args& args, const Relation& clean) {
   if (session.discovery_memory_truncated()) {
     std::printf("warning: candidate discovery hit the %dMiB memory budget; "
                 "candidate set is truncated\n",
-                args.memory_budget_mb);
+                args.memory_limit_mb);
   }
+  PrintPeakMemory(args, std::max(true_walk.peak_memory_bytes,
+                                 session.discovery_peak_memory_bytes()));
 
   SessionRunOptions run;
   run.journal_path = args.journal_path;
@@ -405,13 +421,6 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  std::optional<MemoryBudget> budget;
-  if (args.memory_budget_mb > 0) {
-    const size_t hard =
-        static_cast<size_t>(args.memory_budget_mb) * (size_t{1} << 20);
-    budget.emplace(hard - hard / 5, hard);  // soft at 80%, see FromMegabytes
-    args.memory_budget = &*budget;
-  }
   Relation rel =
       Unwrap(Relation::FromCsvFile(args.csv_path), "loading CSV");
   std::printf("loaded %s: %d rows x %d attributes\n", args.csv_path.c_str(),
@@ -431,11 +440,6 @@ int main(int argc, char** argv) {
                  args.command.c_str());
     Usage();
     return 2;
-  }
-  if (budget.has_value()) {
-    std::printf("peak partition memory: %.1f MiB of %d MiB budget\n",
-                static_cast<double>(budget->high_water()) / (1 << 20),
-                args.memory_budget_mb);
   }
   return ret;
 }

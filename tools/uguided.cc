@@ -4,8 +4,7 @@
 //   uguided [--port=P] [--port-file=F] [--max-sessions=N]
 //           [--max-connections=N] [--idle-timeout-ms=T] [--journal-dir=D]
 //           [--journal-fsync=every|batch] [--journal-retain-s=T]
-//           [--threads=N]
-//           [--memory-budget-mb=M] [--fault-plan=PLAN]
+//           [--threads=N] [--fault-plan=PLAN]
 //           [--tick-ms=T] [--read-idle-ms=T] [--max-pending-out-kb=K]
 //           [--queue-deadline-ms=T] [--rate-limit=R] [--rate-burst=B]
 //           [--rows=R] [--error-rate=E] [--seed=S] [--idk-rate=I]
@@ -35,7 +34,6 @@
 #include <thread>
 
 #include "common/fault_injection.h"
-#include "common/memory_budget.h"
 #include "common/thread_pool.h"
 #include "live/live_dataset.h"
 #include "server/daemon.h"
@@ -62,7 +60,6 @@ struct Args {
   JournalFsyncMode journal_fsync = JournalFsyncMode::kEvery;
   double journal_retain_s = 0.0;
   int threads = 1;
-  int memory_budget_mb = 0;
   std::string fault_plan;
   double tick_ms = 250.0;
   double read_idle_ms = 0.0;
@@ -80,8 +77,7 @@ void Usage() {
       "               [--max-connections=N] [--idle-timeout-ms=T]\n"
       "               [--journal-dir=D]\n"
       "               [--journal-fsync=every|batch] [--journal-retain-s=T]\n"
-      "               [--threads=N]\n"
-      "               [--memory-budget-mb=M] [--fault-plan=PLAN]\n"
+      "               [--threads=N] [--fault-plan=PLAN]\n"
       "               [--tick-ms=T] [--read-idle-ms=T]\n"
       "               [--max-pending-out-kb=K] [--queue-deadline-ms=T]\n"
       "               [--rate-limit=R] [--rate-burst=B]\n"
@@ -108,7 +104,7 @@ void Usage() {
       "                         resumable and quarantined journals are\n"
       "                         never deleted\n"
       "Refusals carry machine-readable code + retry_after_ms; op=health\n"
-      "reports the brownout level and all shed/refused/dropped counters.\n");
+      "reports all shed/refused/dropped counters.\n");
 }
 
 bool ParseArgs(int argc, char** argv, Args* args) {
@@ -147,10 +143,6 @@ bool ParseArgs(int argc, char** argv, Args* args) {
       }
     } else if (flag == "--threads") {
       if (!flags.Int("--threads", value, 0, &args->threads)) return false;
-    } else if (flag == "--memory-budget-mb") {
-      if (!flags.Int("--memory-budget-mb", value, 0, &args->memory_budget_mb)) {
-        return false;
-      }
     } else if (flag == "--fault-plan") {
       args->fault_plan = value;
     } else if (flag == "--tick-ms") {
@@ -234,16 +226,10 @@ int main(int argc, char** argv) {
           : static_cast<int>(std::thread::hardware_concurrency());
   args.dataset.num_threads = threads;
 
-  MemoryBudget memory =
-      args.memory_budget_mb > 0
-          ? MemoryBudget::FromMegabytes(args.memory_budget_mb)
-          : MemoryBudget();
   ThreadPool pool(std::max(1, threads));
 
   DatasetRegistryOptions registry_options;
   registry_options.pool = &pool;
-  registry_options.memory_budget =
-      args.memory_budget_mb > 0 ? &memory : nullptr;
   DatasetRegistry registry(registry_options);
 
   std::fprintf(stderr, "uguided: building dataset (%d rows)...\n",
@@ -275,8 +261,6 @@ int main(int argc, char** argv) {
   options.manager.journal_fsync = args.journal_fsync;
   options.manager.journal_retain_s = args.journal_retain_s;
   options.manager.pool = &pool;
-  options.manager.memory_budget =
-      args.memory_budget_mb > 0 ? &memory : nullptr;
   options.manager.admission.queue_deadline_ms = args.queue_deadline_ms;
   options.manager.admission.rate_limit_per_sec = args.rate_limit;
   options.manager.admission.rate_burst = args.rate_burst;
@@ -335,11 +319,9 @@ int main(int argc, char** argv) {
       stats.storage_failed, recovery.quarantined);
   std::printf(
       "uguided: overload. rate_limited=%" PRId64 " deadline_shed=%" PRId64
-      " brownout_refused=%" PRId64 " brownout_shed=%" PRId64
       " dropped=%" PRId64 " dropped_slow_reader=%" PRId64
       " reaped_idle=%" PRId64 "\n",
-      admission.rate_limited, admission.deadline_shed,
-      admission.brownout_refused, admission.brownout_shed, reactor.dropped,
+      admission.rate_limited, admission.deadline_shed, reactor.dropped,
       reactor.dropped_slow_reader, reactor.reaped_idle);
   const LiveDataset::Stats live_stats = live.stats();
   std::printf(
