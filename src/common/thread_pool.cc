@@ -6,6 +6,13 @@
 
 namespace uguide {
 
+namespace {
+
+// The pool whose worker the calling thread is, or null.
+thread_local const ThreadPool* current_pool = nullptr;
+
+}  // namespace
+
 ThreadPool::ThreadPool(int num_threads) {
   UGUIDE_CHECK(num_threads >= 0);
   if (num_threads == kAuto) {
@@ -30,6 +37,7 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::WorkerMain() {
+  current_pool = this;
   for (;;) {
     std::function<void()> task;
     {
@@ -75,7 +83,7 @@ std::exception_ptr ThreadPool::TakeSubmitError() {
 
 void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
   if (n == 0) return;
-  if (workers_.empty() || n == 1) {
+  if (workers_.empty() || n == 1 || current_pool == this) {
     for (size_t i = 0; i < n; ++i) fn(i);
     return;
   }

@@ -66,9 +66,10 @@ class ThreadPool {
   /// on the caller in index order — the graceful serial fallback.
   ///
   /// Iterations are claimed dynamically in chunks, so `fn` must be safe to
-  /// call concurrently from several threads and must not itself call
-  /// ParallelFor on the same pool (no nested forks: a worker blocking on an
-  /// inner join could deadlock the outer one).
+  /// call concurrently from several threads. A call from one of this
+  /// pool's own workers (a nested fork: from `fn`, or from a Submit task)
+  /// runs inline on that worker in index order: a worker that queued
+  /// helpers and joined them could wait on tasks queued behind itself.
   ///
   /// If fn throws, the loop is cancelled at chunk granularity (some
   /// iterations may never run), every strand is joined, and the first

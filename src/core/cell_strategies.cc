@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -263,114 +264,195 @@ ClassSelector ClassesSelector(const CellRun& run) {
   return ClassSelector(classes, 1, std::move(groups));
 }
 
-class CellQHittingSet : public Strategy {
+// The steps every cell strategy shares: its CellRun, its spend, and the
+// cell Next last asked, which Apply's answer is about.
+class CellSteps : public StrategyRun {
  public:
-  explicit CellQHittingSet(const CellStrategyOptions& options)
-      : options_(options) {}
+  CellSteps(const QuestionContext& ctx, const CellStrategyOptions& options)
+      : run_(ctx, options),
+        options_(options),
+        budget_(ctx.budget),
+        cost_(ctx.cost.CellCost()) {}
 
-  std::string_view name() const override { return "CellQ-HS"; }
+ protected:
+  bool Affordable() const { return result_.cost_spent + cost_ <= budget_; }
 
-  StrategyResult Run(const QuestionContext& ctx) override {
-    CellRun run(ctx, options_);
-    StrategyResult result;
-    const double cost = ctx.cost.CellCost();
-    // The score reads only the cell's active FDs, so it is one per class.
-    const auto key = [&run](int, CellId front) { return Score(run, front); };
-    ClassSelector selector = ClassesSelector(run);
-    selector.Reseed(run, key);
-    while (result.cost_spent + cost <= ctx.budget) {
-      const CellId best = selector.Best(run);
-      if (best < 0) break;
-      Answer answer = ctx.expert->IsCellErroneous(run.graph.cell(best));
-      result.cost_spent += cost;
-      ++result.questions_asked;
-      // Only classes listing a touched FD can change score: "yes" bumps
-      // the flagging FDs' confidences, "no" removes them (and with them
-      // degree).
-      selector.Rekey(
-          run, ApplyAnswer(run, best, answer, options_.delta, run.fd_conf),
-          key);
-    }
-    result.accepted_fds = run.Accept(run.fd_conf, options_.accept_threshold);
-    return result;
+  // Charges one question about cell `c`.
+  Question Ask(CellId c) {
+    asked_ = c;
+    result_.cost_spent += cost_;
+    ++result_.questions_asked;
+    const Cell cell = run_.graph.cell(c);
+    return Question{.kind = QuestionKind::kCell, .cell = cell, .cost = cost_};
   }
+
+  StrategyResult Accept(const std::vector<double>& conf, double threshold) {
+    result_.accepted_fds = run_.Accept(conf, threshold);
+    return std::move(result_);
+  }
+
+  CellRun run_;
+  const CellStrategyOptions options_;
+  CellId asked_ = -1;
 
  private:
-  // Hitting-set rule: minimize weight / active-degree.
-  static double Score(const CellRun& run, CellId c) {
-    return run.CellWeight(c) / run.graph.ActiveDegreeOfCell(c);
-  }
-
-  CellStrategyOptions options_;
+  const double budget_;
+  const double cost_;
+  StrategyResult result_;
 };
 
-class CellQGreedy : public Strategy {
- public:
-  explicit CellQGreedy(const CellStrategyOptions& options)
-      : options_(options) {}
-
-  std::string_view name() const override { return "CellQ-Greedy"; }
-
-  StrategyResult Run(const QuestionContext& ctx) override {
-    CellRun run(ctx, options_);
-    StrategyResult result;
-    const double cost = ctx.cost.CellCost();
-    // Greedy rule: maximize the number of flagging candidate FDs. Negated
-    // so the least key is the maximum.
-    const auto key = [&run](int, CellId front) {
-      return -static_cast<double>(run.graph.ActiveDegreeOfCell(front));
+class HittingSetSteps : public CellSteps {
+  // Hitting-set rule: minimize weight / active-degree. The score reads
+  // only the cell's active FDs, so it is one per class.
+  auto Key() const {
+    return [this](int, CellId front) {
+      return run_.CellWeight(front) / run_.graph.ActiveDegreeOfCell(front);
     };
-    ClassSelector selector = ClassesSelector(run);
-    selector.Reseed(run, key);
-    while (result.cost_spent + cost <= ctx.budget) {
-      const CellId best = selector.Best(run);
-      if (best < 0) break;
-      Answer answer = ctx.expert->IsCellErroneous(run.graph.cell(best));
-      result.cost_spent += cost;
-      ++result.questions_asked;
-      const std::vector<FdId> affected =
-          ApplyAnswer(run, best, answer, options_.delta, run.fd_conf);
-      // Degree is the whole score, and it only moves when FDs deactivate:
-      // a "yes" changes confidences, never degrees.
-      if (answer == Answer::kNo) selector.Rekey(run, affected, key);
-    }
-    result.accepted_fds = run.Accept(run.fd_conf, options_.accept_threshold);
-    return result;
+  }
+
+ public:
+  HittingSetSteps(const QuestionContext& ctx,
+                  const CellStrategyOptions& options)
+      : CellSteps(ctx, options), selector_(ClassesSelector(run_)) {
+    selector_.Reseed(run_, Key());
+  }
+
+  std::optional<Question> Next() override {
+    if (!Affordable()) return std::nullopt;
+    const CellId best = selector_.Best(run_);
+    if (best < 0) return std::nullopt;
+    return Ask(best);
+  }
+
+  void Apply(Answer answer) override {
+    // Only classes listing a touched FD can change score: "yes" bumps
+    // the flagging FDs' confidences, "no" removes them (and with them
+    // degree).
+    selector_.Rekey(
+        run_, ApplyAnswer(run_, asked_, answer, options_.delta, run_.fd_conf),
+        Key());
+  }
+
+  StrategyResult Finish() override {
+    return Accept(run_.fd_conf, options_.accept_threshold);
   }
 
  private:
-  CellStrategyOptions options_;
+  ClassSelector selector_;
 };
 
-class CellQOracle : public Strategy {
+class GreedySteps : public CellSteps {
+  // Greedy rule: maximize the number of flagging candidate FDs. Negated
+  // so the least key is the maximum.
+  auto Key() const {
+    return [this](int, CellId front) {
+      return -static_cast<double>(run_.graph.ActiveDegreeOfCell(front));
+    };
+  }
+
  public:
-  explicit CellQOracle(const CellStrategyOptions& options)
-      : options_(options) {}
+  GreedySteps(const QuestionContext& ctx, const CellStrategyOptions& options)
+      : CellSteps(ctx, options), selector_(ClassesSelector(run_)) {
+    selector_.Reseed(run_, Key());
+  }
 
-  std::string_view name() const override { return "CellQ-Oracle"; }
+  std::optional<Question> Next() override {
+    if (!Affordable()) return std::nullopt;
+    const CellId best = selector_.Best(run_);
+    if (best < 0) return std::nullopt;
+    return Ask(best);
+  }
 
-  StrategyResult Run(const QuestionContext& ctx) override {
+  void Apply(Answer answer) override {
+    const std::vector<FdId> affected =
+        ApplyAnswer(run_, asked_, answer, options_.delta, run_.fd_conf);
+    // Degree is the whole score, and it only moves when FDs deactivate:
+    // a "yes" changes confidences, never degrees.
+    if (answer == Answer::kNo) selector_.Rekey(run_, affected, Key());
+  }
+
+  StrategyResult Finish() override {
+    return Accept(run_.fd_conf, options_.accept_threshold);
+  }
+
+ private:
+  ClassSelector selector_;
+};
+
+class CellOracleSteps : public CellSteps {
+  // Payoff of a question: a clean cell kills its active false FDs; a
+  // true violation pushes its unaccepted true FDs toward acceptance.
+  // Negated so the least key is the highest payoff.
+  auto Key() const {
+    return [this](int g, CellId) {
+      const bool is_violation = (g & 1) != 0;
+      double payoff = 0.0;
+      for (FdId f : run_.artifact.classes().Fds(g / 2)) {
+        if (!run_.graph.FdActive(f)) continue;
+        if (!is_violation) {
+          payoff += is_true_fd_[static_cast<size_t>(f)] ? 0.0 : 1.0;
+        } else if (is_true_fd_[static_cast<size_t>(f)] &&
+                   run_.fd_conf[static_cast<size_t>(f)] <
+                       options_.accept_threshold) {
+          payoff += 1.0;
+        }
+      }
+      return -payoff;
+    };
+  }
+
+ public:
+  CellOracleSteps(const QuestionContext& ctx,
+                  const CellStrategyOptions& options)
+      : CellSteps(ctx, options),
+        is_true_fd_(TrueFds(ctx, run_)),
+        selector_(SplitSelector(ctx, run_, split_)) {
+    selector_.Reseed(run_, Key());
+  }
+
+  std::optional<Question> Next() override {
+    if (!Affordable()) return std::nullopt;
+    // Only a question with a positive payoff is worth asking.
+    double negated_payoff;
+    const CellId best = selector_.Best(run_, &negated_payoff);
+    if (best < 0 || negated_payoff >= 0.0) return std::nullopt;
+    return Ask(best);
+  }
+
+  void Apply(Answer answer) override {
+    selector_.Rekey(
+        run_, ApplyAnswer(run_, asked_, answer, options_.delta, run_.fd_conf),
+        Key());
+  }
+
+  StrategyResult Finish() override {
+    return Accept(run_.fd_conf, options_.accept_threshold);
+  }
+
+ private:
+  // The oracle knows which candidate FDs are genuinely implied by the
+  // clean table's FDs.
+  static std::vector<bool> TrueFds(const QuestionContext& ctx,
+                                   const CellRun& run) {
     UGUIDE_CHECK(ctx.true_violations != nullptr && ctx.true_fds != nullptr)
         << "CellQ-Oracle requires the true violation set and true FDs";
-    CellRun run(ctx, options_);
-    StrategyResult result;
-    const double cost = ctx.cost.CellCost();
-
-    // The oracle knows which candidate FDs are genuinely implied by the
-    // clean table's FDs.
     ClosureEngine true_closure(*ctx.true_fds);
     std::vector<bool> is_true_fd(static_cast<size_t>(run.graph.NumFds()));
     for (FdId f = 0; f < run.graph.NumFds(); ++f) {
       is_true_fd[static_cast<size_t>(f)] =
           true_closure.Implies(run.graph.fd(f));
     }
+    return is_true_fd;
+  }
 
-    // A question's payoff depends only on the cell's FD list and on
-    // whether the cell is a true violation, so it is one per group: group
-    // 2k holds class k's clean members, group 2k+1 its true violations,
-    // each ascending.
+  // A question's payoff depends only on the cell's FD list and on
+  // whether the cell is a true violation, so it is one per group: group
+  // 2k holds class k's clean members, group 2k+1 its true violations,
+  // each ascending. The groups are spans into `split`.
+  static ClassSelector SplitSelector(const QuestionContext& ctx,
+                                     const CellRun& run,
+                                     std::vector<CellId>& split) {
     const CellClasses& classes = run.artifact.classes();
-    std::vector<CellId> split;
     std::vector<uint32_t> offsets{0};
     split.reserve(static_cast<size_t>(run.graph.NumCells()));
     for (int k = 0; k < classes.NumClasses(); ++k) {
@@ -388,129 +470,90 @@ class CellQOracle : public Strategy {
       groups.emplace_back(split.data() + offsets[g],
                           offsets[g + 1] - offsets[g]);
     }
-    ClassSelector selector(classes, 2, std::move(groups));
-
-    // Payoff of a question: a clean cell kills its active false FDs; a
-    // true violation pushes its unaccepted true FDs toward acceptance.
-    // Negated so the least key is the highest payoff.
-    const auto key = [&](int g, CellId) {
-      const bool is_violation = (g & 1) != 0;
-      double payoff = 0.0;
-      for (FdId f : classes.Fds(g / 2)) {
-        if (!run.graph.FdActive(f)) continue;
-        if (!is_violation) {
-          payoff += is_true_fd[static_cast<size_t>(f)] ? 0.0 : 1.0;
-        } else if (is_true_fd[static_cast<size_t>(f)] &&
-                   run.fd_conf[static_cast<size_t>(f)] <
-                       options_.accept_threshold) {
-          payoff += 1.0;
-        }
-      }
-      return -payoff;
-    };
-    selector.Reseed(run, key);
-    while (result.cost_spent + cost <= ctx.budget) {
-      // Only a question with a positive payoff is worth asking.
-      double negated_payoff;
-      const CellId best = selector.Best(run, &negated_payoff);
-      if (best < 0 || negated_payoff >= 0.0) break;
-      Answer answer = ctx.expert->IsCellErroneous(run.graph.cell(best));
-      result.cost_spent += cost;
-      ++result.questions_asked;
-      selector.Rekey(
-          run, ApplyAnswer(run, best, answer, options_.delta, run.fd_conf),
-          key);
-    }
-    result.accepted_fds = run.Accept(run.fd_conf, options_.accept_threshold);
-    return result;
+    return ClassSelector(classes, 2, std::move(groups));
   }
 
- private:
-  CellStrategyOptions options_;
+  const std::vector<bool> is_true_fd_;
+  std::vector<CellId> split_;
+  ClassSelector selector_;
 };
 
 // --- Cell-Q-SUMS ----------------------------------------------------------
 
-class CellQSums : public Strategy {
- public:
-  explicit CellQSums(const CellStrategyOptions& options)
-      : options_(options) {}
-
-  std::string_view name() const override { return "CellQ-SUMS"; }
-
-  // Estimate-Confidence's cell side and the per-question score are
-  // computed once per class of cells sharing a flagging-FD list, in the
-  // operand order of the per-cell rescan, so fixpoint values, selected
-  // questions and the report are bit-identical to it (DESIGN.md §14.2).
-  StrategyResult Run(const QuestionContext& ctx) override {
-    CellRun run(ctx, options_);
-    StrategyResult result;
-    const double cost = ctx.cost.CellCost();
-    const CellClasses& classes = run.artifact.classes();
-    ClassConfidence state(run.graph, classes, options_.initial_confidence);
-
-    // Evidence confidence, separate from the Estimate-Confidence fixpoint
-    // scores in state.fd_conf: acceptance follows the same confirmed-
-    // violation mechanism as Algorithm 2, while the fixpoint drives
-    // question selection.
-    std::vector<double> evidence(static_cast<size_t>(run.graph.NumFds()),
-                                 options_.initial_confidence);
-    // Each class's marginal evidence (see Score), which moves only when an
-    // answer touches one of its FDs.
-    std::vector<double> marginal(static_cast<size_t>(classes.NumClasses()));
-    const auto refresh = [&](int k) {
-      marginal[static_cast<size_t>(k)] =
-          Marginal(run, classes.Fds(k), evidence);
-    };
-    for (int k = 0; k < classes.NumClasses(); ++k) refresh(k);
-    // One key orders both picks: a class with a positive score keys at
-    // the negated score, below every other key, so the best-scoring
-    // question comes first, ties toward the lowest CellId. Once no
-    // confirmation can add evidence anymore, every class keys at its
-    // confidence, and the pick is the least-trusted fallback, whose "no"
-    // answer invalidates its flagging FDs: the minimum confidence, ties
-    // toward the lowest CellId. The fixpoint keeps confidences in [0, 1],
-    // under the rescan's fallback cap of 2.
-    const auto key = [&](int k, CellId) {
-      const double conf = state.conf[static_cast<size_t>(k)];
-      const double score = Score(conf, marginal[static_cast<size_t>(k)]);
+// Estimate-Confidence's cell side and the per-question score are
+// computed once per class of cells sharing a flagging-FD list, in the
+// operand order of the per-cell rescan, so fixpoint values, selected
+// questions and the report are bit-identical to it (DESIGN.md §14.2).
+class SumsSteps : public CellSteps {
+  // One key orders both picks: a class with a positive score keys at
+  // the negated score, below every other key, so the best-scoring
+  // question comes first, ties toward the lowest CellId. Once no
+  // confirmation can add evidence anymore, every class keys at its
+  // confidence, and the pick is the least-trusted fallback, whose "no"
+  // answer invalidates its flagging FDs: the minimum confidence, ties
+  // toward the lowest CellId. The fixpoint keeps confidences in [0, 1],
+  // under the rescan's fallback cap of 2.
+  auto Key() const {
+    return [this](int k, CellId) {
+      const double conf = state_.conf[static_cast<size_t>(k)];
+      const double score = Score(conf, marginal_[static_cast<size_t>(k)]);
       return score > 0.0 ? -score : conf;
     };
-    ClassSelector selector = ClassesSelector(run);
-    EstimateConfidence(run, classes, state);
-    selector.Reseed(run, key);
-    int answers_since_estimate = 0;
-    while (result.cost_spent + cost <= ctx.budget) {
-      const CellId pick = selector.Best(run);
-      if (pick < 0) break;
-      Answer answer = ctx.expert->IsCellErroneous(run.graph.cell(pick));
-      result.cost_spent += cost;
-      ++result.questions_asked;
-      const std::vector<FdId> affected =
-          ApplyAnswer(run, pick, answer, options_.delta, evidence);
-      if (answer == Answer::kIdk) continue;  // no new evidence; re-select
-      if (answer == Answer::kYes) {
-        // A confirmed cell is pinned at confidence 1 and keeps feeding
-        // evidence into Estimate-Confidence.
-        state.SetSlot(pick, state.pinned_slot);
-      }
-      selector.ForEachClassOf(affected, refresh);
-      // The fixpoint moves little per answer; recompute in batches. A
-      // recompute moves every class's confidence; between recomputes only
-      // the touched classes' marginals move.
-      if (++answers_since_estimate >= options_.sums_recompute_interval) {
-        EstimateConfidence(run, classes, state);
-        answers_since_estimate = 0;
-        selector.Reseed(run, key);
-      } else {
-        selector.Rekey(run, affected, key);
-      }
+  }
+
+ public:
+  SumsSteps(const QuestionContext& ctx, const CellStrategyOptions& options)
+      : CellSteps(ctx, options),
+        classes_(run_.artifact.classes()),
+        state_(run_.graph, classes_, options.initial_confidence),
+        evidence_(static_cast<size_t>(run_.graph.NumFds()),
+                  options.initial_confidence),
+        marginal_(static_cast<size_t>(classes_.NumClasses())),
+        selector_(ClassesSelector(run_)) {
+    for (int k = 0; k < classes_.NumClasses(); ++k) Refresh(k);
+    EstimateConfidence(options_, run_, classes_, state_);
+    selector_.Reseed(run_, Key());
+  }
+
+  std::optional<Question> Next() override {
+    if (!Affordable()) return std::nullopt;
+    const CellId pick = selector_.Best(run_);
+    if (pick < 0) return std::nullopt;
+    return Ask(pick);
+  }
+
+  void Apply(Answer answer) override {
+    const std::vector<FdId> affected =
+        ApplyAnswer(run_, asked_, answer, options_.delta, evidence_);
+    if (answer == Answer::kIdk) return;  // no new evidence; re-select
+    if (answer == Answer::kYes) {
+      // A confirmed cell is pinned at confidence 1 and keeps feeding
+      // evidence into Estimate-Confidence.
+      state_.SetSlot(asked_, state_.pinned_slot);
     }
-    result.accepted_fds = run.Accept(evidence, options_.sums_accept_threshold);
-    return result;
+    selector_.ForEachClassOf(affected, [this](int k) { Refresh(k); });
+    // The fixpoint moves little per answer; recompute in batches. A
+    // recompute moves every class's confidence; between recomputes only
+    // the touched classes' marginals move.
+    if (++answers_since_estimate_ >= options_.sums_recompute_interval) {
+      EstimateConfidence(options_, run_, classes_, state_);
+      answers_since_estimate_ = 0;
+      selector_.Reseed(run_, Key());
+    } else {
+      selector_.Rekey(run_, affected, Key());
+    }
+  }
+
+  StrategyResult Finish() override {
+    return Accept(evidence_, options_.sums_accept_threshold);
   }
 
  private:
+  void Refresh(int k) {
+    marginal_[static_cast<size_t>(k)] =
+        Marginal(run_, classes_.Fds(k), evidence_);
+  }
+
   // Maximum information: confidence near 1/2 (the fixpoint is unsure),
   // weighted by the *marginal* evidence the answer can add -- flagging FDs
   // that are already confirmed contribute nothing, so the strategy moves
@@ -716,8 +759,10 @@ class CellQSums : public Strategy {
   // lane without changing its sum; the blocks are laid out again only
   // once a quarter of the classes in them has no live member left, and
   // until then such classes are summed and dropped.
-  void EstimateConfidence(const CellRun& run, const CellClasses& classes,
-                          ClassConfidence& state) const {
+  static void EstimateConfidence(const CellStrategyOptions& options,
+                                 const CellRun& run,
+                                 const CellClasses& classes,
+                                 ClassConfidence& state) {
     // Answers since the last call deactivated cells; retire their slots
     // and collect the classes that still have a live member.
     std::vector<bool> has_live(static_cast<size_t>(classes.NumClasses()),
@@ -745,7 +790,7 @@ class CellQSums : public Strategy {
 
     const int num_fds = run.graph.NumFds();
     std::vector<double> next_fd(state.fd_conf.size());
-    for (int iter = 0; iter < options_.sums_max_iterations; ++iter) {
+    for (int iter = 0; iter < options.sums_max_iterations; ++iter) {
       double max_delta = 0.0;
       // FD side.
       double max_fd = 0.0;
@@ -814,30 +859,41 @@ class CellQSums : public Strategy {
         }
       }
 
-      if (max_delta < options_.sums_tolerance) break;
+      if (max_delta < options.sums_tolerance) break;
     }
   }
 
-  CellStrategyOptions options_;
+  const CellClasses& classes_;
+  ClassConfidence state_;
+  // Evidence confidence, separate from the Estimate-Confidence fixpoint
+  // scores in state_.fd_conf: acceptance follows the same confirmed-
+  // violation mechanism as Algorithm 2, while the fixpoint drives
+  // question selection.
+  std::vector<double> evidence_;
+  // Each class's marginal evidence (see Score), which moves only when an
+  // answer touches one of its FDs.
+  std::vector<double> marginal_;
+  ClassSelector selector_;
+  int answers_since_estimate_ = 0;
 };
 
 }  // namespace
 
 std::unique_ptr<Strategy> MakeCellQHittingSet(
     const CellStrategyOptions& options) {
-  return std::make_unique<CellQHittingSet>(options);
+  return MakeStepsStrategy<HittingSetSteps>("CellQ-HS", options);
 }
 
 std::unique_ptr<Strategy> MakeCellQSums(const CellStrategyOptions& options) {
-  return std::make_unique<CellQSums>(options);
+  return MakeStepsStrategy<SumsSteps>("CellQ-SUMS", options);
 }
 
 std::unique_ptr<Strategy> MakeCellQGreedy(const CellStrategyOptions& options) {
-  return std::make_unique<CellQGreedy>(options);
+  return MakeStepsStrategy<GreedySteps>("CellQ-Greedy", options);
 }
 
 std::unique_ptr<Strategy> MakeCellQOracle(const CellStrategyOptions& options) {
-  return std::make_unique<CellQOracle>(options);
+  return MakeStepsStrategy<CellOracleSteps>("CellQ-Oracle", options);
 }
 
 }  // namespace uguide

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
+#include <utility>
 #include <vector>
 
 #include "common/id_bitmap.h"
@@ -76,151 +78,161 @@ FdQuestions BuildQuestions(const QuestionContext& ctx,
   return out;
 }
 
-// Shared driver: the three FD strategies differ only in eligibility and
-// scoring. Each round scans the questions in order and asks the
-// eligible, affordable one with the highest score (strict >: ties keep
-// the first).
-template <typename EligibleFn, typename ScoreFn>
-StrategyResult RunFdLoop(const QuestionContext& ctx, FdQuestions& run,
-                         EligibleFn eligible, ScoreFn score) {
-  StrategyResult result;
-  std::vector<FdQuestion>& questions = run.questions;
-  const ViolationGraph& graph = *run.graph;
-  const size_t num_candidates = static_cast<size_t>(graph.NumFds());
-  // Coverage is keyed by graph CellId: every question's cells are graph
-  // nodes, and distinct cells have distinct ids.
-  IdBitmap covered(graph.NumCells());
-  for (;;) {
-    const double remaining = ctx.budget - result.cost_spent;
+// Shared steps: the three FD strategies differ only in eligibility and
+// scoring. Each Next scans the questions in order and asks the eligible,
+// affordable one with the highest score (strict >: ties keep the first).
+class FdSteps : public StrategyRun {
+ public:
+  FdSteps(const QuestionContext& ctx, const FdStrategyOptions& options)
+      : run_(BuildQuestions(ctx, options)),
+        budget_(ctx.budget),
+        // Coverage is keyed by graph CellId: every question's cells are
+        // graph nodes, and distinct cells have distinct ids.
+        covered_(run_.graph->NumCells()) {}
+
+  std::optional<Question> Next() override {
+    const std::vector<FdQuestion>& questions = run_.questions;
+    const double remaining = budget_ - result_.cost_spent;
     int best = -1;
     double best_score = 0.0;
     for (size_t i = 0; i < questions.size(); ++i) {
       const FdQuestion& q = questions[i];
-      if (q.asked || q.cost > remaining || !eligible(i)) continue;
+      if (q.asked || q.cost > remaining || !Eligible(i)) continue;
       if (q.uncovered == 0) continue;  // nothing new to gain
-      const double s = score(q);
+      const double s = Score(q);
       if (best < 0 || s > best_score) {
         best = static_cast<int>(i);
         best_score = s;
       }
     }
-    if (best < 0) break;
-    FdQuestion& q = questions[static_cast<size_t>(best)];
+    if (best < 0) return std::nullopt;
+    asked_ = static_cast<size_t>(best);
+    FdQuestion& q = run_.questions[asked_];
     q.asked = true;
-    result.cost_spent += q.cost;
-    ++result.questions_asked;
-    const Answer answer = ctx.expert->IsFdValid(q.fd);
-    if (answer == Answer::kYes) {
-      result.accepted_fds.Add(q.fd);
-      // A cell covered for the first time leaves every question holding
-      // it: the candidates flagging it and the run's merged questions.
-      for (CellId c : run.CellsOf(static_cast<size_t>(best))) {
-        if (covered.Test(c)) continue;
-        covered.Set(c);
-        for (FdId f : graph.FdsOfCell(c)) {
-          --questions[static_cast<size_t>(f)].uncovered;
-        }
-        for (int m : run.pool->MergedOfCell(c)) {
-          if (m >= run.num_merged) break;
-          --questions[num_candidates + static_cast<size_t>(m)].uncovered;
-        }
+    result_.cost_spent += q.cost;
+    ++result_.questions_asked;
+    return Question{.kind = QuestionKind::kFd, .fd = q.fd, .cost = q.cost};
+  }
+
+  void Apply(Answer answer) override {
+    // "no" discards the FD (asked = true suffices); "I don't know"
+    // likewise leaves the question unanswered -- merged/non-minimal
+    // variants of the same FD remain in the pool and can recover the
+    // coverage at a higher price (§7.2.6).
+    if (answer != Answer::kYes) return;
+    std::vector<FdQuestion>& questions = run_.questions;
+    const ViolationGraph& graph = *run_.graph;
+    const size_t num_candidates = static_cast<size_t>(graph.NumFds());
+    result_.accepted_fds.Add(questions[asked_].fd);
+    // A cell covered for the first time leaves every question holding
+    // it: the candidates flagging it and the run's merged questions.
+    for (CellId c : run_.CellsOf(asked_)) {
+      if (covered_.Test(c)) continue;
+      covered_.Set(c);
+      for (FdId f : graph.FdsOfCell(c)) {
+        --questions[static_cast<size_t>(f)].uncovered;
+      }
+      for (int m : run_.pool->MergedOfCell(c)) {
+        if (m >= run_.num_merged) break;
+        --questions[num_candidates + static_cast<size_t>(m)].uncovered;
       }
     }
-    // "no" discards the FD (asked = true suffices); "I don't know" likewise
-    // leaves the question unanswered -- merged/non-minimal variants of the
-    // same FD remain in the pool and can recover the coverage at a higher
-    // price (§7.2.6).
   }
-  return result;
-}
 
-class FdQBudgetedMaxCoverage : public Strategy {
+  StrategyResult Finish() override { return std::move(result_); }
+
+ protected:
+  virtual bool Eligible(size_t) const { return true; }
+  virtual double Score(const FdQuestion& q) const = 0;
+
+  FdQuestions run_;
+
+ private:
+  const double budget_;
+  IdBitmap covered_;
+  size_t asked_ = 0;
+  StrategyResult result_;
+};
+
+class BmcSteps : public FdSteps {
  public:
-  explicit FdQBudgetedMaxCoverage(const FdStrategyOptions& options)
-      : options_(options) {}
+  BmcSteps(const QuestionContext& ctx, const FdStrategyOptions& options)
+      : FdSteps(ctx, options),
+        n_(std::max<double>(1.0, ctx.dirty->NumRows())) {}
 
-  std::string_view name() const override { return "FDQ-BMC"; }
-
-  StrategyResult Run(const QuestionContext& ctx) override {
-    FdQuestions questions = BuildQuestions(ctx, options_);
-    const double n = std::max<double>(1.0, ctx.dirty->NumRows());
-    // Budgeted max coverage: weight of uncovered violations, discounted by
-    // an accuracy prior (AFDs whose g3 removal share approaches the
-    // relaxation threshold are likelier to be false positives), normalized
-    // by question cost.
-    return RunFdLoop(
-        ctx, questions, [](size_t) { return true; },
-        [&](const FdQuestion& q) {
-          const double prior =
-              1.0 - static_cast<double>(q.removal_count) / n;
-          return prior * static_cast<double>(q.uncovered) / q.cost;
-        });
+ protected:
+  // Budgeted max coverage: weight of uncovered violations, discounted by
+  // an accuracy prior (AFDs whose g3 removal share approaches the
+  // relaxation threshold are likelier to be false positives), normalized
+  // by question cost.
+  double Score(const FdQuestion& q) const override {
+    const double prior = 1.0 - static_cast<double>(q.removal_count) / n_;
+    return prior * static_cast<double>(q.uncovered) / q.cost;
   }
 
  private:
-  FdStrategyOptions options_;
+  const double n_;
 };
 
-class FdQGreedy : public Strategy {
+class FdGreedySteps : public FdSteps {
  public:
-  explicit FdQGreedy(const FdStrategyOptions& options) : options_(options) {}
+  FdGreedySteps(const QuestionContext& ctx, const FdStrategyOptions& options)
+      : FdSteps(ctx, MinimalOnly(options)) {}
 
-  std::string_view name() const override { return "FDQ-Greedy"; }
-
-  StrategyResult Run(const QuestionContext& ctx) override {
-    FdStrategyOptions minimal_only = options_;
-    minimal_only.allow_non_minimal = false;
-    FdQuestions questions = BuildQuestions(ctx, minimal_only);
-    return RunFdLoop(ctx, questions, [](size_t) { return true; },
-                     [](const FdQuestion& q) {
-                       return static_cast<double>(q.uncovered);
-                     });
+ protected:
+  double Score(const FdQuestion& q) const override {
+    return static_cast<double>(q.uncovered);
   }
 
  private:
-  FdStrategyOptions options_;
+  static FdStrategyOptions MinimalOnly(FdStrategyOptions options) {
+    options.allow_non_minimal = false;
+    return options;
+  }
 };
 
-class FdQOracle : public Strategy {
+class FdOracleSteps : public FdSteps {
  public:
-  explicit FdQOracle(const FdStrategyOptions& options) : options_(options) {}
+  FdOracleSteps(const QuestionContext& ctx, const FdStrategyOptions& options)
+      : FdSteps(ctx, options), valid_(Valid(ctx, run_)) {}
 
-  std::string_view name() const override { return "FDQ-Oracle"; }
+ protected:
+  bool Eligible(size_t i) const override { return valid_[i]; }
+  double Score(const FdQuestion& q) const override {
+    return static_cast<double>(q.uncovered) / q.cost;
+  }
 
-  StrategyResult Run(const QuestionContext& ctx) override {
+ private:
+  // The oracle pre-screens validity against the true FD set and never
+  // spends budget on an invalid FD.
+  static std::vector<bool> Valid(const QuestionContext& ctx,
+                                 const FdQuestions& run) {
     UGUIDE_CHECK(ctx.true_fds != nullptr)
         << "FDQ-Oracle requires the true FD set";
-    FdQuestions questions = BuildQuestions(ctx, options_);
-    // The oracle pre-screens validity against the true FD set and never
-    // spends budget on an invalid FD.
     ClosureEngine true_closure(*ctx.true_fds);
-    std::vector<bool> valid(questions.questions.size());
+    std::vector<bool> valid(run.questions.size());
     for (size_t i = 0; i < valid.size(); ++i) {
-      valid[i] = true_closure.Implies(questions.questions[i].fd);
+      valid[i] = true_closure.Implies(run.questions[i].fd);
     }
-    return RunFdLoop(ctx, questions, [&](size_t i) { return valid[i]; },
-                     [](const FdQuestion& q) {
-                       return static_cast<double>(q.uncovered) / q.cost;
-                     });
+    return valid;
   }
 
- private:
-  FdStrategyOptions options_;
+  const std::vector<bool> valid_;
 };
 
 }  // namespace
 
 std::unique_ptr<Strategy> MakeFdQBudgetedMaxCoverage(
     const FdStrategyOptions& options) {
-  return std::make_unique<FdQBudgetedMaxCoverage>(options);
+  return MakeStepsStrategy<BmcSteps>("FDQ-BMC", options);
 }
 
 std::unique_ptr<Strategy> MakeFdQGreedy(const FdStrategyOptions& options) {
-  return std::make_unique<FdQGreedy>(options);
+  return MakeStepsStrategy<FdGreedySteps>("FDQ-Greedy", options);
 }
 
 std::unique_ptr<Strategy> MakeFdQOracle(const FdStrategyOptions& options) {
-  return std::make_unique<FdQOracle>(options);
+  return MakeStepsStrategy<FdOracleSteps>("FDQ-Oracle", options);
 }
 
 }  // namespace uguide

@@ -12,9 +12,6 @@
 
 namespace uguide {
 
-/// The three question kinds a journal record can describe.
-enum class QuestionKind { kCell, kTuple, kFd };
-
 /// \brief One answered question: what was asked, what the expert said, and
 /// what it cost.
 ///

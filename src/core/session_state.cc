@@ -9,136 +9,29 @@
 
 namespace uguide {
 
-Answer AskQuestion(Expert& expert, const SessionQuestion& question) {
-  switch (question.kind) {
-    case QuestionKind::kCell:
-      return expert.IsCellErroneous(question.cell);
-    case QuestionKind::kTuple:
-      return expert.IsTupleClean(question.row);
-    case QuestionKind::kFd:
-      return expert.IsFdValid(question.fd);
-  }
-  return Answer::kIdk;
+namespace {
+
+JournalRecord RecordOf(const SessionQuestion& question, Answer answer) {
+  JournalRecord record;
+  record.kind = question.kind;
+  record.cell = question.cell;
+  record.row = question.row;
+  record.fd = question.fd;
+  record.answer = answer;
+  record.cost = question.nominal_cost;
+  return record;
 }
 
-/// \brief The Expert the strategy talks to inside the machine.
-///
-/// Lives on the strategy fiber. Each question becomes a JournalRecord, is
-/// matched against the replay tail if one is loaded, published to the
-/// driver, and parks the fiber until the driver submits an answer.
-/// Replayed questions are *still published* — the driver must ask its own
-/// expert so any stateful stack (RNG, retry counters) advances exactly as
-/// in the original run — but the submitted answer is discarded in favor of
-/// the journal's.
-class SessionStateMachine::ChannelExpert : public Expert {
- public:
-  ChannelExpert(SessionStateMachine* machine, std::vector<JournalRecord> replay,
-                const CostModel& cost, int num_attributes)
-      : machine_(machine),
-        replay_(std::move(replay)),
-        cost_(cost),
-        num_attributes_(num_attributes) {}
+}  // namespace
 
-  Answer IsCellErroneous(const Cell& cell) override {
-    JournalRecord record;
-    record.kind = QuestionKind::kCell;
-    record.cell = cell;
-    record.cost = cost_.CellCost();
-    return Ask(std::move(record));
-  }
-
-  Answer IsTupleClean(TupleId row) override {
-    JournalRecord record;
-    record.kind = QuestionKind::kTuple;
-    record.row = row;
-    record.cost = cost_.TupleCost(num_attributes_);
-    return Ask(std::move(record));
-  }
-
-  Answer IsFdValid(const Fd& fd) override {
-    JournalRecord record;
-    record.kind = QuestionKind::kFd;
-    record.fd = fd;
-    record.cost = cost_.FdCost(fd, 0);
-    return Ask(std::move(record));
-  }
-
- private:
-  Answer Ask(JournalRecord record) {
-    SessionStateMachine* m = machine_;
-    // An abandoned machine answers kIdk without publishing: every strategy
-    // charges positive cost per question, so the run drains its budget and
-    // winds down without another party in the loop. No yield — the
-    // abandoning thread runs the wind-down to completion.
-    if (m->abandoned_) return Answer::kIdk;
-
-    bool replayed = false;
-    if (!replay_abandoned_ && replay_pos_ < replay_.size()) {
-      if (SameJournalQuestion(replay_[replay_pos_], record)) {
-        replayed = true;
-      } else {
-        // The strategy diverged from the journal (different build or
-        // inputs). Replay is no longer trustworthy; continue live.
-        ++mismatches_;
-        replay_abandoned_ = true;
-      }
-    }
-
-    // Publish the question and park the fiber. The machine's mutex is held
-    // by the resuming thread, and every mutation below runs on whichever
-    // thread resumed us, so the driver-visible state is always guarded.
-    SessionQuestion question;
-    question.kind = record.kind;
-    question.cell = record.cell;
-    question.row = record.row;
-    question.fd = record.fd;
-    question.index = m->next_index_++;
-    question.replayed = replayed;
-    question.nominal_cost = record.cost;
-    m->pending_question_ = question;
-    m->pending_answered_ = false;
-    m->pending_delivered_ = false;
-    Fiber::Yield();
-
-    m->pending_question_.reset();
-    if (!m->pending_answered_) {
-      // Abandoned while parked: the submission never arrived.
-      return Answer::kIdk;
-    }
-    const AnswerSubmission submission = m->submission_;
-    m->pending_answered_ = false;
-
-    // The resilience surcharge accrues for replayed questions too: the
-    // driver's retry stack really was asked (and really did back off).
-    m->retry_cost_total_ += submission.retry_cost;
-    if (submission.exhausted) ++m->exhausted_total_;
-
-    if (replayed) {
-      const Answer answer = replay_[replay_pos_].answer;
-      ++replay_pos_;
-      ++m->served_replays_;
-      return answer;
-    }
-
-    record.answer = submission.answer;
-    if (m->writer_.has_value() && m->write_status_.ok()) {
-      // Durability precedes visibility: this append returns before the
-      // strategy sees the answer, so no later question can exist whose
-      // predecessor is not journaled.
-      Status status = m->writer_->Append(record);
-      if (!status.ok()) m->write_status_ = std::move(status);
-    }
-    return submission.answer;
-  }
-
-  SessionStateMachine* machine_;
-  std::vector<JournalRecord> replay_;
-  size_t replay_pos_ = 0;
-  bool replay_abandoned_ = false;
-  int mismatches_ = 0;
-  CostModel cost_;
-  int num_attributes_;
-};
+Answer AskQuestion(Expert& expert, const SessionQuestion& question) {
+  Question asked;
+  asked.kind = question.kind;
+  asked.cell = question.cell;
+  asked.row = question.row;
+  asked.fd = question.fd;
+  return AskQuestion(expert, asked);
+}
 
 SessionStateMachine::SessionStateMachine(const Session& session,
                                          Strategy& strategy, double budget,
@@ -198,52 +91,66 @@ Result<std::unique_ptr<SessionStateMachine>> SessionStateMachine::Start(
   std::unique_ptr<SessionStateMachine> machine(
       new SessionStateMachine(session, strategy, budget, std::move(options)));
   machine->writer_ = std::move(writer);
-  machine->channel_ = std::make_unique<ChannelExpert>(
-      machine.get(), std::move(replay), config.cost,
-      session.dirty().NumAttributes());
-  machine->fiber_ = std::make_unique<Fiber>(
-      [m = machine.get()] { m->PumpMain(); });
+  machine->replay_ = std::move(replay);
   return machine;
 }
 
 SessionStateMachine::~SessionStateMachine() { Abandon(); }
 
-void SessionStateMachine::PumpMain() {
-  const SessionConfig& config = session_.config();
-  QuestionContext ctx;
-  ctx.dirty = &session_.dirty();
-  ctx.candidates = &session_.candidates();
-  ctx.expert = channel_.get();
-  ctx.cost = config.cost;
-  // Majority voting multiplies the expert effort per question; charge it
-  // against the budget (same division the monolithic Run performed).
-  ctx.budget = budget_ / std::max(1, config.expert_votes);
-  ctx.exact_fds = &session_.exact_fds();
-  ctx.true_fds = &session_.true_fds();
-  ctx.true_violations = &session_.true_violations();
-  ctx.injected = &session_.truth();
-  ctx.artifact = artifact_;
+void SessionStateMachine::AdvanceLocked() {
+  if (run_ == nullptr) {
+    const SessionConfig& config = session_.config();
+    QuestionContext ctx;
+    ctx.dirty = &session_.dirty();
+    ctx.candidates = &session_.candidates();
+    ctx.cost = config.cost;
+    // Majority voting multiplies the expert effort per question; charge it
+    // against the budget (same division the monolithic Run performed).
+    ctx.budget = budget_ / std::max(1, config.expert_votes);
+    ctx.exact_fds = &session_.exact_fds();
+    ctx.true_fds = &session_.true_fds();
+    ctx.true_violations = &session_.true_violations();
+    ctx.injected = &session_.truth();
+    ctx.artifact = artifact_;
+    run_ = strategy_.Start(ctx);
+  }
+  std::optional<Question> next = run_->Next();
+  if (!next.has_value()) {
+    result_ = run_->Finish();
+    run_.reset();
+    done_ = true;
+    return;
+  }
 
-  result_ = strategy_.Run(ctx);
-  done_ = true;
-}
-
-void SessionStateMachine::StepLocked() {
-  // The fiber runs the strategy inline on this thread until the channel
-  // expert publishes a question (and yields) or the strategy returns.
-  if (!done_ && !fiber_->finished()) fiber_->Resume();
+  SessionQuestion question;
+  question.kind = next->kind;
+  question.cell = next->cell;
+  question.row = next->row;
+  question.fd = next->fd;
+  question.nominal_cost = next->cost;
+  question.index = next_index_++;
+  if (!replay_abandoned_ && replay_pos_ < replay_.size()) {
+    if (SameJournalQuestion(replay_[replay_pos_],
+                            RecordOf(question, Answer::kIdk))) {
+      // Still published: the driver must ask its own expert so any
+      // stateful stack (RNG, retry counters) advances exactly as in the
+      // original run, but SubmitAnswer serves the journal's answer.
+      question.replayed = true;
+    } else {
+      replay_abandoned_ = true;
+    }
+  }
+  pending_question_ = question;
+  pending_delivered_ = false;
 }
 
 std::optional<SessionQuestion> SessionStateMachine::NextQuestion() {
   std::unique_lock<std::mutex> lock(mu_);
-  if (!done_ && !abandoned_ && !pending_question_.has_value()) {
-    StepLocked();
-  }
-  if (pending_question_.has_value() && !pending_answered_) {
-    pending_delivered_ = true;
-    return pending_question_;
-  }
-  return std::nullopt;
+  if (abandoned_ || done_) return std::nullopt;
+  if (!pending_question_.has_value()) AdvanceLocked();
+  if (!pending_question_.has_value()) return std::nullopt;
+  pending_delivered_ = true;
+  return pending_question_;
 }
 
 Status SessionStateMachine::SubmitAnswer(const AnswerSubmission& submission) {
@@ -253,16 +160,31 @@ Status SessionStateMachine::SubmitAnswer(const AnswerSubmission& submission) {
   }
   // A question only counts as outstanding once NextQuestion handed it to
   // the driver — an answer can never race ahead of its question.
-  if (!pending_question_.has_value() || pending_answered_ ||
-      !pending_delivered_) {
+  if (!pending_question_.has_value() || !pending_delivered_) {
     return Status::FailedPrecondition("no question outstanding");
   }
-  submission_ = submission;
-  pending_answered_ = true;
-  // Consume the answer now: the fiber journals it and either publishes the
-  // next question or finishes, all before SubmitAnswer returns — the same
-  // durability ordering the pump-thread machine guaranteed.
-  StepLocked();
+  const SessionQuestion question = *std::move(pending_question_);
+  pending_question_.reset();
+
+  // The resilience surcharge accrues for replayed questions too: the
+  // driver's retry stack really was asked (and really did back off).
+  retry_cost_total_ += submission.retry_cost;
+  if (submission.exhausted) ++exhausted_total_;
+
+  Answer answer = submission.answer;
+  if (question.replayed) {
+    answer = replay_[replay_pos_].answer;
+    ++replay_pos_;
+    ++served_replays_;
+  } else if (writer_.has_value() && write_status_.ok()) {
+    // Durability precedes visibility: this append returns before the
+    // strategy sees the answer, so no later question can exist whose
+    // predecessor is not journaled.
+    Status status = writer_->Append(RecordOf(question, answer));
+    if (!status.ok()) write_status_ = std::move(status);
+  }
+  run_->Apply(answer);
+  AdvanceLocked();
   return Status::OK();
 }
 
@@ -271,10 +193,13 @@ Result<SessionReport> SessionStateMachine::Finish() {
   if (finished_) {
     return Status::FailedPrecondition("session already finished");
   }
-  if (!done_ && !abandoned_ && !pending_question_.has_value()) {
-    // The driver never pulled a first question (or the machine is mid
-    // stream with nothing outstanding): advance to the next boundary.
-    StepLocked();
+  if (abandoned_) {
+    return Status::FailedPrecondition("session abandoned");
+  }
+  if (!done_ && !pending_question_.has_value()) {
+    // The driver never pulled a first question: advance to the next
+    // boundary.
+    AdvanceLocked();
   }
   if (!done_) {
     return Status::FailedPrecondition(
@@ -309,13 +234,10 @@ Result<SessionReport> SessionStateMachine::Finish() {
 
 void SessionStateMachine::Abandon() {
   std::unique_lock<std::mutex> lock(mu_);
-  if (abandoned_ && done_) return;
+  if (abandoned_) return;
   abandoned_ = true;
-  // Wind the strategy down on this thread: the parked question (if any)
-  // and every later one are answered kIdk by the channel expert.
-  while (!done_ && fiber_ != nullptr && !fiber_->finished()) {
-    fiber_->Resume();
-  }
+  run_.reset();
+  pending_question_.reset();
   if (writer_.has_value()) {
     // Best effort: Abandon has no failure channel, and the journal is
     // already durable up to the last acknowledged answer.

@@ -7,7 +7,6 @@
 #include <string>
 #include <vector>
 
-#include "common/fiber.h"
 #include "core/session.h"
 #include "core/session_journal.h"
 #include "core/strategy.h"
@@ -30,14 +29,15 @@ struct SessionQuestion {
   /// submission to keep the driver's own expert state advancing) and
   /// serves the recorded answer to the strategy instead.
   bool replayed = false;
-  /// The question's nominal cost under the session's cost model.
+  /// The cost the strategy charges for the question (Question::cost), which
+  /// the journal records and the wire carries.
   double nominal_cost = 0.0;
 };
 
-/// Asks `expert` the question: IsCellErroneous, IsTupleClean or IsFdValid
-/// by `question.kind`. (Not named AskExpert: perfbench defines its own
-/// with this signature, and argument-dependent lookup would make its
-/// calls ambiguous.)
+/// Asks `expert` the question, as AskQuestion(Expert&, const Question&)
+/// does. (Not named AskExpert: perfbench defines its own with this
+/// signature, and argument-dependent lookup would make its calls
+/// ambiguous.)
 Answer AskQuestion(Expert& expert, const SessionQuestion& question);
 
 /// \brief What a driver hands back for one question.
@@ -80,15 +80,12 @@ struct SessionStepOptions {
   uint64_t data_version = 0;
 };
 
-/// \brief A Session run inverted into an explicit step API.
+/// \brief A Session run as an explicit step API.
 ///
-/// The strategies of §5–§6 are written as blocking loops that *call* an
-/// Expert; a served session needs the opposite shape — the caller *asks
-/// for* the next question, ships it to a remote answerer, and submits the
-/// answer whenever it arrives. SessionStateMachine inverts the control
-/// flow without rewriting any strategy: the strategy runs on a Fiber
-/// against a channel-backed Expert, and each expert call parks the fiber
-/// until the driver moves the machine forward.
+/// A served session needs the caller to *ask for* the next question, ship
+/// it to a remote answerer, and submit the answer whenever it arrives.
+/// Every strategy runs as steps (StrategyRun), so the machine drives them
+/// directly:
 ///
 ///   auto machine = SessionStateMachine::Start(session, strategy, budget);
 ///   while (auto q = machine->NextQuestion()) {
@@ -96,12 +93,12 @@ struct SessionStepOptions {
 ///   }
 ///   SessionReport report = machine->Finish().ValueOrDie();
 ///
-/// There is no pump thread: a parked session is a parked stack, and the
-/// strategy advances *inline* on whatever thread calls NextQuestion /
-/// SubmitAnswer / Abandon. That is what lets the serving reactor execute
-/// session steps as ordinary pool tasks — 10k concurrent sessions are 10k
-/// fibers, not 10k threads — while the blocking CLI driver simply runs the
-/// strategy on its own thread between questions.
+/// Between questions a session is plain data, and every step runs inline
+/// on whatever thread calls NextQuestion / SubmitAnswer, which is what
+/// lets the serving reactor execute session steps as ordinary pool tasks.
+/// The strategy's set-up and first selection run in the first
+/// NextQuestion; each SubmitAnswer journals the answer, applies it and
+/// selects the next question before it returns.
 ///
 /// Journaling, crash-safe resume, and the retry-surcharge accounting live
 /// *inside* the machine (not in the driver), so a served session that
@@ -113,14 +110,13 @@ struct SessionStepOptions {
 /// Thread safety: NextQuestion/SubmitAnswer/Finish must be called from one
 /// driver thread at a time (the serving daemon serializes per session) but
 /// successive calls may come from different threads — the machine's mutex
-/// hands the fiber over with the necessary happens-before edge. Distinct
-/// machines are fully independent and may share a ThreadPool and one
-/// ViolationArtifact.
+/// carries the run's state between them. Distinct machines are fully
+/// independent and may share a ThreadPool and one ViolationArtifact.
 class SessionStateMachine {
  public:
   /// Validates options (loading and checking the journal on resume) and
-  /// readies the strategy fiber. `session`, `strategy` and any shared
-  /// resources in `options` must outlive the machine.
+  /// opens the journal. `session`, `strategy` and any shared resources in
+  /// `options` must outlive the machine.
   static Result<std::unique_ptr<SessionStateMachine>> Start(
       const Session& session, Strategy& strategy, double budget,
       SessionStepOptions options = {});
@@ -132,13 +128,14 @@ class SessionStateMachine {
   SessionStateMachine& operator=(const SessionStateMachine&) = delete;
 
   /// Advances the strategy to its next question (running it inline on the
-  /// calling thread), or returns nullopt once the strategy has finished.
-  /// Idempotent while a question is outstanding (re-delivers the same
-  /// question — the serving daemon resends after a reconnect).
+  /// calling thread), or returns nullopt once the strategy has finished or
+  /// the machine was abandoned. Idempotent while a question is outstanding
+  /// (re-delivers the same question — the serving daemon resends after a
+  /// reconnect).
   std::optional<SessionQuestion> NextQuestion();
 
   /// Delivers the answer for the outstanding question and advances the
-  /// strategy inline until it surfaces the next question (retrievable with
+  /// strategy inline until it selects the next question (retrievable with
   /// NextQuestion) or completes. Fails if no question is outstanding. The
   /// answered record is durably journaled before the strategy observes the
   /// answer, so by the time the *next* question is visible, the previous
@@ -146,15 +143,14 @@ class SessionStateMachine {
   Status SubmitAnswer(const AnswerSubmission& submission);
 
   /// Evaluates detections and returns the report. Fails if a question is
-  /// still outstanding (answer or Abandon first) or if a journal write
-  /// failed during the run.
+  /// still outstanding, if the machine was abandoned, or if a journal
+  /// write failed during the run.
   Result<SessionReport> Finish();
 
-  /// Cancels an in-flight run: the outstanding question (if any) and every
-  /// later one are answered kIdk internally until the strategy winds down,
-  /// the journal is synced and closed, and the machine becomes terminal.
-  /// The journal is preserved, so an abandoned served session is resumable
-  /// with `resume = true`. Idempotent.
+  /// Cancels an in-flight run: the strategy's run is dropped without
+  /// asking or answering anything more, the journal is closed, and the
+  /// machine becomes terminal. The journal is preserved, so an abandoned
+  /// served session is resumable with `resume = true`. Idempotent.
   void Abandon();
 
   /// True once the strategy has returned (Finish will not run any steps).
@@ -170,15 +166,13 @@ class SessionStateMachine {
   Status write_status() const;
 
  private:
-  class ChannelExpert;
-
   SessionStateMachine(const Session& session, Strategy& strategy,
                       double budget, SessionStepOptions options);
 
-  void PumpMain();
-  /// Runs the fiber until it publishes a question or the strategy returns.
-  /// Caller holds mu_.
-  void StepLocked();
+  /// Starts the strategy's run on first use, then asks it for its next
+  /// question and publishes it, matched against the replay tail; or
+  /// finishes the run. Caller holds mu_.
+  void AdvanceLocked();
 
   const Session& session_;
   Strategy& strategy_;
@@ -188,27 +182,30 @@ class SessionStateMachine {
   /// The artifact the run reads: options_.artifact or the session's own.
   const ViolationArtifact* artifact_ = nullptr;
 
-  std::unique_ptr<ChannelExpert> channel_;
   std::optional<JournalWriter> writer_;
 
-  std::unique_ptr<Fiber> fiber_;
-  StrategyResult result_;  // written by the fiber before done_
-
-  // mu_ serializes the driver API and carries the fiber between threads
-  // (every Resume happens under it, so step N+1 sees step N's writes even
+  // mu_ serializes the driver API and carries the run between threads
+  // (every step happens under it, so step N+1 sees step N's writes even
   // when a different pool thread runs it).
   mutable std::mutex mu_;
+  std::unique_ptr<StrategyRun> run_;  // null until the first step
+  StrategyResult result_;             // the run's Finish, once done_
   bool done_ = false;
   bool abandoned_ = false;
   bool finished_ = false;  // Finish already consumed the run
 
-  // The single-question channel between the fiber and the driver.
+  // The journal being resumed: a question matching replay_[replay_pos_]
+  // is answered from it. The first mismatch (a different build or inputs)
+  // abandons the replay, and the run continues live.
+  std::vector<JournalRecord> replay_;
+  size_t replay_pos_ = 0;
+  bool replay_abandoned_ = false;
+
+  // The outstanding question, published by AdvanceLocked.
   std::optional<SessionQuestion> pending_question_;
-  bool pending_answered_ = false;
   /// NextQuestion returned the pending question to the driver; only then
   /// may SubmitAnswer accept an answer for it.
   bool pending_delivered_ = false;
-  AnswerSubmission submission_;
   int next_index_ = 0;
 
   // Report accounting, accumulated as submissions arrive (all under mu_).

@@ -1,6 +1,7 @@
 #include "core/tuple_strategies.h"
 
 #include <algorithm>
+#include <optional>
 #include <unordered_set>
 #include <vector>
 
@@ -93,275 +94,278 @@ class WeightedDraw {
   double remaining_ = 0.0;
 };
 
-// Common sampling loop: `draw` produces the next tuple to validate.
-template <typename DrawFn>
-StrategyResult RunSamplingLoop(const QuestionContext& ctx,
-                               const TupleStrategyOptions& options,
-                               DrawFn draw) {
-  StrategyResult result;
-  const double cost = ctx.cost.TupleCost(ctx.dirty->NumAttributes());
-  std::vector<bool> asked(static_cast<size_t>(ctx.dirty->NumRows()), false);
-  std::vector<TupleId> sample;
-  while (result.cost_spent + cost <= ctx.budget) {
-    TupleId t = draw(asked, sample);
-    if (t < 0) break;
-    asked[static_cast<size_t>(t)] = true;
-    const Answer answer = ctx.expert->IsTupleClean(t);
-    result.cost_spent += cost;
-    ++result.questions_asked;
-    if (answer == Answer::kYes) sample.push_back(t);
-  }
-  result.accepted_fds = DiscoverSampleFds(*ctx.dirty, sample, options);
-  return result;
-}
-
-class TupleSamplingUniform : public Strategy {
+// The steps every tuple strategy shares: the accepted sample TS, the
+// run's spend, and the tuple Next last asked, which Apply's answer is
+// about. Finish discovers Sigma_TS over the sample.
+class TupleSteps : public StrategyRun {
  public:
-  explicit TupleSamplingUniform(const TupleStrategyOptions& options)
-      : options_(options) {}
+  TupleSteps(const QuestionContext& ctx, const TupleStrategyOptions& options)
+      : dirty_(*ctx.dirty),
+        options_(options),
+        rng_(options.seed),
+        budget_(ctx.budget),
+        cost_(ctx.cost.TupleCost(ctx.dirty->NumAttributes())) {}
 
-  std::string_view name() const override { return "Sampling-Uniform"; }
+  StrategyResult Finish() override {
+    result_.accepted_fds = DiscoverSampleFds(dirty_, sample_, options_);
+    return std::move(result_);
+  }
 
-  StrategyResult Run(const QuestionContext& ctx) override {
-    Rng rng(options_.seed);
-    WeightedDraw drawer(std::vector<double>(
-        static_cast<size_t>(ctx.dirty->NumRows()), 1.0));
-    return RunSamplingLoop(
-        ctx, options_,
-        [&](const std::vector<bool>& asked, const std::vector<TupleId>&) {
-          TupleId t = drawer.Draw(rng, asked);
-          // The loop marks the drawn tuple asked unconditionally.
-          if (t >= 0) drawer.MarkAsked(t);
-          return t;
-        });
+ protected:
+  bool Affordable() const { return result_.cost_spent + cost_ <= budget_; }
+
+  // Charges one question about tuple `t`.
+  Question Ask(TupleId t) {
+    asked_ = t;
+    result_.cost_spent += cost_;
+    ++result_.questions_asked;
+    return Question{.kind = QuestionKind::kTuple, .row = t, .cost = cost_};
+  }
+
+  const Relation& dirty_;
+  const TupleStrategyOptions options_;
+  Rng rng_;
+  std::vector<TupleId> sample_;
+  TupleId asked_ = -1;
+
+ private:
+  const double budget_;
+  const double cost_;
+  StrategyResult result_;
+};
+
+// Uniform and violation-weighted sampling (Algs. 6 and 7): each question
+// draws an unasked tuple by weight, and a certified clean one joins TS.
+class WeightedSamplingSteps : public TupleSteps {
+ public:
+  WeightedSamplingSteps(const QuestionContext& ctx,
+                        const TupleStrategyOptions& options,
+                        std::vector<double> weights)
+      : TupleSteps(ctx, options),
+        drawer_(std::move(weights)),
+        asked_rows_(static_cast<size_t>(ctx.dirty->NumRows()), false) {}
+
+  std::optional<Question> Next() override {
+    if (!Affordable()) return std::nullopt;
+    const TupleId t = drawer_.Draw(rng_, asked_rows_);
+    if (t < 0) return std::nullopt;
+    drawer_.MarkAsked(t);
+    asked_rows_[static_cast<size_t>(t)] = true;
+    return Ask(t);
+  }
+
+  void Apply(Answer answer) override {
+    if (answer == Answer::kYes) sample_.push_back(asked_);
   }
 
  private:
-  TupleStrategyOptions options_;
+  WeightedDraw drawer_;
+  std::vector<bool> asked_rows_;
 };
 
-class TupleSamplingViolationWeighting : public Strategy {
+// Uniform sampling (Alg. 6).
+class UniformSteps : public WeightedSamplingSteps {
  public:
-  explicit TupleSamplingViolationWeighting(
-      const TupleStrategyOptions& options)
-      : options_(options) {}
-
-  std::string_view name() const override { return "Sampling-Violation"; }
-
-  StrategyResult Run(const QuestionContext& ctx) override {
-    Rng rng(options_.seed);
-    WeightedDraw drawer(ViolationWeights(ctx));
-    return RunSamplingLoop(
-        ctx, options_,
-        [&](const std::vector<bool>& asked, const std::vector<TupleId>&) {
-          TupleId t = drawer.Draw(rng, asked);
-          if (t >= 0) drawer.MarkAsked(t);
-          return t;
-        });
-  }
+  UniformSteps(const QuestionContext& ctx, const TupleStrategyOptions& options)
+      : WeightedSamplingSteps(ctx, options, UniformWeights(ctx)) {}
 
  private:
-  TupleStrategyOptions options_;
+  static std::vector<double> UniformWeights(const QuestionContext& ctx) {
+    return std::vector<double>(static_cast<size_t>(ctx.dirty->NumRows()), 1.0);
+  }
 };
 
-class TupleSamplingSaturationSets : public Strategy {
+// Violation-weighted sampling (Alg. 7).
+class ViolationSteps : public WeightedSamplingSteps {
  public:
-  explicit TupleSamplingSaturationSets(const TupleStrategyOptions& options)
-      : options_(options) {}
+  ViolationSteps(const QuestionContext& ctx,
+                 const TupleStrategyOptions& options)
+      : WeightedSamplingSteps(ctx, options, ViolationWeights(ctx)) {}
+};
 
-  std::string_view name() const override { return "Sampling-Saturation"; }
-
-  StrategyResult Run(const QuestionContext& ctx) override {
-    Rng rng(options_.seed);
-    const int m = ctx.dirty->NumAttributes();
-
+// Saturation-set sampling (Alg. 8).
+class SaturationSteps : public TupleSteps {
+ public:
+  SaturationSteps(const QuestionContext& ctx,
+                  const TupleStrategyOptions& options)
+      : TupleSteps(ctx, options),
+        drawer_(ViolationWeights(ctx)),
+        asked_rows_(static_cast<size_t>(ctx.dirty->NumRows()), false) {
+    UGUIDE_CHECK(ctx.exact_fds != nullptr)
+        << "Sampling-Saturation requires the exact FD set";
     // Saturated sets of the FDs discovered on the dirty table (Alg. 8
     // line 2). The full attribute set can never be the agree-set of two
     // distinct tuples, so it is dropped.
-    UGUIDE_CHECK(ctx.exact_fds != nullptr)
-        << "Sampling-Saturation requires the exact FD set";
-    std::unordered_set<AttributeSet, AttributeSetHash> saturated;
+    const int m = ctx.dirty->NumAttributes();
     for (const AttributeSet& w :
          SaturatedSets(*ctx.exact_fds, m,
-                       static_cast<size_t>(options_.max_saturated_sets))) {
-      if (w != AttributeSet::Full(m)) saturated.insert(w);
+                       static_cast<size_t>(options.max_saturated_sets))) {
+      if (w != AttributeSet::Full(m)) saturated_.insert(w);
     }
+  }
 
-    WeightedDraw drawer(ViolationWeights(ctx));
-
-    // A sampled tuple is useful if pairing it with an accepted tuple
-    // realizes an uncovered saturated set (the Armstrong pair condition).
-    // The first two accepted tuples bootstrap the sample.
-    auto realized_sets = [&](TupleId t, const std::vector<TupleId>& sample) {
-      std::vector<AttributeSet> hits;
-      for (TupleId other : sample) {
-        AttributeSet agree = ctx.dirty->AgreeSet(t, other);
-        if (saturated.contains(agree)) hits.push_back(agree);
+  std::optional<Question> Next() override {
+    if (!Affordable()) return std::nullopt;
+    // Bounded rejection sampling for a saturating tuple; if none is
+    // found, fall back to plain violation-weighted sampling so the
+    // budget is still spent productively.
+    TupleId chosen = -1;
+    TupleId fallback = -1;
+    for (int attempt = 0; attempt < 64; ++attempt) {
+      TupleId t = drawer_.Draw(rng_, asked_rows_);
+      if (t < 0) break;
+      fallback = t;
+      if (sample_.size() < 2 || !RealizedSets(t).empty()) {
+        chosen = t;
+        break;
       }
-      return hits;
-    };
-
-    StrategyResult result;
-    const double cost = ctx.cost.TupleCost(m);
-    std::vector<bool> asked(static_cast<size_t>(ctx.dirty->NumRows()), false);
-    std::vector<TupleId> sample;
-    while (result.cost_spent + cost <= ctx.budget) {
-      // Bounded rejection sampling for a saturating tuple; if none is
-      // found, fall back to plain violation-weighted sampling so the
-      // budget is still spent productively.
-      TupleId chosen = -1;
-      TupleId fallback = -1;
-      for (int attempt = 0; attempt < 64; ++attempt) {
-        TupleId t = drawer.Draw(rng, asked);
-        if (t < 0) break;
-        fallback = t;
-        if (sample.size() < 2 || !realized_sets(t, sample).empty()) {
-          chosen = t;
-          break;
-        }
-      }
-      if (chosen < 0) chosen = fallback;
-      if (chosen < 0) break;
-      asked[static_cast<size_t>(chosen)] = true;
-      drawer.MarkAsked(chosen);
-      const Answer answer = ctx.expert->IsTupleClean(chosen);
-      result.cost_spent += cost;
-      ++result.questions_asked;
-      if (answer != Answer::kYes) continue;
-      // Certified clean: retire the saturated sets it realizes (Alg. 8
-      // line 7), then add it to the sample.
-      for (const AttributeSet& w : realized_sets(chosen, sample)) {
-        saturated.erase(w);
-      }
-      sample.push_back(chosen);
     }
-    result.accepted_fds = DiscoverSampleFds(*ctx.dirty, sample, options_);
-    return result;
+    if (chosen < 0) chosen = fallback;
+    if (chosen < 0) return std::nullopt;
+    asked_rows_[static_cast<size_t>(chosen)] = true;
+    drawer_.MarkAsked(chosen);
+    return Ask(chosen);
+  }
+
+  void Apply(Answer answer) override {
+    if (answer != Answer::kYes) return;
+    // Certified clean: retire the saturated sets it realizes (Alg. 8
+    // line 7), then add it to the sample.
+    for (const AttributeSet& w : RealizedSets(asked_)) saturated_.erase(w);
+    sample_.push_back(asked_);
   }
 
  private:
-  TupleStrategyOptions options_;
+  // A sampled tuple is useful if pairing it with an accepted tuple
+  // realizes an uncovered saturated set (the Armstrong pair condition).
+  // The first two accepted tuples bootstrap the sample.
+  std::vector<AttributeSet> RealizedSets(TupleId t) const {
+    std::vector<AttributeSet> hits;
+    for (TupleId other : sample_) {
+      AttributeSet agree = dirty_.AgreeSet(t, other);
+      if (saturated_.contains(agree)) hits.push_back(agree);
+    }
+    return hits;
+  }
+
+  std::unordered_set<AttributeSet, AttributeSetHash> saturated_;
+  WeightedDraw drawer_;
+  std::vector<bool> asked_rows_;
 };
 
-class TupleQOracle : public Strategy {
+class TupleOracleSteps : public TupleSteps {
  public:
-  explicit TupleQOracle(const TupleStrategyOptions& options)
-      : options_(options) {}
-
-  std::string_view name() const override { return "TupleQ-Oracle"; }
-
-  StrategyResult Run(const QuestionContext& ctx) override {
+  TupleOracleSteps(const QuestionContext& ctx,
+                   const TupleStrategyOptions& options)
+      : TupleSteps(ctx, options) {
     UGUIDE_CHECK(ctx.injected != nullptr && ctx.true_fds != nullptr)
         << "TupleQ-Oracle requires the ledger and the true FD set";
-    Rng rng(options_.seed);
-    const int m = ctx.dirty->NumAttributes();
-    StrategyResult result;
-    const double cost = ctx.cost.TupleCost(m);
-
     // Candidate FDs that are actually false positives; the oracle picks
     // clean tuples that act as counterexamples to as many as possible.
     ClosureEngine true_closure(*ctx.true_fds);
-    std::vector<Fd> false_fds;
     for (const Fd& fd : *ctx.candidates) {
-      if (!true_closure.Implies(fd)) false_fds.push_back(fd);
+      if (!true_closure.Implies(fd)) false_fds_.push_back(fd);
     }
-    std::vector<bool> false_alive(false_fds.size(), true);
-
-    std::vector<TupleId> clean_rows;
+    false_alive_.assign(false_fds_.size(), true);
+    const int m = ctx.dirty->NumAttributes();
     for (TupleId r = 0; r < ctx.dirty->NumRows(); ++r) {
-      if (!ctx.injected->IsTupleDirty(r, m)) clean_rows.push_back(r);
+      if (!ctx.injected->IsTupleDirty(r, m)) clean_rows_.push_back(r);
     }
-    std::vector<bool> used(clean_rows.size(), false);
-    std::vector<TupleId> sample;
+    used_.assign(clean_rows_.size(), false);
+  }
 
-    // A false FD X -> A is invalidated by the pair (t, t') when the tuples
-    // agree on X but not on A. The agree sets of `t` with the sample are
-    // computed once per candidate tuple, not once per alive false FD.
-    std::vector<AttributeSet> agree_sets;
-    auto load_agree_sets = [&](TupleId t) {
-      agree_sets.clear();
-      for (TupleId other : sample) {
-        agree_sets.push_back(ctx.dirty->AgreeSet(t, other));
-      }
-    };
-    auto killed = [&](const Fd& fd) {
-      for (const AttributeSet& agree : agree_sets) {
-        if (fd.lhs.IsSubsetOf(agree) && !agree.Contains(fd.rhs)) return true;
-      }
-      return false;
-    };
-    auto kills = [&](TupleId t) {
-      load_agree_sets(t);
-      int count = 0;
-      for (size_t i = 0; i < false_fds.size(); ++i) {
-        if (false_alive[i] && killed(false_fds[i])) ++count;
-      }
-      return count;
-    };
-
-    while (result.cost_spent + cost <= ctx.budget && !clean_rows.empty()) {
-      bool any_false_alive = false;
-      for (bool alive : false_alive) any_false_alive |= alive;
-      if (!sample.empty() && !any_false_alive) break;  // goal reached
-
-      // Score a random pool of unused clean tuples.
-      int best_index = -1;
-      int best_kills = -1;
-      for (int attempt = 0;
-           attempt < options_.oracle_pool &&
-           attempt < static_cast<int>(clean_rows.size());
-           ++attempt) {
-        size_t i = rng.NextBounded(clean_rows.size());
-        if (used[i]) continue;
-        const int k = sample.empty() ? 0 : kills(clean_rows[i]);
-        if (k > best_kills) {
-          best_kills = k;
-          best_index = static_cast<int>(i);
-        }
-      }
-      if (best_index < 0) break;
-      used[static_cast<size_t>(best_index)] = true;
-      const TupleId t = clean_rows[static_cast<size_t>(best_index)];
-      const Answer answer = ctx.expert->IsTupleClean(t);
-      result.cost_spent += cost;
-      ++result.questions_asked;
-      if (answer != Answer::kYes) continue;  // IDK wastes the question
-      // Retire the false FDs this tuple kills before adding it.
-      load_agree_sets(t);
-      for (size_t i = 0; i < false_fds.size(); ++i) {
-        if (false_alive[i] && killed(false_fds[i])) false_alive[i] = false;
-      }
-      sample.push_back(t);
+  std::optional<Question> Next() override {
+    if (!Affordable() || clean_rows_.empty()) return std::nullopt;
+    bool any_false_alive = false;
+    for (bool alive : false_alive_) any_false_alive |= alive;
+    if (!sample_.empty() && !any_false_alive) {
+      return std::nullopt;  // goal reached
     }
 
-    result.accepted_fds = DiscoverSampleFds(*ctx.dirty, sample, options_);
-    return result;
+    // Score a random pool of unused clean tuples.
+    int best_index = -1;
+    int best_kills = -1;
+    for (int attempt = 0;
+         attempt < options_.oracle_pool &&
+         attempt < static_cast<int>(clean_rows_.size());
+         ++attempt) {
+      size_t i = rng_.NextBounded(clean_rows_.size());
+      if (used_[i]) continue;
+      const int k = sample_.empty() ? 0 : Kills(clean_rows_[i]);
+      if (k > best_kills) {
+        best_kills = k;
+        best_index = static_cast<int>(i);
+      }
+    }
+    if (best_index < 0) return std::nullopt;
+    used_[static_cast<size_t>(best_index)] = true;
+    return Ask(clean_rows_[static_cast<size_t>(best_index)]);
+  }
+
+  void Apply(Answer answer) override {
+    if (answer != Answer::kYes) return;  // IDK wastes the question
+    // Retire the false FDs this tuple kills before adding it.
+    LoadAgreeSets(asked_);
+    for (size_t i = 0; i < false_fds_.size(); ++i) {
+      if (false_alive_[i] && Killed(false_fds_[i])) false_alive_[i] = false;
+    }
+    sample_.push_back(asked_);
   }
 
  private:
-  TupleStrategyOptions options_;
+  // A false FD X -> A is invalidated by the pair (t, t') when the tuples
+  // agree on X but not on A. The agree sets of `t` with the sample are
+  // computed once per candidate tuple, not once per alive false FD.
+  void LoadAgreeSets(TupleId t) {
+    agree_sets_.clear();
+    for (TupleId other : sample_) {
+      agree_sets_.push_back(dirty_.AgreeSet(t, other));
+    }
+  }
+
+  bool Killed(const Fd& fd) const {
+    for (const AttributeSet& agree : agree_sets_) {
+      if (fd.lhs.IsSubsetOf(agree) && !agree.Contains(fd.rhs)) return true;
+    }
+    return false;
+  }
+
+  int Kills(TupleId t) {
+    LoadAgreeSets(t);
+    int count = 0;
+    for (size_t i = 0; i < false_fds_.size(); ++i) {
+      if (false_alive_[i] && Killed(false_fds_[i])) ++count;
+    }
+    return count;
+  }
+
+  std::vector<Fd> false_fds_;
+  std::vector<bool> false_alive_;
+  std::vector<TupleId> clean_rows_;
+  std::vector<bool> used_;
+  std::vector<AttributeSet> agree_sets_;
 };
 
 }  // namespace
 
 std::unique_ptr<Strategy> MakeTupleSamplingUniform(
     const TupleStrategyOptions& options) {
-  return std::make_unique<TupleSamplingUniform>(options);
+  return MakeStepsStrategy<UniformSteps>("Sampling-Uniform", options);
 }
 
 std::unique_ptr<Strategy> MakeTupleSamplingViolationWeighting(
     const TupleStrategyOptions& options) {
-  return std::make_unique<TupleSamplingViolationWeighting>(options);
+  return MakeStepsStrategy<ViolationSteps>("Sampling-Violation", options);
 }
 
 std::unique_ptr<Strategy> MakeTupleSamplingSaturationSets(
     const TupleStrategyOptions& options) {
-  return std::make_unique<TupleSamplingSaturationSets>(options);
+  return MakeStepsStrategy<SaturationSteps>("Sampling-Saturation", options);
 }
 
 std::unique_ptr<Strategy> MakeTupleQOracle(
     const TupleStrategyOptions& options) {
-  return std::make_unique<TupleQOracle>(options);
+  return MakeStepsStrategy<TupleOracleSteps>("TupleQ-Oracle", options);
 }
 
 }  // namespace uguide

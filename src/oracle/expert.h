@@ -11,6 +11,9 @@ enum class Answer { kYes, kNo, kIdk };
 
 const char* AnswerName(Answer answer);
 
+/// The three question kinds of §2.1: about a cell, a tuple, or an FD.
+enum class QuestionKind { kCell, kTuple, kFd };
+
 /// \brief The oracle every interactive strategy questions.
 ///
 /// Implementations answer the paper's three question types. The library

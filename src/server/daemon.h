@@ -19,7 +19,7 @@ struct DaemonOptions {
   /// Concurrent client connections; accepts beyond this are closed
   /// immediately (`--max-connections`). 0 = unlimited. Distinct from
   /// manager.max_sessions: connections are cheap reactor state, sessions
-  /// are fibers with journals.
+  /// are strategy runs with journals.
   int max_connections = 0;
   /// Maintenance tick period (`--tick-ms`): drives reactor idle reaping
   /// and SessionManager::EvictIdle. 0 disables the tick (and with it all
@@ -41,8 +41,9 @@ struct DaemonOptions {
 /// lives in SessionManager, and every byte of socket handling in Reactor,
 /// which is why the serving tests can exercise the manager without sockets
 /// and the reactor without sessions. Each parsed request line becomes a
-/// pool task running SessionManager::HandleLine; sessions are fibers, so
-/// thousands of concurrent sessions execute on the pool's bounded threads.
+/// pool task running SessionManager::HandleLine; a session between
+/// questions is plain data, so thousands of concurrent sessions execute on
+/// the pool's bounded threads.
 ///
 /// Connections are stateless: any connection may address any session id,
 /// so a client that lost its connection reconnects and continues with

@@ -432,8 +432,8 @@ void SessionManager::BeginDrain() {
     for (auto& [id, served] : sessions_) live.push_back(served);
     sessions_.clear();
   }
-  // Abandon outside the map lock: each abandon waits for its strategy to
-  // wind down and syncs/closes its journal.
+  // Abandon outside the map lock: each abandon waits for the session's
+  // in-flight step, then closes its journal.
   for (auto& served : live) {
     std::lock_guard<std::mutex> step_lock(served->step_mu);
     if (served->machine != nullptr) served->machine->Abandon();

@@ -1,11 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <fstream>
+#include <future>
+#include <memory>
 #include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/attribute_set.h"
@@ -582,6 +586,31 @@ TEST(ThreadPoolTest, SubmitCapturesTaskException) {
   EXPECT_THROW(std::rethrow_exception(error), std::runtime_error);
   // Taking the error clears the slot.
   EXPECT_EQ(pool.TakeSubmitError(), nullptr);
+}
+
+TEST(ThreadPoolTest, ParallelForInsideSubmitTaskCompletes) {
+  // The serving shape: a reactor drain runs as a Submit task and forks on
+  // the same pool. With two threads the pool has one worker, the one
+  // running the task, so a fork that queued a helper and joined it would
+  // wait forever; the fork runs inline on the worker instead.
+  // Leaked on purpose: a hung worker could never be joined.
+  auto* pool = new ThreadPool(2);
+  auto done = std::make_shared<std::promise<std::vector<int>>>();
+  std::future<std::vector<int>> result = done->get_future();
+  pool->Submit([pool, done] {
+    std::vector<int> in(64);
+    for (int i = 0; i < 64; ++i) in[static_cast<size_t>(i)] = i;
+    done->set_value(pool->ParallelMap(in, [](int x) { return x * x; }));
+  });
+  ASSERT_EQ(result.wait_for(std::chrono::seconds(30)),
+            std::future_status::ready)
+      << "a fork from a pool worker hung";
+  const std::vector<int> squares = result.get();
+  ASSERT_EQ(squares.size(), 64u);
+  for (int i = 0; i < 64; ++i) {
+    EXPECT_EQ(squares[static_cast<size_t>(i)], i * i);
+  }
+  delete pool;
 }
 
 }  // namespace

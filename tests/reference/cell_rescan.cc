@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <vector>
 
 #include "fd/closure.h"
@@ -86,150 +87,159 @@ void ApplyAnswer(CellRun& run, CellId c, Answer answer, double delta,
   }
 }
 
-// Asks `c` and charges one cell question.
-Answer Ask(const QuestionContext& ctx, const CellRun& run, CellId c,
-           StrategyResult& result) {
-  result.cost_spent += ctx.cost.CellCost();
-  ++result.questions_asked;
-  return ctx.expert->IsCellErroneous(run.graph.cell(c));
-}
-
-class RescanCellQHittingSet : public Strategy {
+// The steps of a rescan run: Next picks with a full scan (Select) and
+// charges one cell question; Apply makes Algorithm 2's update.
+class RescanSteps : public StrategyRun {
  public:
-  explicit RescanCellQHittingSet(const CellStrategyOptions& options)
-      : options_(options) {}
+  RescanSteps(const QuestionContext& ctx, const CellStrategyOptions& options)
+      : run_(ctx, options), options_(options), ctx_(ctx) {}
 
-  std::string_view name() const override { return "CellQ-HS"; }
-
-  StrategyResult Run(const QuestionContext& ctx) override {
-    CellRun run(ctx, options_);
-    StrategyResult result;
-    const double cost = ctx.cost.CellCost();
-    while (result.cost_spent + cost <= ctx.budget) {
-      CellId best = -1;
-      double best_score = 0.0;
-      for (CellId c = 0; c < run.graph.NumCells(); ++c) {
-        if (!run.Askable(c)) continue;
-        const double score =
-            run.CellWeight(c) / run.graph.ActiveDegreeOfCell(c);
-        if (best < 0 || score < best_score) {
-          best = c;
-          best_score = score;
-        }
-      }
-      if (best < 0) break;
-      const Answer answer = Ask(ctx, run, best, result);
-      ApplyAnswer(run, best, answer, options_.delta, run.fd_conf);
-    }
-    result.accepted_fds = run.Accept(run.fd_conf, options_.accept_threshold);
-    return result;
+  std::optional<Question> Next() override {
+    const double cost = ctx_.cost.CellCost();
+    if (result_.cost_spent + cost > ctx_.budget) return std::nullopt;
+    asked_ = Select();
+    if (asked_ < 0) return std::nullopt;
+    result_.cost_spent += cost;
+    ++result_.questions_asked;
+    const Cell cell = run_.graph.cell(asked_);
+    return Question{.kind = QuestionKind::kCell, .cell = cell, .cost = cost};
   }
 
+  void Apply(Answer answer) override {
+    ApplyAnswer(run_, asked_, answer, options_.delta, run_.fd_conf);
+  }
+
+  StrategyResult Finish() override {
+    result_.accepted_fds = Accepted();
+    return result_;
+  }
+
+ protected:
+  // The askable cell to ask next, or -1.
+  virtual CellId Select() = 0;
+  virtual FdSet Accepted() const {
+    return run_.Accept(run_.fd_conf, options_.accept_threshold);
+  }
+
+  CellRun run_;
+  const CellStrategyOptions options_;
+  const QuestionContext ctx_;
+  CellId asked_ = -1;
+
  private:
-  CellStrategyOptions options_;
+  StrategyResult result_;
 };
 
-class RescanCellQGreedy : public Strategy {
+class HittingSetSteps : public RescanSteps {
  public:
-  explicit RescanCellQGreedy(const CellStrategyOptions& options)
-      : options_(options) {}
+  using RescanSteps::RescanSteps;
 
-  std::string_view name() const override { return "CellQ-Greedy"; }
-
-  StrategyResult Run(const QuestionContext& ctx) override {
-    CellRun run(ctx, options_);
-    StrategyResult result;
-    const double cost = ctx.cost.CellCost();
-    while (result.cost_spent + cost <= ctx.budget) {
-      CellId best = -1;
-      int best_degree = 0;
-      for (CellId c = 0; c < run.graph.NumCells(); ++c) {
-        if (!run.Askable(c)) continue;
-        const int degree = run.graph.ActiveDegreeOfCell(c);
-        if (degree > best_degree) {
-          best = c;
-          best_degree = degree;
-        }
+ protected:
+  CellId Select() override {
+    CellId best = -1;
+    double best_score = 0.0;
+    for (CellId c = 0; c < run_.graph.NumCells(); ++c) {
+      if (!run_.Askable(c)) continue;
+      const double score =
+          run_.CellWeight(c) / run_.graph.ActiveDegreeOfCell(c);
+      if (best < 0 || score < best_score) {
+        best = c;
+        best_score = score;
       }
-      if (best < 0) break;
-      const Answer answer = Ask(ctx, run, best, result);
-      ApplyAnswer(run, best, answer, options_.delta, run.fd_conf);
     }
-    result.accepted_fds = run.Accept(run.fd_conf, options_.accept_threshold);
-    return result;
+    return best;
   }
-
- private:
-  CellStrategyOptions options_;
 };
 
-class RescanCellQSums : public Strategy {
+class GreedySteps : public RescanSteps {
  public:
-  explicit RescanCellQSums(const CellStrategyOptions& options)
-      : options_(options) {}
+  using RescanSteps::RescanSteps;
 
-  std::string_view name() const override { return "CellQ-SUMS"; }
-
-  StrategyResult Run(const QuestionContext& ctx) override {
-    CellRun run(ctx, options_);
-    StrategyResult result;
-    const double cost = ctx.cost.CellCost();
-    std::vector<double> cell_conf(static_cast<size_t>(run.graph.NumCells()),
-                                  1.0);
-    // Cells the expert confirmed as violations are pinned at confidence 1
-    // and keep feeding evidence into Estimate-Confidence.
-    std::vector<bool> pinned(static_cast<size_t>(run.graph.NumCells()), false);
-    // Evidence confidence, separate from the Estimate-Confidence fixpoint
-    // scores in run.fd_conf: acceptance follows the same confirmed-
-    // violation mechanism as Algorithm 2, while the fixpoint drives
-    // question selection.
-    std::vector<double> evidence(static_cast<size_t>(run.graph.NumFds()),
-                                 options_.initial_confidence);
-    EstimateConfidence(run, cell_conf, pinned);
-    int answers_since_estimate = 0;
-    while (result.cost_spent + cost <= ctx.budget) {
-      CellId best = -1;
-      double best_score = 0.0;
-      for (CellId c = 0; c < run.graph.NumCells(); ++c) {
-        if (!run.Askable(c)) continue;
-        const double score = Score(run, c, cell_conf, evidence);
-        if (score > best_score) {
-          best = c;
-          best_score = score;
-        }
-      }
-      if (best < 0) {
-        // No confirmation can add evidence anymore; spend leftover budget
-        // hunting false positives instead: ask the least trusted violation,
-        // whose "no" answer invalidates its flagging FDs.
-        double lowest = 2.0;
-        for (CellId c = 0; c < run.graph.NumCells(); ++c) {
-          if (!run.Askable(c)) continue;
-          if (cell_conf[static_cast<size_t>(c)] < lowest) {
-            best = c;
-            lowest = cell_conf[static_cast<size_t>(c)];
-          }
-        }
-      }
-      if (best < 0) break;
-      const Answer answer = Ask(ctx, run, best, result);
-      ApplyAnswer(run, best, answer, options_.delta, evidence);
-      if (answer == Answer::kIdk) continue;  // no new evidence; re-select
-      if (answer == Answer::kYes) {
-        pinned[static_cast<size_t>(best)] = true;
-        cell_conf[static_cast<size_t>(best)] = 1.0;
-      }
-      // The fixpoint moves little per answer; recompute in batches.
-      if (++answers_since_estimate >= options_.sums_recompute_interval) {
-        EstimateConfidence(run, cell_conf, pinned);
-        answers_since_estimate = 0;
+ protected:
+  CellId Select() override {
+    CellId best = -1;
+    int best_degree = 0;
+    for (CellId c = 0; c < run_.graph.NumCells(); ++c) {
+      if (!run_.Askable(c)) continue;
+      const int degree = run_.graph.ActiveDegreeOfCell(c);
+      if (degree > best_degree) {
+        best = c;
+        best_degree = degree;
       }
     }
-    result.accepted_fds = run.Accept(evidence, options_.sums_accept_threshold);
-    return result;
+    return best;
+  }
+};
+
+class SumsSteps : public RescanSteps {
+ public:
+  SumsSteps(const QuestionContext& ctx, const CellStrategyOptions& options)
+      : RescanSteps(ctx, options),
+        cell_conf_(static_cast<size_t>(run_.graph.NumCells()), 1.0),
+        pinned_(static_cast<size_t>(run_.graph.NumCells()), false),
+        evidence_(static_cast<size_t>(run_.graph.NumFds()),
+                  options.initial_confidence) {
+    EstimateConfidence(options_, run_, cell_conf_, pinned_);
+  }
+
+ protected:
+  CellId Select() override {
+    CellId best = -1;
+    double best_score = 0.0;
+    for (CellId c = 0; c < run_.graph.NumCells(); ++c) {
+      if (!run_.Askable(c)) continue;
+      const double score = Score(run_, c, cell_conf_, evidence_);
+      if (score > best_score) {
+        best = c;
+        best_score = score;
+      }
+    }
+    if (best < 0) {
+      // No confirmation can add evidence anymore; spend leftover budget
+      // hunting false positives instead: ask the least trusted
+      // violation, whose "no" answer invalidates its flagging FDs.
+      double lowest = 2.0;
+      for (CellId c = 0; c < run_.graph.NumCells(); ++c) {
+        if (!run_.Askable(c)) continue;
+        if (cell_conf_[static_cast<size_t>(c)] < lowest) {
+          best = c;
+          lowest = cell_conf_[static_cast<size_t>(c)];
+        }
+      }
+    }
+    return best;
+  }
+
+  void Apply(Answer answer) override {
+    ApplyAnswer(run_, asked_, answer, options_.delta, evidence_);
+    if (answer == Answer::kIdk) return;  // no new evidence; re-select
+    if (answer == Answer::kYes) {
+      pinned_[static_cast<size_t>(asked_)] = true;
+      cell_conf_[static_cast<size_t>(asked_)] = 1.0;
+    }
+    // The fixpoint moves little per answer; recompute in batches.
+    if (++answers_since_estimate_ >= options_.sums_recompute_interval) {
+      EstimateConfidence(options_, run_, cell_conf_, pinned_);
+      answers_since_estimate_ = 0;
+    }
+  }
+
+  FdSet Accepted() const override {
+    return run_.Accept(evidence_, options_.sums_accept_threshold);
   }
 
  private:
+  std::vector<double> cell_conf_;
+  // Cells the expert confirmed as violations are pinned at confidence 1
+  // and keep feeding evidence into Estimate-Confidence.
+  std::vector<bool> pinned_;
+  // Evidence confidence, separate from the Estimate-Confidence fixpoint
+  // scores in run_.fd_conf: acceptance follows the same confirmed-
+  // violation mechanism as Algorithm 2, while the fixpoint drives
+  // question selection.
+  std::vector<double> evidence_;
+  int answers_since_estimate_ = 0;
+
   // Maximum information: confidence near 1/2, weighted by the evidence the
   // answer can still add to the cell's active flagging FDs.
   static double Score(const CellRun& run, CellId c,
@@ -251,12 +261,13 @@ class RescanCellQSums : public Strategy {
   // its violations' confidences; violation confidence = sum of its FDs'
   // confidences; both max-normalized each round. Pinned (expert-labelled)
   // cells keep their value.
-  void EstimateConfidence(CellRun& run, std::vector<double>& cell_conf,
-                          const std::vector<bool>& pinned) const {
+  static void EstimateConfidence(const CellStrategyOptions& options,
+                                 CellRun& run, std::vector<double>& cell_conf,
+                                 const std::vector<bool>& pinned) {
     const int num_fds = run.graph.NumFds();
     const int num_cells = run.graph.NumCells();
     std::vector<double> next_fd(static_cast<size_t>(num_fds), 0.0);
-    for (int iter = 0; iter < options_.sums_max_iterations; ++iter) {
+    for (int iter = 0; iter < options.sums_max_iterations; ++iter) {
       double max_delta = 0.0;
       // FD side.
       double max_fd = 0.0;
@@ -307,87 +318,76 @@ class RescanCellQSums : public Strategy {
         }
       }
 
-      if (max_delta < options_.sums_tolerance) break;
+      if (max_delta < options.sums_tolerance) break;
+    }
+  }
+};
+
+class OracleSteps : public RescanSteps {
+ public:
+  OracleSteps(const QuestionContext& ctx, const CellStrategyOptions& options)
+      : RescanSteps(ctx, options),
+        is_true_fd_(static_cast<size_t>(run_.graph.NumFds())) {
+    UGUIDE_CHECK(ctx.true_violations != nullptr && ctx.true_fds != nullptr)
+        << "CellQ-Oracle requires the true violation set and true FDs";
+    ClosureEngine true_closure(*ctx.true_fds);
+    for (FdId f = 0; f < run_.graph.NumFds(); ++f) {
+      is_true_fd_[static_cast<size_t>(f)] =
+          true_closure.Implies(run_.graph.fd(f));
     }
   }
 
-  CellStrategyOptions options_;
-};
-
-class RescanCellQOracle : public Strategy {
- public:
-  explicit RescanCellQOracle(const CellStrategyOptions& options)
-      : options_(options) {}
-
-  std::string_view name() const override { return "CellQ-Oracle"; }
-
-  StrategyResult Run(const QuestionContext& ctx) override {
-    UGUIDE_CHECK(ctx.true_violations != nullptr && ctx.true_fds != nullptr)
-        << "CellQ-Oracle requires the true violation set and true FDs";
-    CellRun run(ctx, options_);
-    StrategyResult result;
-    const double cost = ctx.cost.CellCost();
-    ClosureEngine true_closure(*ctx.true_fds);
-    std::vector<bool> is_true_fd(static_cast<size_t>(run.graph.NumFds()));
-    for (FdId f = 0; f < run.graph.NumFds(); ++f) {
-      is_true_fd[static_cast<size_t>(f)] =
-          true_closure.Implies(run.graph.fd(f));
-    }
-    while (result.cost_spent + cost <= ctx.budget) {
-      CellId best = -1;
-      double best_payoff = 0.0;
-      for (CellId c = 0; c < run.graph.NumCells(); ++c) {
-        if (!run.Askable(c)) continue;
-        const bool is_violation =
-            ctx.true_violations->Contains(run.graph.cell(c));
-        double payoff = 0.0;
-        for (FdId f : run.graph.FdsOfCell(c)) {
-          if (!run.graph.FdActive(f)) continue;
-          const bool is_true = is_true_fd[static_cast<size_t>(f)];
-          if (!is_violation) {
-            payoff += is_true ? 0.0 : 1.0;
-          } else if (is_true && run.fd_conf[static_cast<size_t>(f)] <
-                                    options_.accept_threshold) {
-            payoff += 1.0;
-          }
-        }
-        if (payoff > best_payoff) {
-          best = c;
-          best_payoff = payoff;
+ protected:
+  CellId Select() override {
+    CellId best = -1;
+    double best_payoff = 0.0;
+    for (CellId c = 0; c < run_.graph.NumCells(); ++c) {
+      if (!run_.Askable(c)) continue;
+      const bool is_violation =
+          ctx_.true_violations->Contains(run_.graph.cell(c));
+      double payoff = 0.0;
+      for (FdId f : run_.graph.FdsOfCell(c)) {
+        if (!run_.graph.FdActive(f)) continue;
+        const bool is_true = is_true_fd_[static_cast<size_t>(f)];
+        if (!is_violation) {
+          payoff += is_true ? 0.0 : 1.0;
+        } else if (is_true && run_.fd_conf[static_cast<size_t>(f)] <
+                                  options_.accept_threshold) {
+          payoff += 1.0;
         }
       }
-      if (best < 0) break;
-      const Answer answer = Ask(ctx, run, best, result);
-      ApplyAnswer(run, best, answer, options_.delta, run.fd_conf);
+      if (payoff > best_payoff) {
+        best = c;
+        best_payoff = payoff;
+      }
     }
-    result.accepted_fds = run.Accept(run.fd_conf, options_.accept_threshold);
-    return result;
+    return best;
   }
 
  private:
-  CellStrategyOptions options_;
+  std::vector<bool> is_true_fd_;
 };
 
 }  // namespace
 
 std::unique_ptr<Strategy> MakeRescanCellQHittingSet(
     const CellStrategyOptions& options) {
-  return std::make_unique<RescanCellQHittingSet>(options);
+  return MakeStepsStrategy<HittingSetSteps>("CellQ-HS", options);
 }
 
 std::unique_ptr<Strategy> MakeRescanCellQGreedy(
     const CellStrategyOptions& options) {
-  return std::make_unique<RescanCellQGreedy>(options);
+  return MakeStepsStrategy<GreedySteps>("CellQ-Greedy", options);
 }
 
 std::unique_ptr<Strategy> MakeRescanCellQSums(
     const CellStrategyOptions& options) {
-  return std::make_unique<RescanCellQSums>(options);
+  return MakeStepsStrategy<SumsSteps>("CellQ-SUMS", options);
 }
 
 std::unique_ptr<Strategy> MakeRescanCellQOracle(
     const CellStrategyOptions& options) {
-  return std::make_unique<RescanCellQOracle>(options);
+  return MakeStepsStrategy<OracleSteps>("CellQ-Oracle", options);
 }
 
 }  // namespace uguide

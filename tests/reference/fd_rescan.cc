@@ -1,7 +1,9 @@
 #include "reference/fd_rescan.h"
 
 #include <algorithm>
+#include <optional>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "common/id_bitmap.h"
@@ -84,149 +86,149 @@ size_t CountUncovered(ConstSpan<CellId> cells, const IdBitmap& covered) {
   return uncovered;
 }
 
-// Each round scans the questions in order and asks the eligible,
+// Each Next scans the questions in order and asks the eligible,
 // affordable one with the highest score (strict >: ties keep the first).
 // A question's uncovered count is recounted from its cell list whenever
 // an FD was accepted since its last count.
-template <typename EligibleFn, typename ScoreFn>
-StrategyResult RunFdLoop(const QuestionContext& ctx,
-                         const ViolationGraph& graph,
-                         std::vector<FdQuestion>& questions,
-                         EligibleFn eligible, ScoreFn score) {
-  StrategyResult result;
-  IdBitmap covered(graph.NumCells());
-  std::vector<size_t> uncovered_cache(questions.size());
-  for (size_t i = 0; i < questions.size(); ++i) {
-    uncovered_cache[i] = CellsOf(questions[i], graph).size();
+class RescanFdSteps : public StrategyRun {
+ public:
+  RescanFdSteps(const QuestionContext& ctx, const FdStrategyOptions& options)
+      : questions_(BuildQuestions(ctx, *ctx.artifact, options)),
+        budget_(ctx.budget),
+        graph_(ctx.artifact->graph()),
+        covered_(graph_.NumCells()),
+        uncovered_cache_(questions_.size()),
+        cache_epoch_(questions_.size(), 0) {
+    for (size_t i = 0; i < questions_.size(); ++i) {
+      uncovered_cache_[i] = CellsOf(questions_[i], graph_).size();
+    }
   }
-  std::vector<uint32_t> cache_epoch(questions.size(), 0);
-  uint32_t covered_epoch = 0;
-  for (;;) {
-    const double remaining = ctx.budget - result.cost_spent;
+
+  std::optional<Question> Next() override {
+    const double remaining = budget_ - result_.cost_spent;
     int best = -1;
     double best_score = 0.0;
-    for (size_t i = 0; i < questions.size(); ++i) {
-      FdQuestion& q = questions[i];
-      if (q.asked || q.cost > remaining || !eligible(i)) continue;
-      if (cache_epoch[i] != covered_epoch) {
-        uncovered_cache[i] = CountUncovered(CellsOf(q, graph), covered);
-        cache_epoch[i] = covered_epoch;
+    for (size_t i = 0; i < questions_.size(); ++i) {
+      FdQuestion& q = questions_[i];
+      if (q.asked || q.cost > remaining || !Eligible(i)) continue;
+      if (cache_epoch_[i] != covered_epoch_) {
+        uncovered_cache_[i] = CountUncovered(CellsOf(q, graph_), covered_);
+        cache_epoch_[i] = covered_epoch_;
       }
-      const size_t uncovered = uncovered_cache[i];
+      const size_t uncovered = uncovered_cache_[i];
       if (uncovered == 0) continue;
-      const double s = score(q, uncovered);
+      const double s = Score(q, uncovered);
       if (best < 0 || s > best_score) {
         best = static_cast<int>(i);
         best_score = s;
       }
     }
-    if (best < 0) break;
-    FdQuestion& q = questions[static_cast<size_t>(best)];
+    if (best < 0) return std::nullopt;
+    asked_ = static_cast<size_t>(best);
+    FdQuestion& q = questions_[asked_];
     q.asked = true;
-    result.cost_spent += q.cost;
-    ++result.questions_asked;
-    if (ctx.expert->IsFdValid(q.fd) == Answer::kYes) {
-      result.accepted_fds.Add(q.fd);
-      for (CellId c : CellsOf(q, graph)) covered.Set(c);
-      ++covered_epoch;
-    }
+    result_.cost_spent += q.cost;
+    ++result_.questions_asked;
+    return Question{.kind = QuestionKind::kFd, .fd = q.fd, .cost = q.cost};
   }
-  return result;
-}
 
-class RescanFdQBudgetedMaxCoverage : public Strategy {
+  void Apply(Answer answer) override {
+    if (answer != Answer::kYes) return;
+    const FdQuestion& q = questions_[asked_];
+    result_.accepted_fds.Add(q.fd);
+    for (CellId c : CellsOf(q, graph_)) covered_.Set(c);
+    ++covered_epoch_;
+  }
+
+  StrategyResult Finish() override { return result_; }
+
+ protected:
+  virtual bool Eligible(size_t) const { return true; }
+  virtual double Score(const FdQuestion& q, size_t uncovered) const = 0;
+
+  std::vector<FdQuestion> questions_;
+
+ private:
+  const double budget_;
+  const ViolationGraph& graph_;
+  IdBitmap covered_;
+  std::vector<size_t> uncovered_cache_;
+  std::vector<uint32_t> cache_epoch_;
+  uint32_t covered_epoch_ = 0;
+  size_t asked_ = 0;
+  StrategyResult result_;
+};
+
+class BmcSteps : public RescanFdSteps {
  public:
-  explicit RescanFdQBudgetedMaxCoverage(const FdStrategyOptions& options)
-      : options_(options) {}
+  BmcSteps(const QuestionContext& ctx, const FdStrategyOptions& options)
+      : RescanFdSteps(ctx, options),
+        n_(std::max<double>(1.0, ctx.dirty->NumRows())) {}
 
-  std::string_view name() const override { return "FDQ-BMC"; }
-
-  StrategyResult Run(const QuestionContext& ctx) override {
-    const ViolationArtifact& artifact = *ctx.artifact;
-    std::vector<FdQuestion> questions =
-        BuildQuestions(ctx, artifact, options_);
-    const double n = std::max<double>(1.0, ctx.dirty->NumRows());
-    return RunFdLoop(
-        ctx, artifact.graph(), questions, [](size_t) { return true; },
-        [&](const FdQuestion& q, size_t uncovered) {
-          const double prior =
-              1.0 - static_cast<double>(q.removal_count) / n;
-          return prior * static_cast<double>(uncovered) / q.cost;
-        });
+ protected:
+  double Score(const FdQuestion& q, size_t uncovered) const override {
+    const double prior = 1.0 - static_cast<double>(q.removal_count) / n_;
+    return prior * static_cast<double>(uncovered) / q.cost;
   }
 
  private:
-  FdStrategyOptions options_;
+  const double n_;
 };
 
-class RescanFdQGreedy : public Strategy {
+class GreedySteps : public RescanFdSteps {
  public:
-  explicit RescanFdQGreedy(const FdStrategyOptions& options)
-      : options_(options) {}
+  GreedySteps(const QuestionContext& ctx, const FdStrategyOptions& options)
+      : RescanFdSteps(ctx, MinimalOnly(options)) {}
 
-  std::string_view name() const override { return "FDQ-Greedy"; }
-
-  StrategyResult Run(const QuestionContext& ctx) override {
-    FdStrategyOptions minimal_only = options_;
-    minimal_only.allow_non_minimal = false;
-    const ViolationArtifact& artifact = *ctx.artifact;
-    std::vector<FdQuestion> questions =
-        BuildQuestions(ctx, artifact, minimal_only);
-    return RunFdLoop(ctx, artifact.graph(), questions,
-                     [](size_t) { return true; },
-                     [](const FdQuestion&, size_t uncovered) {
-                       return static_cast<double>(uncovered);
-                     });
+ protected:
+  double Score(const FdQuestion&, size_t uncovered) const override {
+    return static_cast<double>(uncovered);
   }
 
  private:
-  FdStrategyOptions options_;
+  static FdStrategyOptions MinimalOnly(FdStrategyOptions options) {
+    options.allow_non_minimal = false;
+    return options;
+  }
 };
 
-class RescanFdQOracle : public Strategy {
+class OracleSteps : public RescanFdSteps {
  public:
-  explicit RescanFdQOracle(const FdStrategyOptions& options)
-      : options_(options) {}
-
-  std::string_view name() const override { return "FDQ-Oracle"; }
-
-  StrategyResult Run(const QuestionContext& ctx) override {
+  OracleSteps(const QuestionContext& ctx, const FdStrategyOptions& options)
+      : RescanFdSteps(ctx, options), valid_(questions_.size()) {
     UGUIDE_CHECK(ctx.true_fds != nullptr)
         << "FDQ-Oracle requires the true FD set";
-    const ViolationArtifact& artifact = *ctx.artifact;
-    std::vector<FdQuestion> questions =
-        BuildQuestions(ctx, artifact, options_);
     ClosureEngine true_closure(*ctx.true_fds);
-    std::vector<bool> valid(questions.size());
-    for (size_t i = 0; i < questions.size(); ++i) {
-      valid[i] = true_closure.Implies(questions[i].fd);
+    for (size_t i = 0; i < questions_.size(); ++i) {
+      valid_[i] = true_closure.Implies(questions_[i].fd);
     }
-    return RunFdLoop(ctx, artifact.graph(), questions,
-                     [&](size_t i) { return static_cast<bool>(valid[i]); },
-                     [](const FdQuestion& q, size_t uncovered) {
-                       return static_cast<double>(uncovered) / q.cost;
-                     });
+  }
+
+ protected:
+  bool Eligible(size_t i) const override { return valid_[i]; }
+  double Score(const FdQuestion& q, size_t uncovered) const override {
+    return static_cast<double>(uncovered) / q.cost;
   }
 
  private:
-  FdStrategyOptions options_;
+  std::vector<bool> valid_;
 };
 
 }  // namespace
 
 std::unique_ptr<Strategy> MakeRescanFdQBudgetedMaxCoverage(
     const FdStrategyOptions& options) {
-  return std::make_unique<RescanFdQBudgetedMaxCoverage>(options);
+  return MakeStepsStrategy<BmcSteps>("FDQ-BMC", options);
 }
 
 std::unique_ptr<Strategy> MakeRescanFdQGreedy(
     const FdStrategyOptions& options) {
-  return std::make_unique<RescanFdQGreedy>(options);
+  return MakeStepsStrategy<GreedySteps>("FDQ-Greedy", options);
 }
 
 std::unique_ptr<Strategy> MakeRescanFdQOracle(
     const FdStrategyOptions& options) {
-  return std::make_unique<RescanFdQOracle>(options);
+  return MakeStepsStrategy<OracleSteps>("FDQ-Oracle", options);
 }
 
 }  // namespace uguide

@@ -1,7 +1,13 @@
-# End-to-end smoke test of the serving pair: boot uguided on an ephemeral
-# port, drive 16 concurrent sessions through uguide_loadgen (which checks
-# every served report byte-equal to its in-process reference), SIGTERM the
-# daemon, and require a graceful drain plus zero journal corruption.
+# End-to-end smoke test of the serving pair, in two passes. Each boots
+# uguided on an ephemeral port, drives concurrent sessions through
+# uguide_loadgen (which checks every served report byte-equal to its
+# in-process reference), SIGTERMs the daemon, and requires a graceful drain
+# plus zero journal corruption:
+#   1. 16 sessions over one thread;
+#   2. 32 sessions over two threads while the loadgen mutates the dataset.
+#      A mutation forks on the pool from the drain task that handles it,
+#      which hung a one-worker pool until nested forks ran inline.
+# A stalled loadgen or drain fails the pass instead of hanging the test.
 #
 # Run via `cmake -P`; the process orchestration (background daemon, port
 # handshake, signal, wait) needs a shell, so the script body runs under
@@ -21,51 +27,82 @@ endif()
 
 file(REMOVE_RECURSE "${WORK_DIR}")
 file(MAKE_DIRECTORY "${WORK_DIR}")
-file(MAKE_DIRECTORY "${WORK_DIR}/journals")
 
-# $1 = uguided, $2 = uguide_loadgen. The dataset flags must match between
-# the two processes (shared recipe, src/server/dataset.h).
+# $1 = uguided, $2 = uguide_loadgen.
 file(WRITE "${WORK_DIR}/smoke.sh" [=[
 uguided="$1"
 loadgen="$2"
 
-"$uguided" --port=0 --port-file=port.txt --journal-dir=journals \
-  --max-sessions=32 --rows=200 --budget=16 >daemon.log 2>&1 &
-daemon_pid=$!
+# run_pass NAME FINISHED DAEMON_FLAGS LOADGEN_FLAGS: one daemon in
+# directory NAME; FINISHED is the session count the drain must report.
+run_pass() {
+  name="$1"
+  finished="$2"
+  mkdir -p "$name/journals"
+  (cd "$name" && exec "$uguided" --port=0 --port-file=port.txt \
+    --journal-dir=journals $3 >daemon.log 2>&1) &
+  daemon_pid=$!
 
-for _ in $(seq 1 240); do
-  [ -s port.txt ] && break
-  kill -0 "$daemon_pid" 2>/dev/null || break
-  sleep 0.25
-done
-if ! [ -s port.txt ]; then
-  echo "serving_smoke: daemon never published its port" >&2
-  cat daemon.log >&2
-  kill "$daemon_pid" 2>/dev/null
-  exit 1
-fi
+  for _ in $(seq 1 240); do
+    [ -s "$name/port.txt" ] && break
+    kill -0 "$daemon_pid" 2>/dev/null || break
+    sleep 0.25
+  done
+  if ! [ -s "$name/port.txt" ]; then
+    echo "serving_smoke[$name]: daemon never published its port" >&2
+    cat "$name/daemon.log" >&2
+    kill -KILL "$daemon_pid" 2>/dev/null
+    return 1
+  fi
 
-"$loadgen" --port="$(cat port.txt)" --sessions=16 --concurrency=16 \
-  --strategy=all --rows=200 --budget=16 --check-journals=journals
-loadgen_rc=$?
+  timeout 120 "$loadgen" --port="$(cat "$name/port.txt")" $4 \
+    --check-journals="$name/journals"
+  loadgen_rc=$?
+  if [ "$loadgen_rc" -eq 124 ]; then
+    echo "serving_smoke[$name]: loadgen stalled (no finish in 120 s)" >&2
+  fi
 
-kill -TERM "$daemon_pid"
-wait "$daemon_pid"
-daemon_rc=$?
-cat daemon.log
+  kill -TERM "$daemon_pid"
+  for _ in $(seq 1 120); do
+    kill -0 "$daemon_pid" 2>/dev/null || break
+    sleep 0.25
+  done
+  if kill -0 "$daemon_pid" 2>/dev/null; then
+    kill -KILL "$daemon_pid"
+    wait "$daemon_pid"
+    cat "$name/daemon.log"
+    echo "serving_smoke[$name]: daemon did not drain within 30 s" >&2
+    return 1
+  fi
+  wait "$daemon_pid"
+  daemon_rc=$?
+  cat "$name/daemon.log"
 
-if [ "$loadgen_rc" -ne 0 ]; then
-  echo "serving_smoke: loadgen failed (rc=$loadgen_rc)" >&2
-  exit 1
-fi
-if [ "$daemon_rc" -ne 0 ]; then
-  echo "serving_smoke: daemon did not drain cleanly (rc=$daemon_rc)" >&2
-  exit 1
-fi
-if ! grep -q "finished=16" daemon.log; then
-  echo "serving_smoke: daemon summary disagrees with loadgen" >&2
-  exit 1
-fi
+  if [ "$loadgen_rc" -ne 0 ]; then
+    echo "serving_smoke[$name]: loadgen failed (rc=$loadgen_rc)" >&2
+    return 1
+  fi
+  if [ "$daemon_rc" -ne 0 ]; then
+    echo "serving_smoke[$name]: daemon did not drain cleanly" \
+      "(rc=$daemon_rc)" >&2
+    return 1
+  fi
+  if ! grep -q "finished=$finished " "$name/daemon.log"; then
+    echo "serving_smoke[$name]: daemon summary disagrees with loadgen" >&2
+    return 1
+  fi
+}
+
+# The dataset flags must match between the two processes (shared recipe,
+# src/server/dataset.h).
+run_pass single 16 "--max-sessions=32 --rows=200 --budget=16" \
+  "--sessions=16 --concurrency=16 --strategy=all --rows=200 --budget=16" \
+  || exit 1
+run_pass mutating 32 \
+  "--threads=2 --max-sessions=64 --rows=300 --budget=16" \
+  "--sessions=32 --concurrency=8 --strategy=all --rows=300 --budget=16
+   --mutate-rate=0.3 --mutate-seed=1" \
+  || exit 1
 exit 0
 ]=])
 

@@ -1,7 +1,7 @@
-// The inverted step-wise session API: SessionStateMachine must be
-// observationally identical to the monolithic driver for every strategy,
-// idempotent on question re-delivery, resumable after a crash at any
-// question k, and abandonable without hanging the pump thread.
+// The step-wise session API: SessionStateMachine must be observationally
+// identical to the monolithic driver for every strategy, idempotent on
+// question re-delivery, resumable after a crash at any question k, and
+// abandonable without running the strategy any further.
 
 #include <gtest/gtest.h>
 #include <sys/wait.h>
@@ -15,6 +15,7 @@
 
 #include "common/fault_injection.h"
 #include "core/session.h"
+#include "core/session_journal.h"
 #include "core/session_state.h"
 #include "oracle/simulated_expert.h"
 #include "test_util.h"
@@ -179,6 +180,84 @@ TEST(SessionStateMachineTest, AbandonMidRunDoesNotHangAndKeepsJournal) {
   ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
   EXPECT_EQ(resumed->questions_replayed, 3);
   ExpectReportsEqual(*resumed, baseline);
+}
+
+TEST(SessionStateMachineTest, AbandonDropsTheRunWithoutAnsweringMore) {
+  // A budget no run can spend: Abandon must drop the run, not answer "I
+  // don't know" until the strategy gives up and then report that run.
+  Session session = MakeHospitalSession(300);
+  const std::string path =
+      ::testing::TempDir() + "/uguide_step_abandon_outstanding.journal";
+  std::remove(path.c_str());
+  auto strategy = MakeStrategyByName("CellQ-HS").ValueOrDie();
+  SessionStepOptions options;
+  options.journal_path = path;
+  auto machine = SessionStateMachine::Start(session, *strategy, 1e6, options)
+                     .ValueOrDie();
+  SimulatedExpert expert(&session.true_violations(), &session.truth(),
+                         session.dirty().NumAttributes(), session.true_fds());
+  std::vector<JournalRecord> answered;
+  for (int k = 0; k < 3; ++k) {
+    std::optional<SessionQuestion> q = machine->NextQuestion();
+    ASSERT_TRUE(q.has_value());
+    const Answer answer = AskQuestion(expert, *q);
+    ASSERT_TRUE(machine->SubmitAnswer({answer}).ok());
+    JournalRecord record;
+    record.kind = q->kind;
+    record.cell = q->cell;
+    record.answer = answer;
+    record.cost = q->nominal_cost;
+    answered.push_back(record);
+  }
+  ASSERT_TRUE(machine->NextQuestion().has_value());
+  machine->Abandon();
+
+  EXPECT_FALSE(machine->NextQuestion().has_value());
+  EXPECT_EQ(machine->SubmitAnswer({Answer::kYes}).code(),
+            StatusCode::kFailedPrecondition);
+  Result<SessionReport> report = machine->Finish();
+  EXPECT_EQ(report.status().code(), StatusCode::kFailedPrecondition)
+      << report.status().ToString();
+  Result<LoadedJournal> journal = LoadJournal(path);
+  ASSERT_TRUE(journal.ok()) << journal.status().ToString();
+  EXPECT_EQ(journal->records, answered);
+}
+
+TEST(SessionStateMachineTest, JournalCostsAddUpToTheReportedSpend) {
+  // Every question is journaled at the price its strategy charges, so the
+  // journal's costs add up to the report's spend net of retries. An expert
+  // who mostly answers "I don't know" leaves the minimal FDs' violations
+  // uncovered, so FDQ-BMC falls back to merged (non-minimal) questions
+  // (§7.2.6), which cost more than a minimal FD of the same LHS.
+  Session session = MakeHospitalSession(300, ErrorModel::kSystematic,
+                                        /*error_rate=*/0.15, /*seed=*/5,
+                                        /*idk_rate=*/0.9);
+  const double budget = 40.0;
+  bool merged_asked = false;
+  for (const std::string& name : KnownStrategyNames()) {
+    SCOPED_TRACE(name);
+    const std::string path = ::testing::TempDir() + "/uguide_step_cost_" +
+                             name + ".journal";
+    std::remove(path.c_str());
+    auto strategy = MakeStrategyByName(name).ValueOrDie();
+    SessionRunOptions options;
+    options.journal_path = path;
+    Result<SessionReport> report = session.Run(*strategy, budget, options);
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    Result<LoadedJournal> journal = LoadJournal(path);
+    ASSERT_TRUE(journal.ok()) << journal.status().ToString();
+    ASSERT_EQ(journal->records.size(),
+              static_cast<size_t>(report->result.questions_asked));
+    double journaled = 0.0;
+    for (const JournalRecord& record : journal->records) {
+      journaled += record.cost;
+      if (name == "FDQ-BMC" && !session.candidates().Contains(record.fd)) {
+        merged_asked = true;
+      }
+    }
+    EXPECT_EQ(journaled, report->result.cost_spent - report->retry_cost);
+  }
+  EXPECT_TRUE(merged_asked) << "FDQ-BMC asked no merged question";
 }
 
 // --- Crash-at-question-k resume through the step API ------------------------
