@@ -22,6 +22,7 @@
 #include "reference/cell_rescan.h"
 #include "reference/fd_rescan.h"
 #include "reference/hash_detector.h"
+#include "server/dataset.h"
 
 namespace uguide {
 namespace {
@@ -381,6 +382,27 @@ void BM_FdQOracleTaxReference(benchmark::State& state) {
   RunStrategyBench(state, TaxSession(), MakeRescanFdQOracle());
 }
 BENCHMARK(BM_FdQOracleTaxReference)->Unit(benchmark::kMillisecond);
+
+// Sampling-Saturation over the served dataset (uguided's default recipe,
+// Hospital@1200) at its default budget of 64. The saturated sets of
+// Sigma_T (NextClosure up to the 5000-set cap, ~30 ms) are the artifact's,
+// built here before timing as the first Saturation run over a served
+// dataset builds them, so the row times a run: the weighted draws, the
+// agree-set lookups and the sample's FD discovery.
+const Session& ServedSession() {
+  static Session* session =
+      new Session(MakeServedDataset(ServedDatasetOptions{}).ValueOrDie());
+  return *session;
+}
+
+void BM_SamplingSaturationHospital(benchmark::State& state) {
+  const Session& session = ServedSession();
+  session.artifact().SaturatedSetFamily(
+      session.exact_fds(),
+      static_cast<size_t>(TupleStrategyOptions{}.max_saturated_sets));
+  RunStrategyBench(state, session, MakeTupleSamplingSaturationSets());
+}
+BENCHMARK(BM_SamplingSaturationHospital)->Unit(benchmark::kMillisecond);
 
 // --- Evaluation --------------------------------------------------------------
 

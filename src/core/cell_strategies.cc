@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <memory>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -145,6 +147,14 @@ class ClassSelector {
       heap_.push_back({key_[i], front, g, ++stamp_[i]});
     }
     std::make_heap(heap_.begin(), heap_.end(), Later);
+  }
+
+  // Payload bytes of the selector's arrays.
+  size_t ApproxMemoryBytes() const {
+    return groups_.size() * sizeof(ConstSpan<CellId>) +
+           cursor_.size() * sizeof(size_t) + key_.size() * sizeof(double) +
+           stamp_.size() * sizeof(uint32_t) + heap_.size() * sizeof(Entry) +
+           touched_.size() / 8;
   }
 
   // Calls `fn(k)` once for every class listing one of `fds`.
@@ -484,36 +494,457 @@ class CellOracleSteps : public CellSteps {
 // computed once per class of cells sharing a flagging-FD list, in the
 // operand order of the per-cell rescan, so fixpoint values, selected
 // questions and the report are bit-identical to it (DESIGN.md §14.2).
-class SumsSteps : public CellSteps {
-  // One key orders both picks: a class with a positive score keys at
-  // the negated score, below every other key, so the best-scoring
-  // question comes first, ties toward the lowest CellId. Once no
-  // confirmation can add evidence anymore, every class keys at its
-  // confidence, and the pick is the least-trusted fallback, whose "no"
-  // answer invalidates its flagging FDs: the minimum confidence, ties
-  // toward the lowest CellId. The fixpoint keeps confidences in [0, 1],
-  // under the rescan's fallback cap of 2.
-  auto Key() const {
-    return [this](int k, CellId) {
-      const double conf = state_.conf[static_cast<size_t>(k)];
-      const double score = Score(conf, marginal_[static_cast<size_t>(k)]);
-      return score > 0.0 ? -score : conf;
-    };
+//
+// Everything a run computes before its first question depends only on the
+// artifact and three options, so it is built once per artifact (DESIGN.md
+// §14.3): the fixpoint's layout (SumsLayout) and the state after the first
+// marginals, Estimate-Confidence and heap seeding (SumsPrefix). A run
+// starts from a copy of the prefix's mutable arrays.
+
+constexpr int kLanes = 4;
+
+// Ids 0..n-1 ordered by descending size(id), ties ascending: blocks of
+// similar lengths leave short tails. A counting sort, as sizes are list
+// lengths.
+template <typename SizeFn>
+std::vector<int> LongestFirst(int n, const SizeFn& size) {
+  std::vector<size_t> sizes(static_cast<size_t>(n));
+  size_t longest = 0;
+  for (int id = 0; id < n; ++id) {
+    sizes[static_cast<size_t>(id)] = size(id);
+    longest = std::max(longest, sizes[static_cast<size_t>(id)]);
+  }
+  // next[longest - s]: where the next id of size s goes.
+  std::vector<int> next(longest + 2, 0);
+  for (size_t s : sizes) ++next[longest - s + 1];
+  for (size_t i = 1; i < next.size(); ++i) next[i] += next[i - 1];
+  std::vector<int> order(static_cast<size_t>(n));
+  for (int id = 0; id < n; ++id) {
+    int& at = next[longest - sizes[static_cast<size_t>(id)]];
+    order[static_cast<size_t>(at++)] = id;
+  }
+  return order;
+}
+
+// The cell side's operands: the classes laid out, in blocks of kLanes
+// (class_block; -1 pads the last block), and per block the lanes' FD
+// lists interleaved element by element, each padded with the zero FD to
+// the block's longest
+// (class_block_fds[class_block_begin[b], class_block_begin[b + 1])).
+// laid_out counts the classes laid out.
+struct ClassBlocks {
+  std::vector<int> class_block;
+  std::vector<int> class_block_begin;
+  std::vector<FdId> class_block_fds;
+  size_t laid_out = 0;
+
+  size_t ApproxMemoryBytes() const {
+    return (class_block.size() + class_block_begin.size() +
+            class_block_fds.size()) *
+           sizeof(int);
+  }
+};
+
+// Lays out the cell side's blocks over `live`, longest FD list first,
+// padding with `zero_fd`.
+std::shared_ptr<const ClassBlocks> LayOutClasses(const CellClasses& classes,
+                                                 const std::vector<int>& live,
+                                                 FdId zero_fd) {
+  auto blocks = std::make_shared<ClassBlocks>();
+  blocks->laid_out = live.size();
+  blocks->class_block = live;
+  while (blocks->class_block.size() % kLanes != 0) {
+    blocks->class_block.push_back(-1);
+  }
+  blocks->class_block_begin.assign(1, 0);
+  for (size_t b = 0; b < blocks->class_block.size(); b += kLanes) {
+    ConstSpan<FdId> lanes[kLanes];
+    for (int j = 0; j < kLanes; ++j) {
+      const int k = blocks->class_block[b + static_cast<size_t>(j)];
+      if (k >= 0) lanes[j] = classes.Fds(k);
+    }
+    for (size_t i = 0; i < lanes[0].size(); ++i) {
+      for (const ConstSpan<FdId>& lane : lanes) {
+        blocks->class_block_fds.push_back(i < lane.size() ? lane[i]
+                                                          : zero_fd);
+      }
+    }
+    blocks->class_block_begin.push_back(
+        static_cast<int>(blocks->class_block_fds.size()));
+  }
+  return blocks;
+}
+
+// The part of the Estimate-Confidence state no run changes: where each
+// graph edge's slot copy sits, both sides' block orders, and the cell
+// side's first blocks. Every SUMS run over one artifact shares it.
+struct SumsLayout final : ArtifactPiece {
+  SumsLayout(const ViolationGraph& graph, const CellClasses& classes)
+      : zero_fd(graph.NumFds()),
+        fds_by_length(LongestFirst(graph.NumFds(), [&](FdId f) {
+          return graph.CellsOfFd(f).size();
+        })),
+        classes_by_length(LongestFirst(classes.NumClasses(), [&](int k) {
+          return classes.Fds(k).size();
+        })) {
+    fd_edge_begin.assign(static_cast<size_t>(graph.NumFds()) + 1, 0);
+    for (FdId f = 0; f < graph.NumFds(); ++f) {
+      fd_edge_begin[static_cast<size_t>(f) + 1] =
+          fd_edge_begin[static_cast<size_t>(f)] +
+          static_cast<uint32_t>(graph.CellsOfFd(f).size());
+    }
+    cell_edge_begin.assign(static_cast<size_t>(graph.NumCells()) + 1, 0);
+    for (CellId c = 0; c < graph.NumCells(); ++c) {
+      cell_edge_begin[static_cast<size_t>(c) + 1] =
+          cell_edge_begin[static_cast<size_t>(c)] +
+          static_cast<uint32_t>(graph.FdsOfCell(c).size());
+    }
+    cell_edges.resize(fd_edge_begin.back());
+    std::vector<uint32_t> next(cell_edge_begin.begin(),
+                               cell_edge_begin.end() - 1);
+    uint32_t e = 0;
+    for (FdId f = 0; f < graph.NumFds(); ++f) {
+      for (CellId c : graph.CellsOfFd(f)) {
+        cell_edges[next[static_cast<size_t>(c)]++] = e++;
+      }
+    }
+    // A run's first Estimate-Confidence finds every class live: every
+    // cell is active and unpinned, and every class has a member.
+    first_blocks = LayOutClasses(classes, classes_by_length, zero_fd);
   }
 
+  size_t ApproxMemoryBytes() const override {
+    return (fd_edge_begin.size() + cell_edge_begin.size() +
+            cell_edges.size()) *
+               sizeof(uint32_t) +
+           (fds_by_length.size() + classes_by_length.size()) * sizeof(int) +
+           first_blocks->ApproxMemoryBytes();
+  }
+
+  // The fixpoint's FD confidences carry one last entry, zero_fd, that
+  // stays +0.0 and pads the cell side's blocks.
+  const FdId zero_fd;
+  // A slot copy per FD-side edge is laid out like the graph's CellsOfFd
+  // lists (FD f's at [fd_edge_begin[f], fd_edge_begin[f + 1])), so the FD
+  // side reads one array in order; cell c's copies sit at the positions
+  // cell_edges[cell_edge_begin[c], cell_edge_begin[c + 1]).
+  std::vector<uint32_t> fd_edge_begin;
+  std::vector<uint32_t> cell_edge_begin;
+  std::vector<uint32_t> cell_edges;
+  // Every FD, longest CellsOfFd list first, and every class, longest FD
+  // list first; the two sides' block orders.
+  const std::vector<FdId> fds_by_length;
+  const std::vector<int> classes_by_length;
+  std::shared_ptr<const ClassBlocks> first_blocks;
+};
+
+// The Estimate-Confidence state of a class-indexed run. A cell is *live*
+// while it is active and unpinned; every live member of class k holds
+// the same confidence conf[k] (the cell-side sum reads only the class's
+// FD list), and cells only ever leave the live set, so the value a class
+// carries from one call to the next is exactly what each of its live
+// members would hold.
+struct ClassConfidence {
+  ClassConfidence(std::shared_ptr<const SumsLayout> shared_layout,
+                  const ViolationGraph& graph, const CellClasses& classes,
+                  double initial_confidence)
+      : layout(std::move(shared_layout)),
+        slot(static_cast<size_t>(graph.NumCells())),
+        pinned_slot(classes.NumClasses()),
+        dead_slot(classes.NumClasses() + 1),
+        conf(static_cast<size_t>(classes.NumClasses()) + 2, 1.0),
+        edge_slot(layout->cell_edges.size()),
+        fd_conf(static_cast<size_t>(graph.NumFds()) + 1, initial_confidence),
+        blocks(layout->first_blocks) {
+    for (CellId c = 0; c < graph.NumCells(); ++c) {
+      slot[static_cast<size_t>(c)] = classes.ClassOf(c);
+    }
+    uint32_t e = 0;
+    for (FdId f = 0; f < graph.NumFds(); ++f) {
+      for (CellId c : graph.CellsOfFd(f)) {
+        edge_slot[e++] = slot[static_cast<size_t>(c)];
+      }
+    }
+    conf[static_cast<size_t>(dead_slot)] = 0.0;
+    fd_conf[static_cast<size_t>(layout->zero_fd)] = 0.0;
+  }
+
+  // Moves cell `c` to `value`, in slot and in every edge_slot copy.
+  void SetSlot(CellId c, int value) {
+    slot[static_cast<size_t>(c)] = value;
+    for (uint32_t i = layout->cell_edge_begin[static_cast<size_t>(c)];
+         i < layout->cell_edge_begin[static_cast<size_t>(c) + 1]; ++i) {
+      edge_slot[layout->cell_edges[i]] = value;
+    }
+  }
+
+  // FD f's edge_slot entries, in CellsOfFd order.
+  ConstSpan<int> EdgeSlots(FdId f) const {
+    const size_t i = static_cast<size_t>(f);
+    return ConstSpan<int>(
+        edge_slot.data() + layout->fd_edge_begin[i],
+        layout->fd_edge_begin[i + 1] - layout->fd_edge_begin[i]);
+  }
+
+  // Payload bytes of the arrays a run copies; the shared layout and the
+  // first blocks are the layout's.
+  size_t ApproxMemoryBytes() const {
+    return (slot.size() + edge_slot.size()) * sizeof(int) +
+           (conf.size() + fd_conf.size()) * sizeof(double);
+  }
+
+  std::shared_ptr<const SumsLayout> layout;
+  // Index into conf of each cell's current confidence: its class while
+  // live, pinned_slot (1.0) once confirmed, dead_slot (0.0) once
+  // inactive.
+  std::vector<int> slot;
+  const int pinned_slot;
+  const int dead_slot;
+  std::vector<double> conf;
+  // A copy of slot per FD-side edge, at the layout's edge positions.
+  std::vector<int> edge_slot;
+  // The fixpoint's FD confidences, plus the layout's zero_fd entry.
+  std::vector<double> fd_conf;
+  // The cell side's blocks: the layout's first ones until enough classes
+  // lost their last live member, then the run's own.
+  std::shared_ptr<const ClassBlocks> blocks;
+};
+
+// Algorithm 4: alternate confidence propagation between FDs and
+// violations until convergence. FD confidence = log-boosted average of
+// its violations' confidences; violation confidence = sum of its FDs'
+// confidences; both max-normalized each round. Pinned (expert-labelled)
+// cells keep their value.
+//
+// Computed over classes, bit-identically to the per-cell fixpoint
+// (tests/reference/cell_rescan). The FD side walks each active FD's
+// CellsOfFd in CSR order, adding each cell's value through its slot
+// (read from the FD's edge_slot copies): the class value while live, 1
+// when pinned, and +0.0 when inactive, which leaves the non-negative
+// sum bitwise unchanged; the count is the FD's active degree, the
+// number of active cells a per-cell walk counts. The cell side
+// computes one sum per live class over the class's ascending FD list —
+// the operand sequence a per-cell walk repeats for every member — so
+// the max over live classes is the max over live cells and every
+// normalized value is bitwise the per-cell one. It adds every listed
+// FD's value, inactive ones included: the FD side has just set those to
+// +0.0, which leaves the sum unchanged as a skipped term would.
+//
+// Both sides sum kLanes lists side by side, each in its own order, so
+// the short serial chains of additions overlap instead of each waiting
+// on a mispredicted loop exit, and no sum changes. The FD side reads
+// the active FDs' edge_slot spans in place, longest first, in lockstep
+// up to a block's shortest list and then each list's rest on its own.
+// The cell side's lists are a few FDs long, so it streams the
+// interleaved blocks of LayOutClasses instead, where zero_fd pads a
+// lane without changing its sum; the blocks are laid out again only
+// once a quarter of the classes in them has no live member left, and
+// until then such classes are summed and dropped.
+void EstimateConfidence(const CellStrategyOptions& options,
+                        const CellRun& run, const CellClasses& classes,
+                        ClassConfidence& state) {
+  // Answers since the last call deactivated cells; retire their slots
+  // and collect the classes that still have a live member.
+  std::vector<bool> has_live(static_cast<size_t>(classes.NumClasses()),
+                             false);
+  for (CellId c = 0; c < run.graph.NumCells(); ++c) {
+    const int slot = state.slot[static_cast<size_t>(c)];
+    if (!run.graph.CellActive(c)) {
+      if (slot != state.dead_slot) state.SetSlot(c, state.dead_slot);
+    } else if (slot < state.pinned_slot) {
+      has_live[static_cast<size_t>(slot)] = true;
+    }
+  }
+  std::vector<int> live_classes;
+  for (int k : state.layout->classes_by_length) {
+    if (has_live[static_cast<size_t>(k)]) live_classes.push_back(k);
+  }
+  if (4 * live_classes.size() < 3 * state.blocks->laid_out) {
+    state.blocks =
+        LayOutClasses(classes, live_classes, state.layout->zero_fd);
+  }
+  const ClassBlocks& blocks = *state.blocks;
+  std::vector<FdId> active_fds;
+  for (FdId f : state.layout->fds_by_length) {
+    if (run.graph.FdActive(f)) active_fds.push_back(f);
+  }
+
+  const int num_fds = run.graph.NumFds();
+  std::vector<double> next_fd(state.fd_conf.size());
+  for (int iter = 0; iter < options.sums_max_iterations; ++iter) {
+    double max_delta = 0.0;
+    // FD side.
+    double max_fd = 0.0;
+    std::fill(next_fd.begin(), next_fd.end(), 0.0);
+    for (size_t b = 0; b < active_fds.size(); b += kLanes) {
+      const size_t width = std::min<size_t>(kLanes, active_fds.size() - b);
+      ConstSpan<int> slots[kLanes];
+      for (size_t j = 0; j < width; ++j) {
+        slots[j] = state.EdgeSlots(active_fds[b + j]);
+      }
+      size_t common = slots[0].size();
+      for (const ConstSpan<int>& lane : slots) {
+        common = std::min(common, lane.size());
+      }
+      const auto value = [&state](int slot) {
+        return state.conf[static_cast<size_t>(slot)];
+      };
+      double sum[kLanes] = {};
+      for (size_t i = 0; i < common; ++i) {
+        for (int j = 0; j < kLanes; ++j) sum[j] += value(slots[j][i]);
+      }
+      for (int j = 0; j < kLanes; ++j) {
+        for (size_t i = common; i < slots[j].size(); ++i) {
+          sum[j] += value(slots[j][i]);
+        }
+      }
+      for (size_t j = 0; j < width; ++j) {
+        const FdId f = active_fds[b + j];
+        const int count = run.graph.ActiveDegreeOfFd(f);
+        double& next = next_fd[static_cast<size_t>(f)];
+        next = count == 0 ? 0.0 : std::log(1.0 + count) * (sum[j] / count);
+        max_fd = std::max(max_fd, next);
+      }
+    }
+    if (max_fd > 0.0) {
+      for (double& v : next_fd) v /= max_fd;
+    }
+    for (FdId f = 0; f < num_fds; ++f) {
+      max_delta = std::max(max_delta,
+                           std::abs(next_fd[static_cast<size_t>(f)] -
+                                    state.fd_conf[static_cast<size_t>(f)]));
+    }
+    state.fd_conf.swap(next_fd);
+
+    // Violation side, once per live class.
+    double max_cell = 0.0;
+    for (size_t b = 0; b + 1 < blocks.class_block_begin.size(); ++b) {
+      double sum[kLanes] = {};
+      for (int e = blocks.class_block_begin[b];
+           e < blocks.class_block_begin[b + 1]; e += kLanes) {
+        for (int j = 0; j < kLanes; ++j) {
+          const FdId f = blocks.class_block_fds[static_cast<size_t>(e + j)];
+          sum[j] += state.fd_conf[static_cast<size_t>(f)];
+        }
+      }
+      for (int j = 0; j < kLanes; ++j) {
+        const int k = blocks.class_block[b * kLanes + static_cast<size_t>(j)];
+        if (k < 0 || !has_live[static_cast<size_t>(k)]) continue;
+        state.conf[static_cast<size_t>(k)] = sum[j];
+        max_cell = std::max(max_cell, sum[j]);
+      }
+    }
+    if (max_cell > 0.0) {
+      for (int k : live_classes) {
+        state.conf[static_cast<size_t>(k)] /= max_cell;
+      }
+    }
+
+    if (max_delta < options.sums_tolerance) break;
+  }
+}
+
+// Maximum information: confidence near 1/2 (the fixpoint is unsure),
+// weighted by the *marginal* evidence the answer can add -- flagging FDs
+// that are already confirmed contribute nothing, so the strategy moves
+// on instead of re-confirming the same dependencies.
+double SumsScore(double conf, double marginal) {
+  const double uncertainty = 1.0 - std::abs(2.0 * conf - 1.0);
+  return (0.05 + uncertainty) * marginal;
+}
+
+double SumsMarginal(const CellRun& run, ConstSpan<FdId> fds,
+                    const std::vector<double>& evidence) {
+  double marginal = 0.0;
+  for (FdId f : fds) {
+    if (run.graph.FdActive(f)) {
+      marginal += 1.0 - evidence[static_cast<size_t>(f)];
+    }
+  }
+  return marginal;
+}
+
+// One key orders both picks: a class with a positive score keys at the
+// negated score, below every other key, so the best-scoring question
+// comes first, ties toward the lowest CellId. Once no confirmation can
+// add evidence anymore, every class keys at its confidence, and the pick
+// is the least-trusted fallback, whose "no" answer invalidates its
+// flagging FDs: the minimum confidence, ties toward the lowest CellId.
+// The fixpoint keeps confidences in [0, 1], under the rescan's fallback
+// cap of 2.
+auto SumsKey(const ClassConfidence& state,
+             const std::vector<double>& marginal) {
+  return [&state, &marginal](int k, CellId) {
+    const double conf = state.conf[static_cast<size_t>(k)];
+    const double score = SumsScore(conf, marginal[static_cast<size_t>(k)]);
+    return score > 0.0 ? -score : conf;
+  };
+}
+
+// A SUMS run's state before its first question, for one
+// (initial_confidence, sums_max_iterations, sums_tolerance): every class's
+// marginal over the initial evidence, the first Estimate-Confidence, and
+// the class heap seeded from both.
+struct SumsPrefix final : ArtifactPiece {
+  // `run` is a fresh run: nothing asked, every node active.
+  SumsPrefix(const CellRun& run, std::shared_ptr<const SumsLayout> layout,
+             const CellStrategyOptions& options)
+      : state(std::move(layout), run.artifact.graph(),
+              run.artifact.classes(), options.initial_confidence),
+        marginal(static_cast<size_t>(run.artifact.classes().NumClasses())),
+        selector(ClassesSelector(run)) {
+    const CellClasses& classes = run.artifact.classes();
+    const std::vector<double> evidence(static_cast<size_t>(run.graph.NumFds()),
+                                       options.initial_confidence);
+    for (int k = 0; k < classes.NumClasses(); ++k) {
+      marginal[static_cast<size_t>(k)] =
+          SumsMarginal(run, classes.Fds(k), evidence);
+    }
+    EstimateConfidence(options, run, classes, state);
+    selector.Reseed(run, SumsKey(state, marginal));
+  }
+
+  size_t ApproxMemoryBytes() const override {
+    return state.ApproxMemoryBytes() + marginal.size() * sizeof(double) +
+           selector.ApproxMemoryBytes();
+  }
+
+  ClassConfidence state;
+  std::vector<double> marginal;
+  ClassSelector selector;
+};
+
+// The artifact's SumsPrefix for `options`, built over the fresh `run` by
+// the first run that asks.
+std::shared_ptr<const SumsPrefix> SharedSumsPrefix(
+    const CellRun& run, const CellStrategyOptions& options) {
+  const ViolationArtifact& artifact = run.artifact;
+  std::shared_ptr<const SumsLayout> layout =
+      artifact.Piece<SumsLayout>("CellQ-SUMS layout", [&] {
+        return std::make_shared<const SumsLayout>(artifact.graph(),
+                                                  artifact.classes());
+      });
+  char key[96];
+  std::snprintf(key, sizeof(key), "CellQ-SUMS prefix %a %d %a",
+                options.initial_confidence, options.sums_max_iterations,
+                options.sums_tolerance);
+  return artifact.Piece<SumsPrefix>(key, [&] {
+    return std::make_shared<const SumsPrefix>(run, std::move(layout),
+                                              options);
+  });
+}
+
+class SumsSteps : public CellSteps {
  public:
   SumsSteps(const QuestionContext& ctx, const CellStrategyOptions& options)
       : CellSteps(ctx, options),
         classes_(run_.artifact.classes()),
-        state_(run_.graph, classes_, options.initial_confidence),
+        prefix_(SharedSumsPrefix(run_, options)),
+        state_(prefix_->state),
         evidence_(static_cast<size_t>(run_.graph.NumFds()),
                   options.initial_confidence),
-        marginal_(static_cast<size_t>(classes_.NumClasses())),
-        selector_(ClassesSelector(run_)) {
-    for (int k = 0; k < classes_.NumClasses(); ++k) Refresh(k);
-    EstimateConfidence(options_, run_, classes_, state_);
-    selector_.Reseed(run_, Key());
-  }
+        marginal_(prefix_->marginal),
+        selector_(prefix_->selector) {}
 
   std::optional<Question> Next() override {
     if (!Affordable()) return std::nullopt;
@@ -538,9 +969,9 @@ class SumsSteps : public CellSteps {
     if (++answers_since_estimate_ >= options_.sums_recompute_interval) {
       EstimateConfidence(options_, run_, classes_, state_);
       answers_since_estimate_ = 0;
-      selector_.Reseed(run_, Key());
+      selector_.Reseed(run_, SumsKey(state_, marginal_));
     } else {
-      selector_.Rekey(run_, affected, Key());
+      selector_.Rekey(run_, affected, SumsKey(state_, marginal_));
     }
   }
 
@@ -551,327 +982,19 @@ class SumsSteps : public CellSteps {
  private:
   void Refresh(int k) {
     marginal_[static_cast<size_t>(k)] =
-        Marginal(run_, classes_.Fds(k), evidence_);
-  }
-
-  // Maximum information: confidence near 1/2 (the fixpoint is unsure),
-  // weighted by the *marginal* evidence the answer can add -- flagging FDs
-  // that are already confirmed contribute nothing, so the strategy moves
-  // on instead of re-confirming the same dependencies.
-  static double Score(double conf, double marginal) {
-    const double uncertainty = 1.0 - std::abs(2.0 * conf - 1.0);
-    return (0.05 + uncertainty) * marginal;
-  }
-
-  static double Marginal(const CellRun& run, ConstSpan<FdId> fds,
-                         const std::vector<double>& evidence) {
-    double marginal = 0.0;
-    for (FdId f : fds) {
-      if (run.graph.FdActive(f)) {
-        marginal += 1.0 - evidence[static_cast<size_t>(f)];
-      }
-    }
-    return marginal;
-  }
-
-  static constexpr int kLanes = 4;
-
-  // Ids 0..n-1 ordered by descending size(id), ties ascending: blocks of
-  // similar lengths leave short tails. A counting sort, as sizes are list
-  // lengths.
-  template <typename SizeFn>
-  static std::vector<int> LongestFirst(int n, const SizeFn& size) {
-    std::vector<size_t> sizes(static_cast<size_t>(n));
-    size_t longest = 0;
-    for (int id = 0; id < n; ++id) {
-      sizes[static_cast<size_t>(id)] = size(id);
-      longest = std::max(longest, sizes[static_cast<size_t>(id)]);
-    }
-    // next[longest - s]: where the next id of size s goes.
-    std::vector<int> next(longest + 2, 0);
-    for (size_t s : sizes) ++next[longest - s + 1];
-    for (size_t i = 1; i < next.size(); ++i) next[i] += next[i - 1];
-    std::vector<int> order(static_cast<size_t>(n));
-    for (int id = 0; id < n; ++id) {
-      int& at = next[longest - sizes[static_cast<size_t>(id)]];
-      order[static_cast<size_t>(at++)] = id;
-    }
-    return order;
-  }
-
-  // The Estimate-Confidence state of a class-indexed run. A cell is *live*
-  // while it is active and unpinned; every live member of class k holds
-  // the same confidence conf[k] (the cell-side sum reads only the class's
-  // FD list), and cells only ever leave the live set, so the value a class
-  // carries from one call to the next is exactly what each of its live
-  // members would hold.
-  struct ClassConfidence {
-    ClassConfidence(const GraphView& graph, const CellClasses& classes,
-                    double initial_confidence)
-        : slot(static_cast<size_t>(graph.NumCells())),
-          pinned_slot(classes.NumClasses()),
-          dead_slot(classes.NumClasses() + 1),
-          conf(static_cast<size_t>(classes.NumClasses()) + 2, 1.0),
-          zero_fd(graph.NumFds()),
-          fd_conf(static_cast<size_t>(graph.NumFds()) + 1, initial_confidence),
-          fds_by_length(LongestFirst(graph.NumFds(), [&](FdId f) {
-            return graph.CellsOfFd(f).size();
-          })),
-          classes_by_length(LongestFirst(classes.NumClasses(), [&](int k) {
-            return classes.Fds(k).size();
-          })) {
-      for (CellId c = 0; c < graph.NumCells(); ++c) {
-        slot[static_cast<size_t>(c)] = classes.ClassOf(c);
-      }
-      fd_edge_begin.assign(static_cast<size_t>(graph.NumFds()) + 1, 0);
-      for (FdId f = 0; f < graph.NumFds(); ++f) {
-        fd_edge_begin[static_cast<size_t>(f) + 1] =
-            fd_edge_begin[static_cast<size_t>(f)] +
-            static_cast<uint32_t>(graph.CellsOfFd(f).size());
-      }
-      cell_edge_begin.assign(static_cast<size_t>(graph.NumCells()) + 1, 0);
-      for (CellId c = 0; c < graph.NumCells(); ++c) {
-        cell_edge_begin[static_cast<size_t>(c) + 1] =
-            cell_edge_begin[static_cast<size_t>(c)] +
-            static_cast<uint32_t>(graph.FdsOfCell(c).size());
-      }
-      edge_slot.resize(fd_edge_begin.back());
-      cell_edges.resize(fd_edge_begin.back());
-      std::vector<uint32_t> next(cell_edge_begin.begin(),
-                                 cell_edge_begin.end() - 1);
-      uint32_t e = 0;
-      for (FdId f = 0; f < graph.NumFds(); ++f) {
-        for (CellId c : graph.CellsOfFd(f)) {
-          edge_slot[e] = slot[static_cast<size_t>(c)];
-          cell_edges[next[static_cast<size_t>(c)]++] = e++;
-        }
-      }
-      conf[static_cast<size_t>(dead_slot)] = 0.0;
-      fd_conf[static_cast<size_t>(zero_fd)] = 0.0;
-    }
-
-    // Moves cell `c` to `value`, in slot and in every edge_slot copy.
-    void SetSlot(CellId c, int value) {
-      slot[static_cast<size_t>(c)] = value;
-      for (uint32_t i = cell_edge_begin[static_cast<size_t>(c)];
-           i < cell_edge_begin[static_cast<size_t>(c) + 1]; ++i) {
-        edge_slot[cell_edges[i]] = value;
-      }
-    }
-
-    // FD f's edge_slot entries, in CellsOfFd order.
-    ConstSpan<int> EdgeSlots(FdId f) const {
-      const size_t i = static_cast<size_t>(f);
-      return ConstSpan<int>(edge_slot.data() + fd_edge_begin[i],
-                            fd_edge_begin[i + 1] - fd_edge_begin[i]);
-    }
-
-    // Index into conf of each cell's current confidence: its class while
-    // live, pinned_slot (1.0) once confirmed, dead_slot (0.0) once
-    // inactive.
-    std::vector<int> slot;
-    const int pinned_slot;
-    const int dead_slot;
-    std::vector<double> conf;
-    // A copy of slot per FD-side edge, laid out like the graph's CellsOfFd
-    // lists (FD f's at [fd_edge_begin[f], fd_edge_begin[f + 1])), so the
-    // FD side reads one array in order; cell c's copies sit at the
-    // positions cell_edges[cell_edge_begin[c], cell_edge_begin[c + 1]).
-    std::vector<uint32_t> fd_edge_begin;
-    std::vector<int> edge_slot;
-    std::vector<uint32_t> cell_edge_begin;
-    std::vector<uint32_t> cell_edges;
-    // The fixpoint's FD confidences, plus one last entry, zero_fd, that
-    // stays +0.0 and pads the cell side's blocks.
-    const FdId zero_fd;
-    std::vector<double> fd_conf;
-    // Every FD, longest CellsOfFd list first, and every class, longest FD
-    // list first; the two sides' block orders.
-    const std::vector<FdId> fds_by_length;
-    const std::vector<int> classes_by_length;
-    // The cell side's operands (LayOutClasses): the classes live at the
-    // last layout in blocks of kLanes (class_block; -1 pads the last
-    // block), and per block the lanes' FD lists interleaved element by
-    // element, each padded with zero_fd to the block's longest
-    // (class_block_fds[class_block_begin[b], class_block_begin[b + 1])).
-    // laid_out counts the classes laid out.
-    std::vector<int> class_block;
-    std::vector<int> class_block_begin;
-    std::vector<FdId> class_block_fds;
-    size_t laid_out = 0;
-  };
-
-  // Lays out the cell side's blocks over `live`, longest FD list first.
-  static void LayOutClasses(const CellClasses& classes,
-                            const std::vector<int>& live,
-                            ClassConfidence& state) {
-    state.laid_out = live.size();
-    state.class_block = live;
-    while (state.class_block.size() % kLanes != 0) {
-      state.class_block.push_back(-1);
-    }
-    state.class_block_fds.clear();
-    state.class_block_begin.assign(1, 0);
-    for (size_t b = 0; b < state.class_block.size(); b += kLanes) {
-      ConstSpan<FdId> lanes[kLanes];
-      for (int j = 0; j < kLanes; ++j) {
-        const int k = state.class_block[b + static_cast<size_t>(j)];
-        if (k >= 0) lanes[j] = classes.Fds(k);
-      }
-      for (size_t i = 0; i < lanes[0].size(); ++i) {
-        for (const ConstSpan<FdId>& lane : lanes) {
-          state.class_block_fds.push_back(i < lane.size() ? lane[i]
-                                                          : state.zero_fd);
-        }
-      }
-      state.class_block_begin.push_back(
-          static_cast<int>(state.class_block_fds.size()));
-    }
-  }
-
-  // Algorithm 4: alternate confidence propagation between FDs and
-  // violations until convergence. FD confidence = log-boosted average of
-  // its violations' confidences; violation confidence = sum of its FDs'
-  // confidences; both max-normalized each round. Pinned (expert-labelled)
-  // cells keep their value.
-  //
-  // Computed over classes, bit-identically to the per-cell fixpoint
-  // (tests/reference/cell_rescan). The FD side walks each active FD's
-  // CellsOfFd in CSR order, adding each cell's value through its slot
-  // (read from the FD's edge_slot copies): the class value while live, 1
-  // when pinned, and +0.0 when inactive, which leaves the non-negative
-  // sum bitwise unchanged; the count is the FD's active degree, the
-  // number of active cells a per-cell walk counts. The cell side
-  // computes one sum per live class over the class's ascending FD list —
-  // the operand sequence a per-cell walk repeats for every member — so
-  // the max over live classes is the max over live cells and every
-  // normalized value is bitwise the per-cell one. It adds every listed
-  // FD's value, inactive ones included: the FD side has just set those to
-  // +0.0, which leaves the sum unchanged as a skipped term would.
-  //
-  // Both sides sum kLanes lists side by side, each in its own order, so
-  // the short serial chains of additions overlap instead of each waiting
-  // on a mispredicted loop exit, and no sum changes. The FD side reads
-  // the active FDs' edge_slot spans in place, longest first, in lockstep
-  // up to a block's shortest list and then each list's rest on its own.
-  // The cell side's lists are a few FDs long, so it streams the
-  // interleaved blocks of LayOutClasses instead, where zero_fd pads a
-  // lane without changing its sum; the blocks are laid out again only
-  // once a quarter of the classes in them has no live member left, and
-  // until then such classes are summed and dropped.
-  static void EstimateConfidence(const CellStrategyOptions& options,
-                                 const CellRun& run,
-                                 const CellClasses& classes,
-                                 ClassConfidence& state) {
-    // Answers since the last call deactivated cells; retire their slots
-    // and collect the classes that still have a live member.
-    std::vector<bool> has_live(static_cast<size_t>(classes.NumClasses()),
-                               false);
-    for (CellId c = 0; c < run.graph.NumCells(); ++c) {
-      const int slot = state.slot[static_cast<size_t>(c)];
-      if (!run.graph.CellActive(c)) {
-        if (slot != state.dead_slot) state.SetSlot(c, state.dead_slot);
-      } else if (slot < state.pinned_slot) {
-        has_live[static_cast<size_t>(slot)] = true;
-      }
-    }
-    std::vector<int> live_classes;
-    for (int k : state.classes_by_length) {
-      if (has_live[static_cast<size_t>(k)]) live_classes.push_back(k);
-    }
-    if (state.class_block_begin.empty() ||
-        4 * live_classes.size() < 3 * state.laid_out) {
-      LayOutClasses(classes, live_classes, state);
-    }
-    std::vector<FdId> active_fds;
-    for (FdId f : state.fds_by_length) {
-      if (run.graph.FdActive(f)) active_fds.push_back(f);
-    }
-
-    const int num_fds = run.graph.NumFds();
-    std::vector<double> next_fd(state.fd_conf.size());
-    for (int iter = 0; iter < options.sums_max_iterations; ++iter) {
-      double max_delta = 0.0;
-      // FD side.
-      double max_fd = 0.0;
-      std::fill(next_fd.begin(), next_fd.end(), 0.0);
-      for (size_t b = 0; b < active_fds.size(); b += kLanes) {
-        const size_t width = std::min<size_t>(kLanes, active_fds.size() - b);
-        ConstSpan<int> slots[kLanes];
-        for (size_t j = 0; j < width; ++j) {
-          slots[j] = state.EdgeSlots(active_fds[b + j]);
-        }
-        size_t common = slots[0].size();
-        for (const ConstSpan<int>& lane : slots) {
-          common = std::min(common, lane.size());
-        }
-        const auto value = [&state](int slot) {
-          return state.conf[static_cast<size_t>(slot)];
-        };
-        double sum[kLanes] = {};
-        for (size_t i = 0; i < common; ++i) {
-          for (int j = 0; j < kLanes; ++j) sum[j] += value(slots[j][i]);
-        }
-        for (int j = 0; j < kLanes; ++j) {
-          for (size_t i = common; i < slots[j].size(); ++i) {
-            sum[j] += value(slots[j][i]);
-          }
-        }
-        for (size_t j = 0; j < width; ++j) {
-          const FdId f = active_fds[b + j];
-          const int count = run.graph.ActiveDegreeOfFd(f);
-          double& next = next_fd[static_cast<size_t>(f)];
-          next = count == 0 ? 0.0 : std::log(1.0 + count) * (sum[j] / count);
-          max_fd = std::max(max_fd, next);
-        }
-      }
-      if (max_fd > 0.0) {
-        for (double& v : next_fd) v /= max_fd;
-      }
-      for (FdId f = 0; f < num_fds; ++f) {
-        max_delta = std::max(max_delta,
-                             std::abs(next_fd[static_cast<size_t>(f)] -
-                                      state.fd_conf[static_cast<size_t>(f)]));
-      }
-      state.fd_conf.swap(next_fd);
-
-      // Violation side, once per live class.
-      double max_cell = 0.0;
-      for (size_t b = 0; b + 1 < state.class_block_begin.size(); ++b) {
-        double sum[kLanes] = {};
-        for (int e = state.class_block_begin[b];
-             e < state.class_block_begin[b + 1]; e += kLanes) {
-          for (int j = 0; j < kLanes; ++j) {
-            const FdId f = state.class_block_fds[static_cast<size_t>(e + j)];
-            sum[j] += state.fd_conf[static_cast<size_t>(f)];
-          }
-        }
-        for (int j = 0; j < kLanes; ++j) {
-          const int k = state.class_block[b * kLanes + static_cast<size_t>(j)];
-          if (k < 0 || !has_live[static_cast<size_t>(k)]) continue;
-          state.conf[static_cast<size_t>(k)] = sum[j];
-          max_cell = std::max(max_cell, sum[j]);
-        }
-      }
-      if (max_cell > 0.0) {
-        for (int k : live_classes) {
-          state.conf[static_cast<size_t>(k)] /= max_cell;
-        }
-      }
-
-      if (max_delta < options.sums_tolerance) break;
-    }
+        SumsMarginal(run_, classes_.Fds(k), evidence_);
   }
 
   const CellClasses& classes_;
+  const std::shared_ptr<const SumsPrefix> prefix_;
   ClassConfidence state_;
   // Evidence confidence, separate from the Estimate-Confidence fixpoint
   // scores in state_.fd_conf: acceptance follows the same confirmed-
   // violation mechanism as Algorithm 2, while the fixpoint drives
   // question selection.
   std::vector<double> evidence_;
-  // Each class's marginal evidence (see Score), which moves only when an
-  // answer touches one of its FDs.
+  // Each class's marginal evidence (see SumsScore), which moves only when
+  // an answer touches one of its FDs.
   std::vector<double> marginal_;
   ClassSelector selector_;
   int answers_since_estimate_ = 0;

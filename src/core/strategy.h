@@ -33,12 +33,16 @@ struct QuestionContext {
 
   /// The dataset's violation artifact over `dirty` and `candidates`:
   /// engine, frozen graph, cell classes, removal and per-tuple counts and
-  /// the FD question pool, shared read-only by every run (a session
-  /// passes its own, Session::artifact). Required.
+  /// the lazily built pieces (the FD question pool, the saturated sets of
+  /// Sigma_T, CellQ-SUMS's answer-free prefix), shared read-only by every
+  /// run (a session passes its own, Session::artifact). Required.
   const ViolationArtifact* artifact = nullptr;
 
   /// Sigma_T, the exact FDs discovered on the dirty table. Required by the
-  /// saturation-set tuple strategy (Alg. 8).
+  /// saturation-set tuple strategy (Alg. 8), which takes its saturated
+  /// sets from the artifact's family built over it
+  /// (ViolationArtifact::SaturatedSetFamily, which checks that every run
+  /// passes the same set).
   const FdSet* exact_fds = nullptr;
 
   /// Sigma_TC, the FD set the simulated expert validates against (oracle

@@ -1,8 +1,8 @@
 #include "core/tuple_strategies.h"
 
 #include <algorithm>
+#include <memory>
 #include <optional>
-#include <unordered_set>
 #include <vector>
 
 #include "common/rng.h"
@@ -189,20 +189,12 @@ class SaturationSteps : public TupleSteps {
   SaturationSteps(const QuestionContext& ctx,
                   const TupleStrategyOptions& options)
       : TupleSteps(ctx, options),
+        family_(Family(ctx, options)),
+        limit_(family_->Limit(
+            static_cast<size_t>(options.max_saturated_sets))),
+        retired_(static_cast<size_t>(limit_), false),
         drawer_(ViolationWeights(ctx)),
-        asked_rows_(static_cast<size_t>(ctx.dirty->NumRows()), false) {
-    UGUIDE_CHECK(ctx.exact_fds != nullptr)
-        << "Sampling-Saturation requires the exact FD set";
-    // Saturated sets of the FDs discovered on the dirty table (Alg. 8
-    // line 2). The full attribute set can never be the agree-set of two
-    // distinct tuples, so it is dropped.
-    const int m = ctx.dirty->NumAttributes();
-    for (const AttributeSet& w :
-         SaturatedSets(*ctx.exact_fds, m,
-                       static_cast<size_t>(options.max_saturated_sets))) {
-      if (w != AttributeSet::Full(m)) saturated_.insert(w);
-    }
-  }
+        asked_rows_(static_cast<size_t>(ctx.dirty->NumRows()), false) {}
 
   std::optional<Question> Next() override {
     if (!Affordable()) return std::nullopt;
@@ -215,7 +207,7 @@ class SaturationSteps : public TupleSteps {
       TupleId t = drawer_.Draw(rng_, asked_rows_);
       if (t < 0) break;
       fallback = t;
-      if (sample_.size() < 2 || !RealizedSets(t).empty()) {
+      if (sample_.size() < 2 || Realizes(t)) {
         chosen = t;
         break;
       }
@@ -231,24 +223,45 @@ class SaturationSteps : public TupleSteps {
     if (answer != Answer::kYes) return;
     // Certified clean: retire the saturated sets it realizes (Alg. 8
     // line 7), then add it to the sample.
-    for (const AttributeSet& w : RealizedSets(asked_)) saturated_.erase(w);
+    for (TupleId other : sample_) {
+      const int i = Uncovered(dirty_.AgreeSet(asked_, other));
+      if (i >= 0) retired_[static_cast<size_t>(i)] = true;
+    }
     sample_.push_back(asked_);
   }
 
  private:
+  // The saturated sets of the FDs discovered on the dirty table (Alg. 8
+  // line 2), shared through the artifact.
+  static std::shared_ptr<const SaturatedFamily> Family(
+      const QuestionContext& ctx, const TupleStrategyOptions& options) {
+    UGUIDE_CHECK(ctx.exact_fds != nullptr)
+        << "Sampling-Saturation requires the exact FD set";
+    return RequireArtifact(ctx).SaturatedSetFamily(
+        *ctx.exact_fds, static_cast<size_t>(options.max_saturated_sets));
+  }
+
+  // The family index of `agree` if it is one of this run's saturated sets
+  // (the first limit_ of the family) and no accepted tuple retired it
+  // yet; -1 otherwise.
+  int Uncovered(const AttributeSet& agree) const {
+    const int i = family_->IndexOf(agree);
+    return i >= 0 && i < limit_ && !retired_[static_cast<size_t>(i)] ? i : -1;
+  }
+
   // A sampled tuple is useful if pairing it with an accepted tuple
   // realizes an uncovered saturated set (the Armstrong pair condition).
   // The first two accepted tuples bootstrap the sample.
-  std::vector<AttributeSet> RealizedSets(TupleId t) const {
-    std::vector<AttributeSet> hits;
+  bool Realizes(TupleId t) const {
     for (TupleId other : sample_) {
-      AttributeSet agree = dirty_.AgreeSet(t, other);
-      if (saturated_.contains(agree)) hits.push_back(agree);
+      if (Uncovered(dirty_.AgreeSet(t, other)) >= 0) return true;
     }
-    return hits;
+    return false;
   }
 
-  std::unordered_set<AttributeSet, AttributeSetHash> saturated_;
+  const std::shared_ptr<const SaturatedFamily> family_;
+  const int limit_;
+  std::vector<bool> retired_;
   WeightedDraw drawer_;
   std::vector<bool> asked_rows_;
 };

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "common/thread_pool.h"
+#include "fd/closure.h"
 #include "oracle/cost_model.h"
 
 namespace uguide {
@@ -79,6 +80,29 @@ size_t FdQuestionPool::ApproxMemoryBytes() const {
          merged_edges_.size() * sizeof(int);
 }
 
+SaturatedFamily::SaturatedFamily(const FdSet& fds, int num_attributes,
+                                 size_t max_sets)
+    : fds_(fds.fds()), max_sets_(std::max<size_t>(max_sets, 1)) {
+  const AttributeSet full = AttributeSet::Full(num_attributes);
+  std::vector<AttributeSet> closed =
+      SaturatedSets(fds, num_attributes, max_sets);
+  // NextClosure ends at the full set, so holding it means the
+  // enumeration ran to the end.
+  complete_ = closed.back() == full;
+  if (complete_) closed.pop_back();
+  sets_ = std::move(closed);
+
+  size_t slots = 16;
+  while (slots < sets_.size() * 2) slots <<= 1;
+  index_mask_ = slots - 1;
+  index_.assign(slots, -1);
+  for (int i = 0; i < Size(); ++i) {
+    size_t slot = AttributeSetHash{}(set(i)) & index_mask_;
+    while (index_[slot] >= 0) slot = (slot + 1) & index_mask_;
+    index_[slot] = i;
+  }
+}
+
 ViolationArtifact::ViolationArtifact(std::shared_ptr<ViolationEngine> engine,
                                      const FdSet& candidates, ThreadPool* pool)
     : ViolationArtifact(engine,
@@ -127,15 +151,49 @@ std::shared_ptr<const FdQuestionPool> ViolationArtifact::FdQuestions(
   return pool_;
 }
 
+std::shared_ptr<const SaturatedFamily> ViolationArtifact::SaturatedSetFamily(
+    const FdSet& exact_fds, size_t max_sets) const {
+  std::lock_guard<std::mutex> lock(family_mu_);
+  if (family_ != nullptr) {
+    UGUIDE_CHECK(family_->BuiltFrom(exact_fds))
+        << "saturated sets requested for another exact FD set";
+  }
+  if (family_ == nullptr || !family_->Covers(max_sets)) {
+    family_ = std::make_shared<const SaturatedFamily>(
+        exact_fds, engine_->relation().NumAttributes(), max_sets);
+  }
+  return family_;
+}
+
+std::shared_ptr<const ArtifactPiece> ViolationArtifact::PieceOf(
+    const std::string& key,
+    const std::function<std::shared_ptr<const ArtifactPiece>()>& build)
+    const {
+  std::lock_guard<std::mutex> lock(pieces_mu_);
+  std::shared_ptr<const ArtifactPiece>& piece = pieces_[key];
+  if (piece == nullptr) piece = build();
+  return piece;
+}
+
 size_t ViolationArtifact::ApproxMemoryBytes() const {
-  size_t pool_bytes = 0;
+  size_t lazy_bytes = 0;
   {
     std::lock_guard<std::mutex> lock(pool_mu_);
-    if (pool_ != nullptr) pool_bytes = pool_->ApproxMemoryBytes();
+    if (pool_ != nullptr) lazy_bytes += pool_->ApproxMemoryBytes();
+  }
+  {
+    std::lock_guard<std::mutex> lock(family_mu_);
+    if (family_ != nullptr) lazy_bytes += family_->ApproxMemoryBytes();
+  }
+  {
+    std::lock_guard<std::mutex> lock(pieces_mu_);
+    for (const auto& [key, piece] : pieces_) {
+      if (piece != nullptr) lazy_bytes += piece->ApproxMemoryBytes();
+    }
   }
   return graph_->ApproxMemoryBytes() + classes_.ApproxMemoryBytes() +
          removal_counts_.size() * sizeof(size_t) +
-         tuple_counts_.size() * sizeof(int) + pool_bytes;
+         tuple_counts_.size() * sizeof(int) + lazy_bytes;
 }
 
 }  // namespace uguide

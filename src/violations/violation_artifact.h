@@ -1,10 +1,14 @@
 #ifndef UGUIDE_VIOLATIONS_VIOLATION_ARTIFACT_H_
 #define UGUIDE_VIOLATIONS_VIOLATION_ARTIFACT_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
+#include <map>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <vector>
 
 #include "fd/fd.h"
@@ -95,6 +99,80 @@ class FdQuestionPool {
   std::vector<int> merged_edges_;
 };
 
+/// \brief Sampling-Saturation's saturated sets of Sigma_T (Alg. 8 line 2).
+///
+/// The closed sets of an FD set in NextClosure's lectic order, without the
+/// full attribute set, which no two distinct tuples agree on. The order is
+/// prefix-stable: SaturatedSets(fds, m, c) is a prefix of its output under
+/// any larger cap, so one family serves every cap up to the one it was
+/// built with. A run keeps its own "retired" flags over the indices.
+class SaturatedFamily {
+ public:
+  /// Enumerates SaturatedSets(fds, num_attributes, max_sets) and indexes
+  /// every set but the full one.
+  SaturatedFamily(const FdSet& fds, int num_attributes, size_t max_sets);
+
+  /// True when the family holds every set SaturatedSets returns under
+  /// `max_sets`.
+  bool Covers(size_t max_sets) const {
+    return complete_ || std::max<size_t>(max_sets, 1) <= max_sets_;
+  }
+
+  /// True iff `fds` is the FD set the family was built from, in order.
+  bool BuiltFrom(const FdSet& fds) const { return fds.fds() == fds_; }
+
+  int Size() const { return static_cast<int>(sets_.size()); }
+  const AttributeSet& set(int i) const {
+    return sets_[static_cast<size_t>(i)];
+  }
+
+  /// How many of the family's first sets SaturatedSets(fds, m, max_sets)
+  /// returns, the full set aside: the enumeration yields at least one set
+  /// and ends with the full set once it is complete.
+  int Limit(size_t max_sets) const {
+    return static_cast<int>(
+        std::min(std::max<size_t>(max_sets, 1), sets_.size()));
+  }
+
+  /// The index of `w`, or -1 when the family does not hold it.
+  int IndexOf(const AttributeSet& w) const {
+    size_t slot = AttributeSetHash{}(w) & index_mask_;
+    while (index_[slot] >= 0) {
+      if (sets_[static_cast<size_t>(index_[slot])] == w) return index_[slot];
+      slot = (slot + 1) & index_mask_;
+    }
+    return -1;
+  }
+
+  /// Payload bytes (the Partition::ApproxBytes convention).
+  size_t ApproxMemoryBytes() const {
+    return fds_.size() * sizeof(Fd) + sets_.size() * sizeof(AttributeSet) +
+           index_.size() * sizeof(int);
+  }
+
+ private:
+  std::vector<Fd> fds_;
+  size_t max_sets_ = 1;
+  bool complete_ = false;
+  std::vector<AttributeSet> sets_;
+  /// Open-addressed index into sets_ (-1 empty), load factor <= 0.5.
+  std::vector<int> index_;
+  size_t index_mask_ = 0;
+};
+
+/// \brief A piece a strategy derives from an artifact and its own options
+/// alone, before any answer: built once by the first run that asks and
+/// shared read-only by every later one (ViolationArtifact::Piece).
+class ArtifactPiece {
+ public:
+  ArtifactPiece() = default;
+  ArtifactPiece(const ArtifactPiece&) = delete;
+  ArtifactPiece& operator=(const ArtifactPiece&) = delete;
+  virtual ~ArtifactPiece() = default;
+  /// Payload bytes (the Partition::ApproxBytes convention).
+  virtual size_t ApproxMemoryBytes() const = 0;
+};
+
 /// \brief The violation state of one dataset that no strategy run changes.
 ///
 /// Built once per (relation, candidate set) and shared `const` by every
@@ -111,7 +189,12 @@ class FdQuestionPool {
 ///     (Alg. 7);
 ///   - FdQuestions(k): the FD strategies' question pool with the first k
 ///     merged non-minimal questions, built on first request (DESIGN.md
-///     §14.3).
+///     §14.3);
+///   - SaturatedSetFamily(Sigma_T, cap): Sampling-Saturation's saturated
+///     sets, built on first request;
+///   - Piece(key, build): any other answer-free piece a strategy keys by
+///     its options (CellQ-SUMS's layout and first fixpoint), built on
+///     first request.
 /// Each piece is a deterministic function of the relation and the
 /// candidate list — the same at any thread count and on every rebuild —
 /// so a run over a shared artifact reports byte-identically to one that
@@ -119,8 +202,8 @@ class FdQuestionPool {
 /// graph().
 ///
 /// Thread safety: every accessor is const, the engine is internally
-/// locked and the question pool is built under a mutex, so any number of
-/// concurrent runs may share one artifact.
+/// locked and every lazily built piece is built under a mutex, so any
+/// number of concurrent runs may share one artifact.
 class ViolationArtifact {
  public:
   /// Builds the graph over `candidates` through `engine` (per-FD scans
@@ -162,9 +245,35 @@ class ViolationArtifact {
   /// a pool from under a reader.
   std::shared_ptr<const FdQuestionPool> FdQuestions(int max_merged) const;
 
-  /// Payload bytes of the graph, the classes, both count arrays and the
-  /// question pool once built (the Partition::ApproxBytes convention; the
-  /// engine's partitions are not included).
+  /// The saturated sets of `exact_fds` (Sigma_T) over the relation's
+  /// attributes, covering SaturatedSets(exact_fds, m, max_sets). Built by
+  /// the first call; a later call with a cap the family does not cover
+  /// rebuilds it with that cap. Every call must pass the FD set the family
+  /// was built from (checked). Runs keep the returned handle, as with
+  /// FdQuestions.
+  std::shared_ptr<const SaturatedFamily> SaturatedSetFamily(
+      const FdSet& exact_fds, size_t max_sets) const;
+
+  /// The piece stored under `key`, built by `build` on the first call for
+  /// the key; racing first calls build it once. `build` must return a
+  /// deterministic function of this artifact and the key, and always the
+  /// same type T for one key (checked). It runs under the pieces' mutex,
+  /// so it must not call Piece itself.
+  template <typename T, typename BuildFn>
+  std::shared_ptr<const T> Piece(const std::string& key,
+                                 const BuildFn& build) const {
+    std::shared_ptr<const T> piece = std::dynamic_pointer_cast<const T>(
+        PieceOf(key, [&]() -> std::shared_ptr<const ArtifactPiece> {
+          return build();
+        }));
+    UGUIDE_CHECK(piece != nullptr) << "artifact piece '" << key
+                                   << "' has another type";
+    return piece;
+  }
+
+  /// Payload bytes of the graph, the classes, both count arrays and every
+  /// lazily built piece once built (the Partition::ApproxBytes
+  /// convention; the engine's partitions are not included).
   size_t ApproxMemoryBytes() const;
 
  private:
@@ -173,8 +282,20 @@ class ViolationArtifact {
   CellClasses classes_;
   std::vector<size_t> removal_counts_;
   std::vector<int> tuple_counts_;
+  std::shared_ptr<const ArtifactPiece> PieceOf(
+      const std::string& key,
+      const std::function<std::shared_ptr<const ArtifactPiece>()>& build)
+      const;
+
+  // Each lazily built piece is built under its own mutex, so building one
+  // never waits for another.
   mutable std::mutex pool_mu_;
   mutable std::shared_ptr<const FdQuestionPool> pool_;  // guarded by pool_mu_
+  mutable std::mutex family_mu_;
+  mutable std::shared_ptr<const SaturatedFamily> family_;  // by family_mu_
+  mutable std::mutex pieces_mu_;
+  mutable std::map<std::string, std::shared_ptr<const ArtifactPiece>>
+      pieces_;  // guarded by pieces_mu_
 };
 
 }  // namespace uguide

@@ -1,22 +1,28 @@
 // The shared ViolationArtifact: a Session builds one lazily and every run
-// reads it. These tests pin the two ways sharing could go wrong — a moved
-// or copied Session reading an artifact bound to another Session's
-// relation, and concurrent runs racing the first build or each other — by
-// requiring every report to equal its solo report. CI runs this binary
-// under ASan/UBSan and under the blocking TSan job.
+// reads it. These tests pin the ways sharing could go wrong — a moved or
+// copied Session reading an artifact bound to another Session's relation,
+// concurrent runs racing the first build of the artifact or of one of its
+// lazily built pieces, and a run writing through a shared piece or
+// reading one built for other options — by requiring every report to
+// equal its solo report. CI runs this binary under ASan/UBSan and under
+// the blocking TSan job.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "core/cell_strategies.h"
 #include "core/session.h"
 #include "core/session_state.h"
+#include "fd/closure.h"
+#include "oracle/simulated_expert.h"
 #include "server/dataset.h"
 #include "server/dataset_registry.h"
 #include "server/protocol.h"
@@ -29,9 +35,10 @@ using ::uguide::testing::MakeHospitalSession;
 
 constexpr double kBudget = 20.0;
 
-std::string Report(const Session& session, const std::string& name) {
+std::string Report(const Session& session, const std::string& name,
+                   double budget = kBudget) {
   auto strategy = MakeStrategyByName(name).ValueOrDie();
-  return SerializeSessionReport(session.Run(*strategy, kBudget));
+  return SerializeSessionReport(session.Run(*strategy, budget));
 }
 
 // One strategy of each family that reads the artifact differently: a
@@ -100,7 +107,8 @@ TEST(ArtifactTest, MovedAndCopiedSessionsNeverReuseAnotherSessionsArtifact) {
 // released together so they race whatever is still unbuilt, and returns
 // each thread's report.
 std::vector<std::string> RunConcurrently(
-    const Session& session, const std::vector<std::string>& names) {
+    const Session& session, const std::vector<std::string>& names,
+    double budget = kBudget) {
   std::vector<std::string> got(names.size());
   std::atomic<int> waiting{static_cast<int>(names.size())};
   std::vector<std::thread> threads;
@@ -108,7 +116,7 @@ std::vector<std::string> RunConcurrently(
     threads.emplace_back([&, i] {
       waiting.fetch_sub(1);
       while (waiting.load() > 0) std::this_thread::yield();
-      got[i] = Report(session, names[i]);
+      got[i] = Report(session, names[i], budget);
     });
   }
   for (std::thread& t : threads) t.join();
@@ -161,6 +169,129 @@ TEST(ArtifactTest, ConcurrentFdRunsRaceTheLazyQuestionPool) {
   }
   // Once built, the pool is counted in the artifact's footprint.
   EXPECT_GT(shared.artifact().ApproxMemoryBytes(), unpooled);
+}
+
+TEST(ArtifactTest, SaturatedFamilyServesEverySmallerCapWithoutRebuilding) {
+  const Session session = MakeHospitalSession(300);
+  const ViolationArtifact& artifact = session.artifact();
+  const FdSet& exact = session.exact_fds();
+  const int m = session.dirty().NumAttributes();
+  const AttributeSet full = AttributeSet::Full(m);
+  // SaturatedSets(Sigma_T, m, cap) without the full set, as Alg. 8 uses it.
+  auto want = [&](size_t cap) {
+    std::vector<AttributeSet> sets;
+    for (const AttributeSet& w : SaturatedSets(exact, m, cap)) {
+      if (w != full) sets.push_back(w);
+    }
+    return sets;
+  };
+  auto got = [&](const SaturatedFamily& family, size_t cap) {
+    std::vector<AttributeSet> sets;
+    for (int i = 0; i < family.Limit(cap); ++i) {
+      sets.push_back(family.set(i));
+      EXPECT_EQ(family.IndexOf(family.set(i)), i);
+    }
+    return sets;
+  };
+  // 100 sets do not exhaust this lattice, so the 5000 request must grow
+  // the family.
+  ASSERT_GT(want(5000).size(), 100u);
+
+  const size_t before = artifact.ApproxMemoryBytes();
+  const std::shared_ptr<const SaturatedFamily> small =
+      artifact.SaturatedSetFamily(exact, 100);
+  EXPECT_EQ(got(*small, 100), want(100));
+  EXPECT_GT(artifact.ApproxMemoryBytes(), before);
+
+  const std::shared_ptr<const SaturatedFamily> large =
+      artifact.SaturatedSetFamily(exact, 5000);
+  EXPECT_NE(large, small);
+  EXPECT_EQ(got(*large, 5000), want(5000));
+  // The replaced family stays whole for a run still holding it.
+  EXPECT_EQ(got(*small, 100), want(100));
+
+  const std::shared_ptr<const SaturatedFamily> again =
+      artifact.SaturatedSetFamily(exact, 100);
+  EXPECT_EQ(again, large);
+  EXPECT_EQ(got(*again, 100), want(100));
+  EXPECT_EQ(again->IndexOf(full), -1);
+}
+
+TEST(ArtifactTest, ConcurrentSaturationRunsRaceTheLazyFamily) {
+  // A tuple question costs one unit per attribute: this budget asks a few
+  // dozen, so the runs retire saturated sets as the sample grows.
+  const double budget = 500.0;
+  const std::vector<std::string> names(8, "Sampling-Saturation");
+  const Session solo_session = MakeHospitalSession(300);
+  const std::string solo = Report(solo_session, names.front(), budget);
+  ASSERT_NE(solo.find("questions_asked="), std::string::npos);
+  EXPECT_EQ(solo.find("questions_asked=0\n"), std::string::npos);
+
+  // The artifact is built first, so the eight runs race only the first
+  // build of the saturated-set family.
+  const Session shared = MakeHospitalSession(300);
+  const size_t unbuilt = shared.artifact().ApproxMemoryBytes();
+  const std::vector<std::string> got = RunConcurrently(shared, names, budget);
+  for (const std::string& report : got) EXPECT_EQ(report, solo);
+  // Once built, the family is counted in the artifact's footprint.
+  EXPECT_GT(shared.artifact().ApproxMemoryBytes(), unbuilt);
+}
+
+// `strategy`'s report on `data`, read through `artifact` (built over the
+// same relation and candidates) instead of `data`'s own, answered by
+// `data`'s expert.
+std::string ReportOver(const Session& data, const ViolationArtifact& artifact,
+                       Strategy& strategy) {
+  const SessionConfig& config = data.config();
+  SimulatedExpert expert(&data.true_violations(), &data.truth(),
+                         data.dirty().NumAttributes(), data.true_fds(),
+                         config.idk_rate, config.expert_seed,
+                         config.wrong_rate);
+  SessionStepOptions options;
+  options.artifact = &artifact;
+  std::unique_ptr<SessionStateMachine> machine =
+      SessionStateMachine::Start(data, strategy, kBudget, options)
+          .ValueOrDie();
+  while (std::optional<SessionQuestion> q = machine->NextQuestion()) {
+    EXPECT_TRUE(machine->SubmitAnswer({AskQuestion(expert, *q)}).ok());
+  }
+  return SerializeSessionReport(machine->Finish().ValueOrDie());
+}
+
+// A SUMS run on a fresh session of the recipe, which builds its own
+// artifact and its own prefix.
+std::string SoloSums(double idk_rate, const CellStrategyOptions& options) {
+  const Session fresh = MakeHospitalSession(
+      300, ErrorModel::kSystematic, 0.15, 5, idk_rate);
+  auto strategy = MakeCellQSums(options);
+  return SerializeSessionReport(fresh.Run(*strategy, kBudget));
+}
+
+TEST(ArtifactTest, SumsRunsShareOnePrefixPerOptionsWithoutWritingThroughIt) {
+  const Session shared = MakeHospitalSession(300);
+  const ViolationArtifact& artifact = shared.artifact();
+  const Session idk = MakeHospitalSession(300, ErrorModel::kSystematic,
+                                          0.15, 5, /*idk_rate=*/0.3);
+  const CellStrategyOptions defaults;
+  CellStrategyOptions loose;
+  loose.sums_tolerance = 0.25;
+  // The looser fixpoint must pick other questions, or reusing the default
+  // prefix for it would go unnoticed.
+  ASSERT_NE(SoloSums(0.0, loose), SoloSums(0.0, defaults));
+
+  const size_t before = artifact.ApproxMemoryBytes();
+  auto sums = MakeCellQSums(defaults);
+  EXPECT_EQ(ReportOver(shared, artifact, *sums), SoloSums(0.0, defaults));
+  const size_t one_prefix = artifact.ApproxMemoryBytes();
+  EXPECT_GT(one_prefix, before);
+  // A second run starts from the prefix the first one built: any write
+  // through it shows up here.
+  EXPECT_EQ(ReportOver(idk, artifact, *sums), SoloSums(0.3, defaults));
+  EXPECT_EQ(artifact.ApproxMemoryBytes(), one_prefix);
+
+  auto loose_sums = MakeCellQSums(loose);
+  EXPECT_EQ(ReportOver(shared, artifact, *loose_sums), SoloSums(0.0, loose));
+  EXPECT_GT(artifact.ApproxMemoryBytes(), one_prefix);
 }
 
 TEST(ArtifactTest, ConcurrentRunsOverOneRegistryArtifactMatchSoloReports) {

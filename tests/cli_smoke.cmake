@@ -3,14 +3,14 @@
 # exit 2 with a one-line error plus usage on stderr (never an abort, never
 # a silent default), and good usage exits 0 with the expected report.
 #
-# Inputs: -DUGUIDE_CLI=<binary> -DUGUIDED=<binary> -DLOADGEN=<binary>
-#         -DPAPER_FIGURES=<binary> -DBENCH_LIVE=<binary>
+# Inputs: -DPYTHON=<python3> -DUGUIDE_CLI=<binary> -DUGUIDED=<binary>
+#         -DLOADGEN=<binary> -DPAPER_FIGURES=<binary> -DBENCH_LIVE=<binary>
 #         -DBENCH_SERVING=<binary> -DWORK_DIR=<scratch dir>
 
-if(NOT UGUIDE_CLI OR NOT UGUIDED OR NOT LOADGEN OR NOT PAPER_FIGURES OR
-   NOT BENCH_LIVE OR NOT BENCH_SERVING OR NOT WORK_DIR)
+if(NOT PYTHON OR NOT UGUIDE_CLI OR NOT UGUIDED OR NOT LOADGEN OR
+   NOT PAPER_FIGURES OR NOT BENCH_LIVE OR NOT BENCH_SERVING OR NOT WORK_DIR)
   message(FATAL_ERROR
-          "cli_smoke: UGUIDE_CLI, UGUIDED, LOADGEN, PAPER_FIGURES, "
+          "cli_smoke: PYTHON, UGUIDE_CLI, UGUIDED, LOADGEN, PAPER_FIGURES, "
           "BENCH_LIVE, BENCH_SERVING and WORK_DIR are required")
 endif()
 
@@ -123,6 +123,32 @@ run(loadgen_negative_budget 2 "invalid value '-5' for --budget" ERR
     --port=1 --budget=-5)
 run(loadgen_infinite_mutate_rate 2 "invalid value 'inf' for --mutate-rate"
     ERR --port=1 --mutate-rate=inf)
+
+# -- A daemon that accepts connections and never replies: the load
+# generator's reply timeout fails the stalled session, names it and its
+# op, and exits 1 instead of waiting forever. The listener holds every
+# connection open and runs the load generator against its port. --------
+file(WRITE "${WORK_DIR}/silent_listener.py"
+"import socket, subprocess, sys, threading
+server = socket.socket()
+server.bind(('127.0.0.1', 0))
+server.listen(16)
+held = []
+def hold():
+    while True:
+        held.append(server.accept()[0])
+threading.Thread(target=hold, daemon=True).start()
+port = '--port=%d' % server.getsockname()[1]
+sys.exit(subprocess.run([sys.argv[1], port] + sys.argv[2:]).returncode)
+")
+set(tool "${PYTHON}")
+run(loadgen_reply_timeout 1
+    "no reply within 2s to op=open for session lg-0" ERR
+    silent_listener.py "${LOADGEN}" --sessions=1 --concurrency=1 --rows=300
+    --reply-timeout-s=2)
+set(tool "${LOADGEN}")
+run(loadgen_zero_reply_timeout 2 "invalid value '0' for --reply-timeout-s"
+    ERR --port=1 --reply-timeout-s=0)
 
 # -- paper_figures and the hand-rolled benches parse flags the same way:
 # a bad value, an unknown flag or an unknown figure is one stderr line and

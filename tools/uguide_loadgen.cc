@@ -9,6 +9,7 @@
 //                  [--no-verify] [--allow-refused] [--check-journals=DIR]
 //                  [--chaos] [--chaos-seed=S] [--restart-grace-ms=T]
 //                  [--mutate-rate=M] [--mutate-seed=S]
+//                  [--reply-timeout-s=T]
 //
 // The dataset flags must match the daemon's — both sides rebuild the same
 // dataset (src/server/dataset.h) and the reports can only be byte-equal if
@@ -47,11 +48,17 @@
 // byte-verify (the in-process reference runs on the base data); reports
 // stamping data_version=0 still byte-verify as usual. The exit summary
 // reports mutations applied/refused.
+//
+// --reply-timeout-s=T (default 60) bounds every wait for the daemon: a
+// read that gets no byte for T seconds fails its session, prints the op
+// it was waiting on and the session id, stops the run from starting more
+// sessions, and makes the exit status non-zero.
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -101,6 +108,9 @@ struct Args {
   /// Probability that a session opens with a randomized op=mutate batch.
   double mutate_rate = 0.0;
   uint64_t mutate_seed = 77;
+  /// Longest wait for a byte of the daemon's reply before the session
+  /// fails as stalled.
+  double reply_timeout_s = 60.0;
   ServedDatasetOptions dataset;
 };
 
@@ -114,7 +124,8 @@ void Usage() {
       "                      [--allow-refused] [--check-journals=DIR]\n"
       "                      [--chaos] [--chaos-seed=S]\n"
       "                      [--restart-grace-ms=T]\n"
-      "                      [--mutate-rate=M] [--mutate-seed=S]\n");
+      "                      [--mutate-rate=M] [--mutate-seed=S]\n"
+      "                      [--reply-timeout-s=T]\n");
 }
 
 bool ParseArgs(int argc, char** argv, Args* args) {
@@ -159,6 +170,11 @@ bool ParseArgs(int argc, char** argv, Args* args) {
       }
     } else if (flag == "--mutate-seed") {
       if (!flags.U64("--mutate-seed", value, &args->mutate_seed)) return false;
+    } else if (flag == "--reply-timeout-s") {
+      if (!flags.Double("--reply-timeout-s", value, 0.001, 1e6,
+                        &args->reply_timeout_s)) {
+        return false;
+      }
     } else if (flag == "--rows") {
       if (!flags.Int("--rows", value, 1, &args->dataset.rows)) return false;
     } else if (flag == "--error-rate") {
@@ -188,6 +204,10 @@ bool ParseArgs(int argc, char** argv, Args* args) {
 /// Blocking line-oriented client connection.
 class Connection {
  public:
+  /// Every read waits at most `reply_timeout_s` seconds for a byte.
+  explicit Connection(double reply_timeout_s)
+      : reply_timeout_s_(reply_timeout_s) {}
+
   ~Connection() {
     if (fd_ >= 0) ::close(fd_);
   }
@@ -216,6 +236,11 @@ class Connection {
     }
     const int one = 1;
     ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+    timeval timeout;
+    timeout.tv_sec = static_cast<time_t>(reply_timeout_s_);
+    timeout.tv_usec = static_cast<suseconds_t>(
+        (reply_timeout_s_ - static_cast<double>(timeout.tv_sec)) * 1e6);
+    ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
     return true;
   }
 
@@ -240,7 +265,9 @@ class Connection {
     return true;
   }
 
+  /// False when the connection closed, failed or timed out (TimedOut).
   bool ReadLine(std::string* line) {
+    timed_out_ = false;
     while (true) {
       const size_t nl = buffer_.find('\n');
       if (nl != std::string::npos) {
@@ -251,14 +278,24 @@ class Connection {
       char chunk[4096];
       const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
       if (n < 0 && errno == EINTR) continue;
+      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+        timed_out_ = true;
+        return false;
+      }
       if (n <= 0) return false;
       buffer_.append(chunk, static_cast<size_t>(n));
     }
   }
 
+  /// True when the last ReadLine failed because no byte came within the
+  /// reply timeout.
+  bool TimedOut() const { return timed_out_; }
+
  private:
+  const double reply_timeout_s_;
   int fd_ = -1;
   std::string buffer_;
+  bool timed_out_ = false;
 };
 
 struct SharedState {
@@ -275,6 +312,8 @@ struct SharedState {
   std::atomic<int> refused{0};
   std::atomic<int> failed{0};
   std::atomic<int> retried{0};  ///< Backoffs honored from retry_after_ms.
+  /// Set once a reply timed out: workers start no further session.
+  std::atomic<bool> stalled{false};
   /// Sessions the daemon ended with journal_corrupt: an explicit verdict
   /// (the damaged journal was moved aside), not a silent loss.
   std::atomic<int> quarantined{0};
@@ -381,6 +420,26 @@ std::string CheckReportAgainstJournal(const Args& args,
   return std::string();
 }
 
+/// The op of a formatted client frame, for diagnostics.
+std::string OpOf(std::string_view frame) {
+  constexpr std::string_view kKey = "\"op\":\"";
+  const size_t at = frame.find(kKey);
+  if (at == std::string_view::npos) return "?";
+  const size_t begin = at + kKey.size();
+  return std::string(frame.substr(begin, frame.find('"', begin) - begin));
+}
+
+/// Fails the session whose reply to `op` timed out and stops the run.
+void FailStalled(SharedState* state, const std::string& op,
+                 const std::string& session_id) {
+  std::fprintf(stderr,
+               "uguide_loadgen: no reply within %gs to op=%s for session "
+               "%s\n",
+               state->args->reply_timeout_s, op.c_str(), session_id.c_str());
+  state->failed.fetch_add(1);
+  state->stalled.store(true);
+}
+
 /// Runs one served session over `conn`. Returns false only on
 /// unrecoverable connection failure (protocol/verification failures are
 /// counted in state). Retries refusals that carry retry_after_ms; in
@@ -445,6 +504,10 @@ bool RunOneSession(SharedState* state, Connection* conn, int index) {
     // bad_frame error and leave the connection usable.
     std::string line;
     if (!conn->WriteLine("{\"op\":[not json") || !conn->ReadLine(&line)) {
+      if (conn->TimedOut()) {
+        FailStalled(state, "(garbage line)", open.id);
+        return true;
+      }
       if (!reconnect()) return false;
     } else {
       Result<ServerFrame> frame = ParseServerFrame(line);
@@ -534,9 +597,11 @@ bool RunOneSession(SharedState* state, Connection* conn, int index) {
 
   constexpr int kMaxRetries = 200;
   auto sent_at = std::chrono::steady_clock::now();
+  std::string sent_op;
   while (true) {
     if (!to_send.empty()) {
       sent_at = std::chrono::steady_clock::now();
+      sent_op = OpOf(to_send);
       if (!conn->WriteLine(to_send)) {
         if (!chaos || !reconnect()) return false;
         to_send = resync_frame();
@@ -553,6 +618,10 @@ bool RunOneSession(SharedState* state, Connection* conn, int index) {
     }
     std::string line;
     if (!conn->ReadLine(&line)) {
+      if (conn->TimedOut()) {
+        FailStalled(state, sent_op, open.id);
+        return true;
+      }
       if (!chaos || !reconnect()) return false;
       to_send = resync_frame();
       continue;
@@ -747,7 +816,7 @@ bool RunOneSession(SharedState* state, Connection* conn, int index) {
 
 void Worker(SharedState* state) {
   const Args& args = *state->args;
-  Connection conn;
+  Connection conn(args.reply_timeout_s);
   // With --restart-grace-ms the first connect may land in a restart
   // window; keep knocking for the grace period instead of giving up.
   const int connect_attempts =
@@ -765,7 +834,7 @@ void Worker(SharedState* state) {
     state->failed.fetch_add(1);
     return;
   }
-  while (true) {
+  while (!state->stalled.load()) {
     const int index = state->next_session.fetch_add(1);
     if (index >= state->args->sessions) return;
     if (!RunOneSession(state, &conn, index)) {
