@@ -18,6 +18,7 @@
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "build_type.h"
@@ -244,11 +245,13 @@ int main(int argc, char** argv) {
   std::fprintf(out,
                "{\n"
                "  \"bench\": \"live\",\n"
-               "  \"context\": {\"uguide_build_type\": \"%s\"},\n"
+               "  \"context\": {\"uguide_build_type\": \"%s\", "
+               "\"num_cpus\": %u},\n"
                "  \"rows\": %d,\n"
                "  \"fds\": %zu,\n"
                "  \"batch_sizes\": [\n",
-               kUguideBuildType, args.rows, fds.Size());
+               kUguideBuildType, std::thread::hardware_concurrency(),
+               args.rows, fds.Size());
   for (size_t i = 0; i < results.size(); ++i) {
     const SizeResult& r = results[i];
     std::fprintf(out,

@@ -5,9 +5,8 @@
 # lines, slow readers, mid-question disconnects, and close/reopen-resume
 # storms. The bar: every admitted session finishes with a byte-verified
 # report, every refusal carries a machine-readable code + retry hint (the
-# loadgen exits nonzero otherwise — no --allow-refused here: structured
-# retries must converge), no answered question is lost, and every journal
-# resumes cleanly.
+# loadgen exits nonzero otherwise: structured retries must converge), no
+# answered question is lost, and every journal resumes cleanly.
 #
 # Inputs: -DUGUIDED=<binary> -DLOADGEN=<binary> -DWORK_DIR=<scratch dir>
 

@@ -5,13 +5,13 @@
 #
 # Inputs: -DPYTHON=<python3> -DUGUIDE_CLI=<binary> -DUGUIDED=<binary>
 #         -DLOADGEN=<binary> -DPAPER_FIGURES=<binary> -DBENCH_LIVE=<binary>
-#         -DBENCH_SERVING=<binary> -DWORK_DIR=<scratch dir>
+#         -DWORK_DIR=<scratch dir>
 
 if(NOT PYTHON OR NOT UGUIDE_CLI OR NOT UGUIDED OR NOT LOADGEN OR
-   NOT PAPER_FIGURES OR NOT BENCH_LIVE OR NOT BENCH_SERVING OR NOT WORK_DIR)
+   NOT PAPER_FIGURES OR NOT BENCH_LIVE OR NOT WORK_DIR)
   message(FATAL_ERROR
           "cli_smoke: PYTHON, UGUIDE_CLI, UGUIDED, LOADGEN, PAPER_FIGURES, "
-          "BENCH_LIVE, BENCH_SERVING and WORK_DIR are required")
+          "BENCH_LIVE and WORK_DIR are required")
 endif()
 
 file(REMOVE_RECURSE "${WORK_DIR}")
@@ -123,6 +123,28 @@ run(loadgen_negative_budget 2 "invalid value '-5' for --budget" ERR
     --port=1 --budget=-5)
 run(loadgen_infinite_mutate_rate 2 "invalid value 'inf' for --mutate-rate"
     ERR --port=1 --mutate-rate=inf)
+run(loadgen_non_numeric_rows 2
+    "^uguide_loadgen: invalid value 'abc' for --rows " ERR --port=1 --rows=abc)
+run(loadgen_nan_budget 2 "^uguide_loadgen: invalid value 'nan' for --budget "
+    ERR --port=1 --budget=nan)
+# A strategy name is checked before any connection: a typo used to fail
+# every session late.
+run(loadgen_unknown_strategy 2
+    "^uguide_loadgen: invalid value 'Nope' for --strategy " ERR
+    --port=1 --strategy=Nope)
+# The bench's levels are fixed; sizing flags next to --bench-out are a
+# usage error, not silently ignored.
+run(loadgen_bench_out_with_sessions 2
+    "^uguide_loadgen: --sessions and --concurrency do not apply to "
+    ERR --port=1 --bench-out=bench.json --sessions=8)
+# Removed surface: the verify, refusal and id-prefix switches are gone.
+run(loadgen_removed_no_verify 2 "^uguide_loadgen: unknown flag --no-verify\n"
+    ERR --port=1 --no-verify)
+run(loadgen_removed_allow_refused 2
+    "^uguide_loadgen: unknown flag --allow-refused\n" ERR
+    --port=1 --allow-refused)
+run(loadgen_removed_id_prefix 2
+    "^uguide_loadgen: unknown flag --id-prefix\n" ERR --port=1 --id-prefix=x)
 
 # -- A daemon that accepts connections and never replies: the load
 # generator's reply timeout fails the stalled session, names it and its
@@ -150,7 +172,7 @@ set(tool "${LOADGEN}")
 run(loadgen_zero_reply_timeout 2 "invalid value '0' for --reply-timeout-s"
     ERR --port=1 --reply-timeout-s=0)
 
-# -- paper_figures and the hand-rolled benches parse flags the same way:
+# -- paper_figures and bench_live parse flags the same way:
 # a bad value, an unknown flag or an unknown figure is one stderr line and
 # exit 2, before any dataset is built. ---------------------------------------
 set(tool "${PAPER_FIGURES}")
@@ -169,17 +191,6 @@ run(bench_live_non_numeric_epochs 2
     --epochs=abc)
 run(bench_live_non_numeric_rows 2
     "^bench_live: invalid value 'abc' for --rows [^\n]*\n$" ERR --rows=abc)
-
-set(tool "${BENCH_SERVING}")
-run(bench_serving_non_numeric_rows 2
-    "^bench_serving: invalid value 'abc' for --rows [^\n]*\n$" ERR
-    --rows=abc)
-run(bench_serving_nan_budget 2
-    "^bench_serving: invalid value 'nan' for --budget [^\n]*\n$" ERR
-    --budget=nan)
-run(bench_serving_unknown_strategy 2
-    "^bench_serving: invalid value 'Nope' for --strategy [^\n]*\n$" ERR
-    --strategy=Nope)
 
 # One real figure: Fig. 6 is two panels of 5 budgets x 3 strategies, so its
 # JSON holds 30 rows.

@@ -1,4 +1,4 @@
-# End-to-end smoke test of the serving pair, in two passes. Each boots
+# End-to-end smoke test of the serving pair, in three passes. Each boots
 # uguided on an ephemeral port, drives concurrent sessions through
 # uguide_loadgen (which checks every served report byte-equal to its
 # in-process reference), SIGTERMs the daemon, and requires a graceful drain
@@ -6,18 +6,24 @@
 #   1. 16 sessions over one thread;
 #   2. 32 sessions over two threads while the loadgen mutates the dataset.
 #      A mutation forks on the pool from the drain task that handles it,
-#      which hung a one-worker pool until nested forks ran inline.
+#      which hung a one-worker pool until nested forks ran inline;
+#   3. the serving bench: uguide_loadgen --bench-out runs its three levels
+#      (1, 16 and 64 concurrent sessions) against an auto-threaded daemon;
+#      the JSON must hold exactly those levels, no refusals, and pass
+#      tools/check_bench.py against itself.
 # A stalled loadgen or drain fails the pass instead of hanging the test.
 #
 # Run via `cmake -P`; the process orchestration (background daemon, port
 # handshake, signal, wait) needs a shell, so the script body runs under
 # bash — present on every platform this repo's CI targets.
 #
-# Inputs: -DUGUIDED=<binary> -DLOADGEN=<binary> -DWORK_DIR=<scratch dir>
+# Inputs: -DPYTHON=<python3> -DCHECK_BENCH=<tools/check_bench.py>
+#         -DUGUIDED=<binary> -DLOADGEN=<binary> -DWORK_DIR=<scratch dir>
 
-if(NOT UGUIDED OR NOT LOADGEN OR NOT WORK_DIR)
-  message(FATAL_ERROR "serving_smoke: UGUIDED, LOADGEN and WORK_DIR are "
-                      "required")
+if(NOT PYTHON OR NOT CHECK_BENCH OR NOT UGUIDED OR NOT LOADGEN OR
+   NOT WORK_DIR)
+  message(FATAL_ERROR "serving_smoke: PYTHON, CHECK_BENCH, UGUIDED, LOADGEN "
+                      "and WORK_DIR are required")
 endif()
 
 find_program(BASH_PROGRAM bash)
@@ -28,10 +34,12 @@ endif()
 file(REMOVE_RECURSE "${WORK_DIR}")
 file(MAKE_DIRECTORY "${WORK_DIR}")
 
-# $1 = uguided, $2 = uguide_loadgen.
+# $1 = uguided, $2 = uguide_loadgen, $3 = python3, $4 = check_bench.py.
 file(WRITE "${WORK_DIR}/smoke.sh" [=[
 uguided="$1"
 loadgen="$2"
+python="$3"
+check_bench="$4"
 
 # run_pass NAME FINISHED DAEMON_FLAGS LOADGEN_FLAGS: one daemon in
 # directory NAME; FINISHED is the session count the drain must report.
@@ -103,11 +111,29 @@ run_pass mutating 32 \
   "--sessions=32 --concurrency=8 --strategy=all --rows=300 --budget=16
    --mutate-rate=0.3 --mutate-seed=1" \
   || exit 1
+# 64 + 64 + 256 sessions over the three bench levels.
+run_pass serving 384 \
+  "--threads=0 --max-sessions=128 --rows=200 --budget=16" \
+  "--bench-out=serving/bench.json --strategy=FDQ-BMC --rows=200 --budget=16" \
+  || exit 1
+"$python" - serving/bench.json <<'EOF' || exit 1
+import json, sys
+bench = json.load(open(sys.argv[1]))
+levels = [row["concurrency"] for row in bench["levels"]]
+if levels != [1, 16, 64]:
+    sys.exit("serving_smoke[serving]: levels %s, expected [1, 16, 64]"
+             % levels)
+if bench["counters"]["refused"] != 0:
+    sys.exit("serving_smoke[serving]: the daemon refused %d session(s)"
+             % bench["counters"]["refused"])
+EOF
+"$python" "$check_bench" serving/bench.json serving/bench.json || exit 1
 exit 0
 ]=])
 
 execute_process(
   COMMAND "${BASH_PROGRAM}" "${WORK_DIR}/smoke.sh" "${UGUIDED}" "${LOADGEN}"
+          "${PYTHON}" "${CHECK_BENCH}"
   WORKING_DIRECTORY "${WORK_DIR}"
   RESULT_VARIABLE exit_code
   OUTPUT_VARIABLE out

@@ -4,13 +4,9 @@
 // write-failure paths that motivate the connection/session split.
 
 #include <gtest/gtest.h>
-#include <sys/socket.h>
 #include <sys/stat.h>
-#include <netinet/in.h>
-#include <unistd.h>
 
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <optional>
 #include <string>
@@ -18,6 +14,7 @@
 
 #include "common/fault_injection.h"
 #include "core/session_state.h"
+#include "line_client.h"
 #include "oracle/simulated_expert.h"
 #include "server/daemon.h"
 #include "server/protocol.h"
@@ -427,62 +424,6 @@ TEST_F(ServingTest, EvictedSessionResumesFromItsJournal) {
 }
 
 // --- The TCP daemon ---------------------------------------------------------
-
-// A minimal blocking line client over a raw socket.
-class LineClient {
- public:
-  ~LineClient() { Close(); }
-
-  bool Connect(int port) {
-    fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd_ < 0) return false;
-    sockaddr_in addr;
-    std::memset(&addr, 0, sizeof(addr));
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(static_cast<uint16_t>(port));
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    return ::connect(fd_, reinterpret_cast<sockaddr*>(&addr),
-                     sizeof(addr)) == 0;
-  }
-
-  bool WriteLine(const std::string& line) {
-    std::string payload = line + "\n";
-    size_t sent = 0;
-    while (sent < payload.size()) {
-      const ssize_t n = ::send(fd_, payload.data() + sent,
-                               payload.size() - sent, MSG_NOSIGNAL);
-      if (n <= 0) return false;
-      sent += static_cast<size_t>(n);
-    }
-    return true;
-  }
-
-  // Blocks until one full line arrives; nullopt on EOF/error.
-  std::optional<std::string> ReadLine() {
-    while (true) {
-      const size_t newline = buffer_.find('\n');
-      if (newline != std::string::npos) {
-        std::string line = buffer_.substr(0, newline);
-        buffer_.erase(0, newline + 1);
-        return line;
-      }
-      char chunk[4096];
-      const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
-      if (n <= 0) return std::nullopt;
-      buffer_.append(chunk, static_cast<size_t>(n));
-    }
-  }
-
-  void Close() {
-    if (fd_ >= 0) ::close(fd_);
-    fd_ = -1;
-    buffer_.clear();
-  }
-
- private:
-  int fd_ = -1;
-  std::string buffer_;
-};
 
 TEST_F(ServingTest, DaemonServesOverTcpByteIdentical) {
   DaemonOptions options;

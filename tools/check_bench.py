@@ -3,8 +3,8 @@
 
 Usage: check_bench.py BASELINE_JSON FRESH_JSON
 
-Reads what bench_questioning (google-benchmark), bench_serving and
-bench_live write. Each top-level array named in KEY_FIELDS becomes named
+Reads what bench_questioning (google-benchmark), bench_live and
+uguide_loadgen --bench-out (the serving bench) write. Each top-level array named in KEY_FIELDS becomes named
 rows, aggregate rows (written under repetitions) skipped. RULES holds
 every bound, of three kinds:
 

@@ -4,17 +4,20 @@
 // byte-identical to the in-process reference run.
 //
 //   uguide_loadgen --port=P [--sessions=S] [--concurrency=C]
-//                  [--strategy=NAME|all] [--budget=B] [--id-prefix=X]
+//                  [--strategy=NAME|all] [--budget=B]
 //                  [--rows=R] [--error-rate=E] [--seed=S] [--idk-rate=I]
-//                  [--no-verify] [--allow-refused] [--check-journals=DIR]
+//                  [--check-journals=DIR]
 //                  [--chaos] [--chaos-seed=S] [--restart-grace-ms=T]
 //                  [--mutate-rate=M] [--mutate-seed=S]
-//                  [--reply-timeout-s=T]
+//                  [--reply-timeout-s=T] [--bench-out=FILE]
 //
 // The dataset flags must match the daemon's — both sides rebuild the same
 // dataset (src/server/dataset.h) and the reports can only be byte-equal if
-// they agree. Exit status: 0 iff every session finished with a verified
-// report (refusals tolerated only under --allow-refused).
+// they agree. Every reference report is computed before the first session
+// opens. Session ids are lg-<index>, counted across the whole run. Exit
+// status: 0 iff every session ended with a verified report or an explicit
+// verdict (version_mismatch refusal, journal_corrupt quarantine); 2 for a
+// usage error.
 //
 // Refusal errors carrying retry_after_ms (code overloaded / rate_limited)
 // are always retried after the hinted backoff, so an overloaded daemon
@@ -53,21 +56,25 @@
 // read that gets no byte for T seconds fails its session, prints the op
 // it was waiting on and the session id, stops the run from starting more
 // sessions, and makes the exit status non-zero.
+//
+// --bench-out=FILE makes the run the serving throughput bench. In place of
+// --sessions/--concurrency it runs three levels, at 1, 16 and 64
+// concurrent sessions with max(64, 4c) sessions each: at least 64 so short
+// levels do not ride on scheduler luck, and 4c so the ramp and drain tail
+// does not dominate the throughput. FILE gets each level's sessions/s,
+// answer count and per-reply round-trip p50/p99, plus the daemon's
+// counters from one op=health after the last level; tools/check_bench.py
+// gates it against BENCH_serving.json. A run that fails any session writes
+// no FILE.
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/socket.h>
-#include <sys/time.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
-#include <cerrno>
 #include <chrono>
+#include <cstddef>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -82,7 +89,9 @@
 #include "server/dataset.h"
 #include "server/protocol.h"
 
+#include "build_type.h"
 #include "flag_parse.h"
+#include "line_client.h"
 
 using namespace uguide;
 
@@ -94,9 +103,6 @@ struct Args {
   int concurrency = 4;
   std::string strategy = "FDQ-BMC";
   double budget = 0.0;  // 0 = dataset default
-  std::string id_prefix = "lg";
-  bool verify = true;
-  bool allow_refused = false;
   /// When set, every per-session journal the daemon wrote under this
   /// directory must load cleanly after the run (zero-corruption check).
   std::string check_journals;
@@ -111,6 +117,8 @@ struct Args {
   /// Longest wait for a byte of the daemon's reply before the session
   /// fails as stalled.
   double reply_timeout_s = 60.0;
+  /// When set, run the bench levels and write their JSON here.
+  std::string bench_out;
   ServedDatasetOptions dataset;
 };
 
@@ -119,40 +127,40 @@ void Usage() {
       stderr,
       "usage: uguide_loadgen --port=P [--sessions=S] [--concurrency=C]\n"
       "                      [--strategy=NAME|all] [--budget=B]\n"
-      "                      [--id-prefix=X] [--rows=R] [--error-rate=E]\n"
-      "                      [--seed=S] [--idk-rate=I] [--no-verify]\n"
-      "                      [--allow-refused] [--check-journals=DIR]\n"
+      "                      [--rows=R] [--error-rate=E]\n"
+      "                      [--seed=S] [--idk-rate=I]\n"
+      "                      [--check-journals=DIR]\n"
       "                      [--chaos] [--chaos-seed=S]\n"
       "                      [--restart-grace-ms=T]\n"
       "                      [--mutate-rate=M] [--mutate-seed=S]\n"
-      "                      [--reply-timeout-s=T]\n");
+      "                      [--reply-timeout-s=T] [--bench-out=FILE]\n");
 }
 
 bool ParseArgs(int argc, char** argv, Args* args) {
   const FlagParser flags("uguide_loadgen");
+  bool sized = false;  // --sessions or --concurrency was given
   for (int i = 1; i < argc; ++i) {
     const auto [flag, value] = FlagParser::Split(argv[i]);
     if (flag == "--port") {
       if (!flags.Int("--port", value, 1, &args->port)) return false;
     } else if (flag == "--sessions") {
       if (!flags.Int("--sessions", value, 1, &args->sessions)) return false;
+      sized = true;
     } else if (flag == "--concurrency") {
       if (!flags.Int("--concurrency", value, 1, &args->concurrency)) {
         return false;
       }
+      sized = true;
     } else if (flag == "--strategy") {
+      if (value != "all" && !MakeStrategyByName(value).ok()) {
+        return flags.Error("--strategy", value, "a strategy name or all");
+      }
       args->strategy = value;
     } else if (flag == "--budget") {
       if (!flags.Double("--budget", value, 0.0, FlagParser::kMax,
                         &args->budget)) {
         return false;
       }
-    } else if (flag == "--id-prefix") {
-      args->id_prefix = value;
-    } else if (flag == "--no-verify") {
-      args->verify = false;
-    } else if (flag == "--allow-refused") {
-      args->allow_refused = true;
     } else if (flag == "--check-journals") {
       args->check_journals = value;
     } else if (flag == "--chaos") {
@@ -175,6 +183,9 @@ bool ParseArgs(int argc, char** argv, Args* args) {
                         &args->reply_timeout_s)) {
         return false;
       }
+    } else if (flag == "--bench-out") {
+      if (value.empty()) return flags.Error("--bench-out", value, "a file");
+      args->bench_out = value;
     } else if (flag == "--rows") {
       if (!flags.Int("--rows", value, 1, &args->dataset.rows)) return false;
     } else if (flag == "--error-rate") {
@@ -198,115 +209,27 @@ bool ParseArgs(int argc, char** argv, Args* args) {
     std::fprintf(stderr, "uguide_loadgen: --port is required\n");
     return false;
   }
+  if (sized && !args->bench_out.empty()) {
+    std::fprintf(stderr,
+                 "uguide_loadgen: --sessions and --concurrency do not apply "
+                 "to --bench-out, whose levels are fixed\n");
+    return false;
+  }
   return true;
 }
-
-/// Blocking line-oriented client connection.
-class Connection {
- public:
-  /// Every read waits at most `reply_timeout_s` seconds for a byte.
-  explicit Connection(double reply_timeout_s)
-      : reply_timeout_s_(reply_timeout_s) {}
-
-  ~Connection() {
-    if (fd_ >= 0) ::close(fd_);
-  }
-
-  /// Drops the socket and any half-read buffer (chaos reconnects).
-  void Reset() {
-    if (fd_ >= 0) ::close(fd_);
-    fd_ = -1;
-    buffer_.clear();
-  }
-
-  bool Connect(int port) {
-    Reset();
-    fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd_ < 0) return false;
-    sockaddr_in addr;
-    std::memset(&addr, 0, sizeof(addr));
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(static_cast<uint16_t>(port));
-    if (::connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) !=
-        0) {
-      ::close(fd_);
-      fd_ = -1;
-      return false;
-    }
-    const int one = 1;
-    ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    timeval timeout;
-    timeout.tv_sec = static_cast<time_t>(reply_timeout_s_);
-    timeout.tv_usec = static_cast<suseconds_t>(
-        (reply_timeout_s_ - static_cast<double>(timeout.tv_sec)) * 1e6);
-    ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
-    return true;
-  }
-
-  bool WriteLine(const std::string& line) {
-    std::string framed = line;
-    framed.push_back('\n');
-    return WriteRaw(framed);
-  }
-
-  /// Sends bytes exactly as given — chaos half-line frames included.
-  bool WriteRaw(const std::string& bytes) {
-    size_t sent = 0;
-    while (sent < bytes.size()) {
-      const ssize_t n =
-          ::send(fd_, bytes.data() + sent, bytes.size() - sent, MSG_NOSIGNAL);
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        return false;
-      }
-      sent += static_cast<size_t>(n);
-    }
-    return true;
-  }
-
-  /// False when the connection closed, failed or timed out (TimedOut).
-  bool ReadLine(std::string* line) {
-    timed_out_ = false;
-    while (true) {
-      const size_t nl = buffer_.find('\n');
-      if (nl != std::string::npos) {
-        *line = buffer_.substr(0, nl);
-        buffer_.erase(0, nl + 1);
-        return true;
-      }
-      char chunk[4096];
-      const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
-      if (n < 0 && errno == EINTR) continue;
-      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-        timed_out_ = true;
-        return false;
-      }
-      if (n <= 0) return false;
-      buffer_.append(chunk, static_cast<size_t>(n));
-    }
-  }
-
-  /// True when the last ReadLine failed because no byte came within the
-  /// reply timeout.
-  bool TimedOut() const { return timed_out_; }
-
- private:
-  const double reply_timeout_s_;
-  int fd_ = -1;
-  std::string buffer_;
-  bool timed_out_ = false;
-};
 
 struct SharedState {
   const Session* session = nullptr;
   const Args* args = nullptr;
   std::vector<std::string> strategies;  // per-session rotation
-
-  std::mutex reference_mu;
+  /// Serialized in-process report per strategy in the rotation, filled
+  /// before any worker starts and read-only after.
   std::map<std::string, std::string> reference_reports;
 
+  /// The running level hands out session indices [next_session,
+  /// end_session).
   std::atomic<int> next_session{0};
+  int end_session = 0;
   std::atomic<int> ok{0};
   std::atomic<int> mismatched{0};
   std::atomic<int> refused{0};
@@ -324,28 +247,6 @@ struct SharedState {
   std::mutex rtt_mu;
   std::vector<double> rtt_ms;
 };
-
-/// The in-process reference report for `strategy` under the shared budget,
-/// serialized. Computed once per strategy (strategies are stateless and
-/// deterministic, so every session of a strategy yields the same bytes).
-const std::string* ReferenceReport(SharedState* state,
-                                   const std::string& strategy_name) {
-  std::lock_guard<std::mutex> lock(state->reference_mu);
-  auto it = state->reference_reports.find(strategy_name);
-  if (it != state->reference_reports.end()) return &it->second;
-  Result<std::unique_ptr<Strategy>> strategy =
-      MakeStrategyByName(strategy_name);
-  if (!strategy.ok()) return nullptr;
-  const double budget = state->args->budget > 0.0
-                            ? state->args->budget
-                            : state->session->config().budget;
-  Result<SessionReport> report =
-      state->session->Run(**strategy, budget, SessionRunOptions{});
-  if (!report.ok()) return nullptr;
-  auto inserted = state->reference_reports.emplace(
-      strategy_name, SerializeSessionReport(*report));
-  return &inserted.first->second;
-}
 
 /// Strips the questions_replayed=N line: a resumed session replays its
 /// journal, so the counter legitimately differs from the reference run
@@ -445,7 +346,7 @@ void FailStalled(SharedState* state, const std::string& op,
 /// counted in state). Retries refusals that carry retry_after_ms; in
 /// --chaos mode additionally injects deterministic client misbehavior and
 /// recovers from its own sabotage via reconnect + op=next / resume.
-bool RunOneSession(SharedState* state, Connection* conn, int index) {
+bool RunOneSession(SharedState* state, LineClient* conn, int index) {
   const Session& session = *state->session;
   const Args& args = *state->args;
   const std::string& strategy_name =
@@ -465,7 +366,7 @@ bool RunOneSession(SharedState* state, Connection* conn, int index) {
 
   ClientFrame open;
   open.op = ClientOp::kOpen;
-  open.id = args.id_prefix + "-" + std::to_string(index);
+  open.id = "lg-" + std::to_string(index);
   open.strategy = strategy_name;
   if (args.budget > 0.0) {
     open.budget = args.budget;
@@ -502,15 +403,16 @@ bool RunOneSession(SharedState* state, Connection* conn, int index) {
   if (send_garbage) {
     // A complete line of non-protocol bytes must bounce as a structured
     // bad_frame error and leave the connection usable.
-    std::string line;
-    if (!conn->WriteLine("{\"op\":[not json") || !conn->ReadLine(&line)) {
+    std::optional<std::string> line;
+    if (conn->WriteLine("{\"op\":[not json")) line = conn->ReadLine();
+    if (!line) {
       if (conn->TimedOut()) {
         FailStalled(state, "(garbage line)", open.id);
         return true;
       }
       if (!reconnect()) return false;
     } else {
-      Result<ServerFrame> frame = ParseServerFrame(line);
+      Result<ServerFrame> frame = ParseServerFrame(*line);
       if (!frame.ok() || frame->type != ServerFrameType::kError ||
           frame->error_code != error_code::kBadFrame) {
         std::fprintf(stderr,
@@ -616,8 +518,8 @@ bool RunOneSession(SharedState* state, Connection* conn, int index) {
       --slow_reads_left;
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
-    std::string line;
-    if (!conn->ReadLine(&line)) {
+    const std::optional<std::string> line = conn->ReadLine();
+    if (!line) {
       if (conn->TimedOut()) {
         FailStalled(state, sent_op, open.id);
         return true;
@@ -630,7 +532,7 @@ bool RunOneSession(SharedState* state, Connection* conn, int index) {
                        std::chrono::steady_clock::now() - sent_at)
                        .count());
 
-    Result<ServerFrame> frame = ParseServerFrame(line);
+    Result<ServerFrame> frame = ParseServerFrame(*line);
     if (!frame.ok()) {
       std::fprintf(stderr, "uguide_loadgen: bad server frame: %s\n",
                    frame.status().ToString().c_str());
@@ -679,14 +581,13 @@ bool RunOneSession(SharedState* state, Connection* conn, int index) {
         // check would be comparing different datasets. data_version=0
         // reports (epoch 0) still byte-verify.
         const int live_version = ReportCounter(frame->report, "data_version");
-        if (state->args->verify && live_version <= 0) {
-          const std::string* expected =
-              ReferenceReport(state, strategy_name);
+        if (live_version <= 0) {
+          const std::string& expected =
+              state->reference_reports.at(strategy_name);
           const bool matches =
-              expected != nullptr &&
-              (*expected == frame->report ||
-               (chaos && WithoutReplayCount(*expected) ==
-                             WithoutReplayCount(frame->report)));
+              expected == frame->report ||
+              (chaos && WithoutReplayCount(expected) ==
+                            WithoutReplayCount(frame->report));
           if (!matches) {
             std::fprintf(stderr,
                          "uguide_loadgen: report mismatch for %s (%s)\n",
@@ -779,24 +680,13 @@ bool RunOneSession(SharedState* state, Connection* conn, int index) {
           to_send = FormatClientFrame(open);
           break;
         }
-        const bool refusal = code == StatusCode::kResourceExhausted ||
-                             code == StatusCode::kUnavailable;
-        if (chaos && refusal && frame->error_code.empty()) {
-          // The whole point of structured refusals: a shedding daemon
-          // must say why. An unlabeled refusal is a bug.
-          std::fprintf(stderr,
-                       "uguide_loadgen: refusal without code for %s: %s\n",
-                       open.id.c_str(), frame->message.c_str());
-          state->failed.fetch_add(1);
-          return true;
-        }
-        if (refusal && args.allow_refused) {
-          state->refused.fetch_add(1);
-        } else {
-          std::fprintf(stderr, "uguide_loadgen: server error for %s: %s\n",
-                       open.id.c_str(), frame->message.c_str());
-          state->failed.fetch_add(1);
-        }
+        // Any other error fails the session. The code is printed because
+        // a shedding daemon must say why: an unlabeled refusal is a bug.
+        std::fprintf(stderr,
+                     "uguide_loadgen: server error for %s (code '%s'): %s\n",
+                     open.id.c_str(), frame->error_code.c_str(),
+                     frame->message.c_str());
+        state->failed.fetch_add(1);
         return true;
       }
       case ServerFrameType::kClosed: {
@@ -816,7 +706,7 @@ bool RunOneSession(SharedState* state, Connection* conn, int index) {
 
 void Worker(SharedState* state) {
   const Args& args = *state->args;
-  Connection conn(args.reply_timeout_s);
+  LineClient conn(args.reply_timeout_s);
   // With --restart-grace-ms the first connect may land in a restart
   // window; keep knocking for the grace period instead of giving up.
   const int connect_attempts =
@@ -836,7 +726,7 @@ void Worker(SharedState* state) {
   }
   while (!state->stalled.load()) {
     const int index = state->next_session.fetch_add(1);
-    if (index >= state->args->sessions) return;
+    if (index >= state->end_session) return;
     if (!RunOneSession(state, &conn, index)) {
       // Connection died; reconnect and keep draining the work queue.
       state->failed.fetch_add(1);
@@ -845,15 +735,15 @@ void Worker(SharedState* state) {
   }
 }
 
-/// Loads every journal the daemon wrote for this run's session ids and
-/// fails on the first corrupt one. A missing journal is fine (refused
-/// sessions never open one); a present-but-unparsable journal is the bug
-/// this check exists to catch.
-int CheckJournals(const Args& args) {
+/// Loads every journal the daemon wrote for this run's `sessions` session
+/// ids and fails on the first corrupt one. A missing journal is fine
+/// (refused sessions never open one); a present-but-unparsable journal is
+/// the bug this check exists to catch.
+int CheckJournals(const Args& args, int sessions) {
   int checked = 0;
-  for (int index = 0; index < args.sessions; ++index) {
-    const std::string path = args.check_journals + "/" + args.id_prefix +
-                             "-" + std::to_string(index) + ".journal";
+  for (int index = 0; index < sessions; ++index) {
+    const std::string path = args.check_journals + "/lg-" +
+                             std::to_string(index) + ".journal";
     if (::access(path.c_str(), F_OK) != 0) continue;
     Result<LoadedJournal> journal = LoadJournal(path);
     if (!journal.ok()) {
@@ -874,6 +764,117 @@ double Percentile(std::vector<double>* values, double p) {
   return (*values)[index];
 }
 
+/// One batch of sessions at a fixed concurrency, and what it measured.
+struct Level {
+  int concurrency = 0;
+  int sessions = 0;
+  int completed = 0;   ///< Sessions that ended with a verified report.
+  size_t answers = 0;  ///< Round trips timed (one per server reply).
+  double elapsed_s = 0.0;
+  double rtt_p50_ms = 0.0;
+  double rtt_p99_ms = 0.0;
+};
+
+/// Runs session indices [first, first + level->sessions) over
+/// level->concurrency workers and fills in the level's measurements.
+void RunLevel(SharedState* state, int first, Level* level) {
+  const int ok_before = state->ok.load();
+  const size_t rtts_before = state->rtt_ms.size();
+  state->next_session.store(first);
+  state->end_session = first + level->sessions;
+
+  const auto started = std::chrono::steady_clock::now();
+  std::vector<std::thread> workers;
+  for (int i = 0; i < level->concurrency; ++i) {
+    workers.emplace_back(Worker, state);
+  }
+  for (std::thread& t : workers) t.join();
+  level->elapsed_s = std::chrono::duration<double>(
+                         std::chrono::steady_clock::now() - started)
+                         .count();
+
+  level->completed = state->ok.load() - ok_before;
+  std::vector<double> rtts(
+      state->rtt_ms.begin() + static_cast<std::ptrdiff_t>(rtts_before),
+      state->rtt_ms.end());
+  level->answers = rtts.size();
+  level->rtt_p50_ms = Percentile(&rtts, 50.0);
+  level->rtt_p99_ms = Percentile(&rtts, 99.0);
+}
+
+double SessionsPerSec(const Level& level) {
+  return level.elapsed_s > 0.0 ? level.completed / level.elapsed_s : 0.0;
+}
+
+/// The daemon's counters from one op=health on a fresh connection.
+std::optional<HealthInfo> FetchHealth(const Args& args) {
+  LineClient conn(args.reply_timeout_s);
+  ClientFrame health;
+  health.op = ClientOp::kHealth;
+  if (!conn.Connect(args.port) || !conn.WriteLine(FormatClientFrame(health))) {
+    return std::nullopt;
+  }
+  const std::optional<std::string> line = conn.ReadLine();
+  if (!line) return std::nullopt;
+  Result<ServerFrame> frame = ParseServerFrame(*line);
+  if (!frame.ok() || frame->type != ServerFrameType::kHealth) {
+    return std::nullopt;
+  }
+  return frame->health;
+}
+
+/// Writes the serving bench JSON that tools/check_bench.py reads ("levels"
+/// rows keyed by concurrency). The counters are additive context: a clean
+/// run refuses and sheds nothing, and the gate does not read them.
+bool WriteBenchJson(const Args& args, double budget,
+                    const std::vector<Level>& levels,
+                    const HealthInfo& health) {
+  std::FILE* out = std::fopen(args.bench_out.c_str(), "w");
+  if (out == nullptr) return false;
+  std::fprintf(out,
+               "{\n"
+               "  \"bench\": \"serving\",\n"
+               "  \"context\": {\"uguide_build_type\": \"%s\", "
+               "\"num_cpus\": %u},\n"
+               "  \"rows\": %d,\n"
+               "  \"budget\": %g,\n"
+               "  \"strategy\": \"%s\",\n"
+               "  \"levels\": [\n",
+               kUguideBuildType, std::thread::hardware_concurrency(),
+               args.dataset.rows, budget, args.strategy.c_str());
+  for (size_t i = 0; i < levels.size(); ++i) {
+    const Level& r = levels[i];
+    std::fprintf(out,
+                 "    {\"concurrency\": %d, \"sessions\": %d, "
+                 "\"answers\": %zu, \"elapsed_s\": %.6f, "
+                 "\"sessions_per_sec\": %.2f, \"rtt_p50_ms\": %.4f, "
+                 "\"rtt_p99_ms\": %.4f}%s\n",
+                 r.concurrency, r.sessions, r.answers, r.elapsed_s,
+                 SessionsPerSec(r), r.rtt_p50_ms, r.rtt_p99_ms,
+                 i + 1 < levels.size() ? "," : "");
+  }
+  std::fprintf(out,
+               "  ],\n"
+               "  \"counters\": {\n"
+               "    \"opened\": %lld, \"finished\": %lld, \"evicted\": %lld, "
+               "\"refused\": %lld,\n"
+               "    \"rate_limited\": %lld, \"deadline_shed\": %lld,\n"
+               "    \"accepted\": %lld, \"dropped\": %lld, "
+               "\"dropped_slow_reader\": %lld, \"reaped_idle\": %lld\n"
+               "  }\n}\n",
+               static_cast<long long>(health.opened),
+               static_cast<long long>(health.finished),
+               static_cast<long long>(health.evicted),
+               static_cast<long long>(health.refused),
+               static_cast<long long>(health.rate_limited),
+               static_cast<long long>(health.deadline_shed),
+               static_cast<long long>(health.accepted),
+               static_cast<long long>(health.dropped),
+               static_cast<long long>(health.dropped_slow_reader),
+               static_cast<long long>(health.reaped_idle));
+  return std::fclose(out) == 0;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -890,6 +891,18 @@ int main(int argc, char** argv) {
     return 1;
   }
 
+  const bool bench = !args.bench_out.empty();
+  std::vector<Level> levels;
+  if (bench) {
+    for (int concurrency : {1, 16, 64}) {
+      levels.push_back({concurrency, std::max(64, 4 * concurrency)});
+    }
+  } else {
+    levels.push_back({args.concurrency, args.sessions});
+  }
+  int total_sessions = 0;
+  for (const Level& level : levels) total_sessions += level.sessions;
+
   SharedState state;
   state.session = &*session;
   state.args = &args;
@@ -898,16 +911,46 @@ int main(int argc, char** argv) {
   } else {
     state.strategies = {args.strategy};
   }
-
-  const auto started = std::chrono::steady_clock::now();
-  std::vector<std::thread> workers;
-  for (int i = 0; i < args.concurrency; ++i) {
-    workers.emplace_back(Worker, &state);
+  // One reference per strategy the rotation reaches (strategies are
+  // deterministic, so every session of a strategy yields the same bytes),
+  // all before the first session opens: no level ever times an in-process
+  // run.
+  const double budget =
+      args.budget > 0.0 ? args.budget : session->config().budget;
+  const size_t rotated = std::min(state.strategies.size(),
+                                  static_cast<size_t>(total_sessions));
+  for (size_t i = 0; i < rotated; ++i) {
+    const std::string& name = state.strategies[i];
+    std::unique_ptr<Strategy> strategy = MakeStrategyByName(name).ValueOrDie();
+    Result<SessionReport> report =
+        session->Run(*strategy, budget, SessionRunOptions{});
+    if (!report.ok()) {
+      std::fprintf(stderr, "uguide_loadgen: reference run of %s: %s\n",
+                   name.c_str(), report.status().ToString().c_str());
+      return 1;
+    }
+    state.reference_reports.emplace(name, SerializeSessionReport(*report));
   }
-  for (std::thread& t : workers) t.join();
-  const double elapsed_s = std::chrono::duration<double>(
-                               std::chrono::steady_clock::now() - started)
-                               .count();
+
+  if (bench) {
+    std::printf("== Serving throughput (rows=%d, budget=%g, strategy=%s) ==\n",
+                args.dataset.rows, budget, args.strategy.c_str());
+    std::printf("%12s %10s %12s %14s %12s %12s\n", "concurrency", "sessions",
+                "answers", "sessions/sec", "rtt_p50_ms", "rtt_p99_ms");
+  }
+  int first = 0;
+  double elapsed_s = 0.0;
+  for (Level& level : levels) {
+    RunLevel(&state, first, &level);
+    first += level.sessions;
+    elapsed_s += level.elapsed_s;
+    if (bench) {
+      std::printf("%12d %10d %12zu %14.1f %12.3f %12.3f\n", level.concurrency,
+                  level.sessions, level.answers, SessionsPerSec(level),
+                  level.rtt_p50_ms, level.rtt_p99_ms);
+    }
+    if (state.stalled.load()) break;
+  }
 
   const int ok = state.ok.load();
   const int mismatched = state.mismatched.load();
@@ -930,7 +973,7 @@ int main(int argc, char** argv) {
   }
 
   if (!args.check_journals.empty()) {
-    const int checked = CheckJournals(args);
+    const int checked = CheckJournals(args, total_sessions);
     if (checked < 0) return 1;
     std::printf("uguide_loadgen: journals checked=%d corrupt=0\n", checked);
   }
@@ -939,6 +982,20 @@ int main(int argc, char** argv) {
   // Every session must end in an explicit verdict — delivered, refused
   // with a code, or quarantined with its journal preserved for triage.
   // Anything short of that is a silently lost session.
-  if (ok + refused + quarantined < args.sessions) return 1;
+  if (ok + refused + quarantined < total_sessions) return 1;
+
+  if (bench) {
+    const std::optional<HealthInfo> health = FetchHealth(args);
+    if (!health) {
+      std::fprintf(stderr, "uguide_loadgen: no health reply after the bench\n");
+      return 1;
+    }
+    if (!WriteBenchJson(args, budget, levels, *health)) {
+      std::fprintf(stderr, "uguide_loadgen: cannot write %s\n",
+                   args.bench_out.c_str());
+      return 1;
+    }
+    std::fprintf(stderr, "uguide_loadgen: wrote %s\n", args.bench_out.c_str());
+  }
   return 0;
 }
