@@ -255,50 +255,6 @@ void PartitionStore::Put(const AttributeSet& attrs, Partition partition) {
                    std::make_shared<const Partition>(std::move(partition)));
 }
 
-void PartitionStore::PutShared(const AttributeSet& attrs,
-                               std::shared_ptr<const Partition> partition) {
-  UGUIDE_CHECK(partition != nullptr);
-  std::lock_guard<std::mutex> lock(mu_);
-  entries_.try_emplace(attrs, std::move(partition));
-}
-
-std::vector<std::pair<AttributeSet, std::shared_ptr<const Partition>>>
-PartitionStore::Snapshot() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return {entries_.begin(), entries_.end()};
-}
-
-void PartitionStore::AdvanceTo(
-    uint64_t version, const AttributeSet& dirty,
-    const std::function<std::shared_ptr<const Partition>(int)>& patch) {
-  std::lock_guard<std::mutex> lock(mu_);
-  // Patch dirty singletons in place; composite sets touching the scope are
-  // dropped (a dirty input invalidates the whole product), and so is the
-  // empty set (appends change its single class). Clean entries survive
-  // verbatim — safe because NumRows only changes on appends, which dirty
-  // every attribute.
-  for (auto it = entries_.begin(); it != entries_.end();) {
-    const AttributeSet& attrs = it->first;
-    const bool clean =
-        attrs.Empty() ? dirty.Empty() : !attrs.Intersects(dirty);
-    if (clean) {
-      ++it;
-    } else if (attrs.Size() == 1) {
-      it->second = patch(attrs.Lowest());
-      UGUIDE_CHECK(it->second != nullptr);
-      ++it;
-    } else {
-      it = entries_.erase(it);
-    }
-  }
-  version_ = version;
-}
-
-uint64_t PartitionStore::version() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return version_;
-}
-
 size_t PartitionStore::Erase(const AttributeSet& attrs) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = entries_.find(attrs);

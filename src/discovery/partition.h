@@ -66,16 +66,6 @@ class Partition {
   static Partition ForAttributes(const Relation& relation,
                                  const AttributeSet& attrs);
 
-  /// Wraps an externally assembled CSR (flat element array + offsets) as a
-  /// partition. The live-mutation layer patches column partitions in O(Δ)
-  /// and emits the result here; the private constructor's invariants
-  /// (offsets bracket elems, every class >= 2, front offset 0) still apply,
-  /// so a malformed splice trips the same checks a bad build would.
-  static Partition FromCsr(TupleId num_rows, std::vector<TupleId> elems,
-                           std::vector<uint32_t> offsets) {
-    return Partition(num_rows, std::move(elems), std::move(offsets));
-  }
-
   /// The product (refinement) of two partitions: classes are intersections.
   /// Linear in the stripped sizes (TANE, Alg. PRODUCT); one probe-table
   /// pass per class of `other`, no per-class allocations.
@@ -188,31 +178,6 @@ class PartitionStore {
   /// Stores a computed partition. No-op when `attrs` is already resident.
   void Put(const AttributeSet& attrs, Partition partition);
 
-  /// Stores a partition handle shared with other owners (the live dataset
-  /// shares one handle across epoch stores). No-op when `attrs` is already
-  /// resident.
-  void PutShared(const AttributeSet& attrs,
-                 std::shared_ptr<const Partition> partition);
-
-  /// All resident entries (attribute set + handle), unspecified order. The
-  /// live dataset harvests surviving partitions from an outgoing epoch's
-  /// engine through this to seed the next epoch.
-  std::vector<std::pair<AttributeSet, std::shared_ptr<const Partition>>>
-  Snapshot() const;
-
-  /// Advances the store to data version `version`: entries whose attribute
-  /// set intersects `dirty` are patched in place (singleton sets, via
-  /// `patch(col)`) or dropped (composite sets — a dirty input invalidates
-  /// the product; the empty set — its row census may have changed), and
-  /// every clean entry is kept verbatim. `patch` runs under the store lock
-  /// and must return the canonical partition of the mutated column.
-  void AdvanceTo(uint64_t version, const AttributeSet& dirty,
-                 const std::function<std::shared_ptr<const Partition>(int)>&
-                     patch);
-
-  /// Data version last passed to AdvanceTo (0 for a never-advanced store).
-  uint64_t version() const;
-
   /// Drops the entry for `attrs` if present and returns its
   /// Partition::ApproxBytes (0 when absent). Levels that fall out of the
   /// TANE traversal release their memory here.
@@ -230,7 +195,6 @@ class PartitionStore {
                      AttributeSetHash>
       entries_;
   size_t misses_ = 0;
-  uint64_t version_ = 0;
 };
 
 }  // namespace uguide

@@ -7,9 +7,7 @@
 #include <vector>
 
 #include "core/session.h"
-#include "discovery/partition.h"
 #include "live/live_relation.h"
-#include "live/live_violation_index.h"
 #include "live/mutation.h"
 #include "violations/bipartite_graph.h"
 #include "violations/violation_artifact.h"
@@ -22,19 +20,17 @@ class ThreadPool;
 /// \brief One immutable serving epoch of a live dataset.
 ///
 /// Everything a served session touches — the rebased Session (with E_T
-/// recomputed against the mutated table), a warmed violation engine, and
-/// the violation artifact over them — frozen at one data version.
-/// Sessions pin the epoch's shared_ptr, so a long-running session keeps
-/// its epoch alive after the ring has moved on.
+/// recomputed against the mutated table), a violation engine over its
+/// relation, and the violation artifact over them — frozen at one data
+/// version. Sessions pin the epoch's shared_ptr, so a long-running session
+/// keeps its epoch alive after the ring has moved on.
 ///
-/// The graph and the artifact are materialized lazily: an epoch publishes
-/// only the frozen per-FD cell-vector handles (an O(#FDs) snapshot of the
-/// live index); graph() runs the deterministic merge on first access and
-/// artifact() completes it with the cell classes and removal counts. A
-/// mutation burst of k batches therefore pays k incremental cell
-/// recomputes but at most one merge — only for the epoch a session
-/// actually opens against — while the result remains byte-identical to a
-/// full rebuild.
+/// The graph and the artifact are built lazily: publishing an epoch does no
+/// violation work, graph() runs one full ViolationGraph::Build on first
+/// access and artifact() completes it with the cell classes and removal
+/// counts. A mutation burst of k batches therefore pays for at most one
+/// build — only for the epoch a session actually opens against
+/// (DESIGN.md §15).
 struct LiveEpoch {
   DataVersion version = 0;
   /// Content hash of the *base* relation: the identity pair pinned into
@@ -43,8 +39,8 @@ struct LiveEpoch {
   std::shared_ptr<const Session> session;
   std::shared_ptr<ViolationEngine> engine;
 
-  /// The epoch's violation graph, materialized on first access
-  /// (thread-safe; epoch 0 returns the base artifact's graph directly).
+  /// The epoch's violation graph, built on first access (thread-safe;
+  /// epoch 0 returns the base artifact's graph directly).
   const ViolationGraph& graph() const;
 
   /// The epoch's violation artifact over `engine` and graph(), built on
@@ -52,12 +48,11 @@ struct LiveEpoch {
   const ViolationArtifact& artifact() const;
 
   /// Epoch 0's: the base session's artifact. Null for mutated epochs,
-  /// which merge from the handles below instead.
+  /// which build their own instead.
   const ViolationArtifact* base = nullptr;
-  /// Frozen merge inputs: the candidate FDs and their cell vectors at this
-  /// version (untouched FDs share handles with neighboring epochs).
-  std::vector<Fd> fds;
-  std::vector<LiveViolationIndex::CellVector> per_fd;
+  /// Mutated epochs': the dataset's pool, which shards graph()'s build
+  /// (may be null).
+  ThreadPool* pool = nullptr;
 
  private:
   mutable std::once_flag graph_once_;
@@ -76,23 +71,20 @@ struct LiveDatasetOptions {
 /// while its data never stops changing.
 ///
 /// Epoch 0 serves the base session and its ViolationArtifact without
-/// owning them. Each applied batch advances the LiveRelation, patches the
-/// long-lived partition store for exactly the dirty attribute scope
-/// (PartitionStore::AdvanceTo), recomputes violation-cell vectors only for
-/// FDs the scope touches, and publishes a new epoch whose engine is
-/// pre-seeded with every surviving partition —
-/// byte-identical to rebuilding everything from scratch, at a fraction of
-/// the work (DESIGN.md §15; BENCH_live.json quantifies it).
+/// owning them. Each applied batch advances the LiveRelation, rebases the
+/// session onto the mutated table, and publishes a new epoch with a fresh
+/// violation engine over it; the epoch's graph is built from scratch the
+/// first time a session opens against it (DESIGN.md §15).
 ///
 /// Thread safety: Apply/Current/AtVersion are mutex-serialized; the
 /// epochs they hand out are immutable (the engine is internally locked),
 /// so any number of served sessions run against them without the lock.
 class LiveDataset {
  public:
-  /// `base` and `pool` must outlive the dataset; epoch 0 serves `base` and
-  /// base->artifact(pool) without copying either. `content_hash` is the
-  /// base relation's content hash (the registry key's, for served
-  /// datasets).
+  /// `base` and `pool` must outlive the dataset and every epoch it hands
+  /// out; epoch 0 serves `base` and base->artifact(pool) without copying
+  /// either. `content_hash` is the base relation's content hash (the
+  /// registry key's, for served datasets).
   LiveDataset(const Session* base, uint64_t content_hash, ThreadPool* pool,
               LiveDatasetOptions options = {});
 
@@ -121,6 +113,8 @@ class LiveDataset {
     int64_t batches_applied = 0;
     int64_t ops_applied = 0;
     int64_t ops_refused = 0;
+    /// Always 0: an epoch builds its graph whole, so no per-FD work is
+    /// counted. Kept because the benchmark driver reports them.
     int64_t fds_recomputed = 0;
     int64_t fds_skipped = 0;
   };
@@ -134,11 +128,6 @@ class LiveDataset {
 
   mutable std::mutex mu_;
   LiveRelation relation_;
-  /// The long-lived store carrying partitions across epochs: canonical
-  /// column singles (patched in place by AdvanceTo) plus products
-  /// harvested back from outgoing epoch engines (dropped when dirty).
-  PartitionStore store_;
-  LiveViolationIndex index_;
   std::vector<std::shared_ptr<const LiveEpoch>> ring_;
   int64_t batches_applied_ = 0;
   int64_t ops_applied_ = 0;

@@ -1,49 +1,15 @@
 #include "live/live_relation.h"
 
-#include <algorithm>
-#include <string>
 #include <utility>
 
 namespace uguide {
 
 LiveRelation::LiveRelation(Relation base)
     : relation_(std::move(base)),
-      alive_(static_cast<size_t>(relation_.NumRows()), 1),
-      num_alive_(relation_.NumRows()),
-      groups_(static_cast<size_t>(relation_.NumAttributes())) {
-  const TupleId n = relation_.NumRows();
-  const size_t num_codes = relation_.pool().Size();
-  for (int c = 0; c < relation_.NumAttributes(); ++c) {
-    const std::vector<ValueCode>& codes = relation_.ColumnCodes(c);
-    auto& column = groups_[static_cast<size_t>(c)];
-    column.resize(num_codes);
-    // Rows ascend, so each group comes out ascending for free.
-    for (TupleId t = 0; t < n; ++t) {
-      column[static_cast<size_t>(codes[static_cast<size_t>(t)])].push_back(t);
-    }
-  }
-}
+      alive_(static_cast<size_t>(relation_.NumRows()), 1) {}
 
 std::string LiveRelation::Tombstone(TupleId row, int col) {
   return "\x1f!dead:" + std::to_string(row) + ":" + std::to_string(col);
-}
-
-void LiveRelation::RemoveFromGroup(int col, TupleId row) {
-  const ValueCode code = relation_.Code(row, col);
-  std::vector<TupleId>& group =
-      groups_[static_cast<size_t>(col)][static_cast<size_t>(code)];
-  auto it = std::lower_bound(group.begin(), group.end(), row);
-  UGUIDE_DCHECK(it != group.end() && *it == row);
-  group.erase(it);
-}
-
-void LiveRelation::InsertIntoGroup(int col, TupleId row) {
-  const ValueCode code = relation_.Code(row, col);
-  auto& column = groups_[static_cast<size_t>(col)];
-  const size_t ci = static_cast<size_t>(code);
-  if (ci >= column.size()) column.resize(relation_.pool().Size());
-  std::vector<TupleId>& group = column[ci];
-  group.insert(std::lower_bound(group.begin(), group.end(), row), row);
 }
 
 MutationReceipt LiveRelation::Apply(const MutationBatch& batch) {
@@ -56,15 +22,9 @@ MutationReceipt LiveRelation::Apply(const MutationBatch& batch) {
           ++receipt.refused;
           break;
         }
-        const TupleId row = relation_.AddRow(op.values);
+        relation_.AddRow(op.values);
         alive_.push_back(1);
-        ++num_alive_;
-        // The new row id exceeds every existing one, so push_back order
-        // keeps each group ascending.
-        for (int c = 0; c < m; ++c) InsertIntoGroup(c, row);
         ++receipt.applied;
-        receipt.scope.attrs = AttributeSet::Full(m);
-        receipt.scope.rows.push_back(row);
         break;
       }
       case MutationKind::kUpdate: {
@@ -72,12 +32,8 @@ MutationReceipt LiveRelation::Apply(const MutationBatch& batch) {
           ++receipt.refused;
           break;
         }
-        RemoveFromGroup(op.col, op.row);
         relation_.SetValue(op.row, op.col, op.value);
-        InsertIntoGroup(op.col, op.row);
         ++receipt.applied;
-        receipt.scope.attrs = receipt.scope.attrs.With(op.col);
-        receipt.scope.rows.push_back(op.row);
         break;
       }
       case MutationKind::kDelete: {
@@ -86,68 +42,17 @@ MutationReceipt LiveRelation::Apply(const MutationBatch& batch) {
           break;
         }
         for (int c = 0; c < m; ++c) {
-          RemoveFromGroup(c, op.row);
           relation_.SetValue(op.row, c, Tombstone(op.row, c));
-          InsertIntoGroup(c, op.row);
         }
         alive_[static_cast<size_t>(op.row)] = 0;
-        --num_alive_;
         ++receipt.applied;
-        receipt.scope.attrs = AttributeSet::Full(m);
-        receipt.scope.rows.push_back(op.row);
         break;
       }
     }
   }
-  if (receipt.applied > 0) {
-    ++version_;
-    std::sort(receipt.scope.rows.begin(), receipt.scope.rows.end());
-    receipt.scope.rows.erase(
-        std::unique(receipt.scope.rows.begin(), receipt.scope.rows.end()),
-        receipt.scope.rows.end());
-  }
+  if (receipt.applied > 0) ++version_;
   receipt.version = version_;
   return receipt;
-}
-
-Partition LiveRelation::ColumnPartition(int col) const {
-  UGUIDE_CHECK(col >= 0 && col < relation_.NumAttributes());
-  // Gather groups of size >= 2 and order them by ascending first member —
-  // exactly ForColumn's first-seen class order — then lay the CSR out with
-  // one prefix pass and a block copy per class.
-  const auto& column = groups_[static_cast<size_t>(col)];
-  std::vector<const std::vector<TupleId>*> classes;
-  for (const std::vector<TupleId>& group : column) {
-    if (group.size() >= 2) classes.push_back(&group);
-  }
-  std::sort(classes.begin(), classes.end(),
-            [](const std::vector<TupleId>* a, const std::vector<TupleId>* b) {
-              return a->front() < b->front();
-            });
-  std::vector<uint32_t> offsets;
-  offsets.reserve(classes.size() + 1);
-  offsets.push_back(0);
-  uint32_t total = 0;
-  for (const std::vector<TupleId>* cls : classes) {
-    total += static_cast<uint32_t>(cls->size());
-    offsets.push_back(total);
-  }
-  std::vector<TupleId> elems;
-  elems.reserve(total);
-  for (const std::vector<TupleId>* cls : classes) {
-    elems.insert(elems.end(), cls->begin(), cls->end());
-  }
-  return Partition::FromCsr(relation_.NumRows(), std::move(elems),
-                            std::move(offsets));
-}
-
-size_t LiveRelation::ApproxIndexBytes() const {
-  size_t bytes = alive_.size() * sizeof(uint8_t);
-  for (const auto& column : groups_) {
-    bytes += column.size() * sizeof(std::vector<TupleId>);
-    for (const auto& group : column) bytes += group.size() * sizeof(TupleId);
-  }
-  return bytes;
 }
 
 }  // namespace uguide

@@ -2,29 +2,21 @@
 #define UGUIDE_LIVE_LIVE_RELATION_H_
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
-#include "discovery/partition.h"
 #include "live/mutation.h"
 #include "relation/relation.h"
 
 namespace uguide {
 
-/// \brief A relation that accepts mutations, plus the per-column group
-/// index that turns them into O(Δ) partition maintenance.
+/// \brief A relation that accepts mutations.
 ///
-/// The wrapped Relation is the single source of truth; alongside it the
-/// class maintains, for every column, the value-code → member-rows mapping
-/// (members ascending). A mutation moves the touched rows between groups
-/// in O(Δ log k); ColumnPartition() then emits the canonical stripped CSR
-/// — groups of size ≥ 2, ordered by ascending first member, members
-/// ascending — which is byte-identical to Partition::ForColumn over the
-/// mutated relation (the storm suite asserts this at every epoch).
-///
-/// Deletes are tombstones: the dead row keeps its TupleId but every cell
-/// is rewritten to a per-cell-unique sentinel, so the row is a singleton
-/// in every projection and vanishes from all stripped partitions and
-/// violation sets. The alive bitmap refuses later ops on dead rows.
+/// The wrapped Relation is the single source of truth. Deletes are
+/// tombstones: the dead row keeps its TupleId but every cell is rewritten
+/// to a per-cell-unique sentinel, so the row is a singleton in every
+/// projection and vanishes from all stripped partitions and violation
+/// sets. The alive bitmap refuses later ops on dead rows.
 ///
 /// Not thread-safe: the owner (LiveDataset) serializes Apply against its
 /// epoch construction. Readers never touch a LiveRelation — each epoch
@@ -41,43 +33,21 @@ class LiveRelation {
     return row >= 0 && row < NumRows() &&
            alive_[static_cast<size_t>(row)] != 0;
   }
-  /// Rows not yet tombstoned.
-  TupleId NumAlive() const { return num_alive_; }
 
   /// Applies `batch` op by op. Invalid ops (dead or out-of-range row,
   /// arity mismatch) are refused individually and counted; the rest of
   /// the batch still applies. The version advances by one iff at least
-  /// one op applied. The receipt's scope covers applied ops only.
+  /// one op applied.
   MutationReceipt Apply(const MutationBatch& batch);
-
-  /// Emits the canonical stripped partition of `col` from the group index
-  /// — byte-identical to Partition::ForColumn(relation(), col).
-  Partition ColumnPartition(int col) const;
-
-  /// Heap footprint of the group index (observability; the relation and
-  /// partitions account for themselves).
-  size_t ApproxIndexBytes() const;
 
  private:
   /// The per-cell-unique tombstone value for (row, col). Uses an ASCII
   /// control prefix no CSV-loaded or generated value contains.
   static std::string Tombstone(TupleId row, int col);
 
-  /// Moves `row` out of its current group in `col` (value about to
-  /// change). O(log k + k) for a size-k group.
-  void RemoveFromGroup(int col, TupleId row);
-  /// Inserts `row` into the group of its (new) code in `col`, keeping
-  /// members ascending.
-  void InsertIntoGroup(int col, TupleId row);
-
   Relation relation_;
   DataVersion version_ = 0;
   std::vector<uint8_t> alive_;
-  TupleId num_alive_ = 0;
-  /// groups_[col][code] = rows holding `code` in `col`, ascending. Codes
-  /// are pool-wide dense, so the inner vector is indexed directly; it
-  /// grows lazily as SetValue interns new values.
-  std::vector<std::vector<std::vector<TupleId>>> groups_;
 };
 
 }  // namespace uguide

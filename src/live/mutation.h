@@ -5,7 +5,6 @@
 #include <string>
 #include <vector>
 
-#include "common/attribute_set.h"
 #include "relation/relation.h"
 
 namespace uguide {
@@ -59,21 +58,6 @@ struct MutationBatch {
   std::vector<Mutation> ops;
 };
 
-/// \brief What a batch provably touched: the dirty attribute set and the
-/// affected tuples.
-///
-/// Scope rules (see DESIGN.md §15): an update dirties only its column —
-/// every other column's code array is literally unchanged, so partitions
-/// and FD projections over clean columns are identical objects. Appends
-/// and deletes dirty *all* attributes: an append extends every column
-/// array (and changes NumRows), a delete rewrites every cell of its row.
-struct MutationScope {
-  AttributeSet attrs;
-  std::vector<TupleId> rows;
-
-  bool Empty() const { return attrs.Empty() && rows.empty(); }
-};
-
 /// \brief The outcome of applying one batch.
 struct MutationReceipt {
   /// The data version after the batch (unchanged when nothing applied).
@@ -82,7 +66,6 @@ struct MutationReceipt {
   /// Ops rejected individually (dead/out-of-range row, arity mismatch);
   /// the rest of the batch still applies.
   int refused = 0;
-  MutationScope scope;
 };
 
 }  // namespace uguide

@@ -57,10 +57,10 @@ struct SessionManagerOptions {
   const ViolationGraph* graph = nullptr;
 
   /// Live mutation subsystem. When set, `op=mutate` applies batches here,
-  /// and every open resolves its epoch (rebased session, patched engine,
-  /// delta-maintained artifact, version pins) from the live dataset
-  /// instead of the served session. Null = static data; op=mutate is
-  /// refused. Must outlive the manager.
+  /// and every open resolves its epoch (rebased session, its engine and
+  /// artifact, version pins) from the live dataset instead of the served
+  /// session. Null = static data; op=mutate is refused. Must outlive the
+  /// manager.
   LiveDataset* live = nullptr;
 
   /// Overload-protection knobs, all off by default.

@@ -40,11 +40,11 @@ void ViolationGraph::RebuildCellIndex() {
   }
 }
 
-// Assembles a graph from per-FD violation-cell vectors. Cells are
-// interned in FD order, so the result is a pure function of the inputs —
-// independent of how (or on how many threads) the vectors were produced.
-ViolationGraph ViolationGraph::Merge(
-    std::vector<Fd> fds, const std::vector<const std::vector<Cell>*>& per_fd) {
+// Cells are interned in FD order, so the result is a pure function of the
+// inputs — independent of how (or on how many threads) the vectors were
+// produced.
+ViolationGraph ViolationGraph::FromPerFdCells(
+    std::vector<Fd> fds, const std::vector<std::vector<Cell>>& per_fd) {
   ViolationGraph g;
   g.fds_ = std::move(fds);
 
@@ -55,9 +55,9 @@ ViolationGraph ViolationGraph::Merge(
   size_t total_edges = 0;
   size_t rows = 0;
   size_t cols = 0;
-  for (const auto* cells : per_fd) {
-    total_edges += cells->size();
-    for (const Cell& cell : *cells) {
+  for (const std::vector<Cell>& cells : per_fd) {
+    total_edges += cells.size();
+    for (const Cell& cell : cells) {
       rows = std::max(rows, static_cast<size_t>(cell.row) + 1);
       cols = std::max(cols, static_cast<size_t>(cell.col) + 1);
     }
@@ -74,7 +74,7 @@ ViolationGraph ViolationGraph::Merge(
   g.index_slots_.assign(NextPow2(max_cells * 2), -1);
   g.index_mask_ = g.index_slots_.size() - 1;
   for (FdId f = 0; f < g.NumFds(); ++f) {
-    for (const Cell& cell : *per_fd[static_cast<size_t>(f)]) {
+    for (const Cell& cell : per_fd[static_cast<size_t>(f)]) {
       const size_t slot = g.ProbeSlot(cell);
       CellId c = g.index_slots_[slot];
       if (c < 0) {
@@ -137,33 +137,6 @@ ViolationGraph ViolationGraph::Merge(
   return g;
 }
 
-namespace {
-
-/// Borrows every vector in `per_fd` for the pointer-view Merge.
-std::vector<const std::vector<Cell>*> ViewsOf(
-    const std::vector<std::vector<Cell>>& per_fd) {
-  std::vector<const std::vector<Cell>*> views;
-  views.reserve(per_fd.size());
-  for (const auto& cells : per_fd) views.push_back(&cells);
-  return views;
-}
-
-}  // namespace
-
-ViolationGraph ViolationGraph::FromPerFdCells(
-    std::vector<Fd> fds, const std::vector<std::vector<Cell>>& per_fd) {
-  return Merge(std::move(fds), ViewsOf(per_fd));
-}
-
-ViolationGraph ViolationGraph::FromPerFdCells(
-    std::vector<Fd> fds,
-    const std::vector<std::shared_ptr<const std::vector<Cell>>>& per_fd) {
-  std::vector<const std::vector<Cell>*> views;
-  views.reserve(per_fd.size());
-  for (const auto& cells : per_fd) views.push_back(cells.get());
-  return Merge(std::move(fds), views);
-}
-
 ViolationGraph ViolationGraph::Build(const Relation& relation,
                                      const FdSet& candidates) {
   ViolationEngine local(&relation);
@@ -186,7 +159,7 @@ ViolationGraph ViolationGraph::Build(ViolationEngine& engine,
     per_fd.reserve(fds.size());
     for (const Fd& fd : fds) per_fd.push_back(engine.ViolatingCells(fd));
   }
-  return Merge(std::move(fds), ViewsOf(per_fd));
+  return FromPerFdCells(std::move(fds), per_fd);
 }
 
 void GraphView::DeactivateFd(FdId f) {

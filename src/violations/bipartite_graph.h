@@ -41,10 +41,10 @@ struct GraphActiveState {
 /// per-run overlay copied from the all-active template kept here.
 ///
 /// Both adjacency directions are frozen CSR: one flat edge array plus an
-/// offset array, built once in the deterministic Merge step. Cell lookup
-/// uses an open-addressed linear-probe table rebuilt right-sized after
-/// Merge, so the footprint reported by ApproxMemoryBytes() is a pure
-/// function of the graph's content.
+/// offset array, built once in the deterministic merge (FromPerFdCells).
+/// Cell lookup uses an open-addressed linear-probe table rebuilt
+/// right-sized after the merge, so the footprint reported by
+/// ApproxMemoryBytes() is a pure function of the graph's content.
 class ViolationGraph {
  public:
   /// Builds the graph for `candidates` over `relation`. FDs that flag no
@@ -64,25 +64,13 @@ class ViolationGraph {
   static ViolationGraph Build(ViolationEngine& engine, const FdSet& candidates,
                               ThreadPool* pool = nullptr);
 
-  /// Assembles a graph directly from frozen per-FD violation-cell vectors
+  /// Assembles a graph directly from per-FD violation-cell vectors
   /// (`per_fd[i]` belongs to `fds[i]`). This is the deterministic merge
-  /// step every build path funnels through, exposed for the live-mutation
-  /// layer: when an epoch recomputes cells only for FDs whose attributes a
-  /// mutation touched (reusing the untouched FDs' vectors verbatim), the
-  /// result is byte-identical to a fresh Build over the mutated relation.
-  /// `per_fd` is read, not consumed — the live index calls this once per
-  /// epoch against vectors it keeps across epochs, so copying them here
-  /// would charge every batch O(total cells) for nothing.
+  /// step every build path funnels through: cells are interned in FD
+  /// order, so the graph is a pure function of its inputs. The reference
+  /// detector (tests/reference) feeds its own vectors through it.
   static ViolationGraph FromPerFdCells(
       std::vector<Fd> fds, const std::vector<std::vector<Cell>>& per_fd);
-
-  /// As above with each FD's vector behind a shared handle — the
-  /// copy-on-write layout LiveViolationIndex keeps across epochs, so a
-  /// lazy epoch materialization reads the frozen handles without ever
-  /// copying the untouched vectors.
-  static ViolationGraph FromPerFdCells(
-      std::vector<Fd> fds,
-      const std::vector<std::shared_ptr<const std::vector<Cell>>>& per_fd);
 
   int NumFds() const { return static_cast<int>(fds_.size()); }
   int NumCells() const { return static_cast<int>(cells_.size()); }
@@ -122,14 +110,6 @@ class ViolationGraph {
 
   ViolationGraph() = default;
 
-  /// Interns cells and wires adjacency from frozen per-FD cell vectors
-  /// (borrowed through raw pointers so both FromPerFdCells layouts share
-  /// it), in FD order — the deterministic merge step shared by every
-  /// build path.
-  static ViolationGraph Merge(
-      std::vector<Fd> fds,
-      const std::vector<const std::vector<Cell>*>& per_fd);
-
   static int Checked(int i, int bound) {
     UGUIDE_CHECK(i >= 0 && i < bound) << "graph index out of range";
     return i;
@@ -143,7 +123,7 @@ class ViolationGraph {
 
   std::vector<Fd> fds_;
   std::vector<Cell> cells_;
-  /// CSR adjacency, frozen at Merge: FD f's cells are
+  /// CSR adjacency, frozen at the merge: FD f's cells are
   /// fd_cell_edges_[fd_cell_offsets_[f], fd_cell_offsets_[f+1]), and
   /// symmetrically for cells. Offset arrays have N+1 entries.
   std::vector<uint32_t> fd_cell_offsets_;
@@ -155,7 +135,7 @@ class ViolationGraph {
   GraphActiveState all_active_;
   /// Open-addressed linear-probe cell lookup: power-of-two slot array of
   /// CellIds (-1 empty), keys compared against cells_. Rebuilt right-sized
-  /// after Merge for a deterministic footprint.
+  /// after the merge for a deterministic footprint.
   std::vector<CellId> index_slots_;
   size_t index_mask_ = 0;
 };

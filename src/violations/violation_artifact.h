@@ -213,7 +213,8 @@ class ViolationArtifact {
                     const FdSet& candidates, ThreadPool* pool = nullptr);
 
   /// Completes a graph built elsewhere over `engine`'s relation (a live
-  /// epoch's merge) with its classes, removal counts and per-tuple counts.
+  /// epoch's lazily built graph) with its classes, removal counts and
+  /// per-tuple counts.
   ViolationArtifact(std::shared_ptr<ViolationEngine> engine,
                     std::shared_ptr<const ViolationGraph> graph,
                     ThreadPool* pool = nullptr);

@@ -212,16 +212,6 @@ bool ViolationEngine::HasViolations(const Fd& fd) {
   return false;
 }
 
-void ViolationEngine::SeedPartition(const AttributeSet& attrs,
-                                    std::shared_ptr<const Partition> partition) {
-  store_.PutShared(attrs, std::move(partition));
-}
-
-std::vector<std::pair<AttributeSet, std::shared_ptr<const Partition>>>
-ViolationEngine::StorePartitions() const {
-  return store_.Snapshot();
-}
-
 size_t ViolationEngine::partition_hits() const {
   const size_t lookups = lookups_.load(std::memory_order_relaxed);
   const size_t misses = store_.misses();

@@ -85,19 +85,6 @@ class ViolationEngine {
   /// cached sub-partitions on a miss.
   std::shared_ptr<const Partition> LhsPartition(const AttributeSet& attrs);
 
-  /// Seeds the store with an externally owned partition handle. The live
-  /// dataset injects patched column partitions and surviving products here
-  /// so a fresh epoch engine starts warm instead of rebuilding from the
-  /// relation.
-  void SeedPartition(const AttributeSet& attrs,
-                     std::shared_ptr<const Partition> partition);
-
-  /// All partitions currently resident in the store (see
-  /// PartitionStore::Snapshot); the live dataset harvests an outgoing
-  /// epoch's products through this.
-  std::vector<std::pair<AttributeSet, std::shared_ptr<const Partition>>>
-  StorePartitions() const;
-
   /// Partition lookups served from the store without a build.
   size_t partition_hits() const;
   /// Partition lookups that had to build the partition.

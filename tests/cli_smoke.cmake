@@ -4,14 +4,13 @@
 # a silent default), and good usage exits 0 with the expected report.
 #
 # Inputs: -DPYTHON=<python3> -DUGUIDE_CLI=<binary> -DUGUIDED=<binary>
-#         -DLOADGEN=<binary> -DPAPER_FIGURES=<binary> -DBENCH_LIVE=<binary>
-#         -DWORK_DIR=<scratch dir>
+#         -DLOADGEN=<binary> -DPAPER_FIGURES=<binary> -DWORK_DIR=<scratch dir>
 
 if(NOT PYTHON OR NOT UGUIDE_CLI OR NOT UGUIDED OR NOT LOADGEN OR
-   NOT PAPER_FIGURES OR NOT BENCH_LIVE OR NOT WORK_DIR)
+   NOT PAPER_FIGURES OR NOT WORK_DIR)
   message(FATAL_ERROR
-          "cli_smoke: PYTHON, UGUIDE_CLI, UGUIDED, LOADGEN, PAPER_FIGURES, "
-          "BENCH_LIVE and WORK_DIR are required")
+          "cli_smoke: PYTHON, UGUIDE_CLI, UGUIDED, LOADGEN, PAPER_FIGURES "
+          "and WORK_DIR are required")
 endif()
 
 file(REMOVE_RECURSE "${WORK_DIR}")
@@ -172,9 +171,9 @@ set(tool "${LOADGEN}")
 run(loadgen_zero_reply_timeout 2 "invalid value '0' for --reply-timeout-s"
     ERR --port=1 --reply-timeout-s=0)
 
-# -- paper_figures and bench_live parse flags the same way:
-# a bad value, an unknown flag or an unknown figure is one stderr line and
-# exit 2, before any dataset is built. ---------------------------------------
+# -- paper_figures parses flags the same way: a bad value, an unknown flag
+# or an unknown figure is one stderr line and exit 2, before any dataset is
+# built. ---------------------------------------------------------------------
 set(tool "${PAPER_FIGURES}")
 run(figures_non_numeric_rows 2
     "^paper_figures: invalid value 'abc' for --rows [^\n]*\n$" ERR --rows=abc)
@@ -185,16 +184,8 @@ run(figures_unknown_figure 2 "^paper_figures: unknown figure 'fig11'\n$" ERR
 run(figures_unknown_flag 2 "^paper_figures: unknown flag --bogus=1\n$" ERR
     --bogus=1)
 
-set(tool "${BENCH_LIVE}")
-run(bench_live_non_numeric_epochs 2
-    "^bench_live: invalid value 'abc' for --epochs [^\n]*\n$" ERR
-    --epochs=abc)
-run(bench_live_non_numeric_rows 2
-    "^bench_live: invalid value 'abc' for --rows [^\n]*\n$" ERR --rows=abc)
-
 # One real figure: Fig. 6 is two panels of 5 budgets x 3 strategies, so its
 # JSON holds 30 rows.
-set(tool "${PAPER_FIGURES}")
 run(figures_fig6 0 "Figure 6: comparative question types" OUT
     --figure=fig6 --rows=300 --out=fig6.json)
 file(READ "${WORK_DIR}/fig6.json" fig6_json)

@@ -1,8 +1,8 @@
-// The live-mutation subsystem: randomized mutation storms asserting the
-// incrementally maintained partitions, violation graphs, and per-epoch
-// sessions are byte-identical to a full rebuild at every epoch and any
-// thread count; version-pinned journals; and the op=mutate /
-// version_mismatch serving paths end to end.
+// The live-mutation subsystem: randomized mutation storms asserting each
+// epoch's lazily built violation graph and per-epoch sessions are
+// byte-identical to a full rebuild at every epoch and any thread count;
+// that publishing an epoch does no violation work; version-pinned
+// journals; and the op=mutate / version_mismatch serving paths end to end.
 
 #include <gtest/gtest.h>
 #include <sys/stat.h>
@@ -16,7 +16,6 @@
 #include "common/thread_pool.h"
 #include "core/session_journal.h"
 #include "core/session_state.h"
-#include "discovery/partition.h"
 #include "live/live_dataset.h"
 #include "live/live_relation.h"
 #include "live/mutation.h"
@@ -68,20 +67,6 @@ MutationBatch RandomBatch(Rng& rng, TupleId num_rows, int num_attrs) {
     }
   }
   return batch;
-}
-
-void ExpectPartitionsEqual(const Partition& got, const Partition& want,
-                           const std::string& what) {
-  ASSERT_EQ(got.NumRows(), want.NumRows()) << what;
-  ASSERT_EQ(got.NumClasses(), want.NumClasses()) << what;
-  ASSERT_EQ(got.StrippedSize(), want.StrippedSize()) << what;
-  EXPECT_EQ(got.ApproxBytes(), want.ApproxBytes()) << what;
-  for (size_t i = 0; i < got.offsets().size(); ++i) {
-    ASSERT_EQ(got.offsets()[i], want.offsets()[i]) << what << " offset " << i;
-  }
-  for (size_t i = 0; i < got.elements().size(); ++i) {
-    ASSERT_EQ(got.elements()[i], want.elements()[i]) << what << " elem " << i;
-  }
 }
 
 void ExpectGraphsEqual(const ViolationGraph& got, const ViolationGraph& want,
@@ -203,30 +188,7 @@ class LiveTest : public ::testing::Test {
 
 Session* LiveTest::session_ = nullptr;
 
-// --- LiveRelation: group index vs canonical partitions ----------------------
-
-TEST_F(LiveTest, RelationPartitionsMatchForColumnUnderStorm) {
-  for (uint64_t seed : {11u, 12u, 13u}) {
-    LiveRelation live(session_->dirty());
-    Rng rng(seed);
-    const int m = live.relation().NumAttributes();
-    for (int batch = 0; batch < 8; ++batch) {
-      const MutationBatch mixed = RandomBatch(rng, live.NumRows(), m);
-      const MutationReceipt receipt = live.Apply(mixed);
-      ASSERT_EQ(receipt.applied + receipt.refused,
-                static_cast<int>(mixed.ops.size()));
-      for (int col = 0; col < m; ++col) {
-        ExpectPartitionsEqual(
-            live.ColumnPartition(col),
-            Partition::ForColumn(live.relation(), col),
-            "seed " + std::to_string(seed) + " batch " +
-                std::to_string(batch) + " col " + std::to_string(col));
-      }
-    }
-    EXPECT_GT(live.version(), 0u);
-    EXPECT_LE(live.NumAlive(), live.NumRows());
-  }
-}
+// --- LiveRelation: per-op refusal -------------------------------------------
 
 TEST_F(LiveTest, RelationRefusesInvalidOpsIndividually) {
   LiveRelation live(session_->dirty());
@@ -255,7 +217,7 @@ TEST_F(LiveTest, RelationRefusesInvalidOpsIndividually) {
   EXPECT_EQ(live.version(), 1u);
 }
 
-// --- LiveDataset: incremental epochs vs full rebuild ------------------------
+// --- LiveDataset: lazily built epochs vs full rebuild -----------------------
 
 TEST_F(LiveTest, StormEpochsMatchFullRebuildAtAnyThreadCount) {
   ThreadPool pool(4);
@@ -282,17 +244,7 @@ TEST_F(LiveTest, StormEpochsMatchFullRebuildAtAnyThreadCount) {
       const std::shared_ptr<const LiveEpoch> cur = serial.Current();
       const Relation& mutated = cur->session->dirty();
 
-      // Patched column partitions vs recomputation from the mutated bytes.
-      for (int col = 0; col < m; ++col) {
-        std::shared_ptr<const Partition> patched =
-            cur->engine->LhsPartition(AttributeSet::Single(col));
-        ASSERT_NE(patched, nullptr);
-        ExpectPartitionsEqual(*patched,
-                              Partition::ForColumn(mutated, col),
-                              tag + " col " + std::to_string(col));
-      }
-
-      // Delta-maintained graph vs full rebuild and the scalar oracle.
+      // The epoch's graph vs full rebuild and the scalar oracle.
       ViolationEngine fresh(&mutated);
       const ViolationGraph rebuilt =
           ViolationGraph::Build(fresh, session_->candidates(), nullptr);
@@ -319,26 +271,46 @@ TEST_F(LiveTest, StormEpochsMatchFullRebuildAtAnyThreadCount) {
     const LiveDataset::Stats stats = serial.stats();
     EXPECT_GT(stats.batches_applied, 0);
     EXPECT_GT(stats.ops_applied, 0);
-    EXPECT_EQ(stats.fds_recomputed + stats.fds_skipped,
-              stats.batches_applied * static_cast<int64_t>(
-                                          session_->candidates().Size()));
   }
 }
 
-TEST_F(LiveTest, UpdateOnlyBatchesSkipUntouchedFds) {
+TEST_F(LiveTest, ApplyDoesNoViolationWorkUntilAnEpochIsOpened) {
   LiveDataset live(session_, 0xbeef, nullptr);
+  const int m = session_->dirty().NumAttributes();
+  std::vector<std::string> appended;
+  for (int c = 0; c < m; ++c) appended.push_back("app" + std::to_string(c));
 
-  MutationBatch batch;
-  batch.ops.push_back(Mutation::Update(0, 0, "solo"));
-  const MutationReceipt receipt = live.Apply(batch);
-  ASSERT_EQ(receipt.applied, 1);
-  EXPECT_TRUE(receipt.scope.attrs.Contains(0));
+  // An update, an append (its scope is every attribute, so every FD), and
+  // a delete: publishing the three epochs looks up no partition.
+  std::vector<MutationBatch> batches(3);
+  batches[0].ops.push_back(Mutation::Update(0, 0, "solo"));
+  batches[1].ops.push_back(Mutation::Append(appended));
+  batches[2].ops.push_back(Mutation::Delete(7));
+  std::vector<std::shared_ptr<const LiveEpoch>> epochs;
+  for (const MutationBatch& batch : batches) {
+    ASSERT_EQ(live.Apply(batch).applied, 1);
+    epochs.push_back(live.Current());
+  }
+  for (const auto& epoch : epochs) {
+    EXPECT_EQ(epoch->engine->partition_hits() +
+                  epoch->engine->partition_misses(),
+              0u)
+        << "version " << epoch->version;
+  }
 
-  // A single-column update must not recompute FDs over other columns.
-  const LiveDataset::Stats stats = live.stats();
-  EXPECT_GT(stats.fds_skipped, 0);
-  EXPECT_LT(stats.fds_recomputed,
-            static_cast<int64_t>(session_->candidates().Size()));
+  // Opening the newest epoch builds its graph, equal to a full build over
+  // the mutated bytes; the older epochs stay untouched.
+  const std::shared_ptr<const LiveEpoch> cur = live.Current();
+  const ViolationGraph& graph = cur->graph();
+  EXPECT_GT(cur->engine->partition_hits() + cur->engine->partition_misses(),
+            0u);
+  ExpectGraphsEqual(graph,
+                    ViolationGraph::Build(cur->session->dirty(),
+                                          session_->candidates()),
+                    "opened epoch");
+  EXPECT_EQ(epochs[0]->engine->partition_hits() +
+                epochs[0]->engine->partition_misses(),
+            0u);
 }
 
 TEST_F(LiveTest, EpochRingEvictsOldVersions) {
@@ -365,8 +337,8 @@ TEST_F(LiveTest, EpochRingEvictsOldVersions) {
   ASSERT_EQ(live.Apply(batch).applied, 1);
   EXPECT_EQ(live.AtVersion(2), nullptr);
   EXPECT_EQ(pinned->version, 2u);
-  // Lazy materialization still works after the ring moved on: the pinned
-  // epoch owns its merge inputs.
+  // The lazy graph build still works after the ring moved on: the pinned
+  // epoch owns its session and engine.
   EXPECT_GT(pinned->graph().NumFds(), 0);
 }
 

@@ -3,9 +3,10 @@
 
 Usage: check_bench.py BASELINE_JSON FRESH_JSON
 
-Reads what bench_questioning (google-benchmark), bench_live and
-uguide_loadgen --bench-out (the serving bench) write. Each top-level array named in KEY_FIELDS becomes named
-rows, aggregate rows (written under repetitions) skipped. RULES holds
+Reads what bench_questioning (google-benchmark) and uguide_loadgen
+--bench-out (the serving bench) write. Each top-level array named in
+KEY_FIELDS becomes named rows, aggregate rows (written under
+repetitions) skipped. RULES holds
 every bound, of three kinds:
 
   * tolerance: a baseline row's field may move at most `pct` percent the
@@ -29,8 +30,7 @@ import json
 import math
 import sys
 
-KEY_FIELDS = {"benchmarks": "name", "levels": "concurrency",
-              "batch_sizes": "batch_rows"}
+KEY_FIELDS = {"benchmarks": "name", "levels": "concurrency"}
 
 
 @dataclasses.dataclass
@@ -66,12 +66,6 @@ RULES = [
     # thread-per-session daemon this guards against (~30% down at c=64).
     Rule("levels", "*", "sessions_per_sec", better="higher", pct=25),
     Rule("levels", "*", "rtt_p99_ms", better="lower", pct=25),
-    # Live maintenance. Absolute times on shared runners are noisy.
-    Rule("batch_sizes", "*", "incremental_ms_per_batch", better="lower",
-         pct=40),
-    # Incremental maintenance over rebuild-per-batch at single-row batches:
-    # the headline number the live subsystem exists for.
-    Rule("batch_sizes", "batch_rows=1", "speedup", floor=5.0),
 ]
 
 

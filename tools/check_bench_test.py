@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Tests for tools/check_bench.py over fixtures built from the checked-in
-BENCH_questioning.json, BENCH_serving.json and BENCH_live.json.
+BENCH_questioning.json and BENCH_serving.json.
 
 Each fixture compares a checked-in baseline with an edited copy of itself,
 written to a temp dir. The gate's exit status must match, and a failing
@@ -117,19 +117,6 @@ CASES = {
         ("build type", debug_build(), 1),
         ("unstamped", unstamped(), 1),
         ("nan", put("concurrency=1", sessions_per_sec=math.nan), 1),
-    ],
-    "BENCH_live.json": [
-        ("itself", keep(), 0),
-        # The tolerance is +40%: a 30% move passes, 50% fails.
-        ("30% slower", scale("batch_rows=8", "incremental_ms_per_batch", 1.3),
-         0),
-        ("50% slower", scale("batch_rows=8", "incremental_ms_per_batch", 1.5),
-         1),
-        ("row removed", drop("batch_rows=64"), 1),
-        ("speedup floor breach", put("batch_rows=1", speedup=4.9), 1),
-        ("build type", debug_build(), 1),
-        ("unstamped", unstamped(), 1),
-        ("nan", put("batch_rows=1", incremental_ms_per_batch=math.nan), 1),
     ],
 }
 

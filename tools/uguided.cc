@@ -326,10 +326,8 @@ int main(int argc, char** argv) {
   const LiveDataset::Stats live_stats = live.stats();
   std::printf(
       "uguided: live. version=%" PRIu64 " batches=%" PRId64
-      " ops_applied=%" PRId64 " ops_refused=%" PRId64
-      " fds_recomputed=%" PRId64 " fds_skipped=%" PRId64 "\n",
+      " ops_applied=%" PRId64 " ops_refused=%" PRId64 "\n",
       live.Current()->version, live_stats.batches_applied,
-      live_stats.ops_applied, live_stats.ops_refused,
-      live_stats.fds_recomputed, live_stats.fds_skipped);
+      live_stats.ops_applied, live_stats.ops_refused);
   return 0;
 }
